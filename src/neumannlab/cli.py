@@ -10,7 +10,6 @@ comments); every key has a default.  Example::
     coeff.type = checkerboard
     coeff.contrast = 10
     poles = center
-    threads = 1
 
 Experiment kinds: verify-coeff, solve, kernel, estimates, oracle-compare,
 full-suite.  Reports are one JSON document plus one CSV per fitted check;
@@ -52,7 +51,6 @@ class RunConfig:
     kind: str = "full-suite"
     seed: int = 0
     outdir: str = "out"
-    threads: int = 1
     mesh_type: str = "box"  # box | graph
     mesh_extents: tuple = (1.0, 1.0, 1.0)
     mesh_n: int = 8
@@ -66,7 +64,6 @@ class RunConfig:
     coeff_bound: float = 2.0
     coeff_frequency: float = 1.0
     solve_tolerance: float = 1e-10
-    solve_method: str = "bordered-lagrange"
     linear_solver: str = "direct"
     eps_factor: float = 2.0
     poles: str = "center"  # center | near-boundary | lattice
@@ -87,7 +84,6 @@ _KEYMAP = {
     "kind": ("kind", str),
     "seed": ("seed", int),
     "outdir": ("outdir", str),
-    "threads": ("threads", int),
     "mesh.type": ("mesh_type", str),
     "mesh.extents": ("mesh_extents", "floats"),
     "mesh.n": ("mesh_n", int),
@@ -101,7 +97,6 @@ _KEYMAP = {
     "coeff.bound": ("coeff_bound", float),
     "coeff.frequency": ("coeff_frequency", float),
     "solve.tolerance": ("solve_tolerance", float),
-    "solve.method": ("solve_method", str),
     "solve.linear_solver": ("linear_solver", str),
     "kernel.eps_factor": ("eps_factor", float),
     "poles": ("poles", str),
@@ -171,11 +166,7 @@ def _build_spec(cfg):
 
 
 def _solve_config(cfg):
-    return SolveConfig(
-        tolerance=cfg.solve_tolerance,
-        constraint_method=cfg.solve_method,
-        linear_solver=cfg.linear_solver,
-    )
+    return SolveConfig(tolerance=cfg.solve_tolerance, linear_solver=cfg.linear_solver)
 
 
 def _pole_list(cfg, mesh):
@@ -319,7 +310,7 @@ def _kernel_experiment(cfg):
     rng = np.random.default_rng(cfg.seed)
     solver = NeumannSolver(mesh, fld, scfg)
     for pole in _pole_list(cfg, mesh):
-        kern = build_kernel(mesh, fld, pole, scfg, eps=eps, solver=solver, threads=cfg.threads)
+        kern = build_kernel(mesh, fld, pole, scfg, eps=eps, solver=solver)
         worst = 0.0
         for _ in range(cfg.trials):
             vals = rng.standard_normal((mesh.n_nodes, fld.m))
@@ -413,7 +404,6 @@ def main(argv=None):
     common.add_argument("--config", help="key = value configuration file")
     common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--out", help="override the output directory")
-    common.add_argument("--threads", type=int, help="bounded work pool size")
     parser = argparse.ArgumentParser(prog="neumannlab", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="kind")
     for kind in KINDS:
@@ -428,8 +418,6 @@ def main(argv=None):
             cfg.seed = args.seed
         if args.out:
             cfg.outdir = args.out
-        if args.threads:
-            cfg.threads = args.threads
     except (OSError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

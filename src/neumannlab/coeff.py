@@ -81,13 +81,6 @@ class SmoothVMO:
 CoefficientSpec = Union[Identity, ScalarCheckerboard, CellwiseRandom, SkewPerturbed, SmoothVMO]
 
 
-def _canonical_skew(md):
-    """Deterministic skew matrix with unit spectral norm."""
-    s = np.triu(np.ones((md, md)), k=1)
-    s = s - s.T
-    return s / np.linalg.norm(s, 2)
-
-
 class CoefficientField:
     """Evaluable coefficient tensor with declared ellipticity bounds."""
 

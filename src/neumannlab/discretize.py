@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NumericFailureError, UnsupportedError
 from .mesh import CELL_CORNERS, Mesh
@@ -116,9 +115,6 @@ class StiffnessOperator:
     mesh: Mesh
     m: int
     quadrature_order: int
-
-    def apply(self, vec):
-        return self.matrix @ vec
 
     @property
     def n_dof(self):
@@ -270,18 +266,6 @@ def boundary_weight_vector(mesh):
     return b
 
 
-def constraint_rows(mesh, m):
-    """Sparse (m, n_dof) matrix whose i-th row integrates component i over the boundary."""
-    b = boundary_weight_vector(mesh)
-    n = mesh.n_nodes * m
-    rows, cols, vals = [], [], []
-    for i in range(m):
-        rows.extend([i] * mesh.n_nodes)
-        cols.extend(np.arange(mesh.n_nodes) * m + i)
-        vals.extend(b)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
-
-
 def boundary_mean(fld_or_field, normalized=False):
     """Per-component boundary trace integral int_{dOmega} u (or its average)."""
     f = fld_or_field
@@ -344,25 +328,23 @@ def estimate_poincare_constant(mesh, tol=1e-10, max_iterations=200):
     """C in ||u|| <= C ||Du|| over the zero-boundary-trace subspace (scalar).
 
     Inverse iteration on the generalized problem (K, M) restricted to
-    {b^T u = 0}, using the bordered factorization as the constrained inverse.
+    {b^T u = 0}; the bounded Neumann solve is the constrained inverse.
     """
-    from .coeff import Identity, make_coefficient  # local import to avoid cycle
+    from .coeff import Identity, make_coefficient  # local imports avoid cycles
+    from .solve import NeumannSolver
 
-    K = assemble_stiffness(mesh, make_coefficient(Identity(m=1))).matrix
+    solver = NeumannSolver(mesh, make_coefficient(Identity(m=1)))
+    K = solver.stiffness.matrix
     M = assemble_mass(mesh, 1)
-    b = boundary_weight_vector(mesh)
-    n = mesh.n_nodes
-    bordered = sp.bmat([[K, b[:, None]], [b[None, :], None]], format="csc")
-    lu = spla.splu(bordered)
+    b = solver.boundary_weights
 
     u = mesh.nodes[:, 0] - mesh.nodes[:, 0].mean()
     u -= b * (b @ u) / (b @ b)
     u /= np.sqrt(u @ (M @ u))
     rho_prev = np.inf
     history = []
-    for it in range(max_iterations):
-        rhs = np.concatenate([M @ u, [0.0]])
-        u = lu.solve(rhs)[:n]
+    for _ in range(max_iterations):
+        u = solver.solve_bounded(M @ u)[0]
         u /= np.sqrt(u @ (M @ u))
         rho = float(u @ (K @ u))
         history.append(rho)

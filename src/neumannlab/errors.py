@@ -37,9 +37,11 @@ class CompatibilityError(NeumannLabError):
 
 
 class NumericFailureError(NeumannLabError):
-    """An iterative numerical procedure failed to converge.
+    """A numerical procedure failed: no convergence, a singular factor, or a
+    residual above tolerance.
 
-    ``diagnostics`` holds iterate history for post-mortem inspection.
+    ``diagnostics`` holds iteration counts or iterate history for post-mortem
+    inspection.
     """
 
     def __init__(self, message, diagnostics=None):

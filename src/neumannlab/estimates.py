@@ -27,7 +27,6 @@ from .errors import (
     InvalidGeometryError,
     UnderResolvedError,
 )
-from .kernel import NeumannKernel
 from .mesh import distance_to_boundary
 from .solve import solve_neumann_bounded
 
@@ -77,9 +76,6 @@ def fit_power_law(samples):
 
 def _kernel_fields(obj):
     """Uniform access to (mesh, flat DiscreteField) for kernels and fields."""
-    if isinstance(obj, NeumannKernel):
-        flat = DiscreteField(obj.mesh, obj.values.reshape(obj.mesh.n_nodes, -1))
-        return obj.mesh, flat
     return obj.mesh, DiscreteField(obj.mesh, obj.values.reshape(obj.mesh.n_nodes, -1))
 
 
@@ -92,11 +88,6 @@ def cell_magnitudes(obj, gradient=False):
         return np.sqrt((g[:, 0] ** 2).sum(axis=(1, 2)))
     vals = values_at_quadrature(flat, quadrature_order=1)  # (C, 1, mm)
     return np.sqrt((vals[:, 0] ** 2).sum(axis=1))
-
-
-def _ball_mask_points(mesh, order):
-    pts, w = quadrature_points(mesh, order)
-    return pts.reshape(-1, 3), np.tile(w, mesh.n_cells)
 
 
 def annulus_norms(kernel, r, quadrature_order=2):

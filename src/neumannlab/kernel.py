@@ -16,7 +16,6 @@ scale is resolvable.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,7 +221,6 @@ def build_kernel(
     adjoint=False,
     solver=None,
     require_interior=True,
-    threads=1,
 ):
     """All m columns at pole y; adjoint=True builds the kernel of the adjoint operator.
 
@@ -237,7 +235,9 @@ def build_kernel(
     _check_pole(mesh, y, eps, require_interior, min_depth=max(4 * mesh.h, eps))
     work_field = adjoint_coefficients(fld) if adjoint else fld
     solver = solver or NeumannSolver(mesh, work_field, cfg)
-    if solver.field is not work_field and solver.field.spec != work_field.spec:
+    if solver.field is not work_field and (
+        solver.field.spec != work_field.spec or solver.field.is_adjoint != work_field.is_adjoint
+    ):
         raise InterfaceError("solver was built for a different coefficient field")
     pole_load, raw_mass = mollifier_load(
         mesh, Mollifier(tuple(y), eps), cfg.mollifier_subdiv, cfg.quadrature_order
@@ -245,16 +245,8 @@ def build_kernel(
     m = fld.m
     values = np.empty((mesh.n_nodes, m, m))
     telemetry = {"raw_mass": raw_mass, "columns": []}
-
-    def run(k):
-        return _column_solve(mesh, solver, pole_load, k)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(m)))
-    else:
-        results = [run(k) for k in range(m)]
-    for k, (u, info) in enumerate(results):
+    for k in range(m):
+        u, info = _column_solve(mesh, solver, pole_load, k)
         values[:, :, k] = u.reshape(-1, m)
         telemetry["columns"].append(
             {"k": k, "method": info.method, "iterations": info.iterations, "residual": info.residual}
@@ -313,8 +305,7 @@ def check_symmetry_identity(kernel_fwd, kernel_adj):
     return defect
 
 
-def build_node_kernel_set(mesh, fld, config=None, eps=None, adjoint=True, threads=1,
-                          max_nodes=3500):
+def build_node_kernel_set(mesh, fld, config=None, eps=None, adjoint=True, max_nodes=3500):
     """Adjoint kernels at every mesh node (the discrete Green-matrix transpose).
 
     One factorization serves all poles; boundary poles use clipped,
@@ -329,23 +320,13 @@ def build_node_kernel_set(mesh, fld, config=None, eps=None, adjoint=True, thread
         )
     work_field = adjoint_coefficients(fld) if adjoint else fld
     solver = NeumannSolver(mesh, work_field, cfg)
-    kernels = {}
-
-    def build(p):
-        return build_kernel(
+    return {
+        p: build_kernel(
             mesh, fld, mesh.nodes[p], cfg, eps=eps, adjoint=adjoint,
             solver=solver, require_interior=False,
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(build, range(mesh.n_nodes)))
-        for p, kern in enumerate(results):
-            kernels[p] = kern
-    else:
-        for p in range(mesh.n_nodes):
-            kernels[p] = build(p)
-    return kernels
+        for p in range(mesh.n_nodes)
+    }
 
 
 def representation_solve(kernels, f, g, quadrature_order=2):

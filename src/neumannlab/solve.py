@@ -1,16 +1,20 @@
 """Pure-Neumann variational solves in both domain modes.
 
-Bounded mode realizes the zero-mean-boundary-trace normalization with a rank-m
-bordered (Lagrange) system: the multiplier absorbs exactly the quadrature
-residual of the compatibility condition, so the discrete variational identity
-holds against arbitrary test fields up to solver precision.  Graph mode
-imposes homogeneous Dirichlet on the far (truncation) boundary and the natural
-condition on the graph boundary.
+Both modes solve on one reduced stiffness operator, built once per solver and
+reused across right-hand sides: sparse LU (factorized on first use) or Krylov
+(CG for symmetric coefficients, GMRES otherwise), chosen by SolveConfig.
 
-The default linear path factorizes the bordered matrix once (sparse LU) and is
-reused across many right-hand sides; Krylov paths (MINRES for symmetric
-coefficients, GMRES otherwise, or projected Krylov without the border) are
-available through SolveConfig.
+Bounded mode realizes the zero-mean-boundary-trace normalization in closed
+form.  K annihilates constants on both sides, so the multiplier of the
+constrained system K u + B^T mu = F, B u = 0 is mu_i = sum F_i / sum b per
+component; it absorbs exactly the quadrature residual of the compatibility
+condition, so the discrete variational identity holds against arbitrary test
+fields up to solver precision.  The solve projects the load, solves the
+consistent singular system (with one node grounded for LU, as is for Krylov),
+then shifts each component by a constant to zero boundary mean (Bochev &
+Lehoucq, SIAM Review 47, 2005).  Graph mode imposes homogeneous Dirichlet on
+the far (truncation) boundary by removing its DOFs, and the natural condition
+on the graph boundary.
 """
 
 from __future__ import annotations
@@ -18,17 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coeff import adjoint_coefficients
 from .discretize import (
     DiscreteField,
     assemble_boundary_load,
     assemble_stiffness,
     assemble_volume_load,
     boundary_weight_vector,
-    constraint_rows,
 )
 from .errors import CompatibilityError, InterfaceError, NumericFailureError
 
@@ -37,7 +38,6 @@ from .errors import CompatibilityError, InterfaceError, NumericFailureError
 class SolveConfig:
     tolerance: float = 1e-10
     max_iterations: int = 20000
-    constraint_method: str = "bordered-lagrange"  # or "projected-krylov"
     linear_solver: str = "direct"  # or "krylov"
     quadrature_order: int = 2
     far_boundary: str = "homogeneous-dirichlet"
@@ -50,8 +50,8 @@ class SolveConfig:
             raise ValueError("tolerance must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.constraint_method not in ("bordered-lagrange", "projected-krylov"):
-            raise ValueError(f"unknown constraint method {self.constraint_method}")
+        if self.linear_solver not in ("direct", "krylov"):
+            raise ValueError(f"unknown linear solver {self.linear_solver}")
         if self.far_boundary != "homogeneous-dirichlet":
             raise ValueError(f"unsupported far-boundary condition {self.far_boundary}")
 
@@ -62,11 +62,10 @@ class SolveInfo:
     iterations: int
     residual: float
     multiplier: np.ndarray | None = None
-    residual_history: tuple = ()
 
 
 class NeumannSolver:
-    """Stiffness + constraint + factorization bundle, reusable across loads."""
+    """Stiffness + reduced operator + factorization bundle, reusable across loads."""
 
     def __init__(self, mesh, fld, config=None):
         self.mesh = mesh
@@ -75,159 +74,98 @@ class NeumannSolver:
         self.stiffness = assemble_stiffness(mesh, fld, self.config.quadrature_order)
         self.m = fld.m
         self.n_dof = self.stiffness.n_dof
-        skew_norm = abs(self.stiffness.matrix - self.stiffness.matrix.T).max()
-        scale = abs(self.stiffness.matrix).max()
-        self.symmetric = skew_norm <= 1e-12 * max(scale, 1.0)
-        self._lu = None
-        self._graph_lu = None
-        if not mesh.is_graph:
-            self.constraint = constraint_rows(mesh, self.m)
-            self.boundary_weights = boundary_weight_vector(mesh)
+        K = self.stiffness.matrix
+        self.symmetric = abs(K - K.T).max() <= 1e-12 * max(abs(K).max(), 1.0)
+        direct = self.config.linear_solver == "direct"
+        if mesh.is_graph:
+            removed = mesh.far_nodes[:, None] * self.m + np.arange(self.m)
         else:
-            self.constraint = None
-            far = mesh.far_nodes
-            mask = np.ones(self.n_dof, dtype=bool)
-            for i in range(self.m):
-                mask[far * self.m + i] = False
-            self.free_dofs = np.flatnonzero(mask)
+            self.boundary_weights = boundary_weight_vector(mesh)
+            # grounding node 0 leaves LU a nonsingular block; Krylov takes K as is
+            removed = np.arange(self.m if direct else 0)
+        self.free_dofs = np.setdiff1d(np.arange(self.n_dof), removed)
+        block = K if len(self.free_dofs) == self.n_dof else K[self.free_dofs][:, self.free_dofs]
+        self._block = block.tocsc() if direct else block.tocsr()
+        self._lu = None
+
+    def _solve_reduced(self, rhs):
+        """Solve the reduced operator for rhs[free_dofs]; removed DOFs come back 0."""
+        cfg = self.config
+        r = rhs[self.free_dofs]
+        if cfg.linear_solver == "direct":
+            if self._lu is None:
+                try:
+                    self._lu = spla.splu(self._block, permc_spec="MMD_AT_PLUS_A")
+                except RuntimeError as e:
+                    raise NumericFailureError(f"sparse LU factorization failed: {e}") from e
+            x, method, iterations = self._lu.solve(r), "direct", 1
+        else:
+            count = [0]
+
+            def cb(_):
+                count[0] += 1
+
+            if self.symmetric:
+                method = "cg"
+                x, code = spla.cg(
+                    self._block, r, rtol=cfg.tolerance, atol=0.0, maxiter=cfg.max_iterations,
+                    callback=cb,
+                )
+            else:
+                method = "gmres"
+                x, code = spla.gmres(
+                    self._block, r, rtol=cfg.tolerance, atol=0.0, maxiter=cfg.max_iterations,
+                    restart=200, callback=cb, callback_type="pr_norm",
+                )
+            if code != 0:
+                raise NumericFailureError(
+                    f"{method} failed to converge (code {code})",
+                    diagnostics={"iterations": count[0]},
+                )
+            iterations = count[0]
+        u = np.zeros(self.n_dof)
+        u[self.free_dofs] = x
+        return u, method, iterations
 
     # -- bounded mode --------------------------------------------------
-    def _bordered(self):
-        K = self.stiffness.matrix
-        B = self.constraint
-        return sp.bmat([[K, B.T], [B, None]], format="csc")
-
     def solve_bounded(self, load):
-        """Solve the constrained system for a full load vector (n_dof,)."""
+        """Zero-boundary-mean solution for a full load vector (n_dof,)."""
         if self.mesh.is_graph:
             raise InterfaceError("bounded solve requested on a graph mesh")
-        cfg = self.config
-        rhs = np.concatenate([load, np.zeros(self.m)])
-        if cfg.constraint_method == "projected-krylov":
-            u, mu, info = self._solve_projected(load)
-        elif cfg.linear_solver == "direct":
-            if self._lu is None:
-                self._lu = spla.splu(self._bordered())
-            x = self._lu.solve(rhs)
-            u, mu = x[: self.n_dof], x[self.n_dof :]
-            info = SolveInfo("bordered-direct", 1, 0.0, mu)
-        else:
-            u, mu, info = self._solve_bordered_krylov(rhs)
-        res = self.stiffness.matrix @ u + self.constraint.T @ mu - load
-        scale = max(np.linalg.norm(load), 1e-300)
-        info.residual = float(np.linalg.norm(res) / scale)
-        if info.residual > max(cfg.tolerance * 100, 1e-9):
-            raise NumericFailureError(
-                f"bounded solve residual {info.residual:.3e} above tolerance",
-                diagnostics={"history": list(info.residual_history)},
-            )
-        info.multiplier = mu
+        b = self.boundary_weights
+        F = load.reshape(-1, self.m)
+        mu = F.sum(axis=0) / b.sum()
+        flux = (b[:, None] * mu).reshape(-1)  # B^T mu
+        u, method, iterations = self._solve_reduced(load - flux)
+        U = u.reshape(-1, self.m)
+        U -= (b @ U) / b.sum()
+        res = self.stiffness.matrix @ u + flux - load
+        info = SolveInfo(f"bounded-{method}", iterations, _relative(res, load), mu)
+        _guard(info, self.config, "bounded")
         return u, info
-
-    def _solve_bordered_krylov(self, rhs):
-        cfg = self.config
-        A = self._bordered()
-        hist = []
-
-        def cb(xk):
-            hist.append(len(hist))
-
-        if self.symmetric:
-            x, code = spla.minres(A, rhs, rtol=cfg.tolerance, maxiter=cfg.max_iterations, callback=cb)
-            method = "bordered-minres"
-        else:
-            x, code = spla.gmres(
-                A, rhs, rtol=cfg.tolerance, atol=0.0, maxiter=cfg.max_iterations,
-                restart=200, callback=cb, callback_type="x",
-            )
-            method = "bordered-gmres"
-        if code != 0:
-            raise NumericFailureError(
-                f"{method} failed to converge (code {code})",
-                diagnostics={"iterations": len(hist)},
-            )
-        return x[: self.n_dof], x[self.n_dof :], SolveInfo(method, len(hist), 0.0)
-
-    def _solve_projected(self, load):
-        """Krylov on P K P restricted to the constraint null space."""
-        cfg = self.config
-        B = self.constraint.toarray()
-        bnorm2 = (B * B).sum(axis=1)
-
-        def project(v):
-            w = np.asarray(v, dtype=float).copy()
-            for i in range(self.m):
-                w -= B[i] * (B[i] @ w) / bnorm2[i]
-            return w
-
-        K = self.stiffness.matrix
-        op = spla.LinearOperator(
-            (self.n_dof, self.n_dof), matvec=lambda v: project(K @ project(v)), dtype=float
-        )
-        rhs = project(load)
-        hist = []
-
-        def cb(xk):
-            hist.append(len(hist))
-
-        if self.symmetric:
-            x, code = spla.cg(op, rhs, rtol=cfg.tolerance, atol=0.0, maxiter=cfg.max_iterations, callback=cb)
-        else:
-            x, code = spla.gmres(
-                op, rhs, rtol=cfg.tolerance, atol=0.0, maxiter=cfg.max_iterations,
-                restart=200, callback=cb, callback_type="x",
-            )
-        if code != 0:
-            raise NumericFailureError(
-                f"projected Krylov failed to converge (code {code})",
-                diagnostics={"iterations": len(hist)},
-            )
-        u = project(x)
-        # multipliers: component of the residual along the (orthogonal) constraint rows
-        r = load - K @ u
-        mu = np.array([(B[i] @ r) / bnorm2[i] for i in range(self.m)])
-        return u, mu, SolveInfo("projected-krylov", len(hist), 0.0)
 
     # -- graph mode ----------------------------------------------------
     def solve_graph(self, load):
         if not self.mesh.is_graph:
             raise InterfaceError("graph solve requested on a bounded mesh")
-        cfg = self.config
-        free = self.free_dofs
-        K = self.stiffness.matrix
-        Krr = K[free][:, free].tocsc()
-        rhs = load[free]
-        if cfg.linear_solver == "direct":
-            if self._graph_lu is None:
-                self._graph_lu = spla.splu(Krr)
-            ur = self._graph_lu.solve(rhs)
-            info = SolveInfo("graph-direct", 1, 0.0)
-        else:
-            hist = []
-
-            def cb(xk):
-                hist.append(len(hist))
-
-            if self.symmetric:
-                ur, code = spla.cg(Krr, rhs, rtol=cfg.tolerance, atol=0.0, maxiter=cfg.max_iterations, callback=cb)
-            else:
-                ur, code = spla.gmres(
-                    Krr, rhs, rtol=cfg.tolerance, atol=0.0, maxiter=cfg.max_iterations,
-                    restart=200, callback=cb, callback_type="x",
-                )
-            if code != 0:
-                raise NumericFailureError(
-                    f"graph Krylov failed to converge (code {code})",
-                    diagnostics={"iterations": len(hist)},
-                )
-            info = SolveInfo("graph-krylov", len(hist), 0.0)
-        u = np.zeros(self.n_dof)
-        u[free] = ur
-        scale = max(np.linalg.norm(rhs), 1e-300)
-        info.residual = float(np.linalg.norm(Krr @ ur - rhs) / scale)
-        if info.residual > max(cfg.tolerance * 100, 1e-9):
-            raise NumericFailureError(f"graph solve residual {info.residual:.3e} above tolerance")
+        u, method, iterations = self._solve_reduced(load)
+        rhs = load[self.free_dofs]
+        res = self._block @ u[self.free_dofs] - rhs
+        info = SolveInfo(f"graph-{method}", iterations, _relative(res, rhs))
+        _guard(info, self.config, "graph")
         return u, info
+
+
+def _relative(res, rhs):
+    return float(np.linalg.norm(res) / max(np.linalg.norm(rhs), 1e-300))
+
+
+def _guard(info, cfg, mode):
+    if info.residual > max(cfg.tolerance * 100, 1e-9):
+        raise NumericFailureError(
+            f"{mode} solve residual {info.residual:.3e} above tolerance",
+            diagnostics={"method": info.method, "iterations": info.iterations},
+        )
 
 
 def check_compatibility(mesh, f, g, m=1, quadrature_order=2):
@@ -306,7 +244,3 @@ def _truncation_flags(mesh, load, m, cfg):
         return (f"truncation-warning: load support within {dist:.3g} of the far boundary",)
     return ()
 
-
-def adjoint_solver(solver):
-    """Solver for the adjoint operator on the same mesh/config."""
-    return NeumannSolver(solver.mesh, adjoint_coefficients(solver.field), solver.config)

@@ -151,6 +151,23 @@ class TestMain:
         report = json.loads((tmp_path / "o/report.json").read_text())
         assert report["failures"][0]["error"] == "NonEllipticSpecError"
 
+    def test_bounded_krylov_meets_residual_guard(self, tmp_path):
+        # the Krylov bounded solve must meet its own residual guard at 20^3
+        cfg = tmp_path / "krylov.cfg"
+        cfg.write_text("kind = solve\nmesh.n = 20\ncoeff.type = checkerboard\n"
+                       "coeff.contrast = 10\nsolve.linear_solver = krylov\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o/report.json").read_text())
+        (rec,) = [r for r in report["records"] if r["name"] == "solve-residual"]
+        assert rec["empirical_constant"] <= 100 * RunConfig().solve_tolerance
+
+    @pytest.mark.parametrize("line", ["solve.method = bordered-lagrange", "threads = 2"])
+    def test_removed_keys_rejected(self, tmp_path, line, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"kind = solve\n{line}\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+
     def test_exit_three_on_numeric_failure(self, tmp_path):
         cfg = tmp_path / "numfail.cfg"
         cfg.write_text("kind = solve\nmesh.n = 6\nsolve.linear_solver = krylov\n"

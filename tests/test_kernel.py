@@ -8,6 +8,7 @@ from neumannlab.coeff import (
     Identity,
     ScalarCheckerboard,
     SkewPerturbed,
+    adjoint_coefficients,
     make_coefficient,
 )
 from neumannlab.discretize import DiscreteField, boundary_mean, l2_norm
@@ -264,6 +265,20 @@ class TestSymmetryIdentity:
         kf = build_kernel(unit_cube_12, fld, y, solve_config)
         ka = build_kernel(unit_cube_12, fld, x, solve_config, adjoint=True)
         assert check_symmetry_identity(kf, ka) < 1e-8
+
+    def test_solver_direction_guard(self, unit_cube_8, solve_config):
+        # an adjoint field shares its spec with the forward field; the guard
+        # must still refuse a solver built for the other direction
+        fld = make_coefficient(SkewPerturbed(ScalarCheckerboard(10.0), 0.5))
+        forward = NeumannSolver(unit_cube_8, fld, solve_config)
+        backward = NeumannSolver(unit_cube_8, adjoint_coefficients(fld), solve_config)
+        with pytest.raises(InterfaceError):
+            build_kernel(unit_cube_8, fld, CENTER, solve_config, adjoint=True, solver=forward)
+        with pytest.raises(InterfaceError):
+            build_kernel(unit_cube_8, fld, CENTER, solve_config, solver=backward)
+        shared = build_kernel(unit_cube_8, fld, CENTER, solve_config, adjoint=True, solver=backward)
+        own = build_kernel(unit_cube_8, fld, CENTER, solve_config, adjoint=True)
+        assert np.array_equal(shared.values, own.values)
 
     def test_eps_mismatch_rejected(self, unit_cube_12, identity_field, solve_config):
         kf = build_kernel(unit_cube_12, identity_field, CENTER, solve_config, eps=2 / 12)

@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from neumannlab.coeff import Identity, ScalarCheckerboard, SkewPerturbed, make_coefficient
-from neumannlab.discretize import boundary_mean, gradient_l2_norm, interpolate, l2_error, l2_norm
-from neumannlab.errors import CompatibilityError, InterfaceError
+from neumannlab.discretize import (
+    boundary_mean,
+    boundary_weight_vector,
+    gradient_l2_norm,
+    interpolate,
+    l2_error,
+    l2_norm,
+)
+from neumannlab.errors import CompatibilityError, InterfaceError, NumericFailureError
 from neumannlab.mesh import build_box_mesh, build_truncated_graph_mesh
 from neumannlab.oracle import halfspace_neumann
 from neumannlab.solve import (
@@ -118,17 +129,7 @@ class TestBoundedSolve:
 
 
 class TestConstraintMethods:
-    def test_projected_krylov_matches_direct(self, identity_field):
-        mesh = build_box_mesh((1, 1, 1), 6)
-        f, _ = cosine_problem()
-        direct = solve_neumann_bounded(mesh, identity_field, f, None, SolveConfig())
-        proj = solve_neumann_bounded(
-            mesh, identity_field, f, None,
-            SolveConfig(constraint_method="projected-krylov", tolerance=1e-12),
-        )
-        assert l2_norm(direct - proj) < 1e-8
-
-    def test_bordered_krylov_matches_direct(self, identity_field):
+    def test_krylov_matches_direct(self, identity_field):
         mesh = build_box_mesh((1, 1, 1), 6)
         f, _ = cosine_problem()
         direct = solve_neumann_bounded(mesh, identity_field, f, None, SolveConfig())
@@ -141,7 +142,52 @@ class TestConstraintMethods:
         with pytest.raises(ValueError):
             SolveConfig(tolerance=2.0)
         with pytest.raises(ValueError):
-            SolveConfig(constraint_method="magic")
+            SolveConfig(linear_solver="magic")
+
+    def test_singular_factor_is_numeric_failure(self, unit_cube_8, identity_field):
+        solver = NeumannSolver(unit_cube_8, identity_field, SolveConfig())
+        solver._block = sp.csc_matrix(solver._block.shape)  # SuperLU: exactly singular
+        with pytest.raises(NumericFailureError, match="factorization"):
+            solver.solve_bounded(np.zeros(solver.n_dof))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        contrast=st.floats(1.0, 100.0),
+        m=st.sampled_from([1, 2, 3]),
+        amplitude=st.floats(0.0, 0.5),
+        n=st.integers(4, 6),
+    )
+    @example(seed=1, contrast=100.0, m=1, amplitude=0.0, n=6)  # CG path
+    @example(seed=2, contrast=100.0, m=3, amplitude=0.5, n=6)  # GMRES path
+    def test_closed_form_matches_bordered_system(self, seed, contrast, m, amplitude, n):
+        """The closed-form multiplier path reproduces the bordered (Lagrange) solve."""
+        mesh = build_box_mesh((1, 1, 1), n)
+        spec = SkewPerturbed(ScalarCheckerboard(contrast, seed=seed, m=m), amplitude, seed=seed)
+        fld = make_coefficient(spec)
+        solver = NeumannSolver(mesh, fld, SolveConfig(tolerance=1e-12))
+        load = np.random.default_rng(seed).standard_normal(solver.n_dof)
+        u, info = solver.solve_bounded(load)
+
+        # reference: K u + B^T mu = F, B u = 0 with B the boundary-trace rows
+        b = boundary_weight_vector(mesh)
+        B = sp.kron(sp.csr_matrix(b[None, :]), sp.identity(m)).tocsr()
+        K = solver.stiffness.matrix
+        bordered = sp.bmat([[K, B.T], [B, None]], format="csc")
+        x = spla.splu(bordered).solve(np.concatenate([load, np.zeros(m)]))
+        u_ref, mu_ref = x[:-m], x[-m:]
+
+        assert np.linalg.norm(u - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
+        scale = np.abs(load).sum() / b.sum()
+        assert np.abs(info.multiplier - mu_ref).max() <= 1e-12 * scale
+        closed = load.reshape(-1, m).sum(axis=0) / b.sum()
+        assert np.abs(info.multiplier - closed).max() <= 1e-12 * scale
+        mean = (b @ u.reshape(-1, m)) / b.sum()
+        assert np.abs(mean).max() <= 1e-12 * np.abs(u).max()
+
+        krylov = NeumannSolver(mesh, fld, SolveConfig(linear_solver="krylov", tolerance=1e-12))
+        uk, _ = krylov.solve_bounded(load)
+        assert np.linalg.norm(uk - u) <= 1e-8 * np.linalg.norm(u)
 
 
 class TestGraphSolve:
