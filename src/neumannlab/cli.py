@@ -41,9 +41,16 @@ from .kernel import (
 )
 from .mesh import build_box_mesh, build_truncated_graph_mesh
 from .oracle import SeriesConfig, cube_neumann_series_batch
-from .solve import NeumannSolver, SolveConfig, solve_neumann_bounded
+from .solve import NeumannSolver, SolveConfig, solve_neumann_bounded, solve_neumann_graph
 
 KINDS = ("verify-coeff", "solve", "kernel", "estimates", "oracle-compare", "full-suite")
+#: accepted values of the choice keys; coeff.type and solve.* are checked by
+#: building the spec and the SolveConfig
+_CHOICES = {
+    "kind": KINDS,
+    "mesh_type": ("box", "graph"),
+    "poles": ("center", "near-boundary", "lattice"),
+}
 
 
 @dataclass
@@ -123,8 +130,11 @@ def parse_config(path):
             setattr(cfg, attr, tuple(float(tok) for tok in value.split()))
         else:
             setattr(cfg, attr, conv(value))
-    if cfg.kind not in KINDS:
-        raise ValueError(f"unknown experiment kind {cfg.kind!r}")
+    for attr, allowed in _CHOICES.items():
+        if getattr(cfg, attr) not in allowed:
+            raise ValueError(f"unknown {attr} {getattr(cfg, attr)!r}; expected one of {allowed}")
+    _build_spec(cfg)
+    _solve_config(cfg)
     return cfg
 
 
@@ -198,14 +208,15 @@ def run_experiment(cfg):
     """Execute the configured pipeline; deterministic given (config, seed)."""
     records = []
     failures = []
+    spec = _build_spec(cfg)
     provenance = {
         "config": cfg.to_dict(),
         "mesh": {"type": cfg.mesh_type, "extents": list(cfg.mesh_extents), "n": cfg.mesh_n},
-        "coeff": repr(_build_spec(cfg)),
+        "coeff": repr(spec),
         "seed": cfg.seed,
     }
     try:
-        _run_kind(cfg, records)
+        _run_kind(cfg, coeffmod.make_coefficient(spec), records)
     except CompatibilityError as e:
         failures.append(
             {
@@ -222,29 +233,28 @@ def run_experiment(cfg):
     return est.EstimateReport(records, provenance, cfg.hash(), failures)
 
 
-def _run_kind(cfg, records):
+def _run_kind(cfg, fld, records):
+    """Run the experiments of cfg.kind on one mesh and one forward solver."""
     kind = cfg.kind
+    if kind in ("verify-coeff", "full-suite"):
+        records.extend(_verify_coeff(cfg, fld))
     if kind == "verify-coeff":
-        records.extend(_verify_coeff(cfg))
-    elif kind == "solve":
-        records.extend(_solve_experiment(cfg))
-    elif kind == "kernel":
-        records.extend(_kernel_experiment(cfg))
-    elif kind == "estimates":
-        records.extend(_estimates_experiment(cfg))
-    elif kind == "oracle-compare":
-        records.extend(_oracle_experiment(cfg))
-    elif kind == "full-suite":
-        records.extend(_verify_coeff(cfg))
-        records.extend(_solve_experiment(cfg))
-        records.extend(_kernel_experiment(cfg))
-        records.extend(_estimates_experiment(cfg))
-        if cfg.coeff_type == "identity" and cfg.mesh_type == "box":
-            records.extend(_oracle_experiment(cfg))
+        return
+    solver = NeumannSolver(_build_mesh(cfg), fld, _solve_config(cfg))
+    experiments = {
+        "solve": [_solve_experiment],
+        "kernel": [_kernel_experiment],
+        "estimates": [_estimates_experiment],
+        "oracle-compare": [_oracle_experiment],
+        "full-suite": [_solve_experiment, _kernel_experiment, _estimates_experiment],
+    }[kind]
+    if kind == "full-suite" and cfg.coeff_type == "identity" and cfg.mesh_type == "box":
+        experiments.append(_oracle_experiment)
+    for experiment in experiments:
+        records.extend(experiment(cfg, solver))
 
 
-def _verify_coeff(cfg):
-    fld = coeffmod.make_coefficient(_build_spec(cfg))
+def _verify_coeff(cfg, fld):
     rng = np.random.default_rng(cfg.seed)
     lo = np.zeros(3)
     hi = np.asarray(cfg.mesh_extents, dtype=float)
@@ -259,10 +269,8 @@ def _verify_coeff(cfg):
     return [rec]
 
 
-def _solve_experiment(cfg):
-    mesh = _build_mesh(cfg)
-    fld = coeffmod.make_coefficient(_build_spec(cfg))
-    scfg = _solve_config(cfg)
+def _solve_experiment(cfg, solver):
+    mesh, fld, scfg = solver.mesh, solver.field, solver.config
     m = fld.m
     L = cfg.mesh_extents[0]
 
@@ -272,8 +280,6 @@ def _solve_experiment(cfg):
         ).copy()
 
     if mesh.is_graph:
-        from .solve import solve_neumann_graph
-
         center = 0.5 * (mesh.nodes.min(0) + mesh.nodes.max(0))
 
         def bump(p):
@@ -282,24 +288,22 @@ def _solve_experiment(cfg):
                 np.maximum(0.0, 1.0 - r2 / (4 * mesh.h) ** 2)[:, None], (len(p), m)
             ).copy()
 
-        u = solve_neumann_graph(mesh, fld, bump, scfg)
+        u = solve_neumann_graph(mesh, fld, bump, scfg, solver=solver)
         far = float(np.abs(u.values[mesh.far_nodes]).max())
         return [
             _rec("graph-far-boundary-zero", far, 1e-14),
             _rec("solve-residual", u.info.residual, scfg.tolerance * 100),
         ]
 
-    u = solve_neumann_bounded(mesh, fld, f, None, scfg)
+    u = solve_neumann_bounded(mesh, fld, f, None, scfg, solver=solver)
     bm = float(np.abs(boundary_mean(u)).max())
     recs = [_rec("solve-boundary-mean", bm, 10 * scfg.tolerance)]
     recs.append(_rec("solve-residual", u.info.residual, scfg.tolerance * 100))
     return recs
 
 
-def _kernel_experiment(cfg):
-    mesh = _build_mesh(cfg)
-    fld = coeffmod.make_coefficient(_build_spec(cfg))
-    scfg = _solve_config(cfg)
+def _kernel_experiment(cfg, solver):
+    mesh, fld, scfg = solver.mesh, solver.field, solver.config
     eps = cfg.eps_factor * mesh.h
     recs = []
 
@@ -308,9 +312,11 @@ def _kernel_experiment(cfg):
     recs.append(_rec("mollifier-mass", abs(mass - 1.0), 1e-6))
 
     rng = np.random.default_rng(cfg.seed)
-    solver = NeumannSolver(mesh, fld, scfg)
-    for pole in _pole_list(cfg, mesh):
+    poles = _pole_list(cfg, mesh)
+    kernels = []
+    for pole in poles:
         kern = build_kernel(mesh, fld, pole, scfg, eps=eps, solver=solver)
+        kernels.append(kern)
         worst = 0.0
         for _ in range(cfg.trials):
             vals = rng.standard_normal((mesh.n_nodes, fld.m))
@@ -327,21 +333,15 @@ def _kernel_experiment(cfg):
             )
         )
     if not mesh.is_graph:
-        poles = _pole_list(cfg, mesh)
-        pole_y = poles[0]
-        pole_x = poles[-1] if len(poles) > 1 else pole_y + 0.0
-        k_fwd = build_kernel(mesh, fld, pole_y, scfg, eps=eps, solver=solver)
-        k_adj = build_kernel(mesh, fld, pole_x, scfg, eps=eps, adjoint=True)
-        defect = check_symmetry_identity(k_fwd, k_adj)
+        # forward kernel at the first pole against the adjoint kernel at the last
+        k_adj = build_kernel(mesh, fld, poles[-1], scfg, eps=eps, adjoint=True)
+        defect = check_symmetry_identity(kernels[0], k_adj)
         recs.append(_rec("symmetry-identity", defect, cfg.identity_tol))
     return recs
 
 
-def _estimates_experiment(cfg):
-    mesh = _build_mesh(cfg)
-    fld = coeffmod.make_coefficient(_build_spec(cfg))
-    scfg = _solve_config(cfg)
-    solver = NeumannSolver(mesh, fld, scfg)
+def _estimates_experiment(cfg, solver):
+    mesh, fld, scfg = solver.mesh, solver.field, solver.config
     pole = _pole_list(cfg, mesh)[0]
     kern = build_kernel(mesh, fld, pole, scfg, eps=cfg.eps_factor * mesh.h, solver=solver)
     recs = [est.pointwise_decay_check(kern, seed=cfg.seed)]
@@ -358,15 +358,16 @@ def _estimates_experiment(cfg):
     return recs
 
 
-def _oracle_experiment(cfg):
-    mesh = _build_mesh(cfg)
+def _oracle_experiment(cfg, solver):
+    mesh = solver.mesh
     if mesh.is_graph or cfg.coeff_type != "identity":
         raise NeumannLabError("oracle-compare requires identity coefficients on a box/graph mesh")
     if tuple(cfg.mesh_extents) != (1.0, 1.0, 1.0):
         raise NeumannLabError("the cube series oracle is defined on the unit cube")
-    fld = coeffmod.make_coefficient(_build_spec(cfg))
-    scfg = _solve_config(cfg)
-    kern = build_kernel(mesh, fld, (0.5, 0.5, 0.5), scfg, eps=cfg.eps_factor * mesh.h)
+    kern = build_kernel(
+        mesh, solver.field, (0.5, 0.5, 0.5), solver.config, eps=cfg.eps_factor * mesh.h,
+        solver=solver,
+    )
     h = mesh.h
     rng = np.random.default_rng(cfg.seed)
     dirs = rng.standard_normal((16, 3))

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NonEllipticFieldError, NonEllipticSpecError
+from .errors import InterfaceError, NonEllipticFieldError, NonEllipticSpecError
 
 D = 3
 
@@ -98,7 +98,11 @@ class CoefficientField:
         """points (n, 3) -> tensors (n, 3, 3, m, m)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = self._eval(pts)
-        assert out.shape == (len(pts), D, D, self.m, self.m)
+        if out.shape != (len(pts), D, D, self.m, self.m):
+            raise InterfaceError(
+                f"coefficient evaluation returned shape {out.shape}, "
+                f"expected {(len(pts), D, D, self.m, self.m)}"
+            )
         return out
 
     def matrices(self, points):
@@ -280,14 +284,3 @@ def verify_ellipticity_bounds(fld, sample_points, probe_count=8, seed=0):
         if np.any(cross > fld.bound * np.linalg.norm(xi, axis=1) * np.linalg.norm(eta, axis=1) + 1e-10):
             raise NonEllipticFieldError("quadratic-form probe violates the boundedness bound")
     return lam_est, m_est
-
-
-def export_cell_table(fld, mesh, path):
-    """One line per mesh cell: i j k followed by the row-major tensor entries."""
-    centers = mesh.cell_centers()
-    tensors = fld.evaluate(centers)
-    with open(path, "w") as fh:
-        fh.write(f"# coefficient snapshot m={fld.m} lam={fld.lam!r} M={fld.bound!r}\n")
-        for ijk, a in zip(mesh.cells_ijk, tensors):
-            flat = " ".join(repr(v) for v in a.ravel())
-            fh.write(f"{ijk[0]} {ijk[1]} {ijk[2]} {flat}\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericFailureError, UnsupportedError
+from .errors import InterfaceError, NumericFailureError, UnsupportedError
 from .mesh import CELL_CORNERS, Mesh
 
 _GAUSS = {
@@ -85,8 +85,12 @@ class DiscreteField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim == 1:
             self.values = self.values[:, None]
-        assert self.values.shape[0] == self.mesh.n_nodes
-        assert np.all(np.isfinite(self.values)), "discrete fields must be finite"
+        if self.values.shape[0] != self.mesh.n_nodes:
+            raise InterfaceError(
+                f"field has {self.values.shape[0]} rows for {self.mesh.n_nodes} mesh nodes"
+            )
+        if not np.all(np.isfinite(self.values)):
+            raise NumericFailureError("discrete field has non-finite values")
 
     @property
     def m(self):
@@ -193,42 +197,25 @@ def assemble_volume_load(mesh, f, m, quadrature_order=2):
 
 
 def facet_quadrature(mesh, order=2):
-    """Gauss points on each boundary facet: (F, Gf, 3), trace values (Gf, 4), weights (Gf,)."""
+    """Gauss points on each boundary facet: (F, Gf, 3), trace values (Gf, 4), weights (Gf,).
+
+    The trace columns follow the stored facet node order (s, t) = (0,0),
+    (1,0), (1,1), (0,1) of ``CELL_FACES``.
+    """
     x, w = gauss_rule_1d(order)
     s, t = np.meshgrid(x, x, indexing="ij")
     s, t = s.ravel(), t.ravel()
     w2 = np.outer(w, w).ravel() * mesh.h**2
-    # bilinear trace on the 4 facet nodes (ordering from CELL_FACES corner lists)
     trace = np.stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t], axis=1)
+    # s runs along the lower tangential axis, t along the upper one
+    normal = np.argmax(mesh.facet_normal != 0, axis=1)
+    rows = np.arange(len(normal))
+    local = np.zeros((len(normal), len(s), 3))
+    local[rows, :, np.array([1, 0, 0])[normal]] = s
+    local[rows, :, np.array([2, 2, 1])[normal]] = t
     lo = mesh.facet_lo
-    hi = mesh.facet_hi
-    span = hi - lo  # one axis has zero span
-    axes = np.argmax(mesh.facet_normal != 0, axis=1)
-    pts = np.empty((len(lo), len(s), 3))
-    for fidx in range(len(lo)):
-        a = axes[fidx]
-        t1, t2 = [b for b in range(3) if b != a]
-        pts[fidx, :, a] = lo[fidx, a]
-        pts[fidx, :, t1] = lo[fidx, t1] + span[fidx, t1] * s
-        pts[fidx, :, t2] = lo[fidx, t2] + span[fidx, t2] * t
+    pts = lo[:, None, :] + (mesh.facet_hi - lo)[:, None, :] * local
     return pts, trace, w2
-
-
-def _facet_trace_map(mesh):
-    """Map facet-local quadrature corners to the stored facet node order."""
-    # facet_nodes store 4 node ids; reconstruct their (s, t) corner ordering
-    lo = mesh.facet_lo
-    axes = np.argmax(mesh.facet_normal != 0, axis=1)
-    orderings = np.empty((len(lo), 4), dtype=np.int64)
-    fverts = mesh.nodes[mesh.facet_nodes]  # (F, 4, 3)
-    for fidx in range(len(lo)):
-        a = axes[fidx]
-        t1, t2 = [b for b in range(3) if b != a]
-        s = (fverts[fidx, :, t1] - lo[fidx, t1]) / mesh.h
-        t = (fverts[fidx, :, t2] - lo[fidx, t2]) / mesh.h
-        code = (np.round(s) + 2 * np.round(t)).astype(np.int64)  # 0:(0,0) 1:(1,0) 2:(0,1) 3:(1,1)
-        orderings[fidx] = np.argsort(code)
-    return orderings
 
 
 def assemble_boundary_load(mesh, g, m, quadrature_order=2, graph_only=None):
@@ -248,14 +235,10 @@ def assemble_boundary_load(mesh, g, m, quadrature_order=2, graph_only=None):
             raise UnsupportedError("graph_only load on a bounded mesh")
         sel = np.flatnonzero(mesh.graph_facets)
     pts, trace, w2 = facet_quadrature(mesh, quadrature_order)
-    order_map = _facet_trace_map(mesh)
     gv = _as_components(g(pts[sel].reshape(-1, 3)), m, len(sel) * trace.shape[0])
     gv = gv.reshape(len(sel), trace.shape[0], m)
-    contrib = np.einsum("g,fgi,gc->fci", w2, gv, trace)  # (F, 4 corners in (s,t) order, m)
-    for row, fidx in enumerate(sel):
-        nodes = mesh.facet_nodes[fidx][order_map[fidx]]
-        for c, p in enumerate(nodes):
-            out[p * m : p * m + m] += contrib[row, c]
+    contrib = np.einsum("g,fgi,gc->fci", w2, gv, trace)  # (F, 4 corners, m)
+    np.add.at(out.reshape(-1, m), mesh.facet_nodes[sel], contrib)
     return out
 
 
@@ -354,21 +337,3 @@ def estimate_poincare_constant(mesh, tol=1e-10, max_iterations=200):
     raise NumericFailureError(
         "Poincare inverse iteration did not converge", diagnostics={"rayleigh": history}
     )
-
-
-def export_matrix(matrix, path):
-    """Coordinate-format text dump (row col value) for cross-checking."""
-    coo = sp.coo_matrix(matrix)
-    with open(path, "w") as fh:
-        fh.write(f"# coo {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v!r}\n")
-
-
-def export_field(fld, path):
-    """Node-value table: x y z followed by the m component values."""
-    with open(path, "w") as fh:
-        fh.write(f"# field m={fld.m} nodes={fld.mesh.n_nodes}\n")
-        for xyz, vals in zip(fld.mesh.nodes, fld.values):
-            row = " ".join(repr(v) for v in vals)
-            fh.write(f"{xyz[0]!r} {xyz[1]!r} {xyz[2]!r} {row}\n")

@@ -28,7 +28,7 @@ from .errors import (
     UnderResolvedError,
 )
 from .mesh import distance_to_boundary
-from .solve import solve_neumann_bounded
+from .solve import SolveConfig, solve_neumann_bounded, solver_for
 
 D = 3
 P_MAX_VALUE = D / (D - 2)  # sharp integrability threshold for N
@@ -464,10 +464,8 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, config=None, solver=Non
     Passing explicit ``balls`` [(center, radius), ...] makes the estimate
     comparable across refinements of the same domain.
     """
-    from .solve import NeumannSolver, SolveConfig
-
     cfg = config or SolveConfig()
-    solver = solver or NeumannSolver(mesh, fld, cfg)
+    solver = solver_for(mesh, fld, cfg, solver)
     rng = np.random.default_rng(seed)
     m = fld.m
     diam = np.linalg.norm(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0))

@@ -35,7 +35,7 @@ from .errors import (
     UnderResolvedError,
 )
 from .mesh import distance_to_boundary
-from .solve import NeumannSolver, SolveConfig
+from .solve import NeumannSolver, SolveConfig, solver_for
 
 #: normalization of the quartic bump (1 - |z|^2)^2 on the unit ball in d = 3:
 #: 4 pi int_0^1 (1 - r^2)^2 r^2 dr = 32 pi / 105
@@ -67,12 +67,6 @@ class Mollifier:
         z2 = ((pts - np.asarray(self.center)) ** 2).sum(axis=1) / self.radius**2
         vals = np.where(z2 < 1.0, (1.0 - np.minimum(z2, 1.0)) ** 2, 0.0)
         return MOLLIFIER_NORMALIZATION * vals / self.radius**3
-
-
-def mollifier_eval(mollifier, x):
-    """Density value(s) of Phi_eps at x."""
-    out = mollifier(x)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
 def integrate_mollifier(mollifier, subdivisions=64, order=2):
@@ -177,7 +171,7 @@ def build_mollified_column(mesh, fld, y, eps, k, config=None, solver=None):
     """One column of the mollified kernel: L v = Phi_eps e_k with the compensating flux."""
     cfg = config or SolveConfig()
     _check_pole(mesh, y, eps, require_interior=True)
-    solver = solver or NeumannSolver(mesh, fld, cfg)
+    solver = solver_for(mesh, fld, cfg, solver)
     load, _ = mollifier_load(mesh, Mollifier(tuple(y), eps), cfg.mollifier_subdiv, cfg.quadrature_order)
     u, info = _column_solve(mesh, solver, load, k)
     out = DiscreteField(mesh, u.reshape(-1, fld.m))
@@ -234,11 +228,7 @@ def build_kernel(
     eps = 2 * mesh.h if eps is None else float(eps)
     _check_pole(mesh, y, eps, require_interior, min_depth=max(4 * mesh.h, eps))
     work_field = adjoint_coefficients(fld) if adjoint else fld
-    solver = solver or NeumannSolver(mesh, work_field, cfg)
-    if solver.field is not work_field and (
-        solver.field.spec != work_field.spec or solver.field.is_adjoint != work_field.is_adjoint
-    ):
-        raise InterfaceError("solver was built for a different coefficient field")
+    solver = solver_for(mesh, work_field, cfg, solver)
     pole_load, raw_mass = mollifier_load(
         mesh, Mollifier(tuple(y), eps), cfg.mollifier_subdiv, cfg.quadrature_order
     )
@@ -360,19 +350,6 @@ def representation_solve(kernels, f, g, quadrature_order=2):
             # <F, l-th adjoint column at pole x_p> = (Phi_eps * u^l)(x_p)
             out[p, l] = load @ kern.values[:, :, l].reshape(-1)
     return DiscreteField(mesh, out)
-
-
-def export_kernel_slice(kernel, path, component=(0, 0)):
-    """(x, value) table of one (j, k) kernel entry over all nodes."""
-    j, k = component
-    with open(path, "w") as fh:
-        fh.write(
-            f"# kernel slice pole={tuple(float(v) for v in kernel.pole)} "
-            f"eps={kernel.eps!r} component=({j},{k})\n"
-        )
-        fh.write("x,y,z,value\n")
-        for xyz, v in zip(kernel.mesh.nodes, kernel.values[:, j, k]):
-            fh.write(f"{xyz[0]!r},{xyz[1]!r},{xyz[2]!r},{v!r}\n")
 
 
 def mollified_readout(kernels, u):

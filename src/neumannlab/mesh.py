@@ -34,6 +34,9 @@ CELL_CORNERS = np.array(
 )
 
 # Cell faces as (axis, side, local corner ids); side -1 is the lower face.
+# Each corner list runs (s, t) = (0,0), (1,0), (1,1), (0,1), with s along the
+# lower and t along the upper tangential axis; facet_quadrature's trace
+# columns and assemble_boundary_load's scatter rely on this order.
 CELL_FACES = (
     (0, -1, (0, 3, 7, 4)),
     (0, +1, (1, 2, 6, 5)),
@@ -421,23 +424,3 @@ def effective_distance(mesh, point, r_cutoff=None):
         rc = mesh.domain.r_cutoff
     d = distance_to_boundary(mesh, point, include_far=not mesh.is_graph)
     return d if rc is None else min(d, float(rc))
-
-
-def dump_mesh(mesh, path):
-    """Plain-text dump: one record per line (node/cell/facet)."""
-    with open(path, "w") as fh:
-        fh.write(f"# neumannlab mesh h={mesh.h!r} nodes={mesh.n_nodes} cells={mesh.n_cells}\n")
-        for i, xyz in enumerate(mesh.nodes):
-            fh.write(f"node {i} {xyz[0]!r} {xyz[1]!r} {xyz[2]!r}\n")
-        for i, conn in enumerate(mesh.cells):
-            fh.write("cell " + str(i) + " " + " ".join(map(str, conn)) + "\n")
-        for i in range(len(mesh.facet_cell)):
-            kind = "boundary"
-            if mesh.graph_facets is not None:
-                kind = "graph" if mesh.graph_facets[i] else "far"
-            n = mesh.facet_normal[i]
-            fh.write(
-                "facet "
-                + " ".join(map(str, mesh.facet_nodes[i]))
-                + f" {mesh.facet_area[i]!r} {n[0]!r} {n[1]!r} {n[2]!r} {kind}\n"
-            )

@@ -156,6 +156,23 @@ class NeumannSolver:
         return u, info
 
 
+def solver_for(mesh, fld, config, solver=None):
+    """``solver`` when it was built for (mesh, fld), else a new NeumannSolver.
+
+    A solver assembled on another mesh or for another coefficient field
+    (including the other direction, forward vs adjoint) raises InterfaceError.
+    """
+    if solver is None:
+        return NeumannSolver(mesh, fld, config)
+    if solver.mesh is not mesh:
+        raise InterfaceError("solver was built for a different mesh")
+    if solver.field is not fld and (
+        solver.field.spec != fld.spec or solver.field.is_adjoint != fld.is_adjoint
+    ):
+        raise InterfaceError("solver was built for a different coefficient field")
+    return solver
+
+
 def _relative(res, rhs):
     return float(np.linalg.norm(res) / max(np.linalg.norm(rhs), 1e-300))
 
@@ -199,7 +216,7 @@ def solve_neumann_bounded(mesh, fld, f, g, config=None, solver=None):
     than compatibility_rtol relative to the L1 size of the data.
     """
     cfg = config or SolveConfig()
-    solver = solver or NeumannSolver(mesh, fld, cfg)
+    solver = solver_for(mesh, fld, cfg, solver)
     m = fld.m
     residual = check_compatibility(mesh, f, g, m, cfg.quadrature_order)
     scale = _l1_data_norm(mesh, f, g, m, cfg.quadrature_order)
@@ -220,7 +237,7 @@ def solve_neumann_graph(mesh, fld, f, config=None, solver=None):
     A support too close to the far boundary sets a truncation-warning flag.
     """
     cfg = config or SolveConfig()
-    solver = solver or NeumannSolver(mesh, fld, cfg)
+    solver = solver_for(mesh, fld, cfg, solver)
     m = fld.m
     load = assemble_volume_load(mesh, f, m, cfg.quadrature_order)
     flags = _truncation_flags(mesh, load, m, cfg)

@@ -89,6 +89,32 @@ class TestRunExperiment:
             assert rec.empirical_constant <= 1e-8
 
 
+    def test_full_suite_builds_operators_once(self, monkeypatch):
+        # one forward and one adjoint operator, each assembled and factored once
+        import neumannlab.cli as climod
+        import neumannlab.solve as solvemod
+
+        calls = {"mesh": 0, "assemble": 0, "splu": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(climod, "build_box_mesh", counting("mesh", climod.build_box_mesh))
+        monkeypatch.setattr(
+            solvemod, "assemble_stiffness", counting("assemble", solvemod.assemble_stiffness)
+        )
+        monkeypatch.setattr(solvemod.spla, "splu", counting("splu", solvemod.spla.splu))
+        rep = run_experiment(
+            RunConfig(kind="full-suite", mesh_n=8, coeff_type="checkerboard", trials=2)
+        )
+        assert not rep.failures
+        assert calls == {"mesh": 1, "assemble": 2, "splu": 2}
+
+
 class TestEmit:
     def test_empty_report_valid_json(self, tmp_path):
         from neumannlab.estimates import EstimateReport
@@ -167,6 +193,22 @@ class TestMain:
         cfg.write_text(f"kind = solve\n{line}\n")
         assert main(["--config", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "mesh.type = sphere",
+            "coeff.type = foo",
+            "poles = nowhere",
+            "solve.linear_solver = magic",
+            "solve.tolerance = 2",
+        ],
+    )
+    def test_bad_values_are_config_errors(self, tmp_path, line, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"kind = kernel\nmesh.n = 4\n{line}\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_exit_three_on_numeric_failure(self, tmp_path):
         cfg = tmp_path / "numfail.cfg"

@@ -5,17 +5,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from neumannlab.coeff import (
+    CoefficientField,
     CellwiseRandom,
     Identity,
     ScalarCheckerboard,
     SkewPerturbed,
     SmoothVMO,
     adjoint_coefficients,
-    export_cell_table,
     make_coefficient,
     verify_ellipticity_bounds,
 )
-from neumannlab.errors import NonEllipticFieldError, NonEllipticSpecError
+from neumannlab.errors import InterfaceError, NonEllipticFieldError, NonEllipticSpecError
 
 RNG = np.random.default_rng(0)
 POINTS = RNG.uniform(0.0, 1.0, (30, 3))
@@ -158,10 +158,8 @@ def test_verify_rejects_non_elliptic():
         verify_ellipticity_bounds(fld, POINTS)
 
 
-def test_export_cell_table(tmp_path, unit_cube_8):
-    fld = make_coefficient(ScalarCheckerboard(5.0))
-    path = tmp_path / "cells.txt"
-    export_cell_table(fld, unit_cube_8, path)
-    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
-    assert len(lines) == unit_cube_8.n_cells
-    assert len(lines[0].split()) == 3 + 9  # ijk + 3x3 tensor for m = 1
+
+def test_evaluate_rejects_wrong_output_shape():
+    fld = CoefficientField(Identity(), 1, 1.0, 1.0, lambda pts: np.zeros((len(pts), 3, 3)))
+    with pytest.raises(InterfaceError):
+        fld.evaluate(POINTS[:4])

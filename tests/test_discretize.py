@@ -18,13 +18,12 @@ from neumannlab.discretize import (
     boundary_mean,
     boundary_weight_vector,
     estimate_poincare_constant,
-    export_matrix,
     gradient_l2_norm,
     interpolate,
     l2_norm,
 )
-from neumannlab.errors import UnsupportedError
-from neumannlab.mesh import build_box_mesh
+from neumannlab.errors import InterfaceError, NumericFailureError, UnsupportedError
+from neumannlab.mesh import build_box_mesh, build_staircase_mesh, build_truncated_graph_mesh
 
 
 class TestStiffness:
@@ -93,6 +92,53 @@ class TestLoads:
         load = assemble_boundary_load(flat_graph_12, lambda p: np.ones((len(p), 1)), 1)
         assert_allclose(load.sum(), 1.0, rtol=1e-12)  # graph floor area only
 
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            build_box_mesh((1, 1, 1), 3),
+            build_staircase_mesh([((0, 0, 0), (0.5, 1, 1)), ((0.5, 0, 0), (1, 0.5, 1))], 0.25),
+            build_truncated_graph_mesh(
+                lambda x, y: 0.25 * x, 0.5, ((0, 0, 0), (1, 1, 1)), 0.25
+            ),
+        ],
+        ids=["box", "staircase", "graph"],
+    )
+    def test_boundary_load_exact_on_linear_test_functions(self, mesh):
+        # sum_p load_p l(x_p) = int_{dOmega} g l for linear l: the trilinear
+        # interpolant of l is l, and 2-point Gauss integrates g psi_p exactly
+        def g(p):
+            return np.stack([1 + p[:, 0] - 2 * p[:, 1] + 0.5 * p[:, 2], p[:, 1] ** 2], axis=1)
+
+        def ell(p):
+            return np.stack([0.3 + p[:, 0] - 0.7 * p[:, 1] + 2 * p[:, 2], 1 - p[:, 2]], axis=1)
+
+        load = assemble_boundary_load(mesh, g, 2, graph_only=False).reshape(-1, 2)
+        discrete = (load * ell(mesh.nodes)).sum(axis=0)
+        # reference: 3-point Gauss on every facet from its corner box
+        x, w = np.polynomial.legendre.leggauss(3)
+        x, w = 0.5 * (x + 1), 0.5 * w
+        exact = np.zeros(2)
+        for lo, hi, area in zip(mesh.facet_lo, mesh.facet_hi, mesh.facet_area):
+            tangential = np.flatnonzero(hi > lo)
+            for xa, wa in zip(x, w):
+                for xb, wb in zip(x, w):
+                    p = lo.copy()
+                    p[tangential] += (hi - lo)[tangential] * (xa, xb)
+                    exact += area * wa * wb * (g(p[None]) * ell(p[None]))[0]
+        assert_allclose(discrete, exact, rtol=1e-12)
+
+
+class TestDiscreteFieldChecks:
+    def test_row_count_mismatch(self, unit_cube_8):
+        with pytest.raises(InterfaceError):
+            DiscreteField(unit_cube_8, np.zeros((3, 1)))
+
+    def test_non_finite_values(self, unit_cube_8):
+        vals = np.zeros((unit_cube_8.n_nodes, 1))
+        vals[5] = np.nan
+        with pytest.raises(NumericFailureError):
+            DiscreteField(unit_cube_8, vals)
+
 
 class TestBoundaryMean:
     def test_constant_field(self, unit_cube_8):
@@ -158,11 +204,3 @@ def test_mass_matrix_total(unit_cube_8):
     M = assemble_mass(unit_cube_8, 1)
     ones = np.ones(unit_cube_8.n_nodes)
     assert_allclose(ones @ (M @ ones), unit_cube_8.volume, rtol=1e-12)
-
-
-def test_export_matrix(tmp_path, unit_cube_8, identity_field):
-    K = assemble_stiffness(unit_cube_8, identity_field)
-    path = tmp_path / "K.txt"
-    export_matrix(K.matrix, path)
-    header = path.read_text().splitlines()[0].split()
-    assert int(header[4]) == K.matrix.nnz

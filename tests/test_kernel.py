@@ -28,7 +28,6 @@ from neumannlab.kernel import (
     check_symmetry_identity,
     integrate_mollifier,
     mollified_readout,
-    mollifier_eval,
     mollifier_load,
     representation_solve,
 )
@@ -53,8 +52,8 @@ class TestMollifier:
 
     def test_support(self):
         mol = Mollifier(CENTER, 0.2)
-        assert mollifier_eval(mol, np.array([0.71, 0.5, 0.5])) == 0.0
-        assert mollifier_eval(mol, np.array([0.5, 0.5, 0.5])) > 0.0
+        assert mol(np.array([0.71, 0.5, 0.5]))[0] == 0.0
+        assert mol(np.array([0.5, 0.5, 0.5]))[0] > 0.0
 
     def test_unit_mass_refined_quadrature(self):
         mol = Mollifier(CENTER, 0.17)
@@ -142,16 +141,6 @@ class TestKernelBuild:
         v1 = k1.magnitude_at(probes1)
         v2 = k2.magnitude_at(2 * probes1)
         assert np.max(np.abs(0.5 * v1 - v2) / (0.5 * v1)) < 0.10
-
-    def test_kernel_slice_export(self, tmp_path, unit_cube_12, identity_field, solve_config):
-        from neumannlab.kernel import export_kernel_slice
-
-        kern = build_kernel(unit_cube_12, identity_field, CENTER, solve_config)
-        path = tmp_path / "slice.csv"
-        export_kernel_slice(kern, path)
-        lines = path.read_text().splitlines()
-        assert lines[1] == "x,y,z,value"
-        assert len(lines) - 2 == unit_cube_12.n_nodes
 
     def test_oracle_agreement_midrange(self, unit_cube_12, identity_field, solve_config):
         kern = build_kernel(unit_cube_12, identity_field, CENTER, solve_config)

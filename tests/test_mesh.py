@@ -14,7 +14,6 @@ from neumannlab.mesh import (
     build_staircase_mesh,
     build_truncated_graph_mesh,
     distance_to_boundary,
-    dump_mesh,
     effective_distance,
 )
 
@@ -202,13 +201,3 @@ class TestDistance:
 
     def test_effective_distance_cutoff(self, flat_graph_12):
         assert_allclose(effective_distance(flat_graph_12, (0.5, 0.5, 0.75), r_cutoff=0.3), 0.3)
-
-
-def test_dump_mesh_roundtrip_counts(tmp_path, unit_cube_8):
-    path = tmp_path / "mesh.txt"
-    dump_mesh(unit_cube_8, path)
-    lines = path.read_text().splitlines()
-    kinds = [ln.split()[0] for ln in lines if not ln.startswith("#")]
-    assert kinds.count("node") == unit_cube_8.n_nodes
-    assert kinds.count("cell") == unit_cube_8.n_cells
-    assert kinds.count("facet") == len(unit_cube_8.facet_area)

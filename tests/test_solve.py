@@ -256,17 +256,6 @@ class TestGraphSolve:
         )
         assert np.all(np.isfinite(u.values))
 
-    def test_solution_export(self, tmp_path, unit_cube_8, identity_field, solve_config):
-        from neumannlab.discretize import export_field
-
-        f = lambda p: (np.pi**2 * np.cos(np.pi * p[:, 0]))[:, None]
-        u = solve_neumann_bounded(unit_cube_8, identity_field, f, None, solve_config)
-        path = tmp_path / "u.txt"
-        export_field(u, path)
-        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
-        assert len(lines) == unit_cube_8.n_nodes
-        assert len(lines[0].split()) == 4  # xyz + one component
-
     def test_mode_mismatch_raises(self, unit_cube_8, flat_graph_12, identity_field, solve_config):
         with pytest.raises(InterfaceError):
             NeumannSolver(unit_cube_8, identity_field, solve_config).solve_graph(
@@ -276,3 +265,46 @@ class TestGraphSolve:
             NeumannSolver(flat_graph_12, identity_field, solve_config).solve_bounded(
                 np.zeros(flat_graph_12.n_nodes)
             )
+
+
+class TestSolverMismatch:
+    """A solver assembled for another mesh or field is refused, not reused."""
+
+    @staticmethod
+    def _f(p):
+        return (np.pi**2 * np.cos(np.pi * p[:, 0]))[:, None]
+
+    def test_bounded_other_field(self, unit_cube_8, identity_field, checkerboard_field):
+        solver = NeumannSolver(unit_cube_8, checkerboard_field)
+        with pytest.raises(InterfaceError, match="coefficient field"):
+            solve_neumann_bounded(unit_cube_8, identity_field, self._f, None, solver=solver)
+
+    def test_bounded_other_mesh(self, unit_cube_8, identity_field):
+        solver = NeumannSolver(build_box_mesh((1, 1, 1), 4), identity_field)
+        with pytest.raises(InterfaceError, match="mesh"):
+            solve_neumann_bounded(unit_cube_8, identity_field, self._f, None, solver=solver)
+
+    def test_graph_other_mesh(self, flat_graph_12, identity_field):
+        other = build_truncated_graph_mesh(
+            lambda x, y: np.zeros_like(x), 0.0, ((0, 0, 0), (1, 1, 1)), 1.0 / 6
+        )
+        with pytest.raises(InterfaceError, match="mesh"):
+            solve_neumann_graph(
+                flat_graph_12, identity_field, self._f, solver=NeumannSolver(other, identity_field)
+            )
+
+    def test_mollified_column_other_field(self, unit_cube_8, identity_field, checkerboard_field):
+        from neumannlab.kernel import build_mollified_column
+
+        solver = NeumannSolver(unit_cube_8, checkerboard_field)
+        with pytest.raises(InterfaceError, match="coefficient field"):
+            build_mollified_column(
+                unit_cube_8, identity_field, (0.5, 0.5, 0.5), 0.25, 0, solver=solver
+            )
+
+    def test_local_boundedness_other_field(self, unit_cube_8, identity_field, checkerboard_field):
+        from neumannlab.estimates import test_local_boundedness as local_boundedness
+
+        solver = NeumannSolver(unit_cube_8, checkerboard_field)
+        with pytest.raises(InterfaceError, match="coefficient field"):
+            local_boundedness(unit_cube_8, identity_field, trials=1, solver=solver)
