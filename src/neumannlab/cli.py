@@ -130,24 +130,25 @@ def parse_config(path):
             setattr(cfg, attr, tuple(float(tok) for tok in value.split()))
         else:
             setattr(cfg, attr, conv(value))
+    _checked(cfg)
+    return cfg
+
+
+def _checked(cfg):
+    """The coefficient spec and SolveConfig of cfg; ValueError on any bad value."""
     for attr, allowed in _CHOICES.items():
         if getattr(cfg, attr) not in allowed:
             raise ValueError(f"unknown {attr} {getattr(cfg, attr)!r}; expected one of {allowed}")
-    _build_spec(cfg)
-    _solve_config(cfg)
-    return cfg
+    return _build_spec(cfg), _solve_config(cfg)
 
 
 def _build_mesh(cfg):
     if cfg.mesh_type == "box":
         return build_box_mesh(cfg.mesh_extents, cfg.mesh_n)
-    if cfg.mesh_type == "graph":
-        lo = (0.0, 0.0, 0.0)
-        hi = cfg.mesh_extents
-        return build_truncated_graph_mesh(
-            lambda x, y: np.zeros_like(x), cfg.graph_k, (lo, hi), 1.0 / cfg.mesh_n
-        )
-    raise ValueError(f"unknown mesh type {cfg.mesh_type!r}")
+    return build_truncated_graph_mesh(
+        lambda x, y: np.zeros_like(x), cfg.graph_k, ((0.0, 0.0, 0.0), cfg.mesh_extents),
+        1.0 / cfg.mesh_n,
+    )
 
 
 def _build_spec(cfg):
@@ -188,12 +189,10 @@ def _pole_list(cfg, mesh):
         p = center.copy()
         p[0] = mesh.nodes[:, 0].min() + depth
         return [center, p]
-    if cfg.poles == "lattice":
-        lo = mesh.nodes.min(axis=0)
-        hi = mesh.nodes.max(axis=0)
-        offs = (0.375, 0.625)
-        return [lo + np.array([a, b, c]) * (hi - lo) for a in offs for b in offs for c in offs]
-    raise ValueError(f"unknown pole policy {cfg.poles!r}")
+    lo = mesh.nodes.min(axis=0)  # lattice
+    hi = mesh.nodes.max(axis=0)
+    offs = (0.375, 0.625)
+    return [lo + np.array([a, b, c]) * (hi - lo) for a in offs for b in offs for c in offs]
 
 
 def _rec(name, value, tol, extra=None):
@@ -205,10 +204,13 @@ def _rec(name, value, tol, extra=None):
 
 
 def run_experiment(cfg):
-    """Execute the configured pipeline; deterministic given (config, seed)."""
+    """Execute the configured pipeline; deterministic given (config, seed).
+
+    A bad config value raises ValueError before anything is built.
+    """
     records = []
     failures = []
-    spec = _build_spec(cfg)
+    spec, scfg = _checked(cfg)
     provenance = {
         "config": cfg.to_dict(),
         "mesh": {"type": cfg.mesh_type, "extents": list(cfg.mesh_extents), "n": cfg.mesh_n},
@@ -216,7 +218,7 @@ def run_experiment(cfg):
         "seed": cfg.seed,
     }
     try:
-        _run_kind(cfg, coeffmod.make_coefficient(spec), records)
+        _run_kind(cfg, coeffmod.make_coefficient(spec), scfg, records)
     except CompatibilityError as e:
         failures.append(
             {
@@ -233,25 +235,26 @@ def run_experiment(cfg):
     return est.EstimateReport(records, provenance, cfg.hash(), failures)
 
 
-def _run_kind(cfg, fld, records):
+def _run_kind(cfg, fld, scfg, records):
     """Run the experiments of cfg.kind on one mesh and one forward solver."""
     kind = cfg.kind
     if kind in ("verify-coeff", "full-suite"):
         records.extend(_verify_coeff(cfg, fld))
     if kind == "verify-coeff":
         return
-    solver = NeumannSolver(_build_mesh(cfg), fld, _solve_config(cfg))
-    experiments = {
-        "solve": [_solve_experiment],
-        "kernel": [_kernel_experiment],
-        "estimates": [_estimates_experiment],
-        "oracle-compare": [_oracle_experiment],
-        "full-suite": [_solve_experiment, _kernel_experiment, _estimates_experiment],
-    }[kind]
-    if kind == "full-suite" and cfg.coeff_type == "identity" and cfg.mesh_type == "box":
-        experiments.append(_oracle_experiment)
-    for experiment in experiments:
-        records.extend(experiment(cfg, solver))
+    solver = NeumannSolver(_build_mesh(cfg), fld, scfg)
+    if kind in ("solve", "full-suite"):
+        records.extend(_solve_experiment(cfg, solver))
+    first_kernel = None
+    if kind in ("kernel", "full-suite"):
+        recs, first_kernel = _kernel_experiment(cfg, solver)
+        records.extend(recs)
+    if kind in ("estimates", "full-suite"):
+        records.extend(_estimates_experiment(cfg, solver, first_kernel))
+    if kind == "oracle-compare" or (
+        kind == "full-suite" and cfg.coeff_type == "identity" and cfg.mesh_type == "box"
+    ):
+        records.extend(_oracle_experiment(cfg, solver))
 
 
 def _verify_coeff(cfg, fld):
@@ -337,13 +340,15 @@ def _kernel_experiment(cfg, solver):
         k_adj = build_kernel(mesh, fld, poles[-1], scfg, eps=eps, adjoint=True)
         defect = check_symmetry_identity(kernels[0], k_adj)
         recs.append(_rec("symmetry-identity", defect, cfg.identity_tol))
-    return recs
+    return recs, kernels[0]
 
 
-def _estimates_experiment(cfg, solver):
+def _estimates_experiment(cfg, solver, kern=None):
+    """Estimate fits on the forward kernel at the first pole (built here unless given)."""
     mesh, fld, scfg = solver.mesh, solver.field, solver.config
-    pole = _pole_list(cfg, mesh)[0]
-    kern = build_kernel(mesh, fld, pole, scfg, eps=cfg.eps_factor * mesh.h, solver=solver)
+    if kern is None:
+        pole = _pole_list(cfg, mesh)[0]
+        kern = build_kernel(mesh, fld, pole, scfg, eps=cfg.eps_factor * mesh.h, solver=solver)
     recs = [est.pointwise_decay_check(kern, seed=cfg.seed)]
     a6, adn = est.annulus_fit(kern)
     recs += [a6, adn]

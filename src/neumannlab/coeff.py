@@ -14,7 +14,12 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InterfaceError, NonEllipticFieldError, NonEllipticSpecError
+from .errors import (
+    InterfaceError,
+    NonEllipticFieldError,
+    NonEllipticSpecError,
+    NumericFailureError,
+)
 
 D = 3
 
@@ -103,6 +108,8 @@ class CoefficientField:
                 f"coefficient evaluation returned shape {out.shape}, "
                 f"expected {(len(pts), D, D, self.m, self.m)}"
             )
+        if not np.all(np.isfinite(out)):
+            raise NumericFailureError("coefficient evaluation returned non-finite values")
         return out
 
     def matrices(self, points):
@@ -166,6 +173,15 @@ def _checkerboard_field(spec):
     return CoefficientField(spec, spec.m, 1.0, float(spec.contrast), ev)
 
 
+def _cell_seed(seed, tag, key):
+    """Seed entropy of one lattice cell.
+
+    Negative lattice indices enter as their 64-bit two's complement: an
+    injective code that leaves the entropy of every non-negative cell as it was.
+    """
+    return (seed, tag) + tuple(int(v) % 2**64 for v in key)
+
+
 def _cellwise_random_field(spec):
     if spec.lam_target <= 0:
         raise NonEllipticSpecError(f"lam_target must be positive, got {spec.lam_target}")
@@ -177,7 +193,7 @@ def _cellwise_random_field(spec):
     def cell_matrix(key):
         mat = cache.get(key)
         if mat is None:
-            rng = np.random.default_rng((spec.seed, 0x5EED, key[0], key[1], key[2]))
+            rng = np.random.default_rng(_cell_seed(spec.seed, 0x5EED, key))
             q, _ = np.linalg.qr(rng.standard_normal((md, md)))
             eigs = rng.uniform(spec.lam_target, spec.m_target, size=md)
             mat = (q * eigs) @ q.T
@@ -207,7 +223,7 @@ def _skew_field(spec):
     def cell_skew(key):
         mat = cache.get(key)
         if mat is None:
-            rng = np.random.default_rng((spec.seed, 0xA5CE, key[0], key[1], key[2]))
+            rng = np.random.default_rng(_cell_seed(spec.seed, 0xA5CE, key))
             g = rng.standard_normal((md, md))
             s = g - g.T
             mat = s / np.linalg.norm(s, 2)

@@ -83,40 +83,67 @@ def integrate_mollifier(mollifier, subdivisions=64, order=2):
     return float((mollifier(pts) * W.ravel()).sum())
 
 
-def mollifier_load(mesh, mollifier, subdiv=3, order=2, normalize=True):
-    """Scalar nodal load l_p = int_Omega Phi_eps psi_p, per-cell subdivided Gauss.
+#: fractional lattice offsets this close to a lattice point are snapped onto
+#: it, so node poles, whose coordinates carry a few ulps of rounding, share
+#: one stencil
+_OFFSET_SNAP = 1e-12
 
-    With ``normalize`` the vector is rescaled so sum_p l_p = 1 exactly: the
-    discrete mass of the mollified delta is then exactly one, which transfers
-    the continuum compatibility identity to the matrix level.
+
+def mollifier_load(mesh, centers, eps, subdiv=3, order=2):
+    """Unit-mass nodal loads l_p = int_Omega Phi_eps(. - y) psi_p / mass, one per center.
+
+    ``centers`` is (k, 3) or a single (3,) point; returns the loads (n_nodes, k)
+    and their raw quadrature masses (k,).  Every mesh is an occupied subset of
+    an h-lattice, so the per-cell subdivided Gauss sums of Phi_eps depend only
+    on a cell's lattice offset from the center and on the center's fractional
+    offset within its lattice cell.  That stencil is evaluated once per
+    distinct fractional offset and scattered onto the occupied cells; a ball
+    clipped by the boundary just misses cells.  Each column is then rescaled
+    to sum 1 exactly: the discrete mass of the mollified delta is one, which
+    transfers the continuum compatibility identity to the matrix level.
     """
-    eps = mollifier.radius
-    center = np.asarray(mollifier.center)
-    lo = center - eps
-    hi = center + eps
-    cell_lo = mesh.cell_origins()
-    sel = np.flatnonzero(
-        np.all(cell_lo < hi + 1e-12, axis=1) & np.all(cell_lo + mesh.h > lo - 1e-12, axis=1)
-    )
-    if len(sel) == 0:
-        raise InvalidGeometryError("mollifier support misses the mesh")
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    k, n, h = len(centers), mesh.n_nodes, mesh.h
+    rel = (centers - mesh.origin) / h
+    near = np.round(rel)
+    snap = np.abs(rel - near) < _OFFSET_SNAP
+    base = np.where(snap, near, np.floor(rel)).astype(np.int64)
+    offsets, group = np.unique(np.where(snap, 0.0, rel - base), axis=0, return_inverse=True)
+    group = group.reshape(-1)
+
     x, w = gauss_rule_1d(order)
     sub = (np.arange(subdiv)[:, None] + x[None, :]).ravel() / subdiv  # unit-cell coords
     wsub = np.tile(w / subdiv, subdiv)
     P = np.stack(np.meshgrid(sub, sub, sub, indexing="ij"), axis=-1).reshape(-1, 3)
-    W = np.einsum("i,j,k->ijk", wsub, wsub, wsub).ravel() * mesh.h**3
+    W = np.einsum("i,j,k->ijk", wsub, wsub, wsub).ravel() * h**3
     psi = shape_values(P)  # (G, 8)
-    load = np.zeros(mesh.n_nodes)
-    pts = cell_lo[sel][:, None, :] + mesh.h * P[None, :, :]
-    vals = mollifier(pts.reshape(-1, 3)).reshape(len(sel), -1)
-    contrib = np.einsum("g,cg,gp->cp", W, vals, psi)
-    np.add.at(load, mesh.cells[sel].ravel(), contrib.ravel())
-    raw_mass = float(load.sum())
-    if normalize:
-        if raw_mass <= 0:
-            raise InvalidGeometryError("mollifier has zero discrete mass")
-        load /= raw_mass
-    return load, raw_mass
+    profile = Mollifier((0.0, 0.0, 0.0), eps)
+    reach = (eps + 1e-12) / h  # support half-width in lattice units, with slack
+    hits = np.zeros(k, dtype=np.int64)
+    index, weight = [], []
+    for g, frac in enumerate(offsets):
+        # lattice offsets of the cells whose closure meets the support box
+        axes = [np.arange(int(np.floor(f - reach - 1)) + 1, int(np.ceil(f + reach))) for f in frac]
+        D = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        vals = profile((h * (D[:, None, :] + P[None, :, :] - frac)).reshape(-1, 3))
+        stencil = np.einsum("g,cg,gp->cp", W, vals.reshape(len(D), -1), psi)
+        members = np.flatnonzero(group == g)
+        cells = mesh.cell_ids(base[members][:, None, :] + D[None])
+        hits[members] = (cells >= 0).sum(axis=1)
+        col, cell = np.nonzero((cells >= 0) & np.any(stencil != 0.0, axis=1))
+        index.append((members[col][:, None] * n + mesh.cells[cells[col, cell]]).ravel())
+        weight.append(stencil[cell].ravel())
+    loads = np.bincount(
+        np.concatenate(index), np.concatenate(weight), minlength=k * n
+    ).reshape(k, n)
+    raw = loads.sum(axis=1)
+    bad = np.flatnonzero((hits == 0) | (raw <= 0))
+    if len(bad):
+        i = bad[0]
+        what = "support misses the mesh" if hits[i] == 0 else "has zero discrete mass"
+        raise InvalidGeometryError(f"mollifier at {tuple(centers[i])}: {what}")
+    loads /= raw[:, None]
+    return loads.T, raw
 
 
 @dataclass
@@ -172,8 +199,8 @@ def build_mollified_column(mesh, fld, y, eps, k, config=None, solver=None):
     cfg = config or SolveConfig()
     _check_pole(mesh, y, eps, require_interior=True)
     solver = solver_for(mesh, fld, cfg, solver)
-    load, _ = mollifier_load(mesh, Mollifier(tuple(y), eps), cfg.mollifier_subdiv, cfg.quadrature_order)
-    u, info = _column_solve(mesh, solver, load, k)
+    load, _ = mollifier_load(mesh, y, eps, cfg.mollifier_subdiv, cfg.quadrature_order)
+    u, info = _solve(solver, _pole_rhs(solver, load)[:, k])
     out = DiscreteField(mesh, u.reshape(-1, fld.m))
     out.info = info
     return out
@@ -194,16 +221,47 @@ def _check_pole(mesh, y, eps, require_interior, min_depth=None):
             )
 
 
-def _column_solve(mesh, solver, pole_load, k):
+def _pole_rhs(solver, loads):
+    """Right-hand sides (n_dof, k m) of all m columns at k poles.
+
+    Column i m + c carries the pole load loads[:, i] in component c and, in
+    bounded mode, the compensating flux -(1/|dOmega|) e_c; the exact trace
+    weights make that data exactly compatible.
+    """
+    mesh, m = solver.mesh, solver.m
+    rhs = np.zeros((mesh.n_nodes, m, loads.shape[1], m))
+    for c in range(m):
+        rhs[:, c, :, c] = loads
+        if not mesh.is_graph:
+            rhs[:, c, :, c] -= (solver.boundary_weights / mesh.boundary_measure)[:, None]
+    return rhs.reshape(solver.n_dof, -1)
+
+
+def _solve(solver, rhs):
+    return solver.solve_graph(rhs) if solver.mesh.is_graph else solver.solve_bounded(rhs)
+
+
+def _solve_poles(solver, loads):
+    """Kernel values (k, n_nodes, m, m) at the k poles of ``loads``, from one blocked solve."""
     m = solver.m
-    load = np.zeros(solver.n_dof)
-    load[k::m] = pole_load
-    if mesh.is_graph:
-        return solver.solve_graph(load)
-    # flux -(1/|dOmega|) e_k; the exact trace weights make the data exactly compatible
-    b = solver.boundary_weights
-    load[k::m] -= b / mesh.boundary_measure
-    return solver.solve_bounded(load)
+    u, info = _solve(solver, _pole_rhs(solver, loads))
+    return u.reshape(solver.mesh.n_nodes, m, loads.shape[1], m).transpose(2, 0, 1, 3), info
+
+
+def _telemetry(raw_mass, info, i, m):
+    """Per-column solve telemetry of pole i in a blocked solve."""
+    return {
+        "raw_mass": float(raw_mass),
+        "columns": [
+            {
+                "k": k,
+                "method": info.method,
+                "iterations": int(info.iterations[i * m + k]),
+                "residual": float(info.residuals[i * m + k]),
+            }
+            for k in range(m)
+        ],
+    }
 
 
 def build_kernel(
@@ -220,8 +278,8 @@ def build_kernel(
 
     ``eps`` defaults to 2h, the finest resolvable mollification scale.  With
     ``require_interior=False`` the mollifier may be clipped by the boundary
-    (its discrete mass is renormalized), which is what the full-node kernel
-    sets of the representation identity use.
+    (its discrete mass is renormalized), as at the boundary poles of
+    ``build_node_kernel_set``.
     """
     cfg = config or SolveConfig()
     y = np.asarray(y, dtype=float)
@@ -229,19 +287,11 @@ def build_kernel(
     _check_pole(mesh, y, eps, require_interior, min_depth=max(4 * mesh.h, eps))
     work_field = adjoint_coefficients(fld) if adjoint else fld
     solver = solver_for(mesh, work_field, cfg, solver)
-    pole_load, raw_mass = mollifier_load(
-        mesh, Mollifier(tuple(y), eps), cfg.mollifier_subdiv, cfg.quadrature_order
-    )
-    m = fld.m
-    values = np.empty((mesh.n_nodes, m, m))
-    telemetry = {"raw_mass": raw_mass, "columns": []}
-    for k in range(m):
-        u, info = _column_solve(mesh, solver, pole_load, k)
-        values[:, :, k] = u.reshape(-1, m)
-        telemetry["columns"].append(
-            {"k": k, "method": info.method, "iterations": info.iterations, "residual": info.residual}
-        )
-    return NeumannKernel(mesh, y, eps, values, pole_load, adjoint, solver, telemetry)
+    loads, raw = mollifier_load(mesh, y, eps, cfg.mollifier_subdiv, cfg.quadrature_order)
+    values, info = _solve_poles(solver, loads)
+    telemetry = _telemetry(raw[0], info, 0, fld.m)
+    values = np.ascontiguousarray(values[0])
+    return NeumannKernel(mesh, y, eps, values, loads[:, 0], adjoint, solver, telemetry)
 
 
 def check_defining_identity(kernel, phi):
@@ -295,28 +345,45 @@ def check_symmetry_identity(kernel_fwd, kernel_adj):
     return defect
 
 
-def build_node_kernel_set(mesh, fld, config=None, eps=None, adjoint=True, max_nodes=3500):
+#: largest mesh a full node kernel set is built on: its dense storage grows
+#: like n_nodes^2, and representation tests are meant for coarse meshes
+MAX_KERNEL_SET_NODES = 3500
+#: poles per blocked solve: solving all 343 poles of a 6^3 m = 3 set as one
+#: block doubled the process's peak memory (100 -> 200 MB); blocks of 32 poles
+#: keep it flat at no cost in time
+_POLE_BLOCK = 32
+
+
+def build_node_kernel_set(mesh, fld, config=None, eps=None, adjoint=True):
     """Adjoint kernels at every mesh node (the discrete Green-matrix transpose).
 
-    One factorization serves all poles; boundary poles use clipped,
-    renormalized mollifiers.  Dense full-set storage grows like n_nodes^2, so
-    meshes beyond ~14^3 are refused unless ``max_nodes`` is raised explicitly.
+    One factorization, one load stencil and a few blocked solves serve all
+    poles; boundary poles use clipped, renormalized mollifiers.  Every
+    kernel's values are a view of one (n_poles, n_nodes, m, m) array.
     """
     cfg = config or SolveConfig()
-    if mesh.n_nodes > max_nodes:
+    n, m = mesh.n_nodes, fld.m
+    if n > MAX_KERNEL_SET_NODES:
         raise CoverageError(
-            f"full kernel set on {mesh.n_nodes} nodes exceeds max_nodes={max_nodes}; "
+            f"full kernel set on {n} nodes exceeds {MAX_KERNEL_SET_NODES}; "
             "representation tests are meant for coarse meshes"
         )
+    eps = 2 * mesh.h if eps is None else float(eps)
+    _check_pole(mesh, None, eps, require_interior=False)
     work_field = adjoint_coefficients(fld) if adjoint else fld
     solver = NeumannSolver(mesh, work_field, cfg)
-    return {
-        p: build_kernel(
-            mesh, fld, mesh.nodes[p], cfg, eps=eps, adjoint=adjoint,
-            solver=solver, require_interior=False,
-        )
-        for p in range(mesh.n_nodes)
-    }
+    loads, raw = mollifier_load(mesh, mesh.nodes, eps, cfg.mollifier_subdiv, cfg.quadrature_order)
+    values = np.empty((n, n, m, m))
+    kernels = {}
+    for lo in range(0, n, _POLE_BLOCK):
+        hi = min(lo + _POLE_BLOCK, n)
+        values[lo:hi], info = _solve_poles(solver, loads[:, lo:hi])
+        for p in range(lo, hi):
+            kernels[p] = NeumannKernel(
+                mesh, mesh.nodes[p], eps, values[p], loads[:, p], adjoint, solver,
+                _telemetry(raw[p], info, p - lo, m),
+            )
+    return kernels
 
 
 def representation_solve(kernels, f, g, quadrature_order=2):

@@ -205,6 +205,15 @@ class Mesh:
     def cell_origins(self):
         return self.origin + self.h * self.cells_ijk.astype(float)
 
+    def cell_ids(self, ijk):
+        """Cell id at each lattice index of ijk (..., 3); -1 where no cell is occupied."""
+        ijk = np.asarray(ijk, dtype=np.int64)
+        inside = np.all((ijk >= 0) & (ijk < self._occ.shape), axis=-1)
+        out = np.full(ijk.shape[:-1], -1, dtype=np.int64)
+        q = ijk[inside]
+        out[inside] = self._cell_id[q[:, 0], q[:, 1], q[:, 2]]
+        return out
+
     def locate(self, points):
         """Map points to (cell id, local [0,1]^3 coordinates).
 

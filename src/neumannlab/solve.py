@@ -58,10 +58,18 @@ class SolveConfig:
 
 @dataclass
 class SolveInfo:
+    """How one solve call went: one entry of ``iterations`` and ``residuals`` per
+    right-hand side (a single one for a load vector)."""
+
     method: str
-    iterations: int
-    residual: float
+    iterations: np.ndarray
+    residuals: np.ndarray
     multiplier: np.ndarray | None = None
+
+    @property
+    def residual(self):
+        """Largest relative residual over the right-hand sides."""
+        return float(self.residuals.max())
 
 
 class NeumannSolver:
@@ -89,63 +97,83 @@ class NeumannSolver:
         self._lu = None
 
     def _solve_reduced(self, rhs):
-        """Solve the reduced operator for rhs[free_dofs]; removed DOFs come back 0."""
+        """Solve the reduced operator for rhs[free_dofs]; removed DOFs come back 0.
+
+        ``rhs`` is a load vector or an (n_dof, r) block: LU solves a block in one
+        call, Krylov one column at a time.  Returns (u, method, iterations per column).
+        """
         cfg = self.config
         r = rhs[self.free_dofs]
+        cols = r.reshape(len(r), -1)
         if cfg.linear_solver == "direct":
             if self._lu is None:
                 try:
                     self._lu = spla.splu(self._block, permc_spec="MMD_AT_PLUS_A")
                 except RuntimeError as e:
                     raise NumericFailureError(f"sparse LU factorization failed: {e}") from e
-            x, method, iterations = self._lu.solve(r), "direct", 1
+            x, method = self._lu.solve(r), "direct"
+            iterations = np.ones(cols.shape[1], dtype=np.int64)
         else:
-            count = [0]
-
-            def cb(_):
-                count[0] += 1
-
-            if self.symmetric:
-                method = "cg"
-                x, code = spla.cg(
-                    self._block, r, rtol=cfg.tolerance, atol=0.0, maxiter=cfg.max_iterations,
-                    callback=cb,
-                )
-            else:
-                method = "gmres"
-                x, code = spla.gmres(
-                    self._block, r, rtol=cfg.tolerance, atol=0.0, maxiter=cfg.max_iterations,
-                    restart=200, callback=cb, callback_type="pr_norm",
-                )
-            if code != 0:
-                raise NumericFailureError(
-                    f"{method} failed to converge (code {code})",
-                    diagnostics={"iterations": count[0]},
-                )
-            iterations = count[0]
-        u = np.zeros(self.n_dof)
+            method = "cg" if self.symmetric else "gmres"
+            x = np.empty_like(cols)
+            iterations = np.empty(cols.shape[1], dtype=np.int64)
+            for j in range(cols.shape[1]):
+                x[:, j], iterations[j] = self._krylov(method, cols[:, j])
+            x = x.reshape(r.shape)
+        u = np.zeros(rhs.shape)
         u[self.free_dofs] = x
         return u, method, iterations
 
+    def _krylov(self, method, r):
+        cfg = self.config
+        count = [0]
+
+        def cb(_):
+            count[0] += 1
+
+        if method == "cg":
+            x, code = spla.cg(
+                self._block, r, rtol=cfg.tolerance, atol=0.0, maxiter=cfg.max_iterations,
+                callback=cb,
+            )
+        else:
+            x, code = spla.gmres(
+                self._block, r, rtol=cfg.tolerance, atol=0.0, maxiter=cfg.max_iterations,
+                restart=200, callback=cb, callback_type="pr_norm",
+            )
+        if code != 0:
+            raise NumericFailureError(
+                f"{method} failed to converge (code {code})",
+                diagnostics={"iterations": count[0]},
+            )
+        return x, count[0]
+
     # -- bounded mode --------------------------------------------------
     def solve_bounded(self, load):
-        """Zero-boundary-mean solution for a full load vector (n_dof,)."""
+        """Zero-boundary-mean solution for a load vector (n_dof,) or block (n_dof, r).
+
+        Multiplier, shift and residual are per column; ``info.multiplier`` has
+        shape (m,) for a vector and (m, r) for a block.
+        """
         if self.mesh.is_graph:
             raise InterfaceError("bounded solve requested on a graph mesh")
         b = self.boundary_weights
-        F = load.reshape(-1, self.m)
+        F = load.reshape(self.mesh.n_nodes, self.m, -1)
         mu = F.sum(axis=0) / b.sum()
-        flux = (b[:, None] * mu).reshape(-1)  # B^T mu
+        flux = (b[:, None, None] * mu).reshape(load.shape)  # B^T mu
         u, method, iterations = self._solve_reduced(load - flux)
-        U = u.reshape(-1, self.m)
-        U -= (b @ U) / b.sum()
+        U = u.reshape(F.shape)
+        U -= np.tensordot(b, U, axes=1) / b.sum()
         res = self.stiffness.matrix @ u + flux - load
-        info = SolveInfo(f"bounded-{method}", iterations, _relative(res, load), mu)
+        info = SolveInfo(
+            f"bounded-{method}", iterations, _relative(res, load), mu.reshape((self.m,) + load.shape[1:])
+        )
         _guard(info, self.config, "bounded")
         return u, info
 
     # -- graph mode ----------------------------------------------------
     def solve_graph(self, load):
+        """Solution with zero far-cut values for a load vector or (n_dof, r) block."""
         if not self.mesh.is_graph:
             raise InterfaceError("graph solve requested on a bounded mesh")
         u, method, iterations = self._solve_reduced(load)
@@ -174,14 +202,16 @@ def solver_for(mesh, fld, config, solver=None):
 
 
 def _relative(res, rhs):
-    return float(np.linalg.norm(res) / max(np.linalg.norm(rhs), 1e-300))
+    """Relative residual norm of each column."""
+    rhs_norm = np.linalg.norm(rhs.reshape(len(rhs), -1), axis=0)
+    return np.linalg.norm(res.reshape(len(res), -1), axis=0) / np.maximum(rhs_norm, 1e-300)
 
 
 def _guard(info, cfg, mode):
     if info.residual > max(cfg.tolerance * 100, 1e-9):
         raise NumericFailureError(
             f"{mode} solve residual {info.residual:.3e} above tolerance",
-            diagnostics={"method": info.method, "iterations": info.iterations},
+            diagnostics={"method": info.method, "iterations": int(info.iterations.max())},
         )
 
 

@@ -115,6 +115,37 @@ class TestRunExperiment:
         assert calls == {"mesh": 1, "assemble": 2, "splu": 2}
 
 
+    @pytest.mark.parametrize("override", [{"poles": "nowhere"}, {"mesh_type": "sphere"}])
+    def test_bad_choice_refused_before_build(self, monkeypatch, override):
+        import neumannlab.cli as climod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("mesh built before the config was checked")
+
+        monkeypatch.setattr(climod, "build_box_mesh", fail)
+        monkeypatch.setattr(climod, "build_truncated_graph_mesh", fail)
+        with pytest.raises(ValueError, match=next(iter(override))):
+            run_experiment(RunConfig(kind="kernel", mesh_n=4, **override))
+
+    def test_full_suite_builds_each_kernel_once(self, monkeypatch):
+        # the estimates reuse the first pole's forward kernel from the kernel checks
+        import neumannlab.cli as climod
+
+        poles = []
+        build = climod.build_kernel
+
+        def counting(mesh, fld, pole, *args, **kwargs):
+            poles.append((tuple(pole), kwargs.get("adjoint", False)))
+            return build(mesh, fld, pole, *args, **kwargs)
+
+        monkeypatch.setattr(climod, "build_kernel", counting)
+        rep = run_experiment(
+            RunConfig(kind="full-suite", mesh_n=8, coeff_type="checkerboard", trials=2)
+        )
+        assert not rep.failures
+        assert len(poles) == len(set(poles)) == 2  # forward and adjoint at the center
+
+
 class TestEmit:
     def test_empty_report_valid_json(self, tmp_path):
         from neumannlab.estimates import EstimateReport
@@ -209,6 +240,16 @@ class TestMain:
         cfg.write_text(f"kind = kernel\nmesh.n = 4\n{line}\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
+    def test_non_finite_coefficients_exit_three(self, tmp_path, capsys, linear_solver):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(
+            f"kind = solve\nmesh.n = 4\ncoeff.type = smooth\ncoeff.frequency = nan\n"
+            f"solve.linear_solver = {linear_solver}\n"
+        )
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "non-finite" in capsys.readouterr().out
 
     def test_exit_three_on_numeric_failure(self, tmp_path):
         cfg = tmp_path / "numfail.cfg"

@@ -15,7 +15,12 @@ from neumannlab.coeff import (
     make_coefficient,
     verify_ellipticity_bounds,
 )
-from neumannlab.errors import InterfaceError, NonEllipticFieldError, NonEllipticSpecError
+from neumannlab.errors import (
+    InterfaceError,
+    NonEllipticFieldError,
+    NonEllipticSpecError,
+    NumericFailureError,
+)
 
 RNG = np.random.default_rng(0)
 POINTS = RNG.uniform(0.0, 1.0, (30, 3))
@@ -107,6 +112,44 @@ class TestCellwiseRandom:
         assert not np.array_equal(a.evaluate(POINTS), b.evaluate(POINTS))
 
 
+CELL_SEEDED = [CellwiseRandom(0.5, 2.0, seed=3, m=2), SkewPerturbed(Identity(m=2), 0.5, seed=3)]
+
+
+class TestNegativeCells:
+    # a point in lattice cell (1, 2, 0) at cell size 0.25 and its mirror in (-2, 2, 0)
+    POINT = np.array([[0.3, 0.6, 0.1]])
+    MIRROR = np.array([[-0.3, 0.6, 0.1]])
+
+    @pytest.mark.parametrize("spec", CELL_SEEDED, ids=["cellwise-random", "skew"])
+    def test_mirrored_cells_differ(self, spec):
+        fld = make_coefficient(spec)
+        a, b = fld.evaluate(self.POINT), fld.evaluate(self.MIRROR)
+        assert np.abs(a - b).max() > 1e-3
+        lam, bound = verify_ellipticity_bounds(fld, self.MIRROR)
+        assert lam >= fld.lam - 1e-12 and bound <= fld.bound + 1e-12
+
+    @pytest.mark.parametrize(
+        "spec, flat_index, expected",
+        [
+            (
+                CELL_SEEDED[0],
+                [0, 5, 17, 30],
+                [1.3105227776614636, -0.29855502948875345, -0.12922418706364952, 0.05768207306295864],
+            ),
+            (
+                CELL_SEEDED[1],
+                [1, 5, 17, 30],
+                [-0.05209687835319575, -0.06295928601006984, 0.18717212957374257, -0.1563069698157209],
+            ),
+        ],
+        ids=["cellwise-random", "skew"],
+    )
+    def test_nonnegative_cell_unchanged(self, spec, flat_index, expected):
+        # values drawn with the seed tuple (seed, tag, i, j, k) before negative cells were encoded
+        values = make_coefficient(spec).evaluate(self.POINT).ravel()[flat_index]
+        assert values.tolist() == expected
+
+
 class TestAdjoint:
     @pytest.mark.parametrize(
         "spec",
@@ -162,4 +205,10 @@ def test_verify_rejects_non_elliptic():
 def test_evaluate_rejects_wrong_output_shape():
     fld = CoefficientField(Identity(), 1, 1.0, 1.0, lambda pts: np.zeros((len(pts), 3, 3)))
     with pytest.raises(InterfaceError):
+        fld.evaluate(POINTS[:4])
+
+
+def test_evaluate_rejects_non_finite_output():
+    fld = CoefficientField(Identity(), 1, 1.0, 1.0, lambda pts: np.full((len(pts), 3, 3, 1, 1), np.inf))
+    with pytest.raises(NumericFailureError, match="non-finite"):
         fld.evaluate(POINTS[:4])

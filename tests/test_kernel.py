@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from neumannlab.coeff import (
     adjoint_coefficients,
     make_coefficient,
 )
-from neumannlab.discretize import DiscreteField, boundary_mean, l2_norm
+from neumannlab.discretize import DiscreteField, boundary_mean, gauss_rule_1d, l2_norm, shape_values
 from neumannlab.errors import (
     CoverageError,
     InterfaceError,
@@ -19,6 +21,7 @@ from neumannlab.errors import (
     UnderResolvedError,
 )
 from neumannlab.kernel import (
+    MAX_KERNEL_SET_NODES,
     MOLLIFIER_NORMALIZATION,
     Mollifier,
     build_kernel,
@@ -31,9 +34,9 @@ from neumannlab.kernel import (
     mollifier_load,
     representation_solve,
 )
-from neumannlab.mesh import build_box_mesh
+from neumannlab.mesh import build_box_mesh, build_staircase_mesh, build_truncated_graph_mesh
 from neumannlab.oracle import SeriesConfig, cube_neumann_series_batch
-from neumannlab.solve import NeumannSolver, solve_neumann_bounded
+from neumannlab.solve import NeumannSolver, SolveConfig, solve_neumann_bounded
 
 CENTER = (0.5, 0.5, 0.5)
 
@@ -66,10 +69,63 @@ class TestMollifier:
         assert abs(integrate_mollifier(mol, subdivisions=32) - 1.0) < 1e-5
 
     def test_discrete_load_normalized(self, unit_cube_12):
-        mol = Mollifier(CENTER, 2.0 / 12)
-        load, raw = mollifier_load(unit_cube_12, mol)
+        load, raw = mollifier_load(unit_cube_12, CENTER, 2.0 / 12)
+        assert load.shape == (unit_cube_12.n_nodes, 1)
         assert_allclose(load.sum(), 1.0, rtol=1e-14)
-        assert abs(raw - 1.0) < 1e-3  # quadrature mass before normalization
+        assert abs(raw[0] - 1.0) < 1e-3  # quadrature mass before normalization
+
+
+def per_cell_load(mesh, center, eps, subdiv=3, order=2):
+    """Unit-mass load of Phi_eps at center by subdivided Gauss quadrature over every cell."""
+    x, w = gauss_rule_1d(order)
+    sub = (np.arange(subdiv)[:, None] + x[None, :]).ravel() / subdiv
+    wsub = np.tile(w / subdiv, subdiv)
+    P = np.array(list(itertools.product(sub, sub, sub)))
+    W = np.array([a * b * c for a, b, c in itertools.product(wsub, wsub, wsub)]) * mesh.h**3
+    psi = shape_values(P)
+    mol = Mollifier(tuple(center), eps)
+    load = np.zeros(mesh.n_nodes)
+    for cell, origin in zip(mesh.cells, mesh.cell_origins()):
+        load[cell] += (W * mol(origin + mesh.h * P)) @ psi
+    return load / load.sum(), load.sum()
+
+
+LOAD_MESHES = {
+    # name: (mesh, centers: a node, off-lattice, boundary-clipped ones)
+    "box": (
+        build_box_mesh((1, 1, 1), 6),
+        [(0.5, 0.5, 0.5), (0.41, 0.53, 0.62), (0.0, 0.0, 0.0), (0.5, 0.02, 0.5), (1.05, 0.5, 0.5)],
+    ),
+    "staircase": (
+        build_staircase_mesh(
+            [((-0.5, -0.5, -0.5), (0.0, 0.5, 0.5)), ((0.0, -0.5, -0.5), (0.5, 0.0, 0.5))], 0.25
+        ),
+        [(0.0, 0.0, 0.0), (-0.2, 0.1, -0.05), (0.1, 0.1, 0.0), (-0.5, 0.5, 0.5), (0.3, -0.6, 0.2)],
+    ),
+    "graph": (
+        build_truncated_graph_mesh(lambda x, y: 0.3 * x, 0.5, ((0, 0, 0), (1, 1, 1)), 1 / 6),
+        [(0.5, 0.5, 0.5), (0.37, 0.61, 0.44), (1 / 6, 0.5, 1 / 6), (0.9, 0.2, 0.99)],
+    ),
+}
+
+
+class TestLoadStencil:
+    @pytest.mark.parametrize("name", sorted(LOAD_MESHES))
+    def test_matches_per_cell_quadrature(self, name):
+        mesh, centers = LOAD_MESHES[name]
+        eps = 2 * mesh.h
+        loads, raw = mollifier_load(mesh, centers, eps)
+        assert loads.shape == (mesh.n_nodes, len(centers))
+        for j, center in enumerate(centers):
+            ref, ref_raw = per_cell_load(mesh, center, eps)
+            assert np.abs(loads[:, j] - ref).max() <= 1e-14
+            assert abs(raw[j] - ref_raw) <= 1e-14 * ref_raw
+            single, _ = mollifier_load(mesh, center, eps)
+            assert np.abs(single[:, 0] - ref).max() <= 1e-14
+
+    def test_support_off_the_mesh(self, unit_cube_8):
+        with pytest.raises(InvalidGeometryError, match="misses the mesh"):
+            mollifier_load(unit_cube_8, [CENTER, (3.0, 0.5, 0.5)], 0.25)
 
 
 class TestColumnBuild:
@@ -274,6 +330,71 @@ class TestSymmetryIdentity:
         ka = build_kernel(unit_cube_12, identity_field, CENTER, solve_config, eps=3 / 12, adjoint=True)
         with pytest.raises(InterfaceError):
             check_symmetry_identity(kf, ka)
+
+
+class TestNodeKernelSet:
+    @pytest.fixture(scope="class")
+    def skew_case(self):
+        mesh = build_box_mesh((1, 1, 1), 6)
+        spec = SkewPerturbed(ScalarCheckerboard(10.0, seed=3, m=3), 0.5, seed=3)
+        return mesh, make_coefficient(spec), SolveConfig()
+
+    def test_one_factor_one_load_few_solves(self, skew_case, monkeypatch):
+        import neumannlab.kernel as kernelmod
+        import neumannlab.solve as solvemod
+
+        calls = {"splu": 0, "solve": 0, "load": 0}
+        splu, load = solvemod.spla.splu, kernelmod.mollifier_load
+
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                calls["solve"] += 1
+                return self.lu.solve(rhs)
+
+        def counting_splu(*args, **kwargs):
+            calls["splu"] += 1
+            return CountingLU(splu(*args, **kwargs))
+
+        def counting_load(*args, **kwargs):
+            calls["load"] += 1
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(solvemod.spla, "splu", counting_splu)
+        monkeypatch.setattr(kernelmod, "mollifier_load", counting_load)
+        kernels = build_node_kernel_set(*skew_case)
+        assert len(kernels) == 343
+        assert calls["splu"] == 1 and calls["load"] == 1
+        assert calls["solve"] <= 11  # 1029 columns in blocks of 32 poles
+        shared = kernels[0].values.base
+        assert all(k.values.base is shared for k in kernels.values())
+        assert all(len(k.telemetry["columns"]) == 3 for k in kernels.values())
+
+    def test_matches_per_pole_kernels(self, skew_case):
+        mesh, fld, cfg = skew_case
+        kernels = build_node_kernel_set(mesh, fld, cfg)
+        for p in (0, 24, 171, 342):  # corner, centre of the face x = 0, centre, far corner
+            own = build_kernel(
+                mesh, fld, mesh.nodes[p], cfg, adjoint=True, solver=kernels[p].solver,
+                require_interior=False,
+            )
+            scale = np.abs(own.values).max()
+            assert np.abs(kernels[p].values - own.values).max() <= 1e-12 * scale
+            assert np.abs(kernels[p].pole_load - own.pole_load).max() <= 1e-15
+
+    def test_large_mesh_refused_before_assembly(self, identity_field, monkeypatch):
+        import neumannlab.solve as solvemod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("operator assembled before the size check")
+
+        monkeypatch.setattr(solvemod, "assemble_stiffness", fail)
+        mesh = build_box_mesh((1, 1, 1), 15)
+        assert mesh.n_nodes > MAX_KERNEL_SET_NODES
+        with pytest.raises(CoverageError):
+            build_node_kernel_set(mesh, identity_field)
 
 
 @pytest.fixture(scope="module")

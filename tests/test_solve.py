@@ -6,7 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from neumannlab.coeff import Identity, ScalarCheckerboard, SkewPerturbed, make_coefficient
+from neumannlab.coeff import (
+    CoefficientField,
+    Identity,
+    ScalarCheckerboard,
+    SkewPerturbed,
+    make_coefficient,
+)
 from neumannlab.discretize import (
     boundary_mean,
     boundary_weight_vector,
@@ -188,6 +194,62 @@ class TestConstraintMethods:
         krylov = NeumannSolver(mesh, fld, SolveConfig(linear_solver="krylov", tolerance=1e-12))
         uk, _ = krylov.solve_bounded(load)
         assert np.linalg.norm(uk - u) <= 1e-8 * np.linalg.norm(u)
+
+
+class TestBlockSolves:
+    MESHES = {
+        "bounded": build_box_mesh((1, 1, 1), 4),
+        "graph": build_truncated_graph_mesh(
+            lambda x, y: np.zeros_like(x), 0.0, ((0, 0, 0), (1, 1, 1)), 0.25
+        ),
+    }
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        m=st.sampled_from([1, 2]),
+        amplitude=st.sampled_from([0.0, 0.5]),
+        r=st.integers(1, 4),
+        mode=st.sampled_from(["bounded", "graph"]),
+        linear_solver=st.sampled_from(["direct", "krylov"]),
+    )
+    @example(seed=1, m=2, amplitude=0.5, r=3, mode="bounded", linear_solver="krylov")  # GMRES
+    @example(seed=2, m=1, amplitude=0.0, r=4, mode="graph", linear_solver="krylov")  # CG
+    def test_block_equals_column_solves(self, seed, m, amplitude, r, mode, linear_solver):
+        mesh = self.MESHES[mode]
+        spec = SkewPerturbed(ScalarCheckerboard(10.0, seed=seed, m=m), amplitude, seed=seed)
+        solver = NeumannSolver(
+            mesh, make_coefficient(spec), SolveConfig(linear_solver=linear_solver, tolerance=1e-12)
+        )
+        solve = solver.solve_graph if mesh.is_graph else solver.solve_bounded
+        loads = np.random.default_rng(seed).standard_normal((solver.n_dof, r))
+        U, info = solve(loads)
+        assert U.shape == loads.shape
+        assert info.residuals.shape == info.iterations.shape == (r,)
+        for j in range(r):
+            u, one = solve(loads[:, j])
+            assert np.linalg.norm(U[:, j] - u) <= 1e-12 * np.linalg.norm(u)
+            assert info.iterations[j] == one.iterations[0]
+            assert info.residuals[j] <= 1e-9
+            if not mesh.is_graph:
+                scale = np.abs(loads[:, j]).sum()
+                assert np.abs(info.multiplier[:, j] - one.multiplier).max() <= 1e-12 * scale
+
+
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
+    def test_nan_field_is_numeric_failure(self, linear_solver):
+        def ev(p):
+            a = np.zeros((len(p), 3, 3, 1, 1))
+            a[:, [0, 1, 2], [0, 1, 2]] = np.where(p[:, 0] > 0.5, np.nan, 1.0)[:, None, None, None]
+            a[:, 0, 1] = 0.1  # not symmetric: the Krylov path would be GMRES
+            return a
+
+        fld = CoefficientField(Identity(), 1, 0.5, 2.0, ev)
+        f, _ = cosine_problem()
+        mesh = build_box_mesh((1, 1, 1), 4)
+        with pytest.raises(NumericFailureError, match="non-finite"):
+            solve_neumann_bounded(mesh, fld, f, None, SolveConfig(linear_solver=linear_solver))
 
 
 class TestGraphSolve:
