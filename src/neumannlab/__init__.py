@@ -21,7 +21,6 @@ from .kernel import (
     Mollifier,
     NeumannKernel,
     build_kernel,
-    build_mollified_column,
     build_node_kernel_set,
     check_defining_identity,
     check_symmetry_identity,
@@ -60,7 +59,6 @@ __all__ = [
     "boundary_mean",
     "build_box_mesh",
     "build_kernel",
-    "build_mollified_column",
     "build_node_kernel_set",
     "build_staircase_mesh",
     "build_truncated_graph_mesh",

@@ -262,7 +262,7 @@ def _verify_coeff(cfg, fld):
     lo = np.zeros(3)
     hi = np.asarray(cfg.mesh_extents, dtype=float)
     pts = lo + rng.uniform(size=(64, 3)) * (hi - lo)
-    lam_est, m_est = coeffmod.verify_ellipticity_bounds(fld, pts, probe_count=8, seed=cfg.seed)
+    lam_est, m_est = coeffmod.verify_ellipticity_bounds(fld, pts, seed=cfg.seed)
     rec = est.CheckRecord(
         name="ellipticity-bounds",
         samples=[(1.0, lam_est), (2.0, m_est)],
@@ -385,23 +385,20 @@ def _oracle_experiment(cfg, solver):
     return [_rec("oracle-cube-agreement", rel, cfg.oracle_rtol, {"probes": len(probes)})]
 
 
-def emit_report(report, outdir, formats=("json", "csv-bundle")):
+def emit_report(report, outdir):
     """Write report.json and one CSV per record; returns the file list."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "json" in formats:
-        path = out / "report.json"
-        path.write_text(report.to_json())
+    path = out / "report.json"
+    path.write_text(report.to_json())
+    written = [path]
+    rec_dir = out / "records"
+    rec_dir.mkdir(exist_ok=True)
+    for i, rec in enumerate(report.records):
+        path = rec_dir / f"{i:02d}_{rec.name}.csv"
+        lines = ["scale,value"] + [f"{a!r},{b!r}" for a, b in rec.samples]
+        path.write_text("\n".join(lines) + "\n")
         written.append(path)
-    if "csv-bundle" in formats:
-        rec_dir = out / "records"
-        rec_dir.mkdir(exist_ok=True)
-        for i, rec in enumerate(report.records):
-            path = rec_dir / f"{i:02d}_{rec.name}.csv"
-            lines = ["scale,value"] + [f"{a!r},{b!r}" for a, b in rec.samples]
-            path.write_text("\n".join(lines) + "\n")
-            written.append(path)
     return written
 
 

@@ -22,6 +22,8 @@ from .errors import (
 )
 
 D = 3
+#: random (xi, eta) probe pairs per sample point of verify_ellipticity_bounds
+_ELLIPTICITY_PROBES = 8
 
 
 @dataclass(frozen=True)
@@ -265,15 +267,13 @@ def adjoint_coefficients(fld):
     return adj
 
 
-def verify_ellipticity_bounds(fld, sample_points, probe_count=8, seed=0):
+def verify_ellipticity_bounds(fld, sample_points, seed=0):
     """Estimate (lambda, M) over samples and assert the declared bounds.
 
     lambda_est is the smallest eigenvalue of the symmetric part over samples,
-    M_est the largest spectral norm.  ``probe_count`` random (xi, eta) pairs
-    per sample additionally exercise the two quadratic-form inequalities.
+    M_est the largest spectral norm.  ``_ELLIPTICITY_PROBES`` random (xi, eta)
+    pairs per sample additionally exercise the two quadratic-form inequalities.
     """
-    if probe_count < 1:
-        raise ValueError("probe_count must be >= 1")
     mats = fld.matrices(sample_points)
     sym = 0.5 * (mats + mats.transpose(0, 2, 1))
     lam_est = float(np.linalg.eigvalsh(sym)[:, 0].min())
@@ -289,8 +289,8 @@ def verify_ellipticity_bounds(fld, sample_points, probe_count=8, seed=0):
 
     rng = np.random.default_rng(seed)
     md = mats.shape[1]
-    xi = rng.standard_normal((probe_count, md))
-    eta = rng.standard_normal((probe_count, md))
+    xi = rng.standard_normal((_ELLIPTICITY_PROBES, md))
+    eta = rng.standard_normal((_ELLIPTICITY_PROBES, md))
     for mat in mats:
         quad = np.einsum("pa,ab,pb->p", xi, mat, xi)
         norms2 = (xi**2).sum(axis=1)

@@ -19,6 +19,12 @@ import scipy.sparse as sp
 from .errors import InterfaceError, NumericFailureError, UnsupportedError
 from .mesh import CELL_CORNERS, Mesh
 
+#: Gauss points per axis of every assembly, load and norm (exact for the
+#: trilinear stiffness and mass on piecewise-constant coefficients)
+QUADRATURE_ORDER = 2
+#: cells per stiffness-assembly chunk; bounds the peak memory of large meshes
+_ASSEMBLY_CHUNK = 120_000
+
 _GAUSS = {
     1: (np.array([0.5]), np.array([1.0])),
     2: (np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)]), np.array([0.5, 0.5])),
@@ -30,10 +36,8 @@ _GAUSS = {
 
 
 def gauss_rule_1d(order):
-    if order in _GAUSS:
-        return _GAUSS[order]
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Gauss-Legendre points and weights on [0, 1] for order 1, 2 or 3."""
+    return _GAUSS[order]
 
 
 def shape_values(t):
@@ -66,7 +70,7 @@ def volume_quadrature(order):
     return pts, wts
 
 
-def quadrature_points(mesh, order=2):
+def quadrature_points(mesh, order=QUADRATURE_ORDER):
     """Physical Gauss points (C, G, 3) and weights (G,) scaled by h^3."""
     ref, w = volume_quadrature(order)
     pts = mesh.cell_origins()[:, None, :] + mesh.h * ref[None, :, :]
@@ -113,12 +117,9 @@ class DiscreteField:
 
 @dataclass
 class StiffnessOperator:
-    """Assembled bilinear form with its mesh/field provenance."""
+    """Assembled bilinear form."""
 
     matrix: sp.csr_matrix
-    mesh: Mesh
-    m: int
-    quadrature_order: int
 
     @property
     def n_dof(self):
@@ -129,13 +130,13 @@ def _cell_dofs(mesh, m):
     return (mesh.cells[:, :, None] * m + np.arange(m)[None, None, :]).reshape(mesh.n_cells, 8 * m)
 
 
-def assemble_stiffness(mesh, fld, quadrature_order=2, chunk=120_000):
+def assemble_stiffness(mesh, fld):
     """Cell-chunked assembly keeps peak memory bounded on large meshes.
 
     Chunks accumulate into one CSR sum in a fixed order, so the result is
     bit-identical regardless of mesh size.
     """
-    ref, w = volume_quadrature(quadrature_order)
+    ref, w = volume_quadrature(QUADRATURE_ORDER)
     grads = shape_gradients(ref) / mesh.h  # (G, 8, 3) physical
     wphys = w * mesh.h**3
     m = fld.m
@@ -143,8 +144,8 @@ def assemble_stiffness(mesh, fld, quadrature_order=2, chunk=120_000):
     n = mesh.n_nodes * m
     origins = mesh.cell_origins()
     mat = sp.csr_matrix((n, n))
-    for start in range(0, mesh.n_cells, chunk):
-        sel = slice(start, min(start + chunk, mesh.n_cells))
+    for start in range(0, mesh.n_cells, _ASSEMBLY_CHUNK):
+        sel = slice(start, min(start + _ASSEMBLY_CHUNK, mesh.n_cells))
         nc = sel.stop - sel.start
         pts = origins[sel][:, None, :] + mesh.h * ref[None, :, :]
         a = fld.evaluate(pts.reshape(-1, 3)).reshape(nc, len(ref), 3, 3, m, m)
@@ -155,21 +156,18 @@ def assemble_stiffness(mesh, fld, quadrature_order=2, chunk=120_000):
         mat = mat + sp.coo_matrix(
             (kcell.reshape(nc, 8 * m, 8 * m).ravel(), (rows, cols)), shape=(n, n)
         ).tocsr()
-    return StiffnessOperator(mat, mesh, m, quadrature_order)
+    return StiffnessOperator(mat)
 
 
-def assemble_mass(mesh, m=1, quadrature_order=2):
-    ref, w = volume_quadrature(quadrature_order)
+def assemble_mass(mesh):
+    """Scalar mass matrix int_Omega psi_p psi_q."""
+    ref, w = volume_quadrature(QUADRATURE_ORDER)
     psi = shape_values(ref)  # (G, 8)
     mcell = np.einsum("g,gp,gq->pq", w * mesh.h**3, psi, psi)
-    dofs = _cell_dofs(mesh, m)
-    n = mesh.n_nodes * m
-    vals = np.zeros((mesh.n_cells, 8 * m, 8 * m))
-    for i in range(m):
-        vals[:, i::m, i::m] = mcell[None, :, :]
-    rows = np.repeat(dofs, 8 * m, axis=1).ravel()
-    cols = np.tile(dofs, (1, 8 * m)).ravel()
-    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    rows = np.repeat(mesh.cells, 8, axis=1).ravel()
+    cols = np.tile(mesh.cells, (1, 8)).ravel()
+    vals = np.broadcast_to(mcell, (mesh.n_cells, 8, 8)).ravel()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(mesh.n_nodes,) * 2).tocsr()
 
 
 def _as_components(vals, m, n):
@@ -181,12 +179,12 @@ def _as_components(vals, m, n):
     return vals
 
 
-def assemble_volume_load(mesh, f, m, quadrature_order=2):
+def assemble_volume_load(mesh, f, m):
     """Load entries (p, i) = int_Omega f^i psi_p."""
     out = np.zeros(mesh.n_nodes * m)
     if f is None:
         return out
-    ref, w = volume_quadrature(quadrature_order)
+    ref, w = volume_quadrature(QUADRATURE_ORDER)
     psi = shape_values(ref)
     pts = mesh.cell_origins()[:, None, :] + mesh.h * ref[None, :, :]
     fv = _as_components(f(pts.reshape(-1, 3)), m, mesh.n_cells * len(ref))
@@ -196,13 +194,13 @@ def assemble_volume_load(mesh, f, m, quadrature_order=2):
     return out
 
 
-def facet_quadrature(mesh, order=2):
+def facet_quadrature(mesh):
     """Gauss points on each boundary facet: (F, Gf, 3), trace values (Gf, 4), weights (Gf,).
 
     The trace columns follow the stored facet node order (s, t) = (0,0),
     (1,0), (1,1), (0,1) of ``CELL_FACES``.
     """
-    x, w = gauss_rule_1d(order)
+    x, w = gauss_rule_1d(QUADRATURE_ORDER)
     s, t = np.meshgrid(x, x, indexing="ij")
     s, t = s.ravel(), t.ravel()
     w2 = np.outer(w, w).ravel() * mesh.h**2
@@ -218,23 +216,20 @@ def facet_quadrature(mesh, order=2):
     return pts, trace, w2
 
 
-def assemble_boundary_load(mesh, g, m, quadrature_order=2, graph_only=None):
+def assemble_boundary_load(mesh, g, m):
     """Load entries (p, i) = int_{dOmega} g^i psi_p over boundary facets.
 
-    For graph meshes only graph facets carry data by default (the far
-    boundary is artificial).
+    On graph meshes only graph facets carry data (the far boundary is
+    artificial).
     """
     out = np.zeros(mesh.n_nodes * m)
     if g is None:
         return out
-    if graph_only is None:
-        graph_only = mesh.is_graph
-    sel = np.arange(len(mesh.facet_cell))
-    if graph_only:
-        if mesh.graph_facets is None:
-            raise UnsupportedError("graph_only load on a bounded mesh")
+    if mesh.is_graph:
         sel = np.flatnonzero(mesh.graph_facets)
-    pts, trace, w2 = facet_quadrature(mesh, quadrature_order)
+    else:
+        sel = np.arange(len(mesh.facet_cell))
+    pts, trace, w2 = facet_quadrature(mesh)
     gv = _as_components(g(pts[sel].reshape(-1, 3)), m, len(sel) * trace.shape[0])
     gv = gv.reshape(len(sel), trace.shape[0], m)
     contrib = np.einsum("g,fgi,gc->fci", w2, gv, trace)  # (F, 4 corners, m)
@@ -249,16 +244,11 @@ def boundary_weight_vector(mesh):
     return b
 
 
-def boundary_mean(fld_or_field, normalized=False):
-    """Per-component boundary trace integral int_{dOmega} u (or its average)."""
-    f = fld_or_field
-    if f.mesh.is_graph:
+def boundary_mean(u):
+    """Per-component boundary trace integral int_{dOmega} u."""
+    if u.mesh.is_graph:
         raise UnsupportedError("boundary_mean is defined for bounded-domain meshes")
-    b = boundary_weight_vector(f.mesh)
-    raw = b @ f.values
-    if normalized:
-        return raw / f.mesh.boundary_measure
-    return raw
+    return boundary_weight_vector(u.mesh) @ u.values
 
 
 def interpolate(fld, points):
@@ -269,7 +259,7 @@ def interpolate(fld, points):
     return np.einsum("np,npm->nm", psi, fld.values[conn])
 
 
-def gradient_at_quadrature(fld, quadrature_order=2):
+def gradient_at_quadrature(fld, quadrature_order=QUADRATURE_ORDER):
     """Gradients of the trilinear field at Gauss points: (C, G, m, 3)."""
     ref, _ = volume_quadrature(quadrature_order)
     grads = shape_gradients(ref) / fld.mesh.h  # (G, 8, 3)
@@ -277,29 +267,29 @@ def gradient_at_quadrature(fld, quadrature_order=2):
     return np.einsum("gpa,cpm->cgma", grads, nodal)
 
 
-def values_at_quadrature(fld, quadrature_order=2):
+def values_at_quadrature(fld, quadrature_order=QUADRATURE_ORDER):
     ref, _ = volume_quadrature(quadrature_order)
     psi = shape_values(ref)
     nodal = fld.values[fld.mesh.cells]
     return np.einsum("gp,cpm->cgm", psi, nodal)
 
 
-def l2_norm(fld, quadrature_order=2):
-    vals = values_at_quadrature(fld, quadrature_order)
-    _, w = volume_quadrature(quadrature_order)
+def l2_norm(fld):
+    vals = values_at_quadrature(fld)
+    _, w = volume_quadrature(QUADRATURE_ORDER)
     return float(np.sqrt(np.einsum("g,cgm->", w * fld.mesh.h**3, vals**2)))
 
 
-def gradient_l2_norm(fld, quadrature_order=2):
-    g = gradient_at_quadrature(fld, quadrature_order)
-    _, w = volume_quadrature(quadrature_order)
+def gradient_l2_norm(fld):
+    g = gradient_at_quadrature(fld)
+    _, w = volume_quadrature(QUADRATURE_ORDER)
     return float(np.sqrt(np.einsum("g,cgma->", w * fld.mesh.h**3, g**2)))
 
 
-def l2_error(fld, exact, quadrature_order=3):
-    """||u_h - exact||_{L2} with the exact function evaluated at Gauss points."""
-    pts, w = quadrature_points(fld.mesh, quadrature_order)
-    vals = values_at_quadrature(fld, quadrature_order)
+def l2_error(fld, exact):
+    """||u_h - exact||_{L2} with the exact function evaluated at 3-point Gauss points."""
+    pts, w = quadrature_points(fld.mesh, 3)
+    vals = values_at_quadrature(fld, 3)
     ex = np.asarray(exact(pts.reshape(-1, 3)), dtype=float)
     if ex.ndim == 1:
         ex = ex[:, None]
@@ -318,7 +308,7 @@ def estimate_poincare_constant(mesh, tol=1e-10, max_iterations=200):
 
     solver = NeumannSolver(mesh, make_coefficient(Identity(m=1)))
     K = solver.stiffness.matrix
-    M = assemble_mass(mesh, 1)
+    M = assemble_mass(mesh)
     b = solver.boundary_weights
 
     u = mesh.nodes[:, 0] - mesh.nodes[:, 0].mean()

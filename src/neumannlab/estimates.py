@@ -16,7 +16,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .discretize import (
+    QUADRATURE_ORDER,
     DiscreteField,
+    assemble_volume_load,
     gradient_at_quadrature,
     quadrature_points,
     values_at_quadrature,
@@ -90,7 +92,7 @@ def cell_magnitudes(obj, gradient=False):
     return np.sqrt((vals[:, 0] ** 2).sum(axis=1))
 
 
-def annulus_norms(kernel, r, quadrature_order=2):
+def annulus_norms(kernel, r):
     """(L^6 norm of N, L^2 norm of DN) over cells fully outside B_r(pole)."""
     mesh = kernel.mesh
     if r < 4 * mesh.h - 1e-12:
@@ -103,17 +105,17 @@ def annulus_norms(kernel, r, quadrature_order=2):
     if not outside.any():
         return 0.0, 0.0
     _, flat = _kernel_fields(kernel)
-    _, w = volume_quadrature(quadrature_order)
-    vals = values_at_quadrature(flat, quadrature_order)[outside]
+    _, w = volume_quadrature(QUADRATURE_ORDER)
+    vals = values_at_quadrature(flat)[outside]
     mag6 = ((vals**2).sum(axis=2)) ** 3  # |N|^6 at each Gauss point
     l6 = float(np.einsum("g,cg->", w * mesh.h**3, mag6) ** (1.0 / 6.0))
-    grads = gradient_at_quadrature(flat, quadrature_order)[outside]
+    grads = gradient_at_quadrature(flat)[outside]
     mag2 = (grads**2).sum(axis=(2, 3))
     l2 = float(np.sqrt(np.einsum("g,cg->", w * mesh.h**3, mag2)))
     return l6, l2
 
 
-def local_lp_norm(kernel, r, p, gradient=False, quadrature_order=2):
+def local_lp_norm(kernel, r, p, gradient=False):
     """L^p norm of |N| (or |DN|) over B_r(pole), pole cell included.
 
     The exponent ranges [1, 3) for N and [1, 1.5) for DN are sharp; requests
@@ -130,13 +132,13 @@ def local_lp_norm(kernel, r, p, gradient=False, quadrature_order=2):
     if r > d_y + 1e-12:
         raise InvalidGeometryError(f"radius {r} exceeds pole distance {d_y}")
     _, flat = _kernel_fields(kernel)
-    pts, w = quadrature_points(mesh, quadrature_order)
+    pts, w = quadrature_points(mesh)
     inside = ((pts - y) ** 2).sum(axis=2) <= r**2  # (C, G)
     if gradient:
-        g = gradient_at_quadrature(flat, quadrature_order)
+        g = gradient_at_quadrature(flat)
         mag = np.sqrt((g**2).sum(axis=(2, 3)))
     else:
-        v = values_at_quadrature(flat, quadrature_order)
+        v = values_at_quadrature(flat)
         mag = np.sqrt((v**2).sum(axis=2))
     integrand = np.where(inside, mag**p, 0.0)
     total = float(np.einsum("g,cg->", w, integrand))
@@ -199,10 +201,16 @@ class CheckRecord:
         }
 
 
-def radial_probe_samples(kernel, radii, n_directions=26, seed=0):
+#: random probe directions per radius of the pointwise-decay fit
+N_DIRECTIONS = 26
+#: samples per slope fit: radii, or thresholds of the weak-type fits
+FIT_SAMPLES = 6
+
+
+def radial_probe_samples(kernel, radii, seed=0):
     """(r, direction-averaged |N|) pairs; geometric mean tames rough-coefficient wobble."""
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_directions, 3))
+    dirs = rng.standard_normal((N_DIRECTIONS, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     y = kernel.pole
     samples = []
@@ -221,23 +229,20 @@ def radial_probe_samples(kernel, radii, n_directions=26, seed=0):
     return samples, raw
 
 
-def pointwise_decay_check(kernel, radii=None, n_directions=26, seed=0, window=0.3):
+def pointwise_decay_check(kernel, seed=0):
     """Fit of log |N| vs log |x - y| over interior probes; target slope 2 - d = -1.
 
-    Also records the empirical pointwise constant sup |N(x,y)| |x-y|^{d-2}.
+    Probes sit at FIT_SAMPLES radii in [4h, d_y/2].  Also records the empirical
+    pointwise constant sup |N(x,y)| |x-y|^{d-2}.
     """
     mesh = kernel.mesh
-    y = kernel.pole
-    d_y = distance_to_boundary(mesh, y, include_far=not mesh.is_graph)
-    if radii is None:
-        lo, hi = 4 * mesh.h, d_y / 2
-        if lo >= hi:
-            return CheckRecord(
-                name="pointwise-decay", samples=[], params={"reason": "probe band unresolvable"},
-                skipped=True,
-            )
-        radii = np.geomspace(lo, hi, 6)
-    samples, raw = radial_probe_samples(kernel, radii, n_directions, seed)
+    lo, hi = 4 * mesh.h, _pole_distance(kernel) / 2
+    if lo >= hi:
+        return CheckRecord(
+            name="pointwise-decay", samples=[], params={"reason": "probe band unresolvable"},
+            skipped=True,
+        )
+    samples, raw = radial_probe_samples(kernel, np.geomspace(lo, hi, FIT_SAMPLES), seed)
     fit = fit_power_law(samples)
     c2 = max(v * r ** (D - 2) for r, v in raw)
     rec = CheckRecord(
@@ -246,9 +251,9 @@ def pointwise_decay_check(kernel, radii=None, n_directions=26, seed=0, window=0.
         slope=fit.slope,
         stderr=fit.stderr,
         target=float(2 - D),
-        window=window,
+        window=0.3,
         empirical_constant=float(c2),
-        params={"n_directions": n_directions, "raw_probes": len(raw)},
+        params={"n_directions": N_DIRECTIONS, "raw_probes": len(raw)},
     )
     return rec.finalize_slope()
 
@@ -259,7 +264,7 @@ def _pole_distance(kernel):
     )
 
 
-def annulus_fit(kernel, n_radii=6, window=0.15):
+def annulus_fit(kernel):
     """Slope fits of the annulus norms over radii in [4h, d_y/2]; target -1/2.
 
     Returns one record for the L^6 norm of N and one for the L^2 norm of DN.
@@ -272,7 +277,7 @@ def annulus_fit(kernel, n_radii=6, window=0.15):
     if lo >= hi:
         skip = CheckRecord("annulus", [], params={"reason": "band unresolvable"}, skipped=True)
         return skip, skip
-    radii = np.geomspace(lo, hi, n_radii)
+    radii = np.geomspace(lo, hi, FIT_SAMPLES)
     pairs = [annulus_norms(kernel, r) for r in radii]
     recs = []
     for idx, name in ((0, "annulus-l6"), (1, "annulus-gradient-l2")):
@@ -281,13 +286,13 @@ def annulus_fit(kernel, n_radii=6, window=0.15):
         recs.append(
             CheckRecord(
                 name=name, samples=samples, slope=fit.slope, stderr=fit.stderr,
-                target=(2 - D) / 2, window=window,
+                target=(2 - D) / 2, window=0.15,
             ).finalize_slope()
         )
     return recs[0], recs[1]
 
 
-def local_norm_fit(kernel, p=1.0, gradient=False, n_radii=6, window=None):
+def local_norm_fit(kernel, p=1.0, gradient=False):
     """Slope fit of the local L^p ball norms; targets 2-d+d/p (N), 1-d+d/p (DN).
 
     Value norms fit radii in [4h, d_y]; gradient norms start at 8h because the
@@ -300,24 +305,22 @@ def local_norm_fit(kernel, p=1.0, gradient=False, n_radii=6, window=None):
         return CheckRecord(
             "local-lp", [], params={"reason": "band unresolvable"}, skipped=True
         )
-    radii = np.geomspace(lo, d_y, n_radii)
+    radii = np.geomspace(lo, d_y, FIT_SAMPLES)
     samples = [(float(r), local_lp_norm(kernel, r, p, gradient=gradient)) for r in radii]
     fit = fit_power_law(samples)
     target = (1 - D + D / p) if gradient else (2 - D + D / p)
-    if window is None:
-        window = 0.2 if gradient else 0.3
     return CheckRecord(
         name=f"local-l{p:g}-{'gradient' if gradient else 'value'}",
         samples=samples,
         slope=fit.slope,
         stderr=fit.stderr,
         target=float(target),
-        window=window,
+        window=0.2 if gradient else 0.3,
         params={"p": p},
     ).finalize_slope()
 
 
-def resolved_thresholds(kernel, gradient=False, n=6):
+def resolved_thresholds(kernel, gradient=False):
     """Thresholds whose superlevel sets have the resolved ball volumes.
 
     Superlevel sets between vol(B_{4h}) and vol(B_{d_y/2}) for values, and
@@ -335,10 +338,10 @@ def resolved_thresholds(kernel, gradient=False, n=6):
     i_hi = min(np.searchsorted(volumes, 4.0 / 3.0 * np.pi * r_hi**3), len(mags) - 1)
     if i_lo >= i_hi or mags[i_hi] <= 0:
         return None
-    return np.geomspace(mags[i_hi], mags[i_lo], n)
+    return np.geomspace(mags[i_hi], mags[i_lo], FIT_SAMPLES)
 
 
-def distribution_fit(kernel, gradient=False, window=None):
+def distribution_fit(kernel, gradient=False):
     """Weak-type slope fit over the resolved threshold band.
 
     Targets -d/(d-2) = -3 for N and -d/(d-1) = -1.5 for DN.
@@ -351,11 +354,9 @@ def distribution_fit(kernel, gradient=False, window=None):
     samples = list(zip(ts.tolist(), meas.tolist()))
     fit = fit_power_law(samples)
     target = -D / (D - 1) if gradient else -D / (D - 2)
-    if window is None:
-        window = 0.3 if gradient else 0.6
     return CheckRecord(
         name=name, samples=samples, slope=fit.slope, stderr=fit.stderr,
-        target=float(target), window=window,
+        target=float(target), window=0.3 if gradient else 0.6,
     ).finalize_slope()
 
 
@@ -386,17 +387,17 @@ def holder_seminorm(u, center, radius, mu, boundary=False):
         dv = np.linalg.norm(vals[i + 1 :] - vals[i], axis=1)
         dp = np.linalg.norm(pts[i + 1 :] - pts[i], axis=1)
         sem = max(sem, float((dv / dp**mu).max()))
-    pts_q, w = quadrature_points(mesh, 2)
+    pts_q, w = quadrature_points(mesh)
     inside = ((pts_q - center) ** 2).sum(axis=2) <= radius**2
     vol = float(np.einsum("g,cg->", w, inside.astype(float)))
-    vq = values_at_quadrature(u, 2)
+    vq = values_at_quadrature(u)
     mean_sq = float(np.einsum("g,cg->", w, np.where(inside, (vq**2).sum(axis=2), 0.0))) / vol
     ratio = sem * radius**mu / np.sqrt(mean_sq) if mean_sq > 0 else 0.0
     return sem, float(ratio)
 
 
-def _region_masks(mesh, center, radius, order=2):
-    pts, w = quadrature_points(mesh, order)
+def _region_masks(mesh, center, radius):
+    pts, w = quadrature_points(mesh)
     return ((pts - center) ** 2).sum(axis=2) <= radius**2, pts, w
 
 
@@ -408,14 +409,14 @@ def _sup_on_nodes(u, center, radius):
     return float(np.abs(u.values[sel]).max())
 
 
-def _l2_on_ball(u, center, radius, order=2):
-    inside, _, w = _region_masks(u.mesh, center, radius, order)
-    vq = values_at_quadrature(u, order)
+def _l2_on_ball(u, center, radius):
+    inside, _, w = _region_masks(u.mesh, center, radius)
+    vq = values_at_quadrature(u)
     return float(np.sqrt(np.einsum("g,cg->", w, np.where(inside, (vq**2).sum(axis=2), 0.0))))
 
 
-def _sup_fn_on_ball(fn, mesh, center, radius, m, order=2):
-    inside, pts, _ = _region_masks(mesh, center, radius, order)
+def _sup_fn_on_ball(fn, mesh, center, radius, m):
+    inside, pts, _ = _region_masks(mesh, center, radius)
     flat = pts.reshape(-1, 3)
     vals = np.abs(np.asarray(fn(flat), dtype=float)).reshape(inside.shape + (m,)).max(axis=2)
     sel = np.where(inside, vals, 0.0)
@@ -445,8 +446,6 @@ def random_compatible_data(mesh, m, rng):
                 )
         return out
 
-    from .discretize import assemble_volume_load
-
     fl = assemble_volume_load(mesh, f, m).reshape(-1, m).sum(axis=0)
     gconst = -fl / mesh.boundary_measure
 
@@ -456,7 +455,7 @@ def random_compatible_data(mesh, m, rng):
     return f, g, gconst
 
 
-def test_local_boundedness(mesh, fld, trials=20, seed=0, config=None, solver=None, balls=None):
+def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None):
     """Empirical C1 of the local-boundedness estimate over random data and balls.
 
     ratio = sup |u| over the half ball / (R^{-d/2} ||u||_{L2(ball)} +
@@ -464,8 +463,7 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, config=None, solver=Non
     Passing explicit ``balls`` [(center, radius), ...] makes the estimate
     comparable across refinements of the same domain.
     """
-    cfg = config or SolveConfig()
-    solver = solver_for(mesh, fld, cfg, solver)
+    solver = solver_for(mesh, fld, SolveConfig(), solver)
     rng = np.random.default_rng(seed)
     m = fld.m
     diam = np.linalg.norm(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0))
@@ -473,7 +471,7 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, config=None, solver=Non
     best = 0.0
     for trial in range(trials):
         f, g, gconst = random_compatible_data(mesh, m, rng)
-        u = solve_neumann_bounded(mesh, fld, f, g, cfg, solver=solver)
+        u = solve_neumann_bounded(mesh, fld, f, g, solver=solver)
         if balls is not None:
             center, radius = balls[trial % len(balls)]
             center = np.asarray(center, dtype=float)
@@ -503,7 +501,7 @@ def _eta_profile(dist, radius):
     return np.clip(2.0 - 2.0 * dist / radius, 0.0, 1.0)
 
 
-def caccioppoli_check(u, center, radius, f, g, quadrature_order=2):
+def caccioppoli_check(u, center, radius, f, g):
     """ratio = ||Du||_{L2(half ball)} / (R^{-1}||u||_{L2(ball)} +
     R^{d/2}(1+R) sup|g| + R^{d/2+1} sup|f|).
 
@@ -516,16 +514,16 @@ def caccioppoli_check(u, center, radius, f, g, quadrature_order=2):
         raise UnderResolvedError(f"Caccioppoli radius {radius} below 4h")
     center = np.asarray(center, dtype=float)
     m = u.m
-    pts, w = quadrature_points(mesh, quadrature_order)
+    pts, w = quadrature_points(mesh)
     dist2 = ((pts - center) ** 2).sum(axis=2)
-    grads = gradient_at_quadrature(u, quadrature_order)
+    grads = gradient_at_quadrature(u)
     gmag2 = (grads**2).sum(axis=(2, 3))
     half = dist2 <= (radius / 2) ** 2
     lhs = float(np.sqrt(np.einsum("g,cg->", w, np.where(half, gmag2, 0.0))))
     eta_nodes = _eta_profile(np.linalg.norm(mesh.nodes - center, axis=1), radius)
-    eta_q = values_at_quadrature(DiscreteField(mesh, eta_nodes[:, None]), quadrature_order)[:, :, 0]
+    eta_q = values_at_quadrature(DiscreteField(mesh, eta_nodes[:, None]))[:, :, 0]
     lhs_weighted = float(np.sqrt(np.einsum("g,cg->", w, eta_q**2 * gmag2)))
-    l2_ball = _l2_on_ball(u, center, radius, quadrature_order)
+    l2_ball = _l2_on_ball(u, center, radius)
     sup_f = _sup_fn_on_ball(f, mesh, center, radius, m) if f is not None else 0.0
     sup_g, _ = _sup_boundary(mesh, g, center, radius, m)
     rhs = radius ** (-1.0) * l2_ball + radius ** (D / 2) * (1 + radius) * sup_g + radius ** (

@@ -22,7 +22,10 @@ import numpy as np
 
 from .coeff import adjoint_coefficients
 from .discretize import (
+    QUADRATURE_ORDER,
     DiscreteField,
+    assemble_boundary_load,
+    assemble_volume_load,
     boundary_weight_vector,
     gauss_rule_1d,
     interpolate,
@@ -40,6 +43,16 @@ from .solve import NeumannSolver, SolveConfig, solver_for
 #: normalization of the quartic bump (1 - |z|^2)^2 on the unit ball in d = 3:
 #: 4 pi int_0^1 (1 - r^2)^2 r^2 dr = 32 pi / 105
 MOLLIFIER_NORMALIZATION = 105.0 / (32.0 * np.pi)
+#: sub-cells per cell axis of the mollifier load quadrature
+MOLLIFIER_SUBDIV = 3
+#: sub-intervals per axis of the support box in the unit-mass check
+_MASS_SUBDIVISIONS = 64
+
+
+def _bump(z2, radius):
+    """Phi_eps at squared scaled distances z2 = |x - y|^2 / eps^2."""
+    vals = np.where(z2 < 1.0, (1.0 - np.minimum(z2, 1.0)) ** 2, 0.0)
+    return MOLLIFIER_NORMALIZATION * vals / radius**3
 
 
 @dataclass(frozen=True)
@@ -54,10 +67,6 @@ class Mollifier:
             raise ValueError("mollifier radius must be positive")
 
     @property
-    def normalization(self):
-        return MOLLIFIER_NORMALIZATION
-
-    @property
     def profile_sup(self):
         """sup of the unscaled profile c (1 - |z|^2)_+^2, attained at z = 0."""
         return MOLLIFIER_NORMALIZATION
@@ -65,22 +74,26 @@ class Mollifier:
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         z2 = ((pts - np.asarray(self.center)) ** 2).sum(axis=1) / self.radius**2
-        vals = np.where(z2 < 1.0, (1.0 - np.minimum(z2, 1.0)) ** 2, 0.0)
-        return MOLLIFIER_NORMALIZATION * vals / self.radius**3
+        return _bump(z2, self.radius)
 
 
-def integrate_mollifier(mollifier, subdivisions=64, order=2):
-    """Refined Gauss quadrature of Phi_eps over its support (mesh-independent)."""
+def integrate_mollifier(mollifier):
+    """Refined Gauss quadrature of Phi_eps over its support (mesh-independent).
+
+    The tensor grid of squared distances is built by broadcasting the 1-D
+    Gauss points; no (n^3, 3) point array is formed.
+    """
     eps = mollifier.radius
-    x, w = gauss_rule_1d(order)
-    edges = np.linspace(-eps, eps, subdivisions + 1)
+    x, w = gauss_rule_1d(2)
+    edges = np.linspace(-eps, eps, _MASS_SUBDIVISIONS + 1)
     h = edges[1] - edges[0]
     pts1 = (edges[:-1, None] + h * x[None, :]).ravel()
-    wts1 = np.tile(h * w, subdivisions)
-    X, Y, Z = np.meshgrid(pts1, pts1, pts1, indexing="ij")
+    wts1 = np.tile(h * w, _MASS_SUBDIVISIONS)
+    # offsets rounded through center + offset, as the bump sees its points
+    d2 = [((pts1 + c) - c) ** 2 for c in mollifier.center]
+    z2 = (d2[0][:, None, None] + d2[1][None, :, None] + d2[2][None, None, :]) / eps**2
     W = np.einsum("i,j,k->ijk", wts1, wts1, wts1)
-    pts = np.stack([X, Y, Z], axis=-1).reshape(-1, 3) + np.asarray(mollifier.center)
-    return float((mollifier(pts) * W.ravel()).sum())
+    return float((_bump(z2, eps) * W).sum())
 
 
 #: fractional lattice offsets this close to a lattice point are snapped onto
@@ -89,7 +102,7 @@ def integrate_mollifier(mollifier, subdivisions=64, order=2):
 _OFFSET_SNAP = 1e-12
 
 
-def mollifier_load(mesh, centers, eps, subdiv=3, order=2):
+def mollifier_load(mesh, centers, eps):
     """Unit-mass nodal loads l_p = int_Omega Phi_eps(. - y) psi_p / mass, one per center.
 
     ``centers`` is (k, 3) or a single (3,) point; returns the loads (n_nodes, k)
@@ -111,7 +124,8 @@ def mollifier_load(mesh, centers, eps, subdiv=3, order=2):
     offsets, group = np.unique(np.where(snap, 0.0, rel - base), axis=0, return_inverse=True)
     group = group.reshape(-1)
 
-    x, w = gauss_rule_1d(order)
+    subdiv = MOLLIFIER_SUBDIV
+    x, w = gauss_rule_1d(QUADRATURE_ORDER)
     sub = (np.arange(subdiv)[:, None] + x[None, :]).ravel() / subdiv  # unit-cell coords
     wsub = np.tile(w / subdiv, subdiv)
     P = np.stack(np.meshgrid(sub, sub, sub, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -175,50 +189,37 @@ class NeumannKernel:
     def column(self, k):
         return DiscreteField(self.mesh, self.values[:, :, k])
 
-    def value_at(self, points, readout="interpolate"):
-        """Kernel matrix N(x, y) at probe x: (m, m) or (n, m, m)."""
+    def value_at(self, points):
+        """Kernel matrix N(x, y) at probe x, interpolated: (m, m) or (n, m, m)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if readout == "nearest":
-            d = ((self.mesh.nodes[None] - pts[:, None]) ** 2).sum(axis=2)
-            out = self.values[np.argmin(d, axis=1)]
-        else:
-            flat = interpolate(
-                DiscreteField(self.mesh, self.values.reshape(self.mesh.n_nodes, -1)), pts
-            )
-            out = flat.reshape(len(pts), self.m, self.m)
+        flat = interpolate(
+            DiscreteField(self.mesh, self.values.reshape(self.mesh.n_nodes, -1)), pts
+        )
+        out = flat.reshape(len(pts), self.m, self.m)
         return out[0] if np.asarray(points).ndim == 1 else out
 
-    def magnitude_at(self, points, readout="interpolate"):
+    def magnitude_at(self, points):
         """Frobenius |N(x, y)| over the (m, m) entries."""
-        v = self.value_at(points, readout)
+        v = self.value_at(points)
         return float(np.linalg.norm(v)) if v.ndim == 2 else np.linalg.norm(v, axis=(1, 2))
 
 
-def build_mollified_column(mesh, fld, y, eps, k, config=None, solver=None):
-    """One column of the mollified kernel: L v = Phi_eps e_k with the compensating flux."""
-    cfg = config or SolveConfig()
-    _check_pole(mesh, y, eps, require_interior=True)
-    solver = solver_for(mesh, fld, cfg, solver)
-    load, _ = mollifier_load(mesh, y, eps, cfg.mollifier_subdiv, cfg.quadrature_order)
-    u, info = _solve(solver, _pole_rhs(solver, load)[:, k])
-    out = DiscreteField(mesh, u.reshape(-1, fld.m))
-    out.info = info
-    return out
-
-
-def _check_pole(mesh, y, eps, require_interior, min_depth=None):
+def _check_eps(mesh, eps):
     if eps < 2 * mesh.h - 1e-12:
         raise UnderResolvedError(f"mollifier radius {eps} below 2h = {2 * mesh.h}")
-    if require_interior:
-        d = distance_to_boundary(mesh, y)  # raises OutOfDomainError when outside
-        if d < eps - 1e-12:
-            raise InvalidGeometryError(
-                f"mollifier ball of radius {eps} at {tuple(y)} is not contained in the domain"
-            )
-        if min_depth is not None and d < min_depth - 1e-12:
-            raise InvalidGeometryError(
-                f"pole depth {d:.4g} below the required {min_depth:.4g}"
-            )
+
+
+def _check_pole(mesh, y, eps):
+    """The mollifier ball at y lies in the domain, at depth at least max(4h, eps)."""
+    _check_eps(mesh, eps)
+    d = distance_to_boundary(mesh, y)  # raises OutOfDomainError when outside
+    if d < eps - 1e-12:
+        raise InvalidGeometryError(
+            f"mollifier ball of radius {eps} at {tuple(y)} is not contained in the domain"
+        )
+    min_depth = max(4 * mesh.h, eps)
+    if d < min_depth - 1e-12:
+        raise InvalidGeometryError(f"pole depth {d:.4g} below the required {min_depth:.4g}")
 
 
 def _pole_rhs(solver, loads):
@@ -264,30 +265,20 @@ def _telemetry(raw_mass, info, i, m):
     }
 
 
-def build_kernel(
-    mesh,
-    fld,
-    y,
-    config=None,
-    eps=None,
-    adjoint=False,
-    solver=None,
-    require_interior=True,
-):
+def build_kernel(mesh, fld, y, config=None, eps=None, adjoint=False, solver=None):
     """All m columns at pole y; adjoint=True builds the kernel of the adjoint operator.
 
-    ``eps`` defaults to 2h, the finest resolvable mollification scale.  With
-    ``require_interior=False`` the mollifier may be clipped by the boundary
-    (its discrete mass is renormalized), as at the boundary poles of
-    ``build_node_kernel_set``.
+    ``eps`` defaults to 2h, the finest resolvable mollification scale.  The
+    pole must lie at depth max(4h, eps) or more, so its mollifier is never
+    clipped by the boundary.
     """
     cfg = config or SolveConfig()
     y = np.asarray(y, dtype=float)
     eps = 2 * mesh.h if eps is None else float(eps)
-    _check_pole(mesh, y, eps, require_interior, min_depth=max(4 * mesh.h, eps))
+    _check_pole(mesh, y, eps)
     work_field = adjoint_coefficients(fld) if adjoint else fld
     solver = solver_for(mesh, work_field, cfg, solver)
-    loads, raw = mollifier_load(mesh, y, eps, cfg.mollifier_subdiv, cfg.quadrature_order)
+    loads, raw = mollifier_load(mesh, y, eps)
     values, info = _solve_poles(solver, loads)
     telemetry = _telemetry(raw[0], info, 0, fld.m)
     values = np.ascontiguousarray(values[0])
@@ -369,10 +360,10 @@ def build_node_kernel_set(mesh, fld, config=None, eps=None, adjoint=True):
             "representation tests are meant for coarse meshes"
         )
     eps = 2 * mesh.h if eps is None else float(eps)
-    _check_pole(mesh, None, eps, require_interior=False)
+    _check_eps(mesh, eps)
     work_field = adjoint_coefficients(fld) if adjoint else fld
     solver = NeumannSolver(mesh, work_field, cfg)
-    loads, raw = mollifier_load(mesh, mesh.nodes, eps, cfg.mollifier_subdiv, cfg.quadrature_order)
+    loads, raw = mollifier_load(mesh, mesh.nodes, eps)
     values = np.empty((n, n, m, m))
     kernels = {}
     for lo in range(0, n, _POLE_BLOCK):
@@ -386,15 +377,13 @@ def build_node_kernel_set(mesh, fld, config=None, eps=None, adjoint=True):
     return kernels
 
 
-def representation_solve(kernels, f, g, quadrature_order=2):
+def representation_solve(kernels, f, g):
     """Evaluate u(x) = int N(x, y) f(y) dy + int_dOmega N(x, y) g(y) dsigma(y).
 
     ``kernels`` maps node id -> adjoint kernel at that node.  By discrete
     duality the result equals the mollified readout of the direct solve (same
     discretization, same eps) to solver precision.
     """
-    from .discretize import assemble_boundary_load, assemble_volume_load
-
     if not kernels:
         raise CoverageError("empty kernel set")
     sample = next(iter(kernels.values()))
@@ -405,9 +394,9 @@ def representation_solve(kernels, f, g, quadrature_order=2):
     if missing:
         raise CoverageError(f"kernel set misses {len(missing)} node poles (first: {missing[:4]})")
     m = sample.m
-    load = assemble_volume_load(mesh, f, m, quadrature_order)
+    load = assemble_volume_load(mesh, f, m)
     if not mesh.is_graph:
-        load = load + assemble_boundary_load(mesh, g, m, quadrature_order, graph_only=False)
+        load = load + assemble_boundary_load(mesh, g, m)
     elif g is not None:
         raise InterfaceError("graph-mode representation takes no boundary density")
     out = np.empty((mesh.n_nodes, m))

@@ -61,7 +61,6 @@ class Staircase:
 class TruncatedGraph:
     lipschitz_constant: float
     box: tuple
-    r_cutoff: float | None = None
 
 
 class Mesh:
@@ -217,32 +216,29 @@ class Mesh:
     def locate(self, points):
         """Map points to (cell id, local [0,1]^3 coordinates).
 
-        Points on shared faces resolve to the lexicographically first
-        occupied cell; points farther than ``_SNAP`` outside raise.
+        A point on a face, edge or node shared by occupied cells resolves to
+        the cell at its own lattice index floor((x - origin) / h) when that
+        cell is occupied (the lexicographically last of them), else to the
+        first occupied lower neighbour in ``_LOCATE_OFFSETS`` order.  Points
+        farther than ``_SNAP`` outside raise OutOfDomainError.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         rel = (pts - self.origin) / self.h
-        shape = self._occ.shape
-        cell_ids = np.empty(len(pts), dtype=np.int64)
+        base = np.floor(rel + _SNAP).astype(np.int64)
+        cell_ids = np.full(len(pts), -1, dtype=np.int64)
         local = np.empty((len(pts), 3))
-        for p, r in enumerate(rel):
-            base = np.floor(r + _SNAP).astype(np.int64)
-            found = -1
-            for off in _LOCATE_OFFSETS:
-                idx = base + off
-                if np.any(idx < 0) or np.any(idx >= shape):
-                    continue
-                t = r - idx
-                if np.all(t >= -_SNAP) and np.all(t <= 1 + _SNAP):
-                    cid = self._cell_id[idx[0], idx[1], idx[2]]
-                    if cid >= 0:
-                        found = cid
-                        local[p] = np.clip(t, 0.0, 1.0)
-                        break
-            if found < 0:
-                raise OutOfDomainError(f"point {pts[p]} is outside the domain")
-            cell_ids[p] = found
-        return cell_ids, local
+        todo = np.arange(len(pts))
+        for off in _LOCATE_OFFSETS:
+            idx = base[todo] + off
+            t = rel[todo] - idx
+            cid = self.cell_ids(idx)
+            hit = (cid >= 0) & np.all((t >= -_SNAP) & (t <= 1 + _SNAP), axis=1)
+            cell_ids[todo[hit]] = cid[hit]
+            local[todo[hit]] = np.clip(t[hit], 0.0, 1.0)
+            todo = todo[~hit]
+            if len(todo) == 0:
+                return cell_ids, local
+        raise OutOfDomainError(f"point {pts[todo[0]]} is outside the domain")
 
     def contains(self, point):
         try:
@@ -335,7 +331,7 @@ def _require_connected(occ):
         raise InvalidGeometryError("staircase union has disconnected interior")
 
 
-def build_truncated_graph_mesh(profile, lipschitz_constant, box, h, r_cutoff=None):
+def build_truncated_graph_mesh(profile, lipschitz_constant, box, h):
     """Staircase mesh of {x3 > profile(x1, x2)} clipped to ``box``.
 
     ``profile`` is a callable evaluated on the lattice corner grid (or an
@@ -385,10 +381,8 @@ def build_truncated_graph_mesh(profile, lipschitz_constant, box, h, r_cutoff=Non
         plane = hi[axis] if side > 0 else lo[axis]
         return np.abs(centers[:, axis] - plane) > _SNAP
 
-    spec = TruncatedGraph(float(lipschitz_constant), (tuple(lo), tuple(hi)), r_cutoff)
-    mesh = Mesh(lo, h, occ, spec, graph_facet_rule=graph_rule)
-    mesh.profile_samples = phi
-    return mesh
+    spec = TruncatedGraph(float(lipschitz_constant), (tuple(lo), tuple(hi)))
+    return Mesh(lo, h, occ, spec, graph_facet_rule=graph_rule)
 
 
 def _check_lipschitz(phi, gx, gy, K, max_pairs=4_000_000):
@@ -425,11 +419,3 @@ def distance_to_boundary(mesh, point, include_far=True):
     d = np.maximum(lo - point, 0.0) + np.maximum(point - hi, 0.0)
     return float(np.sqrt((d**2).sum(axis=1)).min())
 
-
-def effective_distance(mesh, point, r_cutoff=None):
-    """min(d_x, R_c): distance to the true boundary capped by the cutoff radius."""
-    rc = r_cutoff
-    if rc is None and isinstance(mesh.domain, TruncatedGraph):
-        rc = mesh.domain.r_cutoff
-    d = distance_to_boundary(mesh, point, include_far=not mesh.is_graph)
-    return d if rc is None else min(d, float(rc))

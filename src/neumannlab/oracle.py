@@ -35,12 +35,13 @@ import numpy as np
 from .errors import SingularityError
 
 _FOUR_PI = 4.0 * np.pi
+#: probes per vectorized block of cube_neumann_series_batch
+_BATCH_CHUNK = 2048
 
 
 @dataclass(frozen=True)
 class SeriesConfig:
     cutoff: int = 20
-    correction_tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.cutoff < 1:
@@ -132,7 +133,7 @@ def _gk_batch(kappa, s, t):
     return num / (2.0 * k * (1.0 - np.exp(-2.0 * k)))
 
 
-def cube_neumann_series_batch(xs, y, config=None, chunk=2048):
+def cube_neumann_series_batch(xs, y, config=None):
     """Vectorized cube_neumann_series for many probes against one pole."""
     cfg = config or SeriesConfig()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -148,8 +149,8 @@ def cube_neumann_series_batch(xs, y, config=None, chunk=2048):
             continue
         t1, t2 = [a for a in range(3) if a != axis]
         kap = np.pi * np.sqrt((k[:, None] ** 2 + k[None, :] ** 2).astype(float))  # (K+1, K+1)
-        for s0 in range(0, len(rows), chunk):
-            sel = rows[s0 : s0 + chunk]
+        for s0 in range(0, len(rows), _BATCH_CHUNK):
+            sel = rows[s0 : s0 + _BATCH_CHUNK]
             x = xs[sel]
             c1 = nu2[None] * np.cos(np.outer(x[:, t1], k) * np.pi) * np.cos(k * np.pi * y[t1])[None]
             c2 = nu2[None] * np.cos(np.outer(x[:, t2], k) * np.pi) * np.cos(k * np.pi * y[t2])[None]

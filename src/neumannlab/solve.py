@@ -34,26 +34,24 @@ from .discretize import (
 from .errors import CompatibilityError, InterfaceError, NumericFailureError
 
 
+#: Krylov iteration cap per right-hand side
+MAX_ITERATIONS = 20000
+#: largest |int f + int g| accepted, relative to the L1 size of the data
+COMPATIBILITY_RTOL = 1e-6
+#: graph solves flag a load supported within this many cells of the far cut
+TRUNCATION_MARGIN_CELLS = 4
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     tolerance: float = 1e-10
-    max_iterations: int = 20000
     linear_solver: str = "direct"  # or "krylov"
-    quadrature_order: int = 2
-    far_boundary: str = "homogeneous-dirichlet"
-    compatibility_rtol: float = 1e-6
-    mollifier_subdiv: int = 3
-    truncation_margin: float | None = None  # defaults to 4h at solve time
 
     def __post_init__(self):
         if not (0.0 < self.tolerance < 1.0):
             raise ValueError("tolerance must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if self.linear_solver not in ("direct", "krylov"):
             raise ValueError(f"unknown linear solver {self.linear_solver}")
-        if self.far_boundary != "homogeneous-dirichlet":
-            raise ValueError(f"unsupported far-boundary condition {self.far_boundary}")
 
 
 @dataclass
@@ -79,7 +77,7 @@ class NeumannSolver:
         self.mesh = mesh
         self.field = fld
         self.config = config or SolveConfig()
-        self.stiffness = assemble_stiffness(mesh, fld, self.config.quadrature_order)
+        self.stiffness = assemble_stiffness(mesh, fld)
         self.m = fld.m
         self.n_dof = self.stiffness.n_dof
         K = self.stiffness.matrix
@@ -133,12 +131,12 @@ class NeumannSolver:
 
         if method == "cg":
             x, code = spla.cg(
-                self._block, r, rtol=cfg.tolerance, atol=0.0, maxiter=cfg.max_iterations,
+                self._block, r, rtol=cfg.tolerance, atol=0.0, maxiter=MAX_ITERATIONS,
                 callback=cb,
             )
         else:
             x, code = spla.gmres(
-                self._block, r, rtol=cfg.tolerance, atol=0.0, maxiter=cfg.max_iterations,
+                self._block, r, rtol=cfg.tolerance, atol=0.0, maxiter=MAX_ITERATIONS,
                 restart=200, callback=cb, callback_type="pr_norm",
             )
         if code != 0:
@@ -159,7 +157,9 @@ class NeumannSolver:
             raise InterfaceError("bounded solve requested on a graph mesh")
         b = self.boundary_weights
         F = load.reshape(self.mesh.n_nodes, self.m, -1)
-        mu = F.sum(axis=0) / b.sum()
+        # pairwise sums over contiguous node runs: a column of a block gets the
+        # multiplier, and so the Krylov iterates, of its solve alone
+        mu = np.ascontiguousarray(F.transpose(2, 1, 0)).sum(axis=2).T / b.sum()
         flux = (b[:, None, None] * mu).reshape(load.shape)  # B^T mu
         u, method, iterations = self._solve_reduced(load - flux)
         U = u.reshape(F.shape)
@@ -215,20 +215,18 @@ def _guard(info, cfg, mode):
         )
 
 
-def check_compatibility(mesh, f, g, m=1, quadrature_order=2):
+def _load(mesh, f, g, m):
+    return assemble_volume_load(mesh, f, m) + assemble_boundary_load(mesh, g, m)
+
+
+def check_compatibility(mesh, f, g, m=1):
     """r = int_Omega f + int_{dOmega} g per component (pure evaluation)."""
-    fl = assemble_volume_load(mesh, f, m, quadrature_order)
-    gl = assemble_boundary_load(mesh, g, m, quadrature_order, graph_only=False)
-    return (fl + gl).reshape(-1, m).sum(axis=0)
+    return _load(mesh, f, g, m).reshape(-1, m).sum(axis=0)
 
 
-def _l1_data_norm(mesh, f, g, m, order):
-    fl = assemble_volume_load(mesh, lambda p: np.abs(_eval(f, p, m)), m, order) if f else np.zeros(1)
-    gl = (
-        assemble_boundary_load(mesh, lambda p: np.abs(_eval(g, p, m)), m, order, graph_only=False)
-        if g
-        else np.zeros(1)
-    )
+def _l1_data_norm(mesh, f, g, m):
+    fl = assemble_volume_load(mesh, lambda p: np.abs(_eval(f, p, m)), m) if f else np.zeros(1)
+    gl = assemble_boundary_load(mesh, lambda p: np.abs(_eval(g, p, m)), m) if g else np.zeros(1)
     return float(fl.sum() + gl.sum())
 
 
@@ -243,18 +241,16 @@ def solve_neumann_bounded(mesh, fld, f, g, config=None, solver=None):
     """Unique zero-boundary-mean solution of L u = f, A Du . n = g.
 
     Raises CompatibilityError when int f + int g deviates from zero by more
-    than compatibility_rtol relative to the L1 size of the data.
+    than COMPATIBILITY_RTOL relative to the L1 size of the data.
     """
     cfg = config or SolveConfig()
     solver = solver_for(mesh, fld, cfg, solver)
     m = fld.m
-    residual = check_compatibility(mesh, f, g, m, cfg.quadrature_order)
-    scale = _l1_data_norm(mesh, f, g, m, cfg.quadrature_order)
-    if np.linalg.norm(residual) > cfg.compatibility_rtol * max(scale, 1e-300):
+    load = _load(mesh, f, g, m)
+    residual = load.reshape(-1, m).sum(axis=0)
+    scale = _l1_data_norm(mesh, f, g, m)
+    if np.linalg.norm(residual) > COMPATIBILITY_RTOL * max(scale, 1e-300):
         raise CompatibilityError(residual)
-    load = assemble_volume_load(mesh, f, m, cfg.quadrature_order) + assemble_boundary_load(
-        mesh, g, m, cfg.quadrature_order, graph_only=False
-    )
     u, info = solver.solve_bounded(load)
     out = DiscreteField(mesh, u.reshape(-1, m))
     out.info = info
@@ -269,16 +265,16 @@ def solve_neumann_graph(mesh, fld, f, config=None, solver=None):
     cfg = config or SolveConfig()
     solver = solver_for(mesh, fld, cfg, solver)
     m = fld.m
-    load = assemble_volume_load(mesh, f, m, cfg.quadrature_order)
-    flags = _truncation_flags(mesh, load, m, cfg)
+    load = assemble_volume_load(mesh, f, m)
+    flags = _truncation_flags(mesh, load, m)
     u, info = solver.solve_graph(load)
     out = DiscreteField(mesh, u.reshape(-1, m), flags=flags)
     out.info = info
     return out
 
 
-def _truncation_flags(mesh, load, m, cfg):
-    margin = cfg.truncation_margin if cfg.truncation_margin is not None else 4 * mesh.h
+def _truncation_flags(mesh, load, m):
+    margin = TRUNCATION_MARGIN_CELLS * mesh.h
     support = np.flatnonzero(np.abs(load.reshape(-1, m)).sum(axis=1) > 0)
     if len(support) == 0 or mesh.far_nodes is None or len(mesh.far_nodes) == 0:
         return ()

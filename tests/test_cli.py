@@ -251,23 +251,12 @@ class TestMain:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "non-finite" in capsys.readouterr().out
 
-    def test_exit_three_on_numeric_failure(self, tmp_path):
+    def test_exit_three_on_numeric_failure(self, tmp_path, monkeypatch):
         cfg = tmp_path / "numfail.cfg"
         cfg.write_text("kind = solve\nmesh.n = 6\nsolve.linear_solver = krylov\n"
                        "solve.tolerance = 1e-13\n")
-        import neumannlab.cli as climod
         import neumannlab.solve as solvemod
 
         # force non-convergence by capping iterations
-        orig = solvemod.SolveConfig
-
-        def tiny(*a, **k):
-            k["max_iterations"] = 2
-            return orig(*a, **k)
-
-        try:
-            climod.SolveConfig = tiny
-            code = main(["--config", str(cfg), "--out", str(tmp_path / "o3")])
-        finally:
-            climod.SolveConfig = orig
-        assert code == 3
+        monkeypatch.setattr(solvemod, "MAX_ITERATIONS", 2)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o3")]) == 3

@@ -25,7 +25,6 @@ from neumannlab.kernel import (
     MOLLIFIER_NORMALIZATION,
     Mollifier,
     build_kernel,
-    build_mollified_column,
     build_node_kernel_set,
     check_defining_identity,
     check_symmetry_identity,
@@ -62,11 +61,24 @@ class TestMollifier:
         mol = Mollifier(CENTER, 0.17)
         assert abs(integrate_mollifier(mol) - 1.0) < 1e-6
 
+    def test_mass_matches_point_array_quadrature(self):
+        # reference: the same 128^3 Gauss rule evaluated on an explicit point array
+        mol = Mollifier((0.3, 0.55, 0.71), 0.17)
+        x, w = gauss_rule_1d(2)
+        edges = np.linspace(-mol.radius, mol.radius, 65)
+        h = edges[1] - edges[0]
+        pts1 = (edges[:-1, None] + h * x[None, :]).ravel()
+        wts1 = np.tile(h * w, 64)
+        P = np.stack(np.meshgrid(pts1, pts1, pts1, indexing="ij"), axis=-1).reshape(-1, 3)
+        W = np.einsum("i,j,k->ijk", wts1, wts1, wts1).ravel()
+        ref = float((mol(P + np.asarray(mol.center)) * W).sum())
+        assert abs(integrate_mollifier(mol) - ref) <= 1e-15
+
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.05, 0.5))
     def test_mass_scale_invariant(self, eps):
         mol = Mollifier((0.0, 0.0, 0.0), eps)
-        assert abs(integrate_mollifier(mol, subdivisions=32) - 1.0) < 1e-5
+        assert abs(integrate_mollifier(mol) - 1.0) < 1e-5
 
     def test_discrete_load_normalized(self, unit_cube_12):
         load, raw = mollifier_load(unit_cube_12, CENTER, 2.0 / 12)
@@ -130,28 +142,29 @@ class TestLoadStencil:
 
 class TestColumnBuild:
     def test_compatibility_by_construction(self, unit_cube_12, identity_field, solve_config):
-        col = build_mollified_column(unit_cube_12, identity_field, CENTER, 2 / 12, 0, solve_config)
+        col = build_kernel(unit_cube_12, identity_field, CENTER, solve_config, eps=2 / 12).column(0)
         assert np.abs(boundary_mean(col)).max() < 1e-10
 
     def test_under_resolved_eps(self, unit_cube_12, identity_field, solve_config):
         with pytest.raises(UnderResolvedError):
-            build_mollified_column(unit_cube_12, identity_field, CENTER, 1.2 / 12, 0, solve_config)
+            build_kernel(unit_cube_12, identity_field, CENTER, solve_config, eps=1.2 / 12).column(0)
 
     def test_ball_outside_domain(self, unit_cube_12, identity_field, solve_config):
         with pytest.raises(InvalidGeometryError):
-            build_mollified_column(
-                unit_cube_12, identity_field, (0.08, 0.5, 0.5), 2 / 12, 0, solve_config
-            )
+            build_kernel(
+                unit_cube_12, identity_field, (0.08, 0.5, 0.5), solve_config, eps=2 / 12
+            ).column(0)
 
     def test_energy_scaling_in_eps(self, identity_field, solve_config):
         # ||Dv|| ~ eps^{(2-d)/2}: halving eps grows the energy by about sqrt(2)
         from neumannlab.discretize import gradient_l2_norm
 
         mesh = build_box_mesh((1, 1, 1), 32)
+        solver = NeumannSolver(mesh, identity_field, solve_config)  # one factorization
         e = {}
         for eps in (4 / 32, 8 / 32):
-            col = build_mollified_column(mesh, identity_field, CENTER, eps, 0, solve_config)
-            e[eps] = gradient_l2_norm(col)
+            kern = build_kernel(mesh, identity_field, CENTER, solve_config, eps=eps, solver=solver)
+            e[eps] = gradient_l2_norm(kern.column(0))
         ratio = e[4 / 32] / e[8 / 32]
         assert abs(ratio - np.sqrt(2)) / np.sqrt(2) < 0.25
 
@@ -375,14 +388,21 @@ class TestNodeKernelSet:
     def test_matches_per_pole_kernels(self, skew_case):
         mesh, fld, cfg = skew_case
         kernels = build_node_kernel_set(mesh, fld, cfg)
+        m = fld.m
         for p in (0, 24, 171, 342):  # corner, centre of the face x = 0, centre, far corner
-            own = build_kernel(
-                mesh, fld, mesh.nodes[p], cfg, adjoint=True, solver=kernels[p].solver,
-                require_interior=False,
-            )
-            scale = np.abs(own.values).max()
-            assert np.abs(kernels[p].values - own.values).max() <= 1e-12 * scale
-            assert np.abs(kernels[p].pole_load - own.pole_load).max() <= 1e-15
+            # reference: the pole's own clipped load, one column per component,
+            # each with the compensating boundary flux -(1/|dOmega|) e_c
+            solver = kernels[p].solver
+            load, _ = mollifier_load(mesh, mesh.nodes[p], 2 * mesh.h)
+            flux = solver.boundary_weights / mesh.boundary_measure
+            rhs = np.zeros((mesh.n_nodes, m, m))
+            for c in range(m):
+                rhs[:, c, c] = load[:, 0] - flux
+            u, _ = solver.solve_bounded(rhs.reshape(solver.n_dof, m))
+            own = u.reshape(mesh.n_nodes, m, m)
+            scale = np.abs(own).max()
+            assert np.abs(kernels[p].values - own).max() <= 1e-12 * scale
+            assert np.abs(kernels[p].pole_load - load[:, 0]).max() <= 1e-15
 
     def test_large_mesh_refused_before_assembly(self, identity_field, monkeypatch):
         import neumannlab.solve as solvemod

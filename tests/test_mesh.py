@@ -10,11 +10,12 @@ from neumannlab.errors import (
     OutOfDomainError,
 )
 from neumannlab.mesh import (
+    _LOCATE_OFFSETS,
+    _SNAP,
     build_box_mesh,
     build_staircase_mesh,
     build_truncated_graph_mesh,
     distance_to_boundary,
-    effective_distance,
 )
 
 
@@ -199,5 +200,66 @@ class TestDistance:
         assert_allclose(distance_to_boundary(flat_graph_12, p2), 0.25)
         assert_allclose(distance_to_boundary(flat_graph_12, p2, include_far=False), 0.75)
 
-    def test_effective_distance_cutoff(self, flat_graph_12):
-        assert_allclose(effective_distance(flat_graph_12, (0.5, 0.5, 0.75), r_cutoff=0.3), 0.3)
+
+LOCATE_MESHES = {
+    # name: (mesh, a point outside it)
+    "box": (build_box_mesh((1, 1, 1), 12), (0.5, 0.5, 1.2)),
+    "staircase": (
+        build_staircase_mesh(
+            [((-0.5, -0.5, -0.5), (0.0, 0.5, 0.5)), ((0.0, -0.5, -0.5), (0.5, 0.0, 0.5))], 0.25
+        ),
+        (0.3, 0.3, 0.0),  # in the notch of the bounding box
+    ),
+    "graph": (
+        build_truncated_graph_mesh(lambda x, y: 0.3 * x, 0.5, ((0, 0, 0), (1, 1, 1)), 1 / 6),
+        (0.9, 0.5, 0.05),  # below the staircase floor
+    ),
+}
+
+
+def loop_locate(mesh, point):
+    """Per-point reference: the first occupied cell in offset order whose closure holds the point."""
+    r = (np.asarray(point, dtype=float) - mesh.origin) / mesh.h
+    base = np.floor(r + _SNAP).astype(np.int64)
+    for off in _LOCATE_OFFSETS:
+        t = r - (base + off)
+        if np.all(t >= -_SNAP) and np.all(t <= 1 + _SNAP) and mesh.cell_ids(base + off) >= 0:
+            return mesh.cell_ids(base + off), np.clip(t, 0.0, 1.0)
+    raise AssertionError(f"reference found no cell for {point}")
+
+
+class TestLocate:
+    @pytest.mark.parametrize("name", sorted(LOCATE_MESHES))
+    def test_batch_matches_single_points(self, name):
+        mesh, _ = LOCATE_MESHES[name]
+        rng = np.random.default_rng(0)
+        cells = rng.integers(0, mesh.n_cells, 200)
+        inner = mesh.cell_origins()[cells] + mesh.h * rng.uniform(size=(200, 3))
+        pts = np.concatenate([mesh.nodes, mesh.facet_center, inner])
+        ids, local = mesh.locate(pts)
+        for p, cid, t in zip(pts, ids, local):
+            one_id, one_t = mesh.locate(p)
+            assert one_id[0] == cid and np.array_equal(one_t[0], t)
+            ref_id, ref_t = loop_locate(mesh, p)
+            assert ref_id == cid and np.array_equal(ref_t, t)
+        assert_allclose(mesh.cell_origins()[ids] + mesh.h * local, pts, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(LOCATE_MESHES))
+    def test_shared_node_takes_own_lattice_cell(self, name):
+        mesh, _ = LOCATE_MESHES[name]
+        own = mesh.cell_ids(np.round((mesh.nodes - mesh.origin) / mesh.h).astype(np.int64))
+        ids, local = mesh.locate(mesh.nodes)
+        assert np.array_equal(ids[own >= 0], own[own >= 0])
+        assert np.all(local[own >= 0] == 0.0)
+
+    def test_center_of_two_cube_goes_to_last_cell(self):
+        mesh = build_box_mesh((1, 1, 1), 2)
+        ids, local = mesh.locate((0.5, 0.5, 0.5))
+        assert tuple(mesh.cells_ijk[ids[0]]) == (1, 1, 1)
+        assert np.array_equal(local[0], np.zeros(3))
+
+    @pytest.mark.parametrize("name", sorted(LOCATE_MESHES))
+    def test_outside_point_in_batch_raises(self, name):
+        mesh, outside = LOCATE_MESHES[name]
+        with pytest.raises(OutOfDomainError):
+            mesh.locate(np.vstack([mesh.nodes[:5], outside, mesh.nodes[5:9]]))

@@ -356,13 +356,13 @@ class TestSolverMismatch:
             )
 
     def test_mollified_column_other_field(self, unit_cube_8, identity_field, checkerboard_field):
-        from neumannlab.kernel import build_mollified_column
+        from neumannlab.kernel import build_kernel
 
         solver = NeumannSolver(unit_cube_8, checkerboard_field)
         with pytest.raises(InterfaceError, match="coefficient field"):
-            build_mollified_column(
-                unit_cube_8, identity_field, (0.5, 0.5, 0.5), 0.25, 0, solver=solver
-            )
+            build_kernel(
+                unit_cube_8, identity_field, (0.5, 0.5, 0.5), eps=0.25, solver=solver
+            ).column(0)
 
     def test_local_boundedness_other_field(self, unit_cube_8, identity_field, checkerboard_field):
         from neumannlab.estimates import test_local_boundedness as local_boundedness
