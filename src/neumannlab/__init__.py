@@ -16,7 +16,7 @@ from .coeff import (
     make_coefficient,
     verify_ellipticity_bounds,
 )
-from .discretize import DiscreteField, boundary_mean, estimate_poincare_constant
+from .discretize import DiscreteField, boundary_mean
 from .kernel import (
     Mollifier,
     NeumannKernel,
@@ -66,7 +66,6 @@ __all__ = [
     "check_defining_identity",
     "check_symmetry_identity",
     "distance_to_boundary",
-    "estimate_poincare_constant",
     "make_coefficient",
     "representation_solve",
     "solve_neumann_bounded",

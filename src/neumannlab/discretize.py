@@ -126,48 +126,47 @@ class StiffnessOperator:
         return self.matrix.shape[0]
 
 
-def _cell_dofs(mesh, m):
-    return (mesh.cells[:, :, None] * m + np.arange(m)[None, None, :]).reshape(mesh.n_cells, 8 * m)
+# slot of local corner q in the stencil of local corner p: the lexicographic
+# rank of their offset in {-1, 0, 1}^3, as in mesh.STENCIL_OFFSETS
+_PAIR_SLOT = (CELL_CORNERS[None, :, :] - CELL_CORNERS[:, None, :] + 1) @ np.array([9, 3, 1])
 
 
 def assemble_stiffness(mesh, fld):
-    """Cell-chunked assembly keeps peak memory bounded on large meshes.
+    """Stiffness matrix as a canonical CSR read off a 27-point stencil table.
 
-    Chunks accumulate into one CSR sum in a fixed order, so the result is
-    bit-identical regardless of mesh size.
+    Element matrices are one matrix product: the (cells m m, 9G) Gauss-point
+    tensors, rows (cell, i, j) and columns (g, a, b), times the (9G, 64)
+    reference block w_g dpsi_p[a] dpsi_q[b].  ``np.bincount`` sums them, one
+    cell chunk at a time (bounding peak memory), into an (n_dof, 27 m) table:
+    row (p, i), slot (stencil offset of q from p, j).  Node ids and offsets
+    are both lexicographic, so the table's nonzero entries in row-major order
+    form the CSR with sorted columns; entries that cancel to exact zero are
+    dropped.  No sum depends on how BLAS splits the product across threads,
+    so the matrix is bit-identical at any BLAS thread count.
     """
     ref, w = volume_quadrature(QUADRATURE_ORDER)
     grads = shape_gradients(ref) / mesh.h  # (G, 8, 3) physical
-    wphys = w * mesh.h**3
+    block = np.einsum("g,gpa,gqb->gabpq", w * mesh.h**3, grads, grads).reshape(9 * len(ref), 64)
     m = fld.m
-    dofs = _cell_dofs(mesh, m)
     n = mesh.n_nodes * m
+    width = 27 * m
+    # table position of entry (c, i, j, p, q), less that of row node p
+    local = np.arange(m)[:, None, None, None] * width + np.arange(m)[:, None, None] + _PAIR_SLOT * m
     origins = mesh.cell_origins()
-    mat = sp.csr_matrix((n, n))
+    table = np.zeros(n * width)
     for start in range(0, mesh.n_cells, _ASSEMBLY_CHUNK):
         sel = slice(start, min(start + _ASSEMBLY_CHUNK, mesh.n_cells))
-        nc = sel.stop - sel.start
         pts = origins[sel][:, None, :] + mesh.h * ref[None, :, :]
-        a = fld.evaluate(pts.reshape(-1, 3)).reshape(nc, len(ref), 3, 3, m, m)
-        # entry ((p,i),(q,j)) = sum_g w_g A[a,b,i,j] dpsi_q[b] dpsi_p[a]
-        kcell = np.einsum("g,cgabij,gqb,gpa->cpiqj", wphys, a, grads, grads, optimize=True)
-        rows = np.repeat(dofs[sel], 8 * m, axis=1).ravel()
-        cols = np.tile(dofs[sel], (1, 8 * m)).ravel()
-        mat = mat + sp.coo_matrix(
-            (kcell.reshape(nc, 8 * m, 8 * m).ravel(), (rows, cols)), shape=(n, n)
-        ).tocsr()
-    return StiffnessOperator(mat)
-
-
-def assemble_mass(mesh):
-    """Scalar mass matrix int_Omega psi_p psi_q."""
-    ref, w = volume_quadrature(QUADRATURE_ORDER)
-    psi = shape_values(ref)  # (G, 8)
-    mcell = np.einsum("g,gp,gq->pq", w * mesh.h**3, psi, psi)
-    rows = np.repeat(mesh.cells, 8, axis=1).ravel()
-    cols = np.tile(mesh.cells, (1, 8)).ravel()
-    vals = np.broadcast_to(mcell, (mesh.n_cells, 8, 8)).ravel()
-    return sp.coo_matrix((vals, (rows, cols)), shape=(mesh.n_nodes,) * 2).tocsr()
+        a = fld.evaluate(pts.reshape(-1, 3)).reshape(-1, len(ref), 3, 3, m, m)
+        a = np.ascontiguousarray(a.transpose(0, 4, 5, 1, 2, 3)).reshape(-1, 9 * len(ref))
+        where = mesh.cells[sel, None, None, :, None] * (m * width) + local
+        table += np.bincount(where.ravel(), weights=(a @ block).ravel(), minlength=len(table))
+    table = table.reshape(n, width)
+    cols = (mesh._stencil_nodes()[:, None, :, None] * m + np.arange(m)).reshape(-1, 1, width)
+    cols = np.broadcast_to(cols, (mesh.n_nodes, m, width)).reshape(n, width)
+    keep = table != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return StiffnessOperator(sp.csr_matrix((table[keep], cols[keep], indptr), shape=(n, n)))
 
 
 def _as_components(vals, m, n):
@@ -190,7 +189,7 @@ def assemble_volume_load(mesh, f, m):
     fv = _as_components(f(pts.reshape(-1, 3)), m, mesh.n_cells * len(ref))
     fv = fv.reshape(mesh.n_cells, len(ref), m)
     lcell = np.einsum("g,cgi,gp->cpi", w * mesh.h**3, fv, psi)
-    np.add.at(out, _cell_dofs(mesh, m).reshape(-1), lcell.reshape(-1))
+    np.add.at(out, (mesh.cells[:, :, None] * m + np.arange(m)).reshape(-1), lcell.reshape(-1))
     return out
 
 
@@ -295,35 +294,3 @@ def l2_error(fld, exact):
         ex = ex[:, None]
     diff = vals - ex.reshape(vals.shape)
     return float(np.sqrt(np.einsum("g,cgm->", w, diff**2)))
-
-
-def estimate_poincare_constant(mesh, tol=1e-10, max_iterations=200):
-    """C in ||u|| <= C ||Du|| over the zero-boundary-trace subspace (scalar).
-
-    Inverse iteration on the generalized problem (K, M) restricted to
-    {b^T u = 0}; the bounded Neumann solve is the constrained inverse.
-    """
-    from .coeff import Identity, make_coefficient  # local imports avoid cycles
-    from .solve import NeumannSolver
-
-    solver = NeumannSolver(mesh, make_coefficient(Identity(m=1)))
-    K = solver.stiffness.matrix
-    M = assemble_mass(mesh)
-    b = solver.boundary_weights
-
-    u = mesh.nodes[:, 0] - mesh.nodes[:, 0].mean()
-    u -= b * (b @ u) / (b @ b)
-    u /= np.sqrt(u @ (M @ u))
-    rho_prev = np.inf
-    history = []
-    for _ in range(max_iterations):
-        u = solver.solve_bounded(M @ u)[0]
-        u /= np.sqrt(u @ (M @ u))
-        rho = float(u @ (K @ u))
-        history.append(rho)
-        if abs(rho - rho_prev) <= tol * abs(rho):
-            return 1.0 / np.sqrt(rho)
-        rho_prev = rho
-    raise NumericFailureError(
-        "Poincare inverse iteration did not converge", diagnostics={"rayleigh": history}
-    )

@@ -213,14 +213,14 @@ def radial_probe_samples(kernel, radii, seed=0):
     dirs = rng.standard_normal((N_DIRECTIONS, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     y = kernel.pole
+    pts = y[None, None, :] + np.asarray(radii, dtype=float)[:, None, None] * dirs[None, :, :]
+    inside = kernel.mesh.contains(pts.reshape(-1, 3)).reshape(pts.shape[:2])
     samples = []
     raw = []
-    for r in radii:
-        pts = y[None, :] + r * dirs
-        keep = [p for p in pts if kernel.mesh.contains(p)]
-        if not keep:
+    for r, probes, keep in zip(radii, pts, inside):
+        if not keep.any():
             continue
-        mags = kernel.magnitude_at(np.asarray(keep))
+        mags = kernel.magnitude_at(probes[keep])
         mags = mags[mags > 0]
         if len(mags) == 0:
             continue

@@ -25,11 +25,14 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .discretize import (
+    QUADRATURE_ORDER,
     DiscreteField,
     assemble_boundary_load,
     assemble_stiffness,
     assemble_volume_load,
     boundary_weight_vector,
+    gauss_rule_1d,
+    volume_quadrature,
 )
 from .errors import CompatibilityError, InterfaceError, NumericFailureError
 
@@ -216,25 +219,32 @@ def _guard(info, cfg, mode):
 
 
 def _load(mesh, f, g, m):
-    return assemble_volume_load(mesh, f, m) + assemble_boundary_load(mesh, g, m)
+    """Load vector of the data (f, g) and its L1 size int |f| + int |g|.
+
+    The L1 size is the Gauss quadrature of |f| and |g| on the values the load
+    assembly evaluates, so each density is evaluated once; by the partition
+    of unity it equals the total of the |f| and |g| loads.
+    """
+    l1 = []
+
+    def tap(fn, w):  # fn, recording the quadrature of |fn| with point weights w
+        def density(pts):
+            vals = np.asarray(fn(pts), dtype=float)
+            l1.append(np.abs(vals).reshape(len(vals) // len(w), len(w), -1).sum(axis=(0, 2)) @ w)
+            return vals
+
+        return None if fn is None else density
+
+    w1 = gauss_rule_1d(QUADRATURE_ORDER)[1]
+    w3 = volume_quadrature(QUADRATURE_ORDER)[1] * mesh.h**3
+    load = assemble_volume_load(mesh, tap(f, w3), m)
+    load += assemble_boundary_load(mesh, tap(g, np.outer(w1, w1).ravel() * mesh.h**2), m)
+    return load, float(sum(l1))
 
 
 def check_compatibility(mesh, f, g, m=1):
     """r = int_Omega f + int_{dOmega} g per component (pure evaluation)."""
-    return _load(mesh, f, g, m).reshape(-1, m).sum(axis=0)
-
-
-def _l1_data_norm(mesh, f, g, m):
-    fl = assemble_volume_load(mesh, lambda p: np.abs(_eval(f, p, m)), m) if f else np.zeros(1)
-    gl = assemble_boundary_load(mesh, lambda p: np.abs(_eval(g, p, m)), m) if g else np.zeros(1)
-    return float(fl.sum() + gl.sum())
-
-
-def _eval(fn, pts, m):
-    out = np.asarray(fn(pts), dtype=float)
-    if out.ndim == 1:
-        out = out[:, None]
-    return out
+    return _load(mesh, f, g, m)[0].reshape(-1, m).sum(axis=0)
 
 
 def solve_neumann_bounded(mesh, fld, f, g, config=None, solver=None):
@@ -246,9 +256,8 @@ def solve_neumann_bounded(mesh, fld, f, g, config=None, solver=None):
     cfg = config or SolveConfig()
     solver = solver_for(mesh, fld, cfg, solver)
     m = fld.m
-    load = _load(mesh, f, g, m)
+    load, scale = _load(mesh, f, g, m)
     residual = load.reshape(-1, m).sum(axis=0)
-    scale = _l1_data_norm(mesh, f, g, m)
     if np.linalg.norm(residual) > COMPATIBILITY_RTOL * max(scale, 1e-300):
         raise CompatibilityError(residual)
     u, info = solver.solve_bounded(load)

@@ -12,6 +12,7 @@ from neumannlab.errors import (
 from neumannlab.mesh import (
     _LOCATE_OFFSETS,
     _SNAP,
+    _check_lipschitz,
     build_box_mesh,
     build_staircase_mesh,
     build_truncated_graph_mesh,
@@ -155,11 +156,58 @@ class TestTruncatedGraph:
                 lambda x, y: 0.5 * np.abs(x - 0.5), 0.1, ((0, 0, 0), (1, 1, 1)), 0.125
             )
 
+    def test_violation_only_between_distant_samples(self):
+        # a plane rising along (5, 1): pairs at offsets parallel to (5, 1) reach
+        # the slope s, while every pair closer than 5 cells stays below 0.9989 s
+        s, h = 0.5, 0.125
+        slope = s * np.array([5.0, 1.0]) / np.sqrt(26.0)
+
+        def profile(x, y):
+            return 0.1 + slope[0] * x + slope[1] * y
+
+        K = 0.9996 * s
+        idx = np.arange(9)
+        I, J = np.meshgrid(idx, idx, indexing="ij")
+        phi = profile(h * I, h * J)
+        assert lipschitz_reference(phi, h, max_offset=4) < K
+        with pytest.raises(LipschitzViolationError):
+            build_truncated_graph_mesh(profile, K, ((0, 0, 0), (1, 1, 1)), h)
+
     def test_profile_below_box_rejected(self):
         with pytest.raises(InvalidGeometryError):
             build_truncated_graph_mesh(
                 lambda x, y: -0.5 + 0 * x, 0.0, ((0, 0, 0), (1, 1, 1)), 0.25
             )
+
+
+def lipschitz_reference(phi, h, max_offset=None):
+    """All-pairs loop: worst |phi(a) - phi(b)| / |a - b| over pairs at most
+    ``max_offset`` cells apart along each axis (all pairs by default)."""
+    samples = [(i, j) for i in range(phi.shape[0]) for j in range(phi.shape[1])]
+    worst = 0.0
+    for a, (i, j) in enumerate(samples):
+        for k, l in samples[a + 1 :]:
+            if max_offset is not None and max(abs(k - i), abs(l - j)) > max_offset:
+                continue
+            dist = h * np.sqrt(float((k - i) ** 2) + float((l - j) ** 2))
+            worst = max(worst, float(abs(phi[k, l] - phi[i, j]) / dist))
+    return worst
+
+
+class TestLipschitzCheck:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_worst_ratio_bit_equal_to_all_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(2, 9, size=2))
+        h = float(rng.choice([1.0 / 3, 0.125, 0.2]))
+        phi = rng.standard_normal(shape) * rng.uniform(0.01, 1.0)
+        worst = lipschitz_reference(phi, h)
+        assert _check_lipschitz(phi, h, worst) == worst
+        with pytest.raises(LipschitzViolationError):
+            _check_lipschitz(phi, h, 0.999 * worst)
+
+    def test_flat_profile_ratio_zero(self):
+        assert _check_lipschitz(np.full((5, 7), 0.3), 0.25, 0.0) == 0.0
 
 
 class TestDistance:
@@ -228,6 +276,14 @@ def loop_locate(mesh, point):
     raise AssertionError(f"reference found no cell for {point}")
 
 
+def locates(mesh, point):
+    try:
+        mesh.locate(point)
+    except OutOfDomainError:
+        return False
+    return True
+
+
 class TestLocate:
     @pytest.mark.parametrize("name", sorted(LOCATE_MESHES))
     def test_batch_matches_single_points(self, name):
@@ -257,6 +313,23 @@ class TestLocate:
         ids, local = mesh.locate((0.5, 0.5, 0.5))
         assert tuple(mesh.cells_ijk[ids[0]]) == (1, 1, 1)
         assert np.array_equal(local[0], np.zeros(3))
+
+    @pytest.mark.parametrize("name", sorted(LOCATE_MESHES))
+    def test_batch_contains_matches_single_points(self, name):
+        mesh, outside = LOCATE_MESHES[name]
+        rng = np.random.default_rng(1)
+        lo = mesh.origin
+        hi = lo + mesh.h * np.array(mesh.cells_ijk.max(axis=0) + 1)
+        pts = np.concatenate(
+            [mesh.nodes, mesh.facet_center, rng.uniform(lo - mesh.h, hi + mesh.h, (300, 3)),
+             [outside]]
+        )
+        inside = mesh.contains(pts)
+        assert inside.dtype == bool and inside.shape == (len(pts),)
+        assert np.array_equal(inside, [mesh.contains(p) for p in pts])
+        assert np.array_equal(inside, [locates(mesh, p) for p in pts])
+        assert inside[: mesh.n_nodes].all() and not inside[-1]
+        assert isinstance(mesh.contains(pts[0]), bool)
 
     @pytest.mark.parametrize("name", sorted(LOCATE_MESHES))
     def test_outside_point_in_batch_raises(self, name):

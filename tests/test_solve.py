@@ -73,6 +73,34 @@ class TestCompatibility:
         assert np.all(np.isfinite(u.values))
 
 
+    @pytest.mark.parametrize("rel, compatible", [(2e-6, False), (5e-7, True)])
+    def test_threshold_relative_to_l1_size(self, unit_cube_8, identity_field, rel, compatible):
+        # int f = 1 and int g = -(1 - d): residual d over L1 size 2 - d is rel
+        d = 2 * rel / (1 + rel)
+        f = lambda p: np.ones((len(p), 1))
+        g = lambda p: np.full((len(p), 1), -(1 - d) / 6)
+        if compatible:
+            u = solve_neumann_bounded(unit_cube_8, identity_field, f, g)
+            assert_allclose(u.info.multiplier, [d / 6], rtol=1e-8)
+        else:
+            with pytest.raises(CompatibilityError) as err:
+                solve_neumann_bounded(unit_cube_8, identity_field, f, g)
+            assert_allclose(err.value.residual, [d], rtol=1e-8)
+
+    def test_data_evaluated_once(self, unit_cube_8, identity_field):
+        calls = []
+
+        def counted(value):
+            def density(p):
+                calls.append(len(p))
+                return np.full((len(p), 1), value)
+
+            return density
+
+        solve_neumann_bounded(unit_cube_8, identity_field, counted(1.0), counted(-1.0 / 6))
+        assert len(calls) == 2
+
+
 class TestBoundedSolve:
     def test_zero_data_gives_zero(self, unit_cube_8, identity_field, solve_config):
         u = solve_neumann_bounded(unit_cube_8, identity_field, None, None, solve_config)
