@@ -127,22 +127,22 @@ class StiffnessOperator:
 
 
 # slot of local corner q in the stencil of local corner p: the lexicographic
-# rank of their offset in {-1, 0, 1}^3, as in mesh.STENCIL_OFFSETS
+# rank of their offset in {-1, 0, 1}^3, the column order of Mesh._stencil_nodes
 _PAIR_SLOT = (CELL_CORNERS[None, :, :] - CELL_CORNERS[:, None, :] + 1) @ np.array([9, 3, 1])
 
 
 def assemble_stiffness(mesh, fld):
     """Stiffness matrix as a canonical CSR read off a 27-point stencil table.
 
-    Element matrices are one matrix product: the (cells m m, 9G) Gauss-point
-    tensors, rows (cell, i, j) and columns (g, a, b), times the (9G, 64)
-    reference block w_g dpsi_p[a] dpsi_q[b].  ``np.bincount`` sums them, one
-    cell chunk at a time (bounding peak memory), into an (n_dof, 27 m) table:
-    row (p, i), slot (stencil offset of q from p, j).  Node ids and offsets
-    are both lexicographic, so the table's nonzero entries in row-major order
-    form the CSR with sorted columns; entries that cancel to exact zero are
-    dropped.  No sum depends on how BLAS splits the product across threads,
-    so the matrix is bit-identical at any BLAS thread count.
+    Element matrices are one product of the (cells m m, 9G) Gauss-point
+    tensors, rows (cell, i, j) and columns (g, a, b), with the (9G, 64)
+    reference block w_g dpsi_p[a] dpsi_q[b].  BLAS splits a product across
+    threads by output blocks, never inside one entry's sum, so the matrix is
+    bit-identical at any BLAS thread count.  ``np.bincount`` sums the entries,
+    one cell chunk at a time (bounding peak memory), into an (n_dof, 27 m)
+    table: row (p, i), slot (stencil offset of q from p, j).  Node ids and
+    offsets are both lexicographic, so the table's nonzero entries in
+    row-major order form the CSR with sorted columns (exact zeros dropped).
     """
     ref, w = volume_quadrature(QUADRATURE_ORDER)
     grads = shape_gradients(ref) / mesh.h  # (G, 8, 3) physical

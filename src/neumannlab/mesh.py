@@ -33,9 +33,6 @@ CELL_CORNERS = np.array(
     dtype=np.int64,
 )
 
-# Lattice offsets {-1, 0, 1}^3 in lexicographic order: a node's 27-point stencil.
-STENCIL_OFFSETS = np.array(list(np.ndindex(3, 3, 3)), dtype=np.int64) - 1
-
 # Cell faces as (axis, side, local corner ids); side -1 is the lower face.
 # Each corner list runs (s, t) = (0,0), (1,0), (1,1), (0,1), with s along the
 # lower and t along the upper tangential axis; facet_quadrature's trace
@@ -212,10 +209,12 @@ class Mesh:
         return self.origin + self.h * self.cells_ijk.astype(float)
 
     def _stencil_nodes(self):
-        """(N, 27) ids of the nodes at each node's STENCIL_OFFSETS, -1 where none."""
+        """(N, 27) ids of the nodes at each node's lattice offsets {-1, 0, 1}^3, in
+        lexicographic order, -1 where none sits.  Node k is the k-th id of the
+        lattice in C order, so each row's ids ascend."""
         grid = self._node_id
-        steps = STENCIL_OFFSETS @ (np.array(grid.strides) // grid.itemsize)
-        # node k is the k-th id in C order, so each row's ids ascend
+        offsets = np.array(list(np.ndindex(3, 3, 3))) - 1
+        steps = offsets @ (np.array(grid.strides) // grid.itemsize)
         return grid.ravel()[np.flatnonzero(grid >= 0)[:, None] + steps]
 
     def cell_ids(self, ijk):
