@@ -254,7 +254,7 @@ def _run_kind(cfg, fld, scfg, records):
     if kind == "oracle-compare" or (
         kind == "full-suite" and cfg.coeff_type == "identity" and cfg.mesh_type == "box"
     ):
-        records.extend(_oracle_experiment(cfg, solver))
+        records.extend(_oracle_experiment(cfg, solver, first_kernel))
 
 
 def _verify_coeff(cfg, fld):
@@ -363,16 +363,22 @@ def _estimates_experiment(cfg, solver, kern=None):
     return recs
 
 
-def _oracle_experiment(cfg, solver):
+def _oracle_experiment(cfg, solver, kern=None):
+    """Series-oracle comparison of the forward kernel at the cube centre.
+
+    ``kern``, the full-suite run's first forward kernel, is reused when its
+    pole is the centre, else the kernel is built here.
+    """
     mesh = solver.mesh
     if mesh.is_graph or cfg.coeff_type != "identity":
         raise NeumannLabError("oracle-compare requires identity coefficients on a box/graph mesh")
     if tuple(cfg.mesh_extents) != (1.0, 1.0, 1.0):
         raise NeumannLabError("the cube series oracle is defined on the unit cube")
-    kern = build_kernel(
-        mesh, solver.field, (0.5, 0.5, 0.5), solver.config, eps=cfg.eps_factor * mesh.h,
-        solver=solver,
-    )
+    if kern is None or np.any(kern.pole != 0.5):
+        kern = build_kernel(
+            mesh, solver.field, (0.5, 0.5, 0.5), solver.config, eps=cfg.eps_factor * mesh.h,
+            solver=solver,
+        )
     h = mesh.h
     rng = np.random.default_rng(cfg.seed)
     dirs = rng.standard_normal((16, 3))

@@ -4,6 +4,16 @@ Both modes solve on one reduced stiffness operator, built once per solver and
 reused across right-hand sides: sparse LU (factorized on first use) or Krylov
 (CG for symmetric coefficients, GMRES otherwise), chosen by SolveConfig.
 
+The LU path orders the operator by geometric nested dissection of the node
+lattice and factors it in that order (SuperLU's NATURAL column order, partial
+pivoting as usual).  Every mesh is an occupied subset of an h-lattice and the
+27-point stencil couples only adjacent node planes, so one plane separates
+two halves of any node set; on a regular grid this ordering has provably low
+fill (George, SIAM J. Numer. Anal. 10, 1973).  A general-purpose ordering
+such as minimum degree ignores the lattice and reacts to which roundoff-sized
+entries of K happen to be stored.  The Krylov path keeps the lexicographic
+node order, whose matvecs walk memory in order.
+
 Bounded mode realizes the zero-mean-boundary-trace normalization in closed
 form.  K annihilates constants on both sides, so the multiplier of the
 constrained system K u + B^T mu = F, B u = 0 is mu_i = sum F_i / sum b per
@@ -84,17 +94,26 @@ class NeumannSolver:
         self.m = fld.m
         self.n_dof = self.stiffness.n_dof
         K = self.stiffness.matrix
-        self.symmetric = abs(K - K.T).max() <= 1e-12 * max(abs(K).max(), 1.0)
         direct = self.config.linear_solver == "direct"
+        keep = np.ones(self.n_dof, dtype=bool)
         if mesh.is_graph:
-            removed = mesh.far_nodes[:, None] * self.m + np.arange(self.m)
+            keep.reshape(-1, self.m)[mesh.far_nodes] = False
         else:
             self.boundary_weights = boundary_weight_vector(mesh)
             # grounding node 0 leaves LU a nonsingular block; Krylov takes K as is
-            removed = np.arange(self.m if direct else 0)
-        self.free_dofs = np.setdiff1d(np.arange(self.n_dof), removed)
-        block = K if len(self.free_dofs) == self.n_dof else K[self.free_dofs][:, self.free_dofs]
-        self._block = block.tocsc() if direct else block.tocsr()
+            keep[: self.m] = not direct
+        if direct:
+            self._method = "direct"
+            ijk = np.rint((mesh.nodes - mesh.origin) / mesh.h).astype(np.int64)
+            nodes = _dissection_order(ijk)
+            dofs = (nodes[:, None] * self.m + np.arange(self.m)).ravel()
+            self.free_dofs = dofs[keep[dofs]]
+            self._block = K[self.free_dofs][:, self.free_dofs].tocsc()
+        else:
+            symmetric = abs(K - K.T).max() <= 1e-12 * max(abs(K).max(), 1.0)
+            self._method = "cg" if symmetric else "gmres"
+            self.free_dofs = np.flatnonzero(keep)
+            self._block = K if keep.all() else K[self.free_dofs][:, self.free_dofs]
         self._lu = None
 
     def _solve_reduced(self, rhs):
@@ -103,19 +122,18 @@ class NeumannSolver:
         ``rhs`` is a load vector or an (n_dof, r) block: LU solves a block in one
         call, Krylov one column at a time.  Returns (u, method, iterations per column).
         """
-        cfg = self.config
+        method = self._method
         r = rhs[self.free_dofs]
         cols = r.reshape(len(r), -1)
-        if cfg.linear_solver == "direct":
+        if method == "direct":
             if self._lu is None:
                 try:
-                    self._lu = spla.splu(self._block, permc_spec="MMD_AT_PLUS_A")
+                    self._lu = spla.splu(self._block, permc_spec="NATURAL")
                 except RuntimeError as e:
                     raise NumericFailureError(f"sparse LU factorization failed: {e}") from e
-            x, method = self._lu.solve(r), "direct"
+            x = self._lu.solve(r)
             iterations = np.ones(cols.shape[1], dtype=np.int64)
         else:
-            method = "cg" if self.symmetric else "gmres"
             x = np.empty_like(cols)
             iterations = np.empty(cols.shape[1], dtype=np.int64)
             for j in range(cols.shape[1]):
@@ -185,6 +203,37 @@ class NeumannSolver:
         info = SolveInfo(f"graph-{method}", iterations, _relative(res, rhs))
         _guard(info, self.config, "graph")
         return u, info
+
+
+def _dissection_order(ijk):
+    """Nested-dissection order of the nodes at lattice indices ijk (N, 3).
+
+    The bounding box of a node set is split at the middle plane of its
+    longest axis: the nodes below the plane come first, then those above
+    (each set ordered the same way), then the plane.  A set at most two
+    planes thick keeps its lexicographic order.  All sets of one depth are
+    split at once; a node's path of choices (0 below, 1 above, 2 in the plane)
+    is its base-3 sort key.  The depth is about log2 of the bounding box's
+    lattice point count, far below the 39 digits an int64 holds.
+    """
+    key = np.zeros(len(ijk), dtype=np.int64)
+    live = np.arange(len(ijk))  # nodes of the sets still being split, grouped by set
+    while len(live):
+        key *= 3
+        starts = np.flatnonzero(np.r_[True, np.diff(key[live]) != 0])
+        sizes = np.diff(np.r_[starts, len(live)])
+        pts = ijk[live]
+        lo, hi = np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
+        sets = np.arange(len(starts))
+        axis = np.argmax(hi - lo, axis=1)
+        split = np.repeat(hi[sets, axis] - lo[sets, axis] >= 2, sizes)
+        mid = np.repeat((lo[sets, axis] + hi[sets, axis]) // 2, sizes)
+        side = pts[np.arange(len(live)), np.repeat(axis, sizes)] - mid
+        choice = np.where(side < 0, 0, np.where(side > 0, 1, 2)) * split
+        key[live] += choice
+        live = live[split & (choice < 2)]
+        live = live[np.argsort(key[live], kind="stable")]
+    return np.argsort(key, kind="stable")
 
 
 def solver_for(mesh, fld, config, solver=None):

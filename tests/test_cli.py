@@ -145,6 +145,35 @@ class TestRunExperiment:
         assert not rep.failures
         assert len(poles) == len(set(poles)) == 2  # forward and adjoint at the center
 
+    @pytest.mark.parametrize("poles,mesh_n,reused", [("center", 8, 1), ("lattice", 12, 0)])
+    def test_oracle_reuses_center_kernel(self, monkeypatch, poles, mesh_n, reused):
+        # on the identity cube the oracle check reads the centre kernel that the
+        # kernel checks built as pole 0; rebuilding it gives the same report
+        import neumannlab.cli as climod
+
+        calls = []
+        build = climod.build_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        cfg = RunConfig(kind="full-suite", mesh_n=mesh_n, poles=poles, trials=2)
+        monkeypatch.setattr(climod, "build_kernel", counting)
+        rep = run_experiment(cfg)
+        assert not rep.failures
+        builds = len(calls)
+        if poles == "center":
+            assert builds == 2  # forward and adjoint; the oracle built none
+
+        rebuilt = climod._oracle_experiment
+        monkeypatch.setattr(
+            climod, "_oracle_experiment", lambda cfg, solver, kern=None: rebuilt(cfg, solver)
+        )
+        again = run_experiment(cfg)
+        assert len(calls) - builds == builds + reused
+        assert again.to_json() == rep.to_json()
+
 
 class TestEmit:
     def test_empty_report_valid_json(self, tmp_path):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import neumannlab
 from neumannlab.coeff import (
     CoefficientField,
     Identity,
@@ -22,11 +28,12 @@ from neumannlab.discretize import (
     l2_norm,
 )
 from neumannlab.errors import CompatibilityError, InterfaceError, NumericFailureError
-from neumannlab.mesh import build_box_mesh, build_truncated_graph_mesh
+from neumannlab.mesh import build_box_mesh, build_staircase_mesh, build_truncated_graph_mesh
 from neumannlab.oracle import halfspace_neumann
 from neumannlab.solve import (
     NeumannSolver,
     SolveConfig,
+    _dissection_order,
     check_compatibility,
     solve_neumann_bounded,
     solve_neumann_graph,
@@ -222,6 +229,133 @@ class TestConstraintMethods:
         krylov = NeumannSolver(mesh, fld, SolveConfig(linear_solver="krylov", tolerance=1e-12))
         uk, _ = krylov.solve_bounded(load)
         assert np.linalg.norm(uk - u) <= 1e-8 * np.linalg.norm(u)
+
+
+ORDERING_MESHES = {
+    "box": build_box_mesh((1, 1, 1), 5),
+    "staircase": build_staircase_mesh(
+        [((0, 0, 0), (0.5, 1, 1)), ((0.5, 0, 0), (1, 0.5, 1))], 1.0 / 6
+    ),
+    "graph": build_truncated_graph_mesh(
+        lambda x, y: 0.2 + 0.15 * np.sin(3 * x + 2 * y), 0.6, ((0, 0, 0), (1, 1, 1)), 1.0 / 6
+    ),
+}
+
+
+def _lexicographic_reference(solver, load):
+    """The solve of ``solver`` redone on the lexicographically ordered block."""
+    mesh, m = solver.mesh, solver.m
+    K = solver.stiffness.matrix
+    keep = np.ones(solver.n_dof, dtype=bool)
+    if mesh.is_graph:
+        keep.reshape(-1, m)[mesh.far_nodes] = False
+        rhs = load
+    else:
+        keep[:m] = False  # node 0 grounded
+        b = boundary_weight_vector(mesh)
+        mu = load.reshape(-1, m).sum(axis=0) / b.sum()
+        rhs = load - (b[:, None] * mu).ravel()
+    lex = np.flatnonzero(keep)
+    u = np.zeros(solver.n_dof)
+    u[lex] = spla.splu(K[lex][:, lex].tocsc()).solve(rhs[lex])
+    if not mesh.is_graph:
+        U = u.reshape(-1, m)
+        U -= b @ U / b.sum()
+    return u, lex
+
+
+def _recursive_dissection(ijk):
+    """Nested dissection written as its recursive definition."""
+    order = []
+
+    def visit(idx):
+        pts = ijk[idx]
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        axis = int(np.argmax(hi - lo))
+        if hi[axis] - lo[axis] < 2:
+            order.append(idx)
+            return
+        plane = pts[:, axis]
+        mid = (lo[axis] + hi[axis]) // 2
+        visit(idx[plane < mid])
+        visit(idx[plane > mid])
+        order.append(idx[plane == mid])
+
+    visit(np.arange(len(ijk)))
+    return np.concatenate(order)
+
+
+class TestDissectionOrder:
+    """The LU path solves in nested-dissection order; the answer does not depend on it."""
+
+    @pytest.mark.parametrize("name", sorted(ORDERING_MESHES))
+    def test_order_matches_recursive_definition(self, name):
+        mesh = ORDERING_MESHES[name]
+        ijk = np.rint((mesh.nodes - mesh.origin) / mesh.h).astype(np.int64)
+        assert np.array_equal(_dissection_order(ijk), _recursive_dissection(ijk))
+
+    @pytest.mark.parametrize("name", sorted(ORDERING_MESHES))
+    @pytest.mark.parametrize("m,amplitude", [(1, 0.0), (3, 0.5)])
+    def test_matches_lexicographic_solve(self, name, m, amplitude):
+        mesh = ORDERING_MESHES[name]
+        spec = SkewPerturbed(ScalarCheckerboard(10.0, seed=5, m=m), amplitude, seed=5)
+        solver = NeumannSolver(mesh, make_coefficient(spec), SolveConfig(tolerance=1e-12))
+        load = np.random.default_rng(5).standard_normal(solver.n_dof)
+        solve = solver.solve_graph if mesh.is_graph else solver.solve_bounded
+        u, _ = solve(load)
+        u_ref, lex = _lexicographic_reference(solver, load)
+        assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+        # free_dofs is a permutation of exactly the DOFs the reference keeps,
+        # with the m DOFs of each node side by side
+        assert not np.array_equal(solver.free_dofs, lex)
+        assert np.array_equal(np.sort(solver.free_dofs), lex)
+        nodes = solver.free_dofs.reshape(-1, m)
+        assert np.array_equal(nodes, nodes[:, :1] + np.arange(m))
+
+    @pytest.mark.parametrize("name", sorted(ORDERING_MESHES))
+    def test_krylov_keeps_lexicographic_order(self, name, identity_field):
+        cfg = SolveConfig(linear_solver="krylov")
+        solver = NeumannSolver(ORDERING_MESHES[name], identity_field, cfg)
+        assert np.all(np.diff(solver.free_dofs) > 0)
+
+    def test_fill_below_minimum_degree(self, identity_field):
+        solver = NeumannSolver(build_box_mesh((1, 1, 1), 16), identity_field)
+        solver.solve_bounded(np.zeros(solver.n_dof))
+        K = solver.stiffness.matrix
+        lex = np.arange(1, solver.n_dof)
+        mmd = spla.splu(K[lex][:, lex].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        assert solver._lu.nnz < mmd.nnz
+
+
+#: Prints the sha256 of the values of a 6^3 m = 3 skew node kernel set, which
+#: comes from blocked LU solves.
+_KERNEL_SET_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from neumannlab.coeff import ScalarCheckerboard, SkewPerturbed, make_coefficient
+from neumannlab.kernel import build_node_kernel_set
+from neumannlab.mesh import build_box_mesh
+
+spec = SkewPerturbed(ScalarCheckerboard(10.0, seed=1, m=3), 0.5, seed=1)
+kernels = build_node_kernel_set(build_box_mesh((1, 1, 1), 6), make_coefficient(spec))
+values = np.stack([kernels[p].values for p in sorted(kernels)])
+print(hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def test_direct_solves_independent_of_blas_threads():
+    src = str(Path(neumannlab.__file__).resolve().parents[1])
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _KERNEL_SET_HASH_SCRIPT], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        hashes.append(out.stdout.split())
+    assert len(hashes[0]) == 1
+    assert hashes[0] == hashes[1]
 
 
 class TestBlockSolves:
