@@ -16,7 +16,7 @@ import numpy as np
 from neumannlab.coeff import Identity, make_coefficient
 from neumannlab.kernel import build_kernel
 from neumannlab.mesh import build_box_mesh
-from neumannlab.oracle import SeriesConfig, cube_neumann_series_batch
+from neumannlab.oracle import cube_neumann_series_batch
 from neumannlab.solve import SolveConfig
 
 CENTER = np.array([0.5, 0.5, 0.5])
@@ -45,7 +45,7 @@ def main(argv=None):
         for r in radii:
             probes = CENTER + r * dirs
             fe = kern.magnitude_at(probes)
-            oracle = np.abs(cube_neumann_series_batch(probes, CENTER, SeriesConfig(args.cutoff)))
+            oracle = np.abs(cube_neumann_series_batch(probes, CENTER, args.cutoff))
             rel = np.abs(fe - oracle) / oracle
             worst = max(worst, rel.max())
             for d in range(len(dirs)):

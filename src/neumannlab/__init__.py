@@ -36,7 +36,6 @@ from .mesh import (
 from .solve import (
     NeumannSolver,
     SolveConfig,
-    check_compatibility,
     solve_neumann_bounded,
     solve_neumann_graph,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "build_node_kernel_set",
     "build_staircase_mesh",
     "build_truncated_graph_mesh",
-    "check_compatibility",
     "check_defining_identity",
     "check_symmetry_identity",
     "distance_to_boundary",

@@ -1,7 +1,9 @@
 """Configuration-driven experiment runner.
 
-Config files are plain key = value lines (dotted keys for sections, ``#``
-comments); every key has a default.  Example::
+Config files are plain key = value lines (``#`` comments).  The keys are the
+RunConfig field names, with the first ``_`` of a mesh, coeff or solve field
+written as ``.`` (``mesh_n`` is ``mesh.n``); every key has a default, and
+``trials`` is at least 1.  Example::
 
     kind = full-suite
     seed = 7
@@ -23,7 +25,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,7 @@ from .kernel import (
     integrate_mollifier,
 )
 from .mesh import build_box_mesh, build_truncated_graph_mesh
-from .oracle import SeriesConfig, cube_neumann_series_batch
+from .oracle import cube_neumann_series_batch
 from .solve import NeumannSolver, SolveConfig, solve_neumann_bounded, solve_neumann_graph
 
 KINDS = ("verify-coeff", "solve", "kernel", "estimates", "oracle-compare", "full-suite")
@@ -51,6 +53,10 @@ _CHOICES = {
     "mesh_type": ("box", "graph"),
     "poles": ("center", "near-boundary", "lattice"),
 }
+#: gate of the defining and symmetry identity residuals
+IDENTITY_TOL = 1e-8
+#: gate of the relative deviation from the cube series oracle
+ORACLE_RTOL = 0.05
 
 
 @dataclass
@@ -61,7 +67,6 @@ class RunConfig:
     mesh_type: str = "box"  # box | graph
     mesh_extents: tuple = (1.0, 1.0, 1.0)
     mesh_n: int = 8
-    graph_k: float = 0.0
     coeff_type: str = "identity"  # identity | checkerboard | cellwise-random | skew | smooth
     coeff_m: int = 1
     coeff_contrast: float = 10.0
@@ -71,12 +76,8 @@ class RunConfig:
     coeff_bound: float = 2.0
     coeff_frequency: float = 1.0
     solve_tolerance: float = 1e-10
-    linear_solver: str = "direct"
-    eps_factor: float = 2.0
+    solve_linear_solver: str = "direct"
     poles: str = "center"  # center | near-boundary | lattice
-    identity_tol: float = 1e-8
-    oracle_cutoff: int = 20
-    oracle_rtol: float = 0.05
     trials: int = 8
 
     def to_dict(self):
@@ -87,30 +88,10 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_KEYMAP = {
-    "kind": ("kind", str),
-    "seed": ("seed", int),
-    "outdir": ("outdir", str),
-    "mesh.type": ("mesh_type", str),
-    "mesh.extents": ("mesh_extents", "floats"),
-    "mesh.n": ("mesh_n", int),
-    "mesh.graph_k": ("graph_k", float),
-    "coeff.type": ("coeff_type", str),
-    "coeff.m": ("coeff_m", int),
-    "coeff.contrast": ("coeff_contrast", float),
-    "coeff.cell": ("coeff_cell", float),
-    "coeff.amplitude": ("coeff_amplitude", float),
-    "coeff.lam": ("coeff_lam", float),
-    "coeff.bound": ("coeff_bound", float),
-    "coeff.frequency": ("coeff_frequency", float),
-    "solve.tolerance": ("solve_tolerance", float),
-    "solve.linear_solver": ("linear_solver", str),
-    "kernel.eps_factor": ("eps_factor", float),
-    "poles": ("poles", str),
-    "tol.identity": ("identity_tol", float),
-    "oracle.cutoff": ("oracle_cutoff", int),
-    "oracle.rtol": ("oracle_rtol", float),
-    "trials": ("trials", int),
+#: config key -> RunConfig field (see the module docstring)
+_KEYS = {
+    (f.name.replace("_", ".", 1) if f.name.startswith(("mesh_", "coeff_", "solve_")) else f.name): f
+    for f in fields(RunConfig)
 }
 
 
@@ -123,13 +104,13 @@ def parse_config(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYMAP:
+        if key not in _KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        attr, conv = _KEYMAP[key]
-        if conv == "floats":
-            setattr(cfg, attr, tuple(float(tok) for tok in value.split()))
+        field = _KEYS[key]
+        if isinstance(field.default, tuple):
+            setattr(cfg, field.name, tuple(float(tok) for tok in value.split()))
         else:
-            setattr(cfg, attr, conv(value))
+            setattr(cfg, field.name, type(field.default)(value))
     _checked(cfg)
     return cfg
 
@@ -139,6 +120,8 @@ def _checked(cfg):
     for attr, allowed in _CHOICES.items():
         if getattr(cfg, attr) not in allowed:
             raise ValueError(f"unknown {attr} {getattr(cfg, attr)!r}; expected one of {allowed}")
+    if cfg.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {cfg.trials}")
     return _build_spec(cfg), _solve_config(cfg)
 
 
@@ -146,7 +129,7 @@ def _build_mesh(cfg):
     if cfg.mesh_type == "box":
         return build_box_mesh(cfg.mesh_extents, cfg.mesh_n)
     return build_truncated_graph_mesh(
-        lambda x, y: np.zeros_like(x), cfg.graph_k, ((0.0, 0.0, 0.0), cfg.mesh_extents),
+        lambda x, y: np.zeros_like(x), 0.0, ((0.0, 0.0, 0.0), cfg.mesh_extents),
         1.0 / cfg.mesh_n,
     )
 
@@ -177,7 +160,7 @@ def _build_spec(cfg):
 
 
 def _solve_config(cfg):
-    return SolveConfig(tolerance=cfg.solve_tolerance, linear_solver=cfg.linear_solver)
+    return SolveConfig(tolerance=cfg.solve_tolerance, linear_solver=cfg.solve_linear_solver)
 
 
 def _pole_list(cfg, mesh):
@@ -185,7 +168,7 @@ def _pole_list(cfg, mesh):
     if cfg.poles == "center":
         return [center]
     if cfg.poles == "near-boundary":
-        depth = max(4 * mesh.h, 2 * mesh.h * cfg.eps_factor)
+        depth = 4 * mesh.h  # the least pole depth of an eps = 2h kernel
         p = center.copy()
         p[0] = mesh.nodes[:, 0].min() + depth
         return [center, p]
@@ -307,10 +290,9 @@ def _solve_experiment(cfg, solver):
 
 def _kernel_experiment(cfg, solver):
     mesh, fld, scfg = solver.mesh, solver.field, solver.config
-    eps = cfg.eps_factor * mesh.h
     recs = []
 
-    mol = Mollifier(tuple(0.5 * (mesh.nodes.min(0) + mesh.nodes.max(0))), eps)
+    mol = Mollifier(tuple(0.5 * (mesh.nodes.min(0) + mesh.nodes.max(0))), 2 * mesh.h)
     mass = integrate_mollifier(mol)
     recs.append(_rec("mollifier-mass", abs(mass - 1.0), 1e-6))
 
@@ -318,7 +300,7 @@ def _kernel_experiment(cfg, solver):
     poles = _pole_list(cfg, mesh)
     kernels = []
     for pole in poles:
-        kern = build_kernel(mesh, fld, pole, scfg, eps=eps, solver=solver)
+        kern = build_kernel(mesh, fld, pole, scfg, solver=solver)
         kernels.append(kern)
         worst = 0.0
         for _ in range(cfg.trials):
@@ -331,15 +313,15 @@ def _kernel_experiment(cfg, solver):
             _rec(
                 "defining-identity",
                 worst,
-                cfg.identity_tol,
+                IDENTITY_TOL,
                 {"pole": list(map(float, pole)), "telemetry": kern.telemetry},
             )
         )
     if not mesh.is_graph:
         # forward kernel at the first pole against the adjoint kernel at the last
-        k_adj = build_kernel(mesh, fld, poles[-1], scfg, eps=eps, adjoint=True)
+        k_adj = build_kernel(mesh, fld, poles[-1], scfg, adjoint=True)
         defect = check_symmetry_identity(kernels[0], k_adj)
-        recs.append(_rec("symmetry-identity", defect, cfg.identity_tol))
+        recs.append(_rec("symmetry-identity", defect, IDENTITY_TOL))
     return recs, kernels[0]
 
 
@@ -348,7 +330,7 @@ def _estimates_experiment(cfg, solver, kern=None):
     mesh, fld, scfg = solver.mesh, solver.field, solver.config
     if kern is None:
         pole = _pole_list(cfg, mesh)[0]
-        kern = build_kernel(mesh, fld, pole, scfg, eps=cfg.eps_factor * mesh.h, solver=solver)
+        kern = build_kernel(mesh, fld, pole, scfg, solver=solver)
     recs = [est.pointwise_decay_check(kern, seed=cfg.seed)]
     a6, adn = est.annulus_fit(kern)
     recs += [a6, adn]
@@ -375,10 +357,7 @@ def _oracle_experiment(cfg, solver, kern=None):
     if tuple(cfg.mesh_extents) != (1.0, 1.0, 1.0):
         raise NeumannLabError("the cube series oracle is defined on the unit cube")
     if kern is None or np.any(kern.pole != 0.5):
-        kern = build_kernel(
-            mesh, solver.field, (0.5, 0.5, 0.5), solver.config, eps=cfg.eps_factor * mesh.h,
-            solver=solver,
-        )
+        kern = build_kernel(mesh, solver.field, (0.5, 0.5, 0.5), solver.config, solver=solver)
     h = mesh.h
     rng = np.random.default_rng(cfg.seed)
     dirs = rng.standard_normal((16, 3))
@@ -386,9 +365,9 @@ def _oracle_experiment(cfg, solver, kern=None):
     radii = np.geomspace(4 * h, 0.25, 4)
     probes = np.concatenate([np.array([0.5, 0.5, 0.5]) + r * dirs for r in radii])
     fe = kern.magnitude_at(probes)
-    oracle = np.abs(cube_neumann_series_batch(probes, np.array([0.5, 0.5, 0.5]), SeriesConfig(cfg.oracle_cutoff)))
+    oracle = np.abs(cube_neumann_series_batch(probes, np.array([0.5, 0.5, 0.5])))
     rel = float(np.max(np.abs(fe - oracle) / oracle))
-    return [_rec("oracle-cube-agreement", rel, cfg.oracle_rtol, {"probes": len(probes)})]
+    return [_rec("oracle-cube-agreement", rel, ORACLE_RTOL, {"probes": len(probes)})]
 
 
 def emit_report(report, outdir):

@@ -85,9 +85,6 @@ class SmoothVMO:
     m: int = 1
 
 
-CoefficientSpec = Union[Identity, ScalarCheckerboard, CellwiseRandom, SkewPerturbed, SmoothVMO]
-
-
 class CoefficientField:
     """Evaluable coefficient tensor with declared ellipticity bounds."""
 

@@ -100,9 +100,6 @@ class DiscreteField:
     def m(self):
         return self.values.shape[1]
 
-    def component(self, i):
-        return self.values[:, i]
-
     def __add__(self, other):
         return DiscreteField(self.mesh, self.values + other.values)
 
@@ -277,12 +274,6 @@ def l2_norm(fld):
     vals = values_at_quadrature(fld)
     _, w = volume_quadrature(QUADRATURE_ORDER)
     return float(np.sqrt(np.einsum("g,cgm->", w * fld.mesh.h**3, vals**2)))
-
-
-def gradient_l2_norm(fld):
-    g = gradient_at_quadrature(fld)
-    _, w = volume_quadrature(QUADRATURE_ORDER)
-    return float(np.sqrt(np.einsum("g,cgma->", w * fld.mesh.h**3, g**2)))
 
 
 def l2_error(fld, exact):

@@ -30,7 +30,7 @@ from .errors import (
     UnderResolvedError,
 )
 from .mesh import distance_to_boundary
-from .solve import SolveConfig, solve_neumann_bounded, solver_for
+from .solve import solve_neumann_bounded, solver_for
 
 D = 3
 P_MAX_VALUE = D / (D - 2)  # sharp integrability threshold for N
@@ -463,7 +463,7 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
     Passing explicit ``balls`` [(center, radius), ...] makes the estimate
     comparable across refinements of the same domain.
     """
-    solver = solver_for(mesh, fld, SolveConfig(), solver)
+    solver = solver_for(mesh, fld, None, solver)
     rng = np.random.default_rng(seed)
     m = fld.m
     diam = np.linalg.norm(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0))

@@ -9,9 +9,8 @@ where Phi_eps is a radial C^1 bump of mass one.  The discrete load of
 Phi_eps is rescaled to unit mass under the assembly quadrature, so the
 compatibility of the pair (Phi_eps e_k, -(1/|dOmega|) e_k) is exact at the
 matrix level and the variational identities below hold to solver precision.
-The epsilon -> 0 limit is realized at mesh scale (eps = eps_factor * h,
-default 2h) together with an eps-consistency check; nothing below the mesh
-scale is resolvable.
+The epsilon -> 0 limit is realized at mesh scale, eps = 2h, together with
+an eps-consistency check; nothing below the mesh scale is resolvable.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .errors import (
     UnderResolvedError,
 )
 from .mesh import distance_to_boundary
-from .solve import NeumannSolver, SolveConfig, solver_for
+from .solve import NeumannSolver, solver_for
 
 #: normalization of the quartic bump (1 - |z|^2)^2 on the unit ball in d = 3:
 #: 4 pi int_0^1 (1 - r^2)^2 r^2 dr = 32 pi / 105
@@ -65,11 +64,6 @@ class Mollifier:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("mollifier radius must be positive")
-
-    @property
-    def profile_sup(self):
-        """sup of the unscaled profile c (1 - |z|^2)_+^2, attained at z = 0."""
-        return MOLLIFIER_NORMALIZATION
 
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -182,10 +176,6 @@ class NeumannKernel:
     def m(self):
         return self.values.shape[1]
 
-    @property
-    def mode(self):
-        return "graph" if self.mesh.is_graph else "bounded"
-
     def column(self, k):
         return DiscreteField(self.mesh, self.values[:, :, k])
 
@@ -204,14 +194,10 @@ class NeumannKernel:
         return float(np.linalg.norm(v)) if v.ndim == 2 else np.linalg.norm(v, axis=(1, 2))
 
 
-def _check_eps(mesh, eps):
+def _check_pole(mesh, y, eps):
+    """eps is at least 2h, and the mollifier ball at y lies in the domain at depth max(4h, eps)."""
     if eps < 2 * mesh.h - 1e-12:
         raise UnderResolvedError(f"mollifier radius {eps} below 2h = {2 * mesh.h}")
-
-
-def _check_pole(mesh, y, eps):
-    """The mollifier ball at y lies in the domain, at depth at least max(4h, eps)."""
-    _check_eps(mesh, eps)
     d = distance_to_boundary(mesh, y)  # raises OutOfDomainError when outside
     if d < eps - 1e-12:
         raise InvalidGeometryError(
@@ -272,12 +258,11 @@ def build_kernel(mesh, fld, y, config=None, eps=None, adjoint=False, solver=None
     pole must lie at depth max(4h, eps) or more, so its mollifier is never
     clipped by the boundary.
     """
-    cfg = config or SolveConfig()
     y = np.asarray(y, dtype=float)
     eps = 2 * mesh.h if eps is None else float(eps)
     _check_pole(mesh, y, eps)
     work_field = adjoint_coefficients(fld) if adjoint else fld
-    solver = solver_for(mesh, work_field, cfg, solver)
+    solver = solver_for(mesh, work_field, config, solver)
     loads, raw = mollifier_load(mesh, y, eps)
     values, info = _solve_poles(solver, loads)
     telemetry = _telemetry(raw[0], info, 0, fld.m)
@@ -345,24 +330,21 @@ MAX_KERNEL_SET_NODES = 3500
 _POLE_BLOCK = 32
 
 
-def build_node_kernel_set(mesh, fld, config=None, eps=None, adjoint=True):
-    """Adjoint kernels at every mesh node (the discrete Green-matrix transpose).
+def build_node_kernel_set(mesh, fld, config=None):
+    """Adjoint kernels at eps = 2h at every mesh node (the discrete Green-matrix transpose).
 
     One factorization, one load stencil and a few blocked solves serve all
     poles; boundary poles use clipped, renormalized mollifiers.  Every
     kernel's values are a view of one (n_poles, n_nodes, m, m) array.
     """
-    cfg = config or SolveConfig()
     n, m = mesh.n_nodes, fld.m
     if n > MAX_KERNEL_SET_NODES:
         raise CoverageError(
             f"full kernel set on {n} nodes exceeds {MAX_KERNEL_SET_NODES}; "
             "representation tests are meant for coarse meshes"
         )
-    eps = 2 * mesh.h if eps is None else float(eps)
-    _check_eps(mesh, eps)
-    work_field = adjoint_coefficients(fld) if adjoint else fld
-    solver = NeumannSolver(mesh, work_field, cfg)
+    eps = 2 * mesh.h
+    solver = NeumannSolver(mesh, adjoint_coefficients(fld), config)
     loads, raw = mollifier_load(mesh, mesh.nodes, eps)
     values = np.empty((n, n, m, m))
     kernels = {}
@@ -371,7 +353,7 @@ def build_node_kernel_set(mesh, fld, config=None, eps=None, adjoint=True):
         values[lo:hi], info = _solve_poles(solver, loads[:, lo:hi])
         for p in range(lo, hi):
             kernels[p] = NeumannKernel(
-                mesh, mesh.nodes[p], eps, values[p], loads[:, p], adjoint, solver,
+                mesh, mesh.nodes[p], eps, values[p], loads[:, p], True, solver,
                 _telemetry(raw[p], info, p - lo, m),
             )
     return kernels

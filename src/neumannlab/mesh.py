@@ -10,8 +10,6 @@ flux condition lives) and "far" facets (the artificial truncation cut).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidGeometryError, LipschitzViolationError, OutOfDomainError
@@ -47,22 +45,6 @@ CELL_FACES = (
 )
 
 
-@dataclass(frozen=True)
-class Box:
-    extents: tuple
-
-
-@dataclass(frozen=True)
-class Staircase:
-    boxes: tuple
-
-
-@dataclass(frozen=True)
-class TruncatedGraph:
-    lipschitz_constant: float
-    box: tuple
-
-
 class Mesh:
     """Immutable uniform hexahedral mesh with boundary facet data.
 
@@ -77,12 +59,9 @@ class Mesh:
         facet belongs to the staircase floor rather than the truncation cut.
     """
 
-    dimension = 3
-
-    def __init__(self, origin, h, occupancy, domain, graph_facet_rule=None):
+    def __init__(self, origin, h, occupancy, graph_facet_rule=None):
         self.origin = np.asarray(origin, dtype=float)
         self.h = float(h)
-        self.domain = domain
         occ = np.asarray(occupancy, dtype=bool)
         if not occ.any():
             raise InvalidGeometryError("empty cell set")
@@ -124,7 +103,6 @@ class Mesh:
             self.facet_lo,
             self.facet_hi,
             self.facet_center,
-            self.boundary_nodes,
             self._node_id,
         ):
             arr.setflags(write=False)
@@ -176,7 +154,6 @@ class Mesh:
         self.facet_lo = fverts.min(axis=1)
         self.facet_hi = fverts.max(axis=1)
         self.facet_center = 0.5 * (self.facet_lo + self.facet_hi)
-        self.boundary_nodes = np.unique(self.facet_nodes)
         if self.graph_facets is not None:
             self.far_nodes = np.unique(self.facet_nodes[~self.graph_facets])
             self.far_nodes.setflags(write=False)
@@ -193,17 +170,8 @@ class Mesh:
         return len(self.cells)
 
     @property
-    def interior_nodes(self):
-        mask = np.ones(self.n_nodes, dtype=bool)
-        mask[self.boundary_nodes] = False
-        return np.flatnonzero(mask)
-
-    @property
     def is_graph(self):
         return self.graph_facets is not None
-
-    def cell_centers(self):
-        return self.origin + self.h * (self.cells_ijk.astype(float) + 0.5)
 
     def cell_origins(self):
         return self.origin + self.h * self.cells_ijk.astype(float)
@@ -296,7 +264,7 @@ def build_box_mesh(extents, n):
     h = 1.0 / int(n)
     counts = [_lattice_count(e, h, "extent") for e in extents]
     occ = np.ones(counts, dtype=bool)
-    return Mesh(np.zeros(3), h, occ, Box(extents))
+    return Mesh(np.zeros(3), h, occ)
 
 
 def build_staircase_mesh(boxes, h):
@@ -325,8 +293,7 @@ def build_staircase_mesh(boxes, h):
         i1 = [int(round(v)) for v in i1]
         occ[i0[0] : i1[0], i0[1] : i1[1], i0[2] : i1[2]] = True
     _require_connected(occ)
-    spec = Staircase(tuple((tuple(lo), tuple(hi)) for lo, hi in boxes))
-    return Mesh(lo_all, h, occ, spec)
+    return Mesh(lo_all, h, occ)
 
 
 def _require_connected(occ):
@@ -400,8 +367,7 @@ def build_truncated_graph_mesh(profile, lipschitz_constant, box, h):
         plane = hi[axis] if side > 0 else lo[axis]
         return np.abs(centers[:, axis] - plane) > _SNAP
 
-    spec = TruncatedGraph(float(lipschitz_constant), (tuple(lo), tuple(hi)))
-    return Mesh(lo, h, occ, spec, graph_facet_rule=graph_rule)
+    return Mesh(lo, h, occ, graph_facet_rule=graph_rule)
 
 
 def _check_lipschitz(phi, h, K):

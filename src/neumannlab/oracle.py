@@ -28,8 +28,6 @@ tangential mode cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularityError
@@ -37,15 +35,6 @@ from .errors import SingularityError
 _FOUR_PI = 4.0 * np.pi
 #: probes per vectorized block of cube_neumann_series_batch
 _BATCH_CHUNK = 2048
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    cutoff: int = 20
-
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
 
 
 def fundamental_solution(x, y):
@@ -58,69 +47,12 @@ def fundamental_solution(x, y):
     return 1.0 / (_FOUR_PI * r)
 
 
-def _g0(s, t):
-    """1D kernel of -g'' = delta_t - 1, Neumann ends, zero mean on (0, 1)."""
-    return 0.5 * (s * s + t * t) - max(s, t) + 1.0 / 3.0
-
-
-def _gk(kappa, s, t):
-    """1D kernel of -g'' + kappa^2 g = delta_t, Neumann ends on (0, 1).
-
-    Stable form of cosh(kappa s_<) cosh(kappa (1 - s_>)) / (kappa sinh kappa).
-    """
-    lo, hi = (s, t) if s <= t else (t, s)
-    e = np.exp
-    num = (
-        e(-kappa * (hi - lo))
-        + e(-kappa * (hi + lo))
-        + e(-kappa * (2.0 - hi - lo))
-        + e(-kappa * (2.0 - hi + lo))
-    )
-    return num / (2.0 * kappa * (1.0 - e(-2.0 * kappa)))
-
-
-def _w(p):
-    return float(np.sum(p - p * p) / 6.0)
-
-
-def cube_volume_mean_zero_series(x, y, config=None):
-    """The volume-mean-zero cube kernel G(x, y) (Identity coefficients)."""
-    cfg = config or SeriesConfig()
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.array_equal(x, y):
-        raise SingularityError("cube series evaluated at x = y")
-    axis = int(np.argmax(np.abs(x - y)))
-    t1, t2 = [a for a in range(3) if a != axis]
-    K = cfg.cutoff
-
-    k = np.arange(K + 1)
-    nu2 = np.where(k == 0, 1.0, 2.0)
-    c1 = nu2 * np.cos(k * np.pi * x[t1]) * np.cos(k * np.pi * y[t1])
-    c2 = nu2 * np.cos(k * np.pi * x[t2]) * np.cos(k * np.pi * y[t2])
-    s, t = x[axis], y[axis]
-
-    total = 0.0
-    for i in range(K + 1):
-        for j in range(K + 1):
-            if i == 0 and j == 0:
-                g = _g0(s, t)
-            else:
-                g = _gk(np.pi * np.hypot(i, j), s, t)
-            total += c1[i] * c2[j] * g
-    return total
-
-
-def cube_neumann_series(x, y, config=None):
-    """Unit-cube Neumann kernel with flux -1/6 and zero boundary mean."""
-    g = cube_volume_mean_zero_series(x, y, config)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return g + _w(x) + _w(y) - 5.0 / 36.0
-
-
 def _gk_batch(kappa, s, t):
-    """_gk for an array of kappa (K,) against an array of s (n,), scalar t."""
+    """1D kernels of -g'' + kappa^2 g = delta_t, Neumann ends on (0, 1): (n, K).
+
+    Stable form of cosh(kappa s_<) cosh(kappa (1 - s_>)) / (kappa sinh kappa)
+    for an array of kappa (K,) against an array of s (n,), scalar t.
+    """
     lo = np.minimum(s, t)[:, None]
     hi = np.maximum(s, t)[:, None]
     k = kappa[None, :]
@@ -133,12 +65,13 @@ def _gk_batch(kappa, s, t):
     return num / (2.0 * k * (1.0 - np.exp(-2.0 * k)))
 
 
-def cube_neumann_series_batch(xs, y, config=None):
-    """Vectorized cube_neumann_series for many probes against one pole."""
-    cfg = config or SeriesConfig()
+def cube_neumann_series_batch(xs, y, cutoff=20):
+    """Unit-cube Neumann kernel N(x, y), flux -1/6 and zero boundary mean, at probes xs (n, 3)."""
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     y = np.asarray(y, dtype=float)
-    K = cfg.cutoff
+    K = cutoff
     k = np.arange(K + 1)
     nu2 = np.where(k == 0, 1.0, 2.0)
     out = np.empty(len(xs))
@@ -158,19 +91,14 @@ def cube_neumann_series_batch(xs, y, config=None):
             gfull = np.empty((len(sel), (K + 1) ** 2))
             gfull[:, 1:] = g
             s_ax = x[:, axis]
+            # the (0, 0) mode: -g'' = delta_t - 1 with zero mean on (0, 1)
             gfull[:, 0] = 0.5 * (s_ax**2 + y[axis] ** 2) - np.maximum(s_ax, y[axis]) + 1.0 / 3.0
             total = np.einsum(
                 "ni,nj,nij->n", c1, c2, gfull.reshape(len(sel), K + 1, K + 1)
             )
             out[sel] = total
     w_x = np.sum(xs - xs * xs, axis=1) / 6.0
-    return out + w_x + _w(y) - 5.0 / 36.0
-
-
-def cube_boundary_integral_of_series(y):
-    """Closed form of int_{dOmega} G(., y) dsigma (used by the normalization)."""
-    y = np.asarray(y, dtype=float)
-    return float(np.sum(y * y - y) + 0.5)
+    return out + w_x + np.sum(y - y * y) / 6.0 - 5.0 / 36.0
 
 
 def halfspace_neumann(x, y):

@@ -237,13 +237,17 @@ def _dissection_order(ijk):
 
 
 def solver_for(mesh, fld, config, solver=None):
-    """``solver`` when it was built for (mesh, fld), else a new NeumannSolver.
+    """``solver`` when it was built for (mesh, fld, config), else a new NeumannSolver.
 
-    A solver assembled on another mesh or for another coefficient field
-    (including the other direction, forward vs adjoint) raises InterfaceError.
+    A solver assembled on another mesh, for another coefficient field
+    (including the other direction, forward vs adjoint) or with a config other
+    than a given ``config`` raises InterfaceError; ``config=None`` takes the
+    solver's own.
     """
     if solver is None:
         return NeumannSolver(mesh, fld, config)
+    if config is not None and config != solver.config:
+        raise InterfaceError(f"solver was built with {solver.config}, not {config}")
     if solver.mesh is not mesh:
         raise InterfaceError("solver was built for a different mesh")
     if solver.field is not fld and (
@@ -291,19 +295,13 @@ def _load(mesh, f, g, m):
     return load, float(sum(l1))
 
 
-def check_compatibility(mesh, f, g, m=1):
-    """r = int_Omega f + int_{dOmega} g per component (pure evaluation)."""
-    return _load(mesh, f, g, m)[0].reshape(-1, m).sum(axis=0)
-
-
 def solve_neumann_bounded(mesh, fld, f, g, config=None, solver=None):
     """Unique zero-boundary-mean solution of L u = f, A Du . n = g.
 
     Raises CompatibilityError when int f + int g deviates from zero by more
     than COMPATIBILITY_RTOL relative to the L1 size of the data.
     """
-    cfg = config or SolveConfig()
-    solver = solver_for(mesh, fld, cfg, solver)
+    solver = solver_for(mesh, fld, config, solver)
     m = fld.m
     load, scale = _load(mesh, f, g, m)
     residual = load.reshape(-1, m).sum(axis=0)
@@ -320,8 +318,7 @@ def solve_neumann_graph(mesh, fld, f, config=None, solver=None):
 
     A support too close to the far boundary sets a truncation-warning flag.
     """
-    cfg = config or SolveConfig()
-    solver = solver_for(mesh, fld, cfg, solver)
+    solver = solver_for(mesh, fld, config, solver)
     m = fld.m
     load = assemble_volume_load(mesh, f, m)
     flags = _truncation_flags(mesh, load, m)

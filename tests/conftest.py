@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from neumannlab.coeff import Identity, ScalarCheckerboard, make_coefficient
+from neumannlab.discretize import QUADRATURE_ORDER, gradient_at_quadrature, volume_quadrature
 from neumannlab.mesh import build_box_mesh, build_staircase_mesh, build_truncated_graph_mesh
 from neumannlab.solve import SolveConfig
 
@@ -44,3 +45,15 @@ def checkerboard_field():
 @pytest.fixture(scope="session")
 def solve_config():
     return SolveConfig()
+
+
+@pytest.fixture(scope="session")
+def gradient_l2_norm():
+    """||D u||_{L2} of a DiscreteField under the assembly quadrature."""
+
+    def norm(fld):
+        g = gradient_at_quadrature(fld)
+        _, w = volume_quadrature(QUADRATURE_ORDER)
+        return float(np.sqrt(np.einsum("g,cgma->", w * fld.mesh.h**3, g**2)))
+
+    return norm

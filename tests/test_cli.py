@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,13 @@ class TestConfig:
         path.write_text("mesh.shape = weird\n")
         with pytest.raises(ValueError):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")),
+        ids=lambda p: p.name,
+    )
+    def test_shipped_configs_load(self, path):
+        assert parse_config(path).kind
 
     def test_hash_changes_with_content(self):
         a = RunConfig(seed=1)
@@ -247,7 +255,18 @@ class TestMain:
         (rec,) = [r for r in report["records"] if r["name"] == "solve-residual"]
         assert rec["empirical_constant"] <= 100 * RunConfig().solve_tolerance
 
-    @pytest.mark.parametrize("line", ["solve.method = bordered-lagrange", "threads = 2"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "solve.method = bordered-lagrange",
+            "threads = 2",
+            "tol.identity = 1000",
+            "oracle.rtol = 1",
+            "oracle.cutoff = 10",
+            "kernel.eps_factor = 3",
+            "mesh.graph_k = 1",
+        ],
+    )
     def test_removed_keys_rejected(self, tmp_path, line, capsys):
         cfg = tmp_path / "old.cfg"
         cfg.write_text(f"kind = solve\n{line}\n")
@@ -262,6 +281,7 @@ class TestMain:
             "poles = nowhere",
             "solve.linear_solver = magic",
             "solve.tolerance = 2",
+            "trials = 0",
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, line, capsys):

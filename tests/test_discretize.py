@@ -25,7 +25,6 @@ from neumannlab.discretize import (
     assemble_volume_load,
     boundary_mean,
     boundary_weight_vector,
-    gradient_l2_norm,
     interpolate,
     l2_norm,
     shape_gradients,
@@ -58,7 +57,7 @@ class TestStiffness:
         Kt = assemble_stiffness(unit_cube_8, adjoint_coefficients(fld)).matrix
         assert abs(K - Kt.T).max() < 1e-14
 
-    def test_coercivity_and_boundedness_on_constrained_fields(self, unit_cube_8):
+    def test_coercivity_and_boundedness_on_constrained_fields(self, unit_cube_8, gradient_l2_norm):
         fld = make_coefficient(ScalarCheckerboard(10.0))
         K = assemble_stiffness(unit_cube_8, fld)
         b = boundary_weight_vector(unit_cube_8)
@@ -270,7 +269,7 @@ class TestInterpolation:
         pts = np.array([[0.3, 0.4, 0.5], [0.125, 0.99, 0.01], [1.0, 1.0, 1.0]])
         assert_allclose(interpolate(u, pts)[:, 0], pts[:, 0], atol=1e-13)
 
-    def test_l2_norm_of_linear(self, unit_cube_8):
+    def test_l2_norm_of_linear(self, unit_cube_8, gradient_l2_norm):
         u = DiscreteField(unit_cube_8, unit_cube_8.nodes[:, :1])
         assert_allclose(l2_norm(u), np.sqrt(1.0 / 3.0), rtol=1e-12)
         assert_allclose(gradient_l2_norm(u), 1.0, rtol=1e-12)

@@ -34,7 +34,7 @@ from neumannlab.kernel import (
     representation_solve,
 )
 from neumannlab.mesh import build_box_mesh, build_staircase_mesh, build_truncated_graph_mesh
-from neumannlab.oracle import SeriesConfig, cube_neumann_series_batch
+from neumannlab.oracle import cube_neumann_series_batch
 from neumannlab.solve import NeumannSolver, SolveConfig, solve_neumann_bounded
 
 CENTER = (0.5, 0.5, 0.5)
@@ -48,9 +48,11 @@ class TestMollifier:
         assert_allclose(1.0 / integral, MOLLIFIER_NORMALIZATION, rtol=1e-8)
 
     def test_profile_sup_and_bound(self):
+        # sup of the unscaled profile c (1 - |z|^2)_+^2, attained at z = 0
         mol = Mollifier(CENTER, 0.25)
-        assert_allclose(mol.profile_sup, 105 / (32 * np.pi), rtol=1e-15)
-        assert mol.profile_sup <= 2.0  # the admissible-bump bound
+        peak = mol(np.array(CENTER))[0] * mol.radius**3
+        assert_allclose(peak, 105 / (32 * np.pi), rtol=1e-15)
+        assert peak <= 2.0  # the admissible-bump bound
 
     def test_support(self):
         mol = Mollifier(CENTER, 0.2)
@@ -155,10 +157,8 @@ class TestColumnBuild:
                 unit_cube_12, identity_field, (0.08, 0.5, 0.5), solve_config, eps=2 / 12
             ).column(0)
 
-    def test_energy_scaling_in_eps(self, identity_field, solve_config):
+    def test_energy_scaling_in_eps(self, identity_field, solve_config, gradient_l2_norm):
         # ||Dv|| ~ eps^{(2-d)/2}: halving eps grows the energy by about sqrt(2)
-        from neumannlab.discretize import gradient_l2_norm
-
         mesh = build_box_mesh((1, 1, 1), 32)
         solver = NeumannSolver(mesh, identity_field, solve_config)  # one factorization
         e = {}
@@ -218,7 +218,7 @@ class TestKernelBuild:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         probes = np.array(CENTER) + (4 / 12) * dirs
         fe = kern.magnitude_at(probes)
-        oracle = np.abs(cube_neumann_series_batch(probes, np.array(CENTER), SeriesConfig(24)))
+        oracle = np.abs(cube_neumann_series_batch(probes, np.array(CENTER), 24))
         assert np.max(np.abs(fe - oracle) / oracle) < 0.10
 
 

@@ -4,18 +4,63 @@ from numpy.testing import assert_allclose
 
 from neumannlab.errors import SingularityError
 from neumannlab.mesh import build_box_mesh
-from neumannlab.oracle import (
-    SeriesConfig,
-    cube_boundary_integral_of_series,
-    cube_neumann_series,
-    cube_neumann_series_batch,
-    fundamental_solution,
-    halfspace_neumann,
-    _g0,
-    _gk,
-)
+from neumannlab.oracle import cube_neumann_series_batch, fundamental_solution, halfspace_neumann
 
 Y_CENTER = np.array([0.5, 0.5, 0.5])
+
+
+# Scalar reference: the cube series summed mode by mode in a double loop, an
+# independent check of the vectorized cube_neumann_series_batch.
+def _g0(s, t):
+    """1D kernel of -g'' = delta_t - 1, Neumann ends, zero mean on (0, 1)."""
+    return 0.5 * (s * s + t * t) - max(s, t) + 1.0 / 3.0
+
+
+def _gk(kappa, s, t):
+    """1D kernel of -g'' + kappa^2 g = delta_t, Neumann ends on (0, 1).
+
+    Stable form of cosh(kappa s_<) cosh(kappa (1 - s_>)) / (kappa sinh kappa).
+    """
+    lo, hi = (s, t) if s <= t else (t, s)
+    e = np.exp
+    num = (
+        e(-kappa * (hi - lo))
+        + e(-kappa * (hi + lo))
+        + e(-kappa * (2.0 - hi - lo))
+        + e(-kappa * (2.0 - hi + lo))
+    )
+    return num / (2.0 * kappa * (1.0 - e(-2.0 * kappa)))
+
+
+def _w(p):
+    return float(np.sum(p - p * p) / 6.0)
+
+
+def cube_neumann_series(x, y, cutoff=20):
+    """Unit-cube Neumann kernel with flux -1/6 and zero boundary mean, one probe."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    axis = int(np.argmax(np.abs(x - y)))
+    t1, t2 = [a for a in range(3) if a != axis]
+    k = np.arange(cutoff + 1)
+    nu2 = np.where(k == 0, 1.0, 2.0)
+    c1 = nu2 * np.cos(k * np.pi * x[t1]) * np.cos(k * np.pi * y[t1])
+    c2 = nu2 * np.cos(k * np.pi * x[t2]) * np.cos(k * np.pi * y[t2])
+    s, t = x[axis], y[axis]
+    total = 0.0
+    for i in range(cutoff + 1):
+        for j in range(cutoff + 1):
+            if i == 0 and j == 0:
+                g = _g0(s, t)
+            else:
+                g = _gk(np.pi * np.hypot(i, j), s, t)
+            total += c1[i] * c2[j] * g
+    return total + _w(x) + _w(y) - 5.0 / 36.0
+
+
+def series_at(x, y, cutoff=20):
+    """cube_neumann_series_batch at one probe."""
+    return cube_neumann_series_batch(np.asarray(x)[None], y, cutoff)[0]
 
 
 class TestFundamentalSolution:
@@ -65,63 +110,57 @@ class TestCubeSeries:
     def test_symmetry_in_arguments(self):
         x = np.array([0.3, 0.45, 0.6])
         y = np.array([0.52, 0.5, 0.48])
-        assert cube_neumann_series(x, y) == cube_neumann_series(y, x)
+        assert series_at(x, y) == series_at(y, x)
 
     def test_axis_permutation_consistency(self):
         # the resummation axis is an implementation detail of the same object
         x = np.array([0.3, 0.45, 0.6])
         y = np.array([0.52, 0.5, 0.48])
         perm = [1, 0, 2]
-        assert_allclose(cube_neumann_series(x, y), cube_neumann_series(x[perm], y[perm]), rtol=1e-12)
+        assert_allclose(series_at(x, y), series_at(x[perm], y[perm]), rtol=1e-12)
 
     def test_cutoff_self_consistency(self):
         x = Y_CENTER + np.array([0.1, 0.05, 0.02])
-        a = cube_neumann_series(x, Y_CENTER, SeriesConfig(20))
-        b = cube_neumann_series(x, Y_CENTER, SeriesConfig(40))
+        a = series_at(x, Y_CENTER, 20)
+        b = series_at(x, Y_CENTER, 40)
         assert abs(a - b) / abs(b) < 0.01
 
     def test_near_field_fundamental_dominance(self):
         x = Y_CENTER + np.array([0.05, 0.0, 0.0])
-        v = cube_neumann_series(x, Y_CENTER)
+        v = series_at(x, Y_CENTER)
         assert abs(v * 4 * np.pi * 0.05 - 1.0) < 0.1
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(1)
         xs = rng.uniform(0.05, 0.95, (20, 3))
-        batch = cube_neumann_series_batch(xs, Y_CENTER, SeriesConfig(24))
-        single = np.array([cube_neumann_series(x, Y_CENTER, SeriesConfig(24)) for x in xs])
+        batch = cube_neumann_series_batch(xs, Y_CENTER, 24)
+        single = np.array([cube_neumann_series(x, Y_CENTER, 24) for x in xs])
         assert np.array_equal(batch, single)
-
-    def test_singularity(self):
-        with pytest.raises(SingularityError):
-            cube_neumann_series(Y_CENTER, Y_CENTER)
 
     def test_conormal_flux_is_uniform(self):
         # one-sided second-order difference at a face: dN/dn = -1/|dOmega| = -1/6
         d = 1e-3
-        vals = [
-            cube_neumann_series(np.array([0.5, 0.5, 1.0 - i * d]), Y_CENTER, SeriesConfig(30))
-            for i in range(3)
-        ]
+        probes = np.array([[0.5, 0.5, 1.0 - i * d] for i in range(3)])
+        vals = cube_neumann_series_batch(probes, Y_CENTER, 30)
         flux = (3 * vals[0] - 4 * vals[1] + vals[2]) / (2 * d)
         assert_allclose(flux, -1.0 / 6.0, atol=1e-6)
 
     def test_boundary_mean_vanishes(self):
         # facet-midpoint quadrature of the trace; converges at second order
         mesh = build_box_mesh((1, 1, 1), 16)
-        vals = cube_neumann_series_batch(mesh.facet_center, Y_CENTER, SeriesConfig(24))
+        vals = cube_neumann_series_batch(mesh.facet_center, Y_CENTER, 24)
         assert abs((vals * mesh.facet_area).sum()) < 1e-3
 
     def test_boundary_integral_closed_form(self):
         # the closed form of int_{dOmega} G(., y) against facet quadrature of G
         y = np.array([0.3, 0.6, 0.55])
         mesh = build_box_mesh((1, 1, 1), 24)
-        n_vals = cube_neumann_series_batch(mesh.facet_center, y, SeriesConfig(24))
+        n_vals = cube_neumann_series_batch(mesh.facet_center, y, 24)
         w_face = np.sum(mesh.facet_center - mesh.facet_center**2, axis=1) / 6.0
         w_y = np.sum(y - y * y) / 6.0
         g_vals = n_vals - w_face - w_y + 5.0 / 36.0
         quad = float((g_vals * mesh.facet_area).sum())
-        assert_allclose(quad, cube_boundary_integral_of_series(y), atol=2e-3)
+        assert_allclose(quad, np.sum(y * y - y) + 0.5, atol=2e-3)
 
 
 class TestHalfspace:

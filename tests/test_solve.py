@@ -22,7 +22,6 @@ from neumannlab.coeff import (
 from neumannlab.discretize import (
     boundary_mean,
     boundary_weight_vector,
-    gradient_l2_norm,
     interpolate,
     l2_error,
     l2_norm,
@@ -34,7 +33,6 @@ from neumannlab.solve import (
     NeumannSolver,
     SolveConfig,
     _dissection_order,
-    check_compatibility,
     solve_neumann_bounded,
     solve_neumann_graph,
 )
@@ -47,20 +45,24 @@ def cosine_problem():
 
 
 class TestCompatibility:
-    def test_zero_data(self, unit_cube_8):
-        assert_allclose(check_compatibility(unit_cube_8, None, None), [0.0])
+    def test_zero_data(self, unit_cube_8, identity_field):
+        u = solve_neumann_bounded(unit_cube_8, identity_field, None, None)
+        assert_allclose(u.info.multiplier, [0.0])
 
-    def test_balanced_pair(self, unit_cube_8):
-        r = check_compatibility(
+    def test_balanced_pair(self, unit_cube_8, identity_field):
+        # the multiplier is the residual int f + int g over |dOmega|
+        u = solve_neumann_bounded(
             unit_cube_8,
+            identity_field,
             lambda p: np.ones((len(p), 1)),
             lambda p: np.full((len(p), 1), -1.0 / 6.0),
         )
-        assert_allclose(r, [0.0], atol=1e-13)
+        assert_allclose(u.info.multiplier * unit_cube_8.boundary_measure, [0.0], atol=1e-13)
 
-    def test_unbalanced(self, unit_cube_8):
-        r = check_compatibility(unit_cube_8, lambda p: np.ones((len(p), 1)), None)
-        assert_allclose(r, [1.0], rtol=1e-12)
+    def test_unbalanced(self, unit_cube_8, identity_field):
+        with pytest.raises(CompatibilityError) as err:
+            solve_neumann_bounded(unit_cube_8, identity_field, lambda p: np.ones((len(p), 1)), None)
+        assert_allclose(err.value.residual, [1.0], rtol=1e-12)
 
     def test_incompatible_rejected_with_residual(self, unit_cube_8, identity_field, solve_config):
         with pytest.raises(CompatibilityError) as err:
@@ -140,14 +142,16 @@ class TestBoundedSolve:
         diff = l2_norm(u12 - (u1 + u2))
         assert diff <= 2 * solve_config.tolerance * max(l2_norm(u12), 1.0)
 
-    def test_energy_bound_stable_under_refinement(self, identity_field, solve_config):
+    def test_energy_bound_stable_under_refinement(
+        self, identity_field, solve_config, gradient_l2_norm
+    ):
         # ||Du|| / ||f||_{L^{6/5}} stays bounded across refinements
         f, _ = cosine_problem()
         ratios = []
         for n in (6, 12):
             mesh = build_box_mesh((1, 1, 1), n)
             u = solve_neumann_bounded(mesh, identity_field, f, None, solve_config)
-            pts_f = np.abs(f(mesh.cell_centers())[:, 0]) ** 1.2
+            pts_f = np.abs(f(mesh.cell_origins() + mesh.h / 2)[:, 0]) ** 1.2
             f_norm = (pts_f.sum() * mesh.h**3) ** (1 / 1.2)
             ratios.append(gradient_l2_norm(u) / f_norm)
         assert abs(ratios[1] - ratios[0]) / ratios[0] < 0.05
@@ -492,7 +496,7 @@ class TestGraphSolve:
 
 
 class TestSolverMismatch:
-    """A solver assembled for another mesh or field is refused, not reused."""
+    """A solver assembled for another mesh, field or config is refused, not reused."""
 
     @staticmethod
     def _f(p):
@@ -502,6 +506,14 @@ class TestSolverMismatch:
         solver = NeumannSolver(unit_cube_8, checkerboard_field)
         with pytest.raises(InterfaceError, match="coefficient field"):
             solve_neumann_bounded(unit_cube_8, identity_field, self._f, None, solver=solver)
+
+    def test_bounded_other_config(self, unit_cube_8, identity_field):
+        solver = NeumannSolver(unit_cube_8, identity_field, SolveConfig())
+        krylov = SolveConfig(linear_solver="krylov", tolerance=1e-3)
+        with pytest.raises(InterfaceError, match="built with"):
+            solve_neumann_bounded(unit_cube_8, identity_field, self._f, None, krylov, solver=solver)
+        u = solve_neumann_bounded(unit_cube_8, identity_field, self._f, None, SolveConfig(), solver)
+        assert u.info.method == "bounded-direct"
 
     def test_bounded_other_mesh(self, unit_cube_8, identity_field):
         solver = NeumannSolver(build_box_mesh((1, 1, 1), 4), identity_field)
