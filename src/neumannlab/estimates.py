@@ -437,13 +437,16 @@ def random_compatible_data(mesh, m, rng):
     amps = rng.uniform(-1.0, 1.0, size=(3, m))
 
     def f(pts):
+        # one cosine pair per distinct mode; the sum keeps the (comp, q) order
+        cos = {
+            k: (np.cos(k * np.pi * pts[:, 0]), np.cos(k * np.pi * pts[:, 1]))
+            for k in np.unique(modes)
+        }
         out = np.zeros((len(pts), m))
         for comp in range(m):
             for q in range(3):
-                k = modes[q, comp]
-                out[:, comp] += amps[q, comp] * np.cos(k * np.pi * pts[:, 0]) * np.cos(
-                    k * np.pi * pts[:, 1]
-                )
+                cx, cy = cos[modes[q, comp]]
+                out[:, comp] += amps[q, comp] * cx * cy
         return out
 
     fl = assemble_volume_load(mesh, f, m).reshape(-1, m).sum(axis=0)
@@ -461,8 +464,11 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
     ratio = sup |u| over the half ball / (R^{-d/2} ||u||_{L2(ball)} +
     R^2 sup|f| + R sup|g|); the max over trials is a lower bound for C1.
     Passing explicit ``balls`` [(center, radius), ...] makes the estimate
-    comparable across refinements of the same domain.
+    comparable across refinements of the same domain.  ``trials`` must be at
+    least 1: with none, the record would hold no sample and a constant of 0.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     solver = solver_for(mesh, fld, None, solver)
     rng = np.random.default_rng(seed)
     m = fld.m

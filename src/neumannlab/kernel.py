@@ -15,6 +15,7 @@ an eps-consistency check; nothing below the mesh scale is resolvable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,21 @@ class Mollifier:
 def integrate_mollifier(mollifier):
     """Refined Gauss quadrature of Phi_eps over its support (mesh-independent).
 
-    The tensor grid of squared distances is built by broadcasting the 1-D
-    Gauss points; no (n^3, 3) point array is formed.
+    The rule is the tensor product of n = 128 Gauss nodes per axis (64
+    sub-intervals of the support box, 2 points each), summed in O(n^2 log n)
+    without forming the n^3 grid.  With scaled squared offsets t_x, t_y, t_z
+    the bump is c eps^-3 (r - t_z)^2 on t_z < r, where r = 1 - t_x - t_y.
+    The t_z are V-shaped along the axis, so for each (x, y) node pair the
+    z-nodes inside the ball form one contiguous run, and the sum over it is
+
+        sum_run w (r - t)^2 = r^2 A - 2 r B + C,
+
+    with A = sum w, B = sum w t, C = sum w t^2 over the run.  Only about n/2
+    distinct runs occur, and every pair of a run shares its moments, so their
+    rounding does not average out: each run's moments are summed directly
+    and correctly rounded (``math.fsum``).  Differences of prefix sums cancel
+    large partial sums and drift by tens of ulps of the unit mass; numpy's
+    pairwise sum leaves up to 4 ulps against the point-array rule.
     """
     eps = mollifier.radius
     x, w = gauss_rule_1d(2)
@@ -84,10 +98,19 @@ def integrate_mollifier(mollifier):
     pts1 = (edges[:-1, None] + h * x[None, :]).ravel()
     wts1 = np.tile(h * w, _MASS_SUBDIVISIONS)
     # offsets rounded through center + offset, as the bump sees its points
-    d2 = [((pts1 + c) - c) ** 2 for c in mollifier.center]
-    z2 = (d2[0][:, None, None] + d2[1][None, :, None] + d2[2][None, None, :]) / eps**2
-    W = np.einsum("i,j,k->ijk", wts1, wts1, wts1)
-    return float((_bump(z2, eps) * W).sum())
+    tx, ty, tz = (((pts1 + c) - c) ** 2 / eps**2 for c in mollifier.center)
+    r = (1.0 - tx[:, None] - ty[None, :]).ravel()
+    # the run [lo, hi) of z-nodes with t_z < r, found on both arms of the V
+    mid = int(np.argmin(tz))
+    lo = mid - np.searchsorted(tz[:mid][::-1], r)
+    hi = mid + np.searchsorted(tz[mid:], r)
+    _, first, run = np.unique(lo * (len(tz) + 1) + hi, return_index=True, return_inverse=True)
+    terms = [(wts1 * tz**j).tolist() for j in range(3)]
+    moments = np.array([[math.fsum(a[lo[p] : hi[p]]) for a in terms] for p in first])
+    A, B, C = moments[run].T
+    inner = r * r * A - 2.0 * r * B + C
+    W = np.outer(wts1, wts1).ravel()
+    return float(MOLLIFIER_NORMALIZATION * (W * inner).sum() / eps**3)
 
 
 #: fractional lattice offsets this close to a lattice point are snapped onto

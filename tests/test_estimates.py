@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from neumannlab.coeff import ScalarCheckerboard, make_coefficient
-from neumannlab.discretize import DiscreteField
+from neumannlab.discretize import DiscreteField, quadrature_points
 from neumannlab.errors import (
     ExponentRangeError,
     InvalidGeometryError,
@@ -20,6 +20,7 @@ from neumannlab.estimates import (
     holder_seminorm,
     local_lp_norm,
     pointwise_decay_check,
+    random_compatible_data,
     relative_spread,
     test_local_boundedness as local_boundedness_trials,
 )
@@ -172,6 +173,33 @@ class TestLocalBoundedness:
         assert a.empirical_constant > 0
         assert a.empirical_constant == b.empirical_constant
         assert len(a.samples) <= 5
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_refused(self, unit_cube_8, identity_field, trials):
+        # zero trials would return a record with no samples and constant 0.0
+        with pytest.raises(ValueError, match="trials"):
+            local_boundedness_trials(unit_cube_8, identity_field, trials=trials)
+
+
+class TestRandomCompatibleData:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_density_matches_naive_modes(self, unit_cube_8, m):
+        # f evaluates each mode's cosines once; the values stay bit-equal to
+        # the per-(mode, component) expression summed in the same order
+        pts = quadrature_points(unit_cube_8)[0].reshape(-1, 3)
+        for seed in range(20):
+            f, _, _ = random_compatible_data(unit_cube_8, m, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            modes = rng.integers(1, 4, size=(3, m))
+            amps = rng.uniform(-1.0, 1.0, size=(3, m))
+            naive = np.zeros((len(pts), m))
+            for comp in range(m):
+                for q in range(3):
+                    k = modes[q, comp]
+                    naive[:, comp] += amps[q, comp] * np.cos(k * np.pi * pts[:, 0]) * np.cos(
+                        k * np.pi * pts[:, 1]
+                    )
+            assert np.array_equal(f(pts), naive)
 
 
 class TestCaccioppoli:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,17 +65,29 @@ class TestMollifier:
         assert abs(integrate_mollifier(mol) - 1.0) < 1e-6
 
     def test_mass_matches_point_array_quadrature(self):
-        # reference: the same 128^3 Gauss rule evaluated on an explicit point array
         mol = Mollifier((0.3, 0.55, 0.71), 0.17)
-        x, w = gauss_rule_1d(2)
-        edges = np.linspace(-mol.radius, mol.radius, 65)
-        h = edges[1] - edges[0]
-        pts1 = (edges[:-1, None] + h * x[None, :]).ravel()
-        wts1 = np.tile(h * w, 64)
-        P = np.stack(np.meshgrid(pts1, pts1, pts1, indexing="ij"), axis=-1).reshape(-1, 3)
-        W = np.einsum("i,j,k->ijk", wts1, wts1, wts1).ravel()
-        ref = float((mol(P + np.asarray(mol.center)) * W).sum())
-        assert abs(integrate_mollifier(mol) - ref) <= 1e-15
+        assert abs(integrate_mollifier(mol) - point_array_mass(mol)) <= 1e-15
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+        st.floats(0.02, 0.6),
+    )
+    def test_mass_matches_point_array_property(self, center, radius):
+        mol = Mollifier(center, radius)
+        assert abs(integrate_mollifier(mol) - point_array_mass(mol)) <= 1e-15
+
+    def test_mass_allocates_no_cube_grid(self):
+        # one double per point of the 128^3 rule would be 16.8 MB
+        mol = Mollifier((0.3, 0.55, 0.71), 0.17)
+        integrate_mollifier(mol)
+        tracemalloc.start()
+        try:
+            integrate_mollifier(mol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.05, 0.5))
@@ -87,6 +100,18 @@ class TestMollifier:
         assert load.shape == (unit_cube_12.n_nodes, 1)
         assert_allclose(load.sum(), 1.0, rtol=1e-14)
         assert abs(raw[0] - 1.0) < 1e-3  # quadrature mass before normalization
+
+
+def point_array_mass(mol):
+    """The unit-mass check's 128^3 Gauss rule, evaluated on an explicit point array."""
+    x, w = gauss_rule_1d(2)
+    edges = np.linspace(-mol.radius, mol.radius, 65)
+    h = edges[1] - edges[0]
+    pts1 = (edges[:-1, None] + h * x[None, :]).ravel()
+    wts1 = np.tile(h * w, 64)
+    P = np.stack(np.meshgrid(pts1, pts1, pts1, indexing="ij"), axis=-1).reshape(-1, 3)
+    W = np.einsum("i,j,k->ijk", wts1, wts1, wts1).ravel()
+    return float((mol(P + np.asarray(mol.center)) * W).sum())
 
 
 def per_cell_load(mesh, center, eps, subdiv=3, order=2):
