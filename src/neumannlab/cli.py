@@ -2,8 +2,9 @@
 
 Config files are plain key = value lines (``#`` comments).  The keys are the
 RunConfig field names, with the first ``_`` of a mesh, coeff or solve field
-written as ``.`` (``mesh_n`` is ``mesh.n``); every key has a default, and
-``trials`` is at least 1.  Example::
+written as ``.`` (``mesh_n`` is ``mesh.n``); every key has a default,
+``mesh.extents`` holds three lengths, and ``trials`` and ``coeff.m`` are at
+least 1.  Example::
 
     kind = full-suite
     seed = 7
@@ -122,6 +123,10 @@ def _checked(cfg):
             raise ValueError(f"unknown {attr} {getattr(cfg, attr)!r}; expected one of {allowed}")
     if cfg.trials < 1:
         raise ValueError(f"trials must be >= 1, got {cfg.trials}")
+    if len(cfg.mesh_extents) != 3:
+        raise ValueError(f"mesh.extents needs 3 lengths, got {len(cfg.mesh_extents)}")
+    if cfg.coeff_m < 1:
+        raise ValueError(f"coeff.m must be >= 1, got {cfg.coeff_m}")
     return _build_spec(cfg), _solve_config(cfg)
 
 

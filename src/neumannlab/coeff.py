@@ -160,7 +160,7 @@ def _scalar_times_identity(vals, m):
 def _checkerboard_field(spec):
     if spec.contrast < 1:
         raise NonEllipticSpecError(f"checkerboard contrast must be >= 1, got {spec.contrast}")
-    if not np.isfinite(spec.contrast) or spec.cell <= 0:
+    if not np.isfinite([spec.contrast, spec.cell]).all() or spec.cell <= 0:
         raise NonEllipticSpecError("checkerboard parameters must be finite and positive")
 
     def ev(pts):
@@ -182,6 +182,8 @@ def _cell_seed(seed, tag, key):
 
 
 def _cellwise_random_field(spec):
+    if not np.isfinite([spec.lam_target, spec.m_target, spec.cell]).all():
+        raise NonEllipticSpecError("cellwise-random parameters must be finite")
     if spec.lam_target <= 0:
         raise NonEllipticSpecError(f"lam_target must be positive, got {spec.lam_target}")
     if spec.m_target < spec.lam_target or spec.cell <= 0:
@@ -213,8 +215,8 @@ def _cellwise_random_field(spec):
 def _skew_field(spec):
     if not np.isfinite(spec.amplitude) or spec.amplitude < 0:
         raise NonEllipticSpecError(f"skew amplitude must be finite and >= 0, got {spec.amplitude}")
-    if spec.cell <= 0:
-        raise NonEllipticSpecError("skew cell size must be positive")
+    if not np.isfinite(spec.cell) or spec.cell <= 0:
+        raise NonEllipticSpecError("skew cell size must be finite and positive")
     base = make_coefficient(spec.base)
     md = D * base.m
     cache = {}

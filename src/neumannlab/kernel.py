@@ -26,7 +26,6 @@ from .discretize import (
     DiscreteField,
     assemble_boundary_load,
     assemble_volume_load,
-    boundary_weight_vector,
     gauss_rule_1d,
     interpolate,
     shape_values,
@@ -310,8 +309,7 @@ def check_defining_identity(kernel, phi):
             raise InterfaceError("graph-mode test fields must vanish on the far boundary")
         boundary_term = np.zeros(m)
     else:
-        b = boundary_weight_vector(mesh)
-        boundary_term = (b @ phi.values) / mesh.boundary_measure
+        boundary_term = (kernel.solver.boundary_weights @ phi.values) / mesh.boundary_measure
     res = np.empty(m)
     for k in range(m):
         col = kernel.values[:, :, k].reshape(-1)

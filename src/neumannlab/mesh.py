@@ -243,6 +243,8 @@ _LOCATE_OFFSETS = np.array(
 
 
 def _lattice_count(length, h, what):
+    if not np.isfinite(length):
+        raise InvalidGeometryError(f"{what} {length} is not finite")
     n = length / h
     if abs(n - round(n)) > 1e-6:
         raise InvalidGeometryError(f"{what} {length} is not commensurate with h={h}")
@@ -297,23 +299,12 @@ def build_staircase_mesh(boxes, h):
 
 
 def _require_connected(occ):
-    ids = np.argwhere(occ)
-    if len(ids) == 0:
-        raise InvalidGeometryError("empty staircase union")
-    seen = np.zeros(occ.shape, dtype=bool)
-    stack = [tuple(ids[0])]
-    seen[tuple(ids[0])] = True
-    count = 0
-    while stack:
-        i, j, k = stack.pop()
-        count += 1
-        for di, dj, dk in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-            a, b, c = i + di, j + dj, k + dk
-            if 0 <= a < occ.shape[0] and 0 <= b < occ.shape[1] and 0 <= c < occ.shape[2]:
-                if occ[a, b, c] and not seen[a, b, c]:
-                    seen[a, b, c] = True
-                    stack.append((a, b, c))
-    if count != len(ids):
+    # imported here, as only staircase meshes need it: at module level,
+    # scipy.ndimage added 0.12-0.15 s to each package import (2-vCPU VM)
+    from scipy import ndimage
+
+    # ndimage's default 3-D structure links the 6 face neighbours of a cell
+    if ndimage.label(occ)[1] != 1:
         raise InvalidGeometryError("staircase union has disconnected interior")
 
 

@@ -282,6 +282,8 @@ class TestMain:
             "solve.linear_solver = magic",
             "solve.tolerance = 2",
             "trials = 0",
+            "mesh.extents = 1 1",
+            "coeff.m = 0",
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, line, capsys):

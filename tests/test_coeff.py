@@ -80,6 +80,12 @@ class TestMakeCoefficient:
             CellwiseRandom(2.0, 1.0),
             SmoothVMO(1.0, 1.2),
             SkewPerturbed(Identity(), -0.5),
+            # a non-finite cell size maps every point to one lattice index
+            ScalarCheckerboard(10.0, cell=np.nan),
+            CellwiseRandom(0.5, 2.0, cell=np.nan),
+            SkewPerturbed(Identity(), 0.5, cell=np.inf),
+            CellwiseRandom(np.nan, 2.0),
+            CellwiseRandom(0.5, np.inf),
         ],
     )
     def test_invalid_specs_rejected(self, spec):

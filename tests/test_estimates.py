@@ -4,14 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from neumannlab.coeff import ScalarCheckerboard, make_coefficient
-from neumannlab.discretize import DiscreteField, quadrature_points
+from neumannlab import estimates, solve
+from neumannlab.coeff import ScalarCheckerboard, SkewPerturbed, make_coefficient
+from neumannlab.discretize import (
+    QUADRATURE_ORDER,
+    DiscreteField,
+    assemble_boundary_load,
+    assemble_volume_load,
+    gradient_at_quadrature,
+    quadrature_points,
+    values_at_quadrature,
+    volume_quadrature,
+)
 from neumannlab.errors import (
     ExponentRangeError,
     InvalidGeometryError,
     UnderResolvedError,
 )
 from neumannlab.estimates import (
+    annulus_fit,
     annulus_norms,
     caccioppoli_check,
     cell_magnitudes,
@@ -19,6 +30,7 @@ from neumannlab.estimates import (
     fit_power_law,
     holder_seminorm,
     local_lp_norm,
+    local_norm_fit,
     pointwise_decay_check,
     random_compatible_data,
     relative_spread,
@@ -36,6 +48,67 @@ def cb_kernel_16():
     mesh = build_box_mesh((1, 1, 1), 16)
     fld = make_coefficient(ScalarCheckerboard(10.0))
     return build_kernel(mesh, fld, CENTER, SolveConfig())
+
+
+@pytest.fixture(scope="module")
+def cb_kernel_20():
+    # fine enough (4h < d_y/2) for a non-empty annulus band
+    mesh = build_box_mesh((1, 1, 1), 20)
+    fld = make_coefficient(ScalarCheckerboard(10.0))
+    return build_kernel(mesh, fld, CENTER, SolveConfig())
+
+
+@pytest.fixture(scope="module")
+def skew_kernel_12():
+    mesh = build_box_mesh((1, 1, 1), 12)
+    fld = make_coefficient(SkewPerturbed(ScalarCheckerboard(10.0, m=2), 0.5))
+    return build_kernel(mesh, fld, CENTER, SolveConfig())
+
+
+def _flat(kernel):
+    return DiscreteField(kernel.mesh, kernel.values.reshape(kernel.mesh.n_nodes, -1))
+
+
+def reference_annulus_norms(kernel, r):
+    """One radius's annulus norms, from the kernel evaluated at every Gauss point."""
+    mesh = kernel.mesh
+    lo = mesh.cell_origins()
+    gap = np.maximum(lo - kernel.pole, 0.0) + np.maximum(kernel.pole - (lo + mesh.h), 0.0)
+    outside = np.sqrt((gap**2).sum(axis=1)) >= r
+    _, w = volume_quadrature(QUADRATURE_ORDER)
+    vals = values_at_quadrature(_flat(kernel))[outside]
+    mag6 = ((vals**2).sum(axis=2)) ** 3
+    grads = gradient_at_quadrature(_flat(kernel))[outside]
+    mag2 = (grads**2).sum(axis=(2, 3))
+    return (
+        float(np.einsum("g,cg->", w * mesh.h**3, mag6) ** (1.0 / 6.0)),
+        float(np.sqrt(np.einsum("g,cg->", w * mesh.h**3, mag2))),
+    )
+
+
+def reference_local_lp_norm(kernel, r, p, gradient):
+    """One radius's ball norm, from the kernel evaluated at every Gauss point."""
+    pts, w = quadrature_points(kernel.mesh)
+    inside = ((pts - kernel.pole) ** 2).sum(axis=2) <= r**2
+    if gradient:
+        mag = np.sqrt((gradient_at_quadrature(_flat(kernel)) ** 2).sum(axis=(2, 3)))
+    else:
+        mag = np.sqrt((values_at_quadrature(_flat(kernel)) ** 2).sum(axis=2))
+    return float(np.einsum("g,cg->", w, np.where(inside, mag**p, 0.0))) ** (1.0 / p)
+
+
+def _count_calls(monkeypatch, modules, name):
+    """Count the calls of ``name`` made through each of ``modules``; returns the counter."""
+    calls = [0]
+    for mod in modules:
+        fn = getattr(mod, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[0] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 class TestFitPowerLaw:
@@ -103,6 +176,34 @@ class TestNormMonotonicity:
         u = solve_neumann_bounded(unit_cube_8, identity_field, None, None, solve_config)
         assert np.all(cell_magnitudes(u) == 0.0)
         assert np.all(cell_magnitudes(u, gradient=True) == 0.0)
+
+
+class TestRadiusSweeps:
+    @pytest.mark.parametrize("name", ["cb_kernel_20", "skew_kernel_12"])
+    def test_annulus_sweep_bit_equal_to_per_radius(self, name, request):
+        kern = request.getfixturevalue(name)
+        radii = np.geomspace(4 * kern.mesh.h, 0.45, 6)
+        l6, l2 = annulus_norms(kern, radii)
+        ref = np.array([reference_annulus_norms(kern, r) for r in radii])
+        assert np.array_equal(l6, ref[:, 0]) and np.array_equal(l2, ref[:, 1])
+
+    @pytest.mark.parametrize("name", ["cb_kernel_20", "skew_kernel_12"])
+    @pytest.mark.parametrize("p, gradient", [(1.0, False), (2.5, False), (1.0, True), (1.4, True)])
+    def test_local_lp_sweep_bit_equal_to_per_radius(self, name, p, gradient, request):
+        kern = request.getfixturevalue(name)
+        radii = np.geomspace(4 * kern.mesh.h, 0.5, 6)
+        norms = local_lp_norm(kern, radii, p, gradient=gradient)
+        ref = [reference_local_lp_norm(kern, r, p, gradient) for r in radii]
+        assert np.array_equal(norms, ref)
+
+    def test_fits_evaluate_the_kernel_once(self, cb_kernel_20, monkeypatch):
+        values = _count_calls(monkeypatch, [estimates], "values_at_quadrature")
+        grads = _count_calls(monkeypatch, [estimates], "gradient_at_quadrature")
+        rec_l6, rec_dn = annulus_fit(cb_kernel_20)
+        assert not rec_l6.skipped and not rec_dn.skipped
+        assert (values[0], grads[0]) == (1, 1)
+        local_norm_fit(cb_kernel_20, 1.0, gradient=True)
+        assert (values[0], grads[0]) == (1, 2)
 
 
 class TestDecay:
@@ -174,6 +275,11 @@ class TestLocalBoundedness:
         assert a.empirical_constant == b.empirical_constant
         assert len(a.samples) <= 5
 
+    def test_one_volume_load_per_trial(self, unit_cube_8, checkerboard_field, monkeypatch):
+        calls = _count_calls(monkeypatch, [estimates, solve], "assemble_volume_load")
+        local_boundedness_trials(unit_cube_8, checkerboard_field, trials=3, seed=1)
+        assert calls[0] == 3
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_refused(self, unit_cube_8, identity_field, trials):
         # zero trials would return a record with no samples and constant 0.0
@@ -200,6 +306,19 @@ class TestRandomCompatibleData:
                         k * np.pi * pts[:, 1]
                     )
             assert np.array_equal(f(pts), naive)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_load_is_the_compatible_data_load(self, unit_cube_8, m):
+        # the returned load is the one a solve of (f, g) would assemble, and it
+        # balances exactly, so the solve needs no compatibility re-check
+        for seed in range(20):
+            f, g, load = random_compatible_data(unit_cube_8, m, np.random.default_rng(seed))
+            expected = assemble_volume_load(unit_cube_8, f, m) + assemble_boundary_load(
+                unit_cube_8, g, m
+            )
+            assert np.array_equal(load, expected)
+            balance = np.abs(load.reshape(-1, m).sum(axis=0))
+            assert np.all(balance <= 1e-12 * np.abs(load).sum())
 
 
 class TestCaccioppoli:

@@ -55,7 +55,10 @@ class TestBoxMesh:
         assert_allclose(m.boundary_measure, 10.0)
         assert_allclose(m.volume, 2.0)
 
-    @pytest.mark.parametrize("bad", [((0, 1, 1), 2), ((1, 1, 1), 0), ((-1, 1, 1), 2)])
+    @pytest.mark.parametrize(
+        "bad",
+        [((0, 1, 1), 2), ((1, 1, 1), 0), ((-1, 1, 1), 2), ((1, 1, np.nan), 2), ((1, np.inf, 1), 2)],
+    )
     def test_invalid_geometry(self, bad):
         with pytest.raises(InvalidGeometryError):
             build_box_mesh(*bad)
@@ -100,6 +103,11 @@ class TestStaircase:
             build_staircase_mesh(
                 [((0, 0, 0), (0.5, 0.5, 0.5)), ((1, 1, 1), (1.5, 1.5, 1.5))], 0.25
             )
+
+    def test_edge_sharing_union_rejected(self):
+        # the two boxes touch along the line x = y = 0.5 only: no shared face
+        with pytest.raises(InvalidGeometryError):
+            build_staircase_mesh([((0, 0, 0), (0.5, 0.5, 1)), ((0.5, 0.5, 0), (1, 1, 1))], 0.25)
 
     def test_facets_owned_once(self, l_shape):
         keys = {tuple(sorted(fn)) for fn in l_shape.facet_nodes}
@@ -173,6 +181,12 @@ class TestTruncatedGraph:
         assert lipschitz_reference(phi, h, max_offset=4) < K
         with pytest.raises(LipschitzViolationError):
             build_truncated_graph_mesh(profile, K, ((0, 0, 0), (1, 1, 1)), h)
+
+    def test_non_finite_box_rejected(self):
+        with pytest.raises(InvalidGeometryError, match="not finite"):
+            build_truncated_graph_mesh(
+                lambda x, y: 0 * x, 0.0, ((0, 0, 0), (1, 1, np.nan)), 0.25
+            )
 
     def test_profile_below_box_rejected(self):
         with pytest.raises(InvalidGeometryError):
