@@ -12,7 +12,6 @@ from .coeff import (
     ScalarCheckerboard,
     SkewPerturbed,
     SmoothVMO,
-    adjoint_coefficients,
     make_coefficient,
     verify_ellipticity_bounds,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "SkewPerturbed",
     "SmoothVMO",
     "SolveConfig",
-    "adjoint_coefficients",
     "boundary_mean",
     "build_box_mesh",
     "build_kernel",

@@ -3,8 +3,8 @@
 Config files are plain key = value lines (``#`` comments).  The keys are the
 RunConfig field names, with the first ``_`` of a mesh, coeff or solve field
 written as ``.`` (``mesh_n`` is ``mesh.n``); every key has a default,
-``mesh.extents`` holds three lengths, and ``trials`` and ``coeff.m`` are at
-least 1.  Example::
+``mesh.extents`` holds three lengths, and ``trials``, ``coeff.m`` and
+``mesh.n`` are at least 1.  Example::
 
     kind = full-suite
     seed = 7
@@ -34,7 +34,7 @@ import numpy as np
 from . import coeff as coeffmod
 from . import estimates as est
 from .discretize import DiscreteField, boundary_mean
-from .errors import CompatibilityError, NeumannLabError, NumericFailureError
+from .errors import CompatibilityError, InvalidGeometryError, NeumannLabError, NumericFailureError
 from .kernel import (
     Mollifier,
     build_kernel,
@@ -127,6 +127,8 @@ def _checked(cfg):
         raise ValueError(f"mesh.extents needs 3 lengths, got {len(cfg.mesh_extents)}")
     if cfg.coeff_m < 1:
         raise ValueError(f"coeff.m must be >= 1, got {cfg.coeff_m}")
+    if cfg.mesh_n < 1:
+        raise ValueError(f"mesh.n must be >= 1, got {cfg.mesh_n}")
     return _build_spec(cfg), _solve_config(cfg)
 
 
@@ -194,11 +196,13 @@ def _rec(name, value, tol, extra=None):
 def run_experiment(cfg):
     """Execute the configured pipeline; deterministic given (config, seed).
 
-    A bad config value raises ValueError before anything is built.
+    A bad config value raises ValueError before anything is built, and
+    geometry the mesh cannot be built from raises InvalidGeometryError.
     """
     records = []
     failures = []
     spec, scfg = _checked(cfg)
+    mesh = _build_mesh(cfg)
     provenance = {
         "config": cfg.to_dict(),
         "mesh": {"type": cfg.mesh_type, "extents": list(cfg.mesh_extents), "n": cfg.mesh_n},
@@ -206,7 +210,7 @@ def run_experiment(cfg):
         "seed": cfg.seed,
     }
     try:
-        _run_kind(cfg, coeffmod.make_coefficient(spec), scfg, records)
+        _run_kind(cfg, mesh, coeffmod.make_coefficient(spec), scfg, records)
     except CompatibilityError as e:
         failures.append(
             {
@@ -223,14 +227,14 @@ def run_experiment(cfg):
     return est.EstimateReport(records, provenance, cfg.hash(), failures)
 
 
-def _run_kind(cfg, fld, scfg, records):
+def _run_kind(cfg, mesh, fld, scfg, records):
     """Run the experiments of cfg.kind on one mesh and one forward solver."""
     kind = cfg.kind
     if kind in ("verify-coeff", "full-suite"):
         records.extend(_verify_coeff(cfg, fld))
     if kind == "verify-coeff":
         return
-    solver = NeumannSolver(_build_mesh(cfg), fld, scfg)
+    solver = NeumannSolver(mesh, fld, scfg)
     if kind in ("solve", "full-suite"):
         records.extend(_solve_experiment(cfg, solver))
     first_kernel = None
@@ -324,7 +328,7 @@ def _kernel_experiment(cfg, solver):
         )
     if not mesh.is_graph:
         # forward kernel at the first pole against the adjoint kernel at the last
-        k_adj = build_kernel(mesh, fld, poles[-1], scfg, adjoint=True)
+        k_adj = build_kernel(mesh, fld, poles[-1], scfg, adjoint=True, solver=solver)
         defect = check_symmetry_identity(kernels[0], k_adj)
         recs.append(_rec("symmetry-identity", defect, IDENTITY_TOL))
     return recs, kernels[0]
@@ -415,7 +419,11 @@ def main(argv=None):
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    report = run_experiment(cfg)
+    try:
+        report = run_experiment(cfg)
+    except InvalidGeometryError as e:  # from the mesh build, before any check ran
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     try:
         emit_report(report, cfg.outdir)
     except OSError as e:

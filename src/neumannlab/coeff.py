@@ -88,13 +88,12 @@ class SmoothVMO:
 class CoefficientField:
     """Evaluable coefficient tensor with declared ellipticity bounds."""
 
-    def __init__(self, spec, m, lam, bound, eval_fn, base=None):
+    def __init__(self, spec, m, lam, bound, eval_fn):
         self.spec = spec
         self.m = int(m)
         self.lam = float(lam)
         self.bound = float(bound)
         self._eval = eval_fn
-        self._adjoint_base = base
         if self.lam > self.bound + 1e-12:
             raise NonEllipticSpecError(f"declared lambda={lam} exceeds bound M={bound}")
 
@@ -116,10 +115,6 @@ class CoefficientField:
         a = self.evaluate(points)
         md = D * self.m
         return a.transpose(0, 1, 3, 2, 4).reshape(len(a), md, md)
-
-    @property
-    def is_adjoint(self):
-        return self._adjoint_base is not None
 
 
 def make_coefficient(spec):
@@ -243,8 +238,8 @@ def _skew_field(spec):
 
 
 def _smooth_field(spec):
-    if abs(spec.amplitude) >= 1:
-        raise NonEllipticSpecError(f"smooth amplitude must satisfy |a| < 1, got {spec.amplitude}")
+    if not np.isfinite(spec.amplitude) or abs(spec.amplitude) >= 1:
+        raise NonEllipticSpecError(f"smooth amplitude must be finite with |a| < 1, got {spec.amplitude}")
 
     def ev(pts):
         vals = 1.0 + spec.amplitude * np.prod(np.sin(2 * np.pi * spec.frequency * pts), axis=1)
@@ -252,18 +247,6 @@ def _smooth_field(spec):
 
     lam = 1.0 - abs(spec.amplitude)
     return CoefficientField(spec, spec.m, lam, 1.0 + abs(spec.amplitude), ev)
-
-
-def adjoint_coefficients(fld):
-    """tA[alpha, beta, i, j] = A[beta, alpha, j, i]; an involution."""
-    if fld._adjoint_base is not None:
-        return fld._adjoint_base
-
-    def ev(pts):
-        return fld.evaluate(pts).transpose(0, 2, 1, 4, 3)
-
-    adj = CoefficientField(fld.spec, fld.m, fld.lam, fld.bound, ev, base=fld)
-    return adj
 
 
 def verify_ellipticity_bounds(fld, sample_points, seed=0):

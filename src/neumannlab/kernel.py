@@ -11,6 +11,9 @@ compatibility of the pair (Phi_eps e_k, -(1/|dOmega|) e_k) is exact at the
 matrix level and the variational identities below hold to solver precision.
 The epsilon -> 0 limit is realized at mesh scale, eps = 2h, together with
 an eps-consistency check; nothing below the mesh scale is resolvable.
+
+The adjoint stiffness is K^T, so one operator, the forward solver's, serves
+kernels of both directions (the Krylov path, CG, takes symmetric K only).
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import adjoint_coefficients
 from .discretize import (
     QUADRATURE_ORDER,
     DiscreteField,
@@ -246,14 +248,11 @@ def _pole_rhs(solver, loads):
     return rhs.reshape(solver.n_dof, -1)
 
 
-def _solve(solver, rhs):
-    return solver.solve_graph(rhs) if solver.mesh.is_graph else solver.solve_bounded(rhs)
-
-
-def _solve_poles(solver, loads):
+def _solve_poles(solver, loads, adjoint):
     """Kernel values (k, n_nodes, m, m) at the k poles of ``loads``, from one blocked solve."""
     m = solver.m
-    u, info = _solve(solver, _pole_rhs(solver, loads))
+    solve = solver.solve_graph if solver.mesh.is_graph else solver.solve_bounded
+    u, info = solve(_pole_rhs(solver, loads), adjoint)
     return u.reshape(solver.mesh.n_nodes, m, loads.shape[1], m).transpose(2, 0, 1, 3), info
 
 
@@ -276,17 +275,17 @@ def _telemetry(raw_mass, info, i, m):
 def build_kernel(mesh, fld, y, config=None, eps=None, adjoint=False, solver=None):
     """All m columns at pole y; adjoint=True builds the kernel of the adjoint operator.
 
-    ``eps`` defaults to 2h, the finest resolvable mollification scale.  The
-    pole must lie at depth max(4h, eps) or more, so its mollifier is never
-    clipped by the boundary.
+    ``solver`` is the forward solver in both directions.  ``eps`` defaults to
+    2h, the finest resolvable mollification scale.  The pole must lie at
+    depth max(4h, eps) or more, so its mollifier is never clipped by the
+    boundary.
     """
     y = np.asarray(y, dtype=float)
     eps = 2 * mesh.h if eps is None else float(eps)
     _check_pole(mesh, y, eps)
-    work_field = adjoint_coefficients(fld) if adjoint else fld
-    solver = solver_for(mesh, work_field, config, solver)
+    solver = solver_for(mesh, fld, config, solver)
     loads, raw = mollifier_load(mesh, y, eps)
-    values, info = _solve_poles(solver, loads)
+    values, info = _solve_poles(solver, loads, adjoint)
     telemetry = _telemetry(raw[0], info, 0, fld.m)
     values = np.ascontiguousarray(values[0])
     return NeumannKernel(mesh, y, eps, values, loads[:, 0], adjoint, solver, telemetry)
@@ -297,12 +296,14 @@ def check_defining_identity(kernel, phi):
 
     Bounded: B(col_k, phi) + (1/|dOmega|) int_{dOmega} phi^k - (Phi_eps * phi^k)(y).
     Graph:   B(col_k, phi) - (Phi_eps * phi^k)(y); phi must vanish on the far cut.
+    B is the bilinear form of the kernel's direction: K, or K^T for the
+    adjoint kernel of a non-symmetric operator.
     """
     mesh = kernel.mesh
     if phi.mesh is not mesh:
         raise InterfaceError("test field lives on a different mesh")
     m = kernel.m
-    K = kernel.solver.stiffness.matrix
+    K = kernel.solver.operator(kernel.adjoint)
     phi_flat = phi.values.reshape(-1)
     if mesh.is_graph:
         if np.abs(phi.values[mesh.far_nodes]).max() > 1e-14:
@@ -354,9 +355,10 @@ _POLE_BLOCK = 32
 def build_node_kernel_set(mesh, fld, config=None):
     """Adjoint kernels at eps = 2h at every mesh node (the discrete Green-matrix transpose).
 
-    One factorization, one load stencil and a few blocked solves serve all
-    poles; boundary poles use clipped, renormalized mollifiers.  Every
-    kernel's values are a view of one (n_poles, n_nodes, m, m) array.
+    The forward solver's one factorization (of K^T unless K is symmetric),
+    one load stencil and a few blocked adjoint solves serve all poles;
+    boundary poles use clipped, renormalized mollifiers.  Every kernel's
+    values are a view of one (n_poles, n_nodes, m, m) array.
     """
     n, m = mesh.n_nodes, fld.m
     if n > MAX_KERNEL_SET_NODES:
@@ -365,13 +367,13 @@ def build_node_kernel_set(mesh, fld, config=None):
             "representation tests are meant for coarse meshes"
         )
     eps = 2 * mesh.h
-    solver = NeumannSolver(mesh, adjoint_coefficients(fld), config)
+    solver = NeumannSolver(mesh, fld, config)
     loads, raw = mollifier_load(mesh, mesh.nodes, eps)
     values = np.empty((n, n, m, m))
     kernels = {}
     for lo in range(0, n, _POLE_BLOCK):
         hi = min(lo + _POLE_BLOCK, n)
-        values[lo:hi], info = _solve_poles(solver, loads[:, lo:hi])
+        values[lo:hi], info = _solve_poles(solver, loads[:, lo:hi], True)
         for p in range(lo, hi):
             kernels[p] = NeumannKernel(
                 mesh, mesh.nodes[p], eps, values[p], loads[:, p], True, solver,

@@ -1,8 +1,10 @@
 """Pure-Neumann variational solves in both domain modes.
 
 Both modes solve on one reduced stiffness operator, built once per solver and
-reused across right-hand sides: sparse LU (factorized on first use) or Krylov
-(CG for symmetric coefficients, GMRES otherwise), chosen by SolveConfig.
+reused across right-hand sides and both directions (the adjoint stiffness is
+K^T): sparse LU, factorized on first use, or CG when SolveConfig asks for
+Krylov and K is symmetric.  A non-symmetric K takes LU and factors K^T once,
+on its first adjoint solve.
 
 The LU path orders the operator by geometric nested dissection of the node
 lattice and factors it in that order (SuperLU's NATURAL column order, partial
@@ -94,7 +96,9 @@ class NeumannSolver:
         self.m = fld.m
         self.n_dof = self.stiffness.n_dof
         K = self.stiffness.matrix
-        direct = self.config.linear_solver == "direct"
+        # the one symmetry decision: it picks the adjoint operator and the solver
+        self.symmetric = abs(K - K.T).max() <= 1e-12 * max(abs(K).max(), 1.0)
+        direct = self.config.linear_solver == "direct" or not self.symmetric
         keep = np.ones(self.n_dof, dtype=bool)
         if mesh.is_graph:
             keep.reshape(-1, self.m)[mesh.far_nodes] = False
@@ -110,69 +114,70 @@ class NeumannSolver:
             self.free_dofs = dofs[keep[dofs]]
             self._block = K[self.free_dofs][:, self.free_dofs].tocsc()
         else:
-            symmetric = abs(K - K.T).max() <= 1e-12 * max(abs(K).max(), 1.0)
-            self._method = "cg" if symmetric else "gmres"
+            self._method = "cg"
             self.free_dofs = np.flatnonzero(keep)
             self._block = K if keep.all() else K[self.free_dofs][:, self.free_dofs]
-        self._lu = None
+        self._factors = {}  # transposed? -> SuperLU factor of that block
 
-    def _solve_reduced(self, rhs):
-        """Solve the reduced operator for rhs[free_dofs]; removed DOFs come back 0.
+    def operator(self, adjoint=False):
+        """Stiffness of the forward system, or of the adjoint one (K^T unless K is symmetric)."""
+        K = self.stiffness.matrix
+        return K.T if adjoint and not self.symmetric else K
+
+    def _solve_reduced(self, rhs, adjoint):
+        """Solve the reduced operator of a direction for rhs[free_dofs]; removed DOFs come back 0.
 
         ``rhs`` is a load vector or an (n_dof, r) block: LU solves a block in one
-        call, Krylov one column at a time.  Returns (u, method, iterations per column).
+        call, CG one column at a time.  Returns (u, method, iterations per column).
         """
         method = self._method
         r = rhs[self.free_dofs]
         cols = r.reshape(len(r), -1)
         if method == "direct":
-            if self._lu is None:
+            # a second factor, not SuperLU's trans="T", which solves a block column by column
+            transposed = adjoint and not self.symmetric
+            lu = self._factors.get(transposed)
+            if lu is None:
+                block = self._block.T.tocsc() if transposed else self._block
                 try:
-                    self._lu = spla.splu(self._block, permc_spec="NATURAL")
+                    lu = self._factors[transposed] = spla.splu(block, permc_spec="NATURAL")
                 except RuntimeError as e:
                     raise NumericFailureError(f"sparse LU factorization failed: {e}") from e
-            x = self._lu.solve(r)
+            x = lu.solve(r)
             iterations = np.ones(cols.shape[1], dtype=np.int64)
         else:
             x = np.empty_like(cols)
             iterations = np.empty(cols.shape[1], dtype=np.int64)
             for j in range(cols.shape[1]):
-                x[:, j], iterations[j] = self._krylov(method, cols[:, j])
+                x[:, j], iterations[j] = self._cg(cols[:, j])
             x = x.reshape(r.shape)
         u = np.zeros(rhs.shape)
         u[self.free_dofs] = x
         return u, method, iterations
 
-    def _krylov(self, method, r):
-        cfg = self.config
+    def _cg(self, r):
         count = [0]
 
         def cb(_):
             count[0] += 1
 
-        if method == "cg":
-            x, code = spla.cg(
-                self._block, r, rtol=cfg.tolerance, atol=0.0, maxiter=MAX_ITERATIONS,
-                callback=cb,
-            )
-        else:
-            x, code = spla.gmres(
-                self._block, r, rtol=cfg.tolerance, atol=0.0, maxiter=MAX_ITERATIONS,
-                restart=200, callback=cb, callback_type="pr_norm",
-            )
+        x, code = spla.cg(
+            self._block, r, rtol=self.config.tolerance, atol=0.0, maxiter=MAX_ITERATIONS,
+            callback=cb,
+        )
         if code != 0:
             raise NumericFailureError(
-                f"{method} failed to converge (code {code})",
-                diagnostics={"iterations": count[0]},
+                f"cg failed to converge (code {code})", diagnostics={"iterations": count[0]}
             )
         return x, count[0]
 
     # -- bounded mode --------------------------------------------------
-    def solve_bounded(self, load):
+    def solve_bounded(self, load, adjoint=False):
         """Zero-boundary-mean solution for a load vector (n_dof,) or block (n_dof, r).
 
-        Multiplier, shift and residual are per column; ``info.multiplier`` has
-        shape (m,) for a vector and (m, r) for a block.
+        ``adjoint=True`` solves the adjoint system.  Multiplier, shift and
+        residual are per column; ``info.multiplier`` has shape (m,) for a
+        vector and (m, r) for a block.
         """
         if self.mesh.is_graph:
             raise InterfaceError("bounded solve requested on a graph mesh")
@@ -182,10 +187,10 @@ class NeumannSolver:
         # multiplier, and so the Krylov iterates, of its solve alone
         mu = np.ascontiguousarray(F.transpose(2, 1, 0)).sum(axis=2).T / b.sum()
         flux = (b[:, None, None] * mu).reshape(load.shape)  # B^T mu
-        u, method, iterations = self._solve_reduced(load - flux)
+        u, method, iterations = self._solve_reduced(load - flux, adjoint)
         U = u.reshape(F.shape)
         U -= np.tensordot(b, U, axes=1) / b.sum()
-        res = self.stiffness.matrix @ u + flux - load
+        res = self.operator(adjoint) @ u + flux - load
         info = SolveInfo(
             f"bounded-{method}", iterations, _relative(res, load), mu.reshape((self.m,) + load.shape[1:])
         )
@@ -193,13 +198,14 @@ class NeumannSolver:
         return u, info
 
     # -- graph mode ----------------------------------------------------
-    def solve_graph(self, load):
-        """Solution with zero far-cut values for a load vector or (n_dof, r) block."""
+    def solve_graph(self, load, adjoint=False):
+        """Zero far-cut solution of the forward or adjoint system for a load vector or block."""
         if not self.mesh.is_graph:
             raise InterfaceError("graph solve requested on a bounded mesh")
-        u, method, iterations = self._solve_reduced(load)
+        u, method, iterations = self._solve_reduced(load, adjoint)
         rhs = load[self.free_dofs]
-        res = self._block @ u[self.free_dofs] - rhs
+        block = self._block.T if adjoint and not self.symmetric else self._block
+        res = block @ u[self.free_dofs] - rhs
         info = SolveInfo(f"graph-{method}", iterations, _relative(res, rhs))
         _guard(info, self.config, "graph")
         return u, info
@@ -239,10 +245,9 @@ def _dissection_order(ijk):
 def solver_for(mesh, fld, config, solver=None):
     """``solver`` when it was built for (mesh, fld, config), else a new NeumannSolver.
 
-    A solver assembled on another mesh, for another coefficient field
-    (including the other direction, forward vs adjoint) or with a config other
-    than a given ``config`` raises InterfaceError; ``config=None`` takes the
-    solver's own.
+    A solver assembled on another mesh, for another coefficient field or with
+    a config other than a given ``config`` raises InterfaceError;
+    ``config=None`` takes the solver's own.  One solver serves both directions.
     """
     if solver is None:
         return NeumannSolver(mesh, fld, config)
@@ -250,9 +255,7 @@ def solver_for(mesh, fld, config, solver=None):
         raise InterfaceError(f"solver was built with {solver.config}, not {config}")
     if solver.mesh is not mesh:
         raise InterfaceError("solver was built for a different mesh")
-    if solver.field is not fld and (
-        solver.field.spec != fld.spec or solver.field.is_adjoint != fld.is_adjoint
-    ):
+    if solver.field is not fld and solver.field.spec != fld.spec:
         raise InterfaceError("solver was built for a different coefficient field")
     return solver
 

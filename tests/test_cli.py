@@ -97,8 +97,9 @@ class TestRunExperiment:
             assert rec.empirical_constant <= 1e-8
 
 
-    def test_full_suite_builds_operators_once(self, monkeypatch):
-        # one forward and one adjoint operator, each assembled and factored once
+    @staticmethod
+    def count_operator_builds(monkeypatch, cfg):
+        """Mesh builds, stiffness assemblies and LU factorizations of one clean run."""
         import neumannlab.cli as climod
         import neumannlab.solve as solvemod
 
@@ -116,12 +117,19 @@ class TestRunExperiment:
             solvemod, "assemble_stiffness", counting("assemble", solvemod.assemble_stiffness)
         )
         monkeypatch.setattr(solvemod.spla, "splu", counting("splu", solvemod.spla.splu))
-        rep = run_experiment(
-            RunConfig(kind="full-suite", mesh_n=8, coeff_type="checkerboard", trials=2)
-        )
+        rep = run_experiment(cfg)
         assert not rep.failures
-        assert calls == {"mesh": 1, "assemble": 2, "splu": 2}
+        return calls
 
+    def test_full_suite_builds_operators_once(self, monkeypatch):
+        # one operator, assembled and factored once, serves both directions
+        cfg = RunConfig(kind="full-suite", mesh_n=8, coeff_type="checkerboard", trials=2)
+        assert self.count_operator_builds(monkeypatch, cfg) == {"mesh": 1, "assemble": 1, "splu": 1}
+
+    def test_full_suite_skew_factors_transpose_once(self, monkeypatch):
+        # a non-symmetric operator adds one factor of K^T for the adjoint kernel
+        cfg = RunConfig(kind="full-suite", mesh_n=8, coeff_type="skew", trials=2)
+        assert self.count_operator_builds(monkeypatch, cfg) == {"mesh": 1, "assemble": 1, "splu": 2}
 
     @pytest.mark.parametrize("override", [{"poles": "nowhere"}, {"mesh_type": "sphere"}])
     def test_bad_choice_refused_before_build(self, monkeypatch, override):
@@ -291,6 +299,23 @@ class TestMain:
         cfg.write_text(f"kind = kernel\nmesh.n = 4\n{line}\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "mesh.extents = 1 1 nan",
+            "mesh.type = graph\nmesh.extents = 1 nan 1",
+            "mesh.n = 0",
+            "mesh.type = graph\nmesh.n = 0",
+        ],
+    )
+    def test_unbuildable_mesh_is_config_error(self, tmp_path, lines, capsys):
+        cfg = tmp_path / "mesh.cfg"
+        cfg.write_text(f"kind = solve\n{lines}\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert "config error" in err
+        assert "[FAIL]" not in out
 
     @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
     def test_non_finite_coefficients_exit_three(self, tmp_path, capsys, linear_solver):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from adjoint_reference import adjoint_coefficients
 from neumannlab.coeff import (
     CoefficientField,
     CellwiseRandom,
@@ -11,7 +12,6 @@ from neumannlab.coeff import (
     ScalarCheckerboard,
     SkewPerturbed,
     SmoothVMO,
-    adjoint_coefficients,
     make_coefficient,
     verify_ellipticity_bounds,
 )
@@ -79,6 +79,7 @@ class TestMakeCoefficient:
             CellwiseRandom(-1.0, 2.0),
             CellwiseRandom(2.0, 1.0),
             SmoothVMO(1.0, 1.2),
+            SmoothVMO(1.0, np.nan),
             SkewPerturbed(Identity(), -0.5),
             # a non-finite cell size maps every point to one lattice index
             ScalarCheckerboard(10.0, cell=np.nan),

@@ -10,12 +10,12 @@ from numpy.testing import assert_allclose
 
 import neumannlab
 
+from adjoint_reference import adjoint_coefficients
 from neumannlab.coeff import (
     CellwiseRandom,
     Identity,
     ScalarCheckerboard,
     SkewPerturbed,
-    adjoint_coefficients,
     make_coefficient,
 )
 from neumannlab.discretize import (

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from adjoint_reference import adjoint_coefficients
 from neumannlab.coeff import (
+    CellwiseRandom,
     Identity,
     ScalarCheckerboard,
     SkewPerturbed,
-    adjoint_coefficients,
+    SmoothVMO,
     make_coefficient,
 )
 from neumannlab.discretize import DiscreteField, boundary_mean, gauss_rule_1d, l2_norm, shape_values
@@ -349,25 +351,82 @@ class TestSymmetryIdentity:
         ka = build_kernel(unit_cube_12, fld, x, solve_config, adjoint=True)
         assert check_symmetry_identity(kf, ka) < 1e-8
 
-    def test_solver_direction_guard(self, unit_cube_8, solve_config):
-        # an adjoint field shares its spec with the forward field; the guard
-        # must still refuse a solver built for the other direction
+    def test_forward_solver_serves_both_directions(self, unit_cube_8, solve_config):
+        # the forward field's solver builds the adjoint kernel too; a solver of
+        # another field is still refused
         fld = make_coefficient(SkewPerturbed(ScalarCheckerboard(10.0), 0.5))
-        forward = NeumannSolver(unit_cube_8, fld, solve_config)
-        backward = NeumannSolver(unit_cube_8, adjoint_coefficients(fld), solve_config)
-        with pytest.raises(InterfaceError):
-            build_kernel(unit_cube_8, fld, CENTER, solve_config, adjoint=True, solver=forward)
-        with pytest.raises(InterfaceError):
-            build_kernel(unit_cube_8, fld, CENTER, solve_config, solver=backward)
-        shared = build_kernel(unit_cube_8, fld, CENTER, solve_config, adjoint=True, solver=backward)
+        solver = NeumannSolver(unit_cube_8, fld, solve_config)
+        fwd = build_kernel(unit_cube_8, fld, CENTER, solve_config, solver=solver)
+        adj = build_kernel(unit_cube_8, fld, CENTER, solve_config, adjoint=True, solver=solver)
+        assert fwd.solver is adj.solver is solver
+        assert not np.array_equal(fwd.values, adj.values)
         own = build_kernel(unit_cube_8, fld, CENTER, solve_config, adjoint=True)
-        assert np.array_equal(shared.values, own.values)
+        assert np.array_equal(adj.values, own.values)
+        other = NeumannSolver(unit_cube_8, make_coefficient(ScalarCheckerboard(10.0)), solve_config)
+        with pytest.raises(InterfaceError):
+            build_kernel(unit_cube_8, fld, CENTER, solve_config, adjoint=True, solver=other)
 
     def test_eps_mismatch_rejected(self, unit_cube_12, identity_field, solve_config):
         kf = build_kernel(unit_cube_12, identity_field, CENTER, solve_config, eps=2 / 12)
         ka = build_kernel(unit_cube_12, identity_field, CENTER, solve_config, eps=3 / 12, adjoint=True)
         with pytest.raises(InterfaceError):
             check_symmetry_identity(kf, ka)
+
+
+class TestAdjointFromForwardSolver:
+    """Adjoint kernels of the forward solver against solves of the assembled adjoint field."""
+
+    Y = np.array([0.5, 0.5, 5 / 12])
+    X = np.array([0.5, 0.5, 7 / 12])
+
+    @staticmethod
+    def reference(mesh, fld, y, cfg):
+        adj = adjoint_coefficients(fld)
+        return build_kernel(mesh, adj, y, cfg, solver=NeumannSolver(mesh, adj, cfg))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Identity(),
+            ScalarCheckerboard(10.0),
+            CellwiseRandom(0.5, 2.0, seed=4, m=2),
+            SmoothVMO(2.0, 0.5),
+        ],
+        ids=["identity", "checkerboard", "cellwise-random", "smooth"],
+    )
+    def test_symmetric_bit_identical(self, unit_cube_12, solve_config, spec):
+        fld = make_coefficient(spec)
+        solver = NeumannSolver(unit_cube_12, fld, solve_config)
+        assert solver.symmetric
+        ka = build_kernel(unit_cube_12, fld, self.Y, solve_config, adjoint=True, solver=solver)
+        ref = self.reference(unit_cube_12, fld, self.Y, solve_config)
+        assert np.array_equal(ka.values, ref.values)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_skew_matches_adjoint_field(self, unit_cube_12, solve_config, m):
+        fld = make_coefficient(SkewPerturbed(ScalarCheckerboard(10.0, seed=2, m=m), 0.5, seed=2))
+        solver = NeumannSolver(unit_cube_12, fld, solve_config)
+        assert not solver.symmetric
+        ka = build_kernel(unit_cube_12, fld, self.Y, solve_config, adjoint=True, solver=solver)
+        ref = self.reference(unit_cube_12, fld, self.Y, solve_config)
+        assert np.abs(ka.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
+        K = solver.stiffness.matrix
+        assert (solver.operator(adjoint=True) != K.T).nnz == 0
+        rng = np.random.default_rng(m)
+        for _ in range(3):
+            phi = DiscreteField(unit_cube_12, rng.standard_normal((unit_cube_12.n_nodes, m)))
+            assert np.abs(check_defining_identity(ka, phi)).max() <= 1e-8
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
+    def test_skew_pairing_on_both_configs(self, unit_cube_12, m, linear_solver):
+        fld = make_coefficient(SkewPerturbed(ScalarCheckerboard(10.0, seed=2, m=m), 0.5, seed=2))
+        cfg = SolveConfig(linear_solver=linear_solver)
+        solver = NeumannSolver(unit_cube_12, fld, cfg)
+        kf = build_kernel(unit_cube_12, fld, self.Y, cfg, solver=solver)
+        ka = build_kernel(unit_cube_12, fld, self.X, cfg, adjoint=True, solver=solver)
+        assert kf.telemetry["columns"][0]["method"] == "bounded-direct"
+        assert check_symmetry_identity(kf, ka) <= 1e-8
 
 
 class TestNodeKernelSet:
@@ -423,7 +482,7 @@ class TestNodeKernelSet:
             rhs = np.zeros((mesh.n_nodes, m, m))
             for c in range(m):
                 rhs[:, c, c] = load[:, 0] - flux
-            u, _ = solver.solve_bounded(rhs.reshape(solver.n_dof, m))
+            u, _ = solver.solve_bounded(rhs.reshape(solver.n_dof, m), adjoint=True)
             own = u.reshape(mesh.n_nodes, m, m)
             scale = np.abs(own).max()
             assert np.abs(kernels[p].values - own).max() <= 1e-12 * scale

@@ -183,6 +183,19 @@ class TestConstraintMethods:
         )
         assert l2_norm(direct - kry) < 1e-8
 
+    @pytest.mark.parametrize("mode", ["bounded", "graph"])
+    def test_krylov_on_nonsymmetric_takes_lu(self, unit_cube_8, flat_graph_12, mode):
+        mesh = unit_cube_8 if mode == "bounded" else flat_graph_12
+        fld = make_coefficient(SkewPerturbed(ScalarCheckerboard(10.0, m=2), 0.5))
+        load = np.random.default_rng(3).standard_normal(2 * mesh.n_nodes)
+        out = {}
+        for linear_solver in ("direct", "krylov"):
+            solver = NeumannSolver(mesh, fld, SolveConfig(linear_solver=linear_solver))
+            solve = solver.solve_graph if mesh.is_graph else solver.solve_bounded
+            out[linear_solver], info = solve(load)
+            assert info.method == f"{mode}-direct"
+        assert np.array_equal(out["krylov"], out["direct"])
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             SolveConfig(tolerance=2.0)
@@ -204,7 +217,7 @@ class TestConstraintMethods:
         n=st.integers(4, 6),
     )
     @example(seed=1, contrast=100.0, m=1, amplitude=0.0, n=6)  # CG path
-    @example(seed=2, contrast=100.0, m=3, amplitude=0.5, n=6)  # GMRES path
+    @example(seed=2, contrast=100.0, m=3, amplitude=0.5, n=6)  # not symmetric: LU on both
     def test_closed_form_matches_bordered_system(self, seed, contrast, m, amplitude, n):
         """The closed-form multiplier path reproduces the bordered (Lagrange) solve."""
         mesh = build_box_mesh((1, 1, 1), n)
@@ -328,7 +341,7 @@ class TestDissectionOrder:
         K = solver.stiffness.matrix
         lex = np.arange(1, solver.n_dof)
         mmd = spla.splu(K[lex][:, lex].tocsc(), permc_spec="MMD_AT_PLUS_A")
-        assert solver._lu.nnz < mmd.nnz
+        assert solver._factors[False].nnz < mmd.nnz
 
 
 #: Prints the sha256 of the values of a 6^3 m = 3 skew node kernel set, which
@@ -379,7 +392,7 @@ class TestBlockSolves:
         mode=st.sampled_from(["bounded", "graph"]),
         linear_solver=st.sampled_from(["direct", "krylov"]),
     )
-    @example(seed=1, m=2, amplitude=0.5, r=3, mode="bounded", linear_solver="krylov")  # GMRES
+    @example(seed=1, m=2, amplitude=0.5, r=3, mode="bounded", linear_solver="krylov")  # LU
     @example(seed=2, m=1, amplitude=0.0, r=4, mode="graph", linear_solver="krylov")  # CG
     def test_block_equals_column_solves(self, seed, m, amplitude, r, mode, linear_solver):
         mesh = self.MESHES[mode]
@@ -390,6 +403,9 @@ class TestBlockSolves:
         solve = solver.solve_graph if mesh.is_graph else solver.solve_bounded
         loads = np.random.default_rng(seed).standard_normal((solver.n_dof, r))
         U, info = solve(loads)
+        # a Krylov config runs CG on a symmetric operator and LU on any other
+        method = "cg" if linear_solver == "krylov" and amplitude == 0.0 else "direct"
+        assert info.method == f"{mode}-{method}"
         assert U.shape == loads.shape
         assert info.residuals.shape == info.iterations.shape == (r,)
         for j in range(r):
@@ -408,7 +424,7 @@ class TestNonFiniteCoefficients:
         def ev(p):
             a = np.zeros((len(p), 3, 3, 1, 1))
             a[:, [0, 1, 2], [0, 1, 2]] = np.where(p[:, 0] > 0.5, np.nan, 1.0)[:, None, None, None]
-            a[:, 0, 1] = 0.1  # not symmetric: the Krylov path would be GMRES
+            a[:, 0, 1] = 0.1  # not symmetric: the Krylov config would take LU
             return a
 
         fld = CoefficientField(Identity(), 1, 0.5, 2.0, ev)

@@ -3,9 +3,9 @@
 import ast
 from pathlib import Path
 
-import neumannlab
-
-SOURCES = sorted(Path(neumannlab.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
+#: every module of the package source tree, whichever copy is imported
+SOURCES = sorted((REPO / "src" / "neumannlab").rglob("*.py"))
 
 
 def test_no_assert_statements():
@@ -19,7 +19,6 @@ def test_no_assert_statements():
     assert SOURCES and not found, found
 
 
-REPO = Path(__file__).resolve().parents[1]
 #: files whose references make a package name used: the package modules
 #: (re-exports in __init__ do not count), the scripts, the benchmark, and the
 #: acceptance gate with its fixtures; the per-module unit tests do not count
