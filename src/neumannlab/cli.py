@@ -37,6 +37,7 @@ from .discretize import DiscreteField, boundary_mean
 from .errors import CompatibilityError, InvalidGeometryError, NeumannLabError, NumericFailureError
 from .kernel import (
     Mollifier,
+    _check_pole,
     build_kernel,
     check_defining_identity,
     check_symmetry_identity,
@@ -58,6 +59,12 @@ _CHOICES = {
 IDENTITY_TOL = 1e-8
 #: gate of the relative deviation from the cube series oracle
 ORACLE_RTOL = 0.05
+#: largest predicted problem, in DOFs of a scalar field.  Building a Krylov
+#: solver peaks at about 570 bytes per scalar DOF (64 MB at 48^3), so the
+#: budget is about 1.4 GB of set-up and admits 128^3 (2.15M DOFs).  A DOF's
+#: stiffness row holds up to 27 m entries, so an m-component field gets 1/m
+#: of the budget
+_MAX_DOFS = 2_500_000
 
 
 @dataclass
@@ -129,6 +136,13 @@ def _checked(cfg):
         raise ValueError(f"coeff.m must be >= 1, got {cfg.coeff_m}")
     if cfg.mesh_n < 1:
         raise ValueError(f"mesh.n must be >= 1, got {cfg.mesh_n}")
+    # node count of the box lattice; a bad extent is left to the mesh build
+    nodes = np.prod(np.rint(np.maximum(cfg.mesh_extents, 0.0) * cfg.mesh_n) + 1)
+    if nodes * cfg.coeff_m > _MAX_DOFS / cfg.coeff_m:
+        raise ValueError(
+            f"problem too large: {nodes * cfg.coeff_m:.4g} predicted DOFs exceed the budget "
+            f"of {_MAX_DOFS // cfg.coeff_m} for coeff.m = {cfg.coeff_m}"
+        )
     return _build_spec(cfg), _solve_config(cfg)
 
 
@@ -196,13 +210,17 @@ def _rec(name, value, tol, extra=None):
 def run_experiment(cfg):
     """Execute the configured pipeline; deterministic given (config, seed).
 
-    A bad config value raises ValueError before anything is built, and
-    geometry the mesh cannot be built from raises InvalidGeometryError.
+    A bad config value raises ValueError before anything is built.  Geometry
+    the mesh cannot be built from, or a pole whose mollifier ball the mesh
+    cannot hold, raises InvalidGeometryError before any check runs.
     """
     records = []
     failures = []
     spec, scfg = _checked(cfg)
     mesh = _build_mesh(cfg)
+    if cfg.kind in ("kernel", "estimates", "full-suite"):
+        for pole in _pole_list(cfg, mesh):
+            _check_pole(mesh, pole, 2 * mesh.h)
     provenance = {
         "config": cfg.to_dict(),
         "mesh": {"type": cfg.mesh_type, "extents": list(cfg.mesh_extents), "n": cfg.mesh_n},
@@ -421,7 +439,7 @@ def main(argv=None):
 
     try:
         report = run_experiment(cfg)
-    except InvalidGeometryError as e:  # from the mesh build, before any check ran
+    except InvalidGeometryError as e:  # from the mesh build or a pole, before any check ran
         print(f"config error: {e}", file=sys.stderr)
         return 2
     try:

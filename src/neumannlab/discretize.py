@@ -22,8 +22,13 @@ from .mesh import CELL_CORNERS, Mesh
 #: Gauss points per axis of every assembly, load and norm (exact for the
 #: trilinear stiffness and mass on piecewise-constant coefficients)
 QUADRATURE_ORDER = 2
-#: cells per stiffness-assembly chunk; bounds the peak memory of large meshes
-_ASSEMBLY_CHUNK = 120_000
+#: cells per stiffness-assembly chunk, and nodes per block of the CSR read-off,
+#: for a scalar field (an m-component field takes 1/m^2 as many): a chunk's
+#: Gauss-point tensors and element matrices stay a few MB, so the assembly's
+#: transient memory is the stencil table plus one chunk.  Chunks are scattered
+#: in cell order, which alone fixes the summation order, so K is bit-identical
+#: at any chunk size
+_ASSEMBLY_CHUNK = 2048
 
 _GAUSS = {
     1: (np.array([0.5]), np.array([1.0])),
@@ -114,9 +119,11 @@ class DiscreteField:
 
 @dataclass
 class StiffnessOperator:
-    """Assembled bilinear form."""
+    """Assembled bilinear form K; ``_asymmetry`` is max |K_ab - K_ba|, found on
+    the stencil table for the solver's symmetry decision."""
 
     matrix: sp.csr_matrix
+    _asymmetry: float
 
     @property
     def n_dof(self):
@@ -134,12 +141,17 @@ def assemble_stiffness(mesh, fld):
     Element matrices are one product of the (cells m m, 9G) Gauss-point
     tensors, rows (cell, i, j) and columns (g, a, b), with the (9G, 64)
     reference block w_g dpsi_p[a] dpsi_q[b].  BLAS splits a product across
-    threads by output blocks, never inside one entry's sum, so the matrix is
-    bit-identical at any BLAS thread count.  ``np.bincount`` sums the entries,
-    one cell chunk at a time (bounding peak memory), into an (n_dof, 27 m)
-    table: row (p, i), slot (stencil offset of q from p, j).  Node ids and
-    offsets are both lexicographic, so the table's nonzero entries in
-    row-major order form the CSR with sorted columns (exact zeros dropped).
+    threads by output blocks, never inside one entry's sum.  ``np.add.at``
+    adds the entries into an (n_dof, 27 m) table, row (p, i), slot (stencil
+    offset of q from p, j), in input order: one cell chunk after another, in
+    cell order.  So the chunk order fixes the summation order, and the matrix
+    is bit-identical at any chunk size and any BLAS thread count.  Node ids
+    and offsets are both lexicographic, so the table's nonzero entries in
+    row-major order form the CSR with sorted columns (exact zeros dropped),
+    read off one node block at a time into int32 index arrays (int64 past
+    2^31 table entries).  The same pass finds max |K_ab - K_ba| on the table:
+    K[(p, i), (q, j)] at offset s of q from p mirrors the entry at (q, j),
+    slot (26 - s, i).  The transient memory is the table plus one chunk.
     """
     ref, w = volume_quadrature(QUADRATURE_ORDER)
     grads = shape_gradients(ref) / mesh.h  # (G, 8, 3) physical
@@ -149,21 +161,43 @@ def assemble_stiffness(mesh, fld):
     width = 27 * m
     # table position of entry (c, i, j, p, q), less that of row node p
     local = np.arange(m)[:, None, None, None] * width + np.arange(m)[:, None, None] + _PAIR_SLOT * m
-    origins = mesh.cell_origins()
-    table = np.zeros(n * width)
-    for start in range(0, mesh.n_cells, _ASSEMBLY_CHUNK):
-        sel = slice(start, min(start + _ASSEMBLY_CHUNK, mesh.n_cells))
-        pts = origins[sel][:, None, :] + mesh.h * ref[None, :, :]
+    # one more node row stays zero: the stencil's -1 (no neighbour) reads it
+    table = np.zeros((mesh.n_nodes + 1) * m * width)
+    # numpy sends a one-row product to gemv, whose sums differ from gemm's, so
+    # a chunk holds two cells or more (all of a one-cell mesh)
+    step = max(_ASSEMBLY_CHUNK // m**2, 2)
+    bounds = [*range(0, max(mesh.n_cells - 1, 1), step), mesh.n_cells]
+    for start, stop in zip(bounds, bounds[1:]):
+        sel = slice(start, stop)
+        origins = mesh.origin + mesh.h * mesh.cells_ijk[sel].astype(float)
+        pts = origins[:, None, :] + mesh.h * ref[None, :, :]
         a = fld.evaluate(pts.reshape(-1, 3)).reshape(-1, len(ref), 3, 3, m, m)
         a = np.ascontiguousarray(a.transpose(0, 4, 5, 1, 2, 3)).reshape(-1, 9 * len(ref))
         where = mesh.cells[sel, None, None, :, None] * (m * width) + local
-        table += np.bincount(where.ravel(), weights=(a @ block).ravel(), minlength=len(table))
-    table = table.reshape(n, width)
-    cols = (mesh._stencil_nodes()[:, None, :, None] * m + np.arange(m)).reshape(-1, 1, width)
-    cols = np.broadcast_to(cols, (mesh.n_nodes, m, width)).reshape(n, width)
-    keep = table != 0.0
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return StiffnessOperator(sp.csr_matrix((table[keep], cols[keep], indptr), shape=(n, n)))
+        np.add.at(table, where.ravel(), (a @ block).ravel())
+    stencil = table.reshape(-1, m, 27, m)  # (node p, i, offset s, j)
+    table = table[: n * width].reshape(n, width)
+    index = np.int32 if table.size < 2**31 else np.int64  # scipy's index dtype for this size
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.count_nonzero(table, axis=1), out=indptr[1:])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=index)
+    asymmetry = 0.0
+    half = np.arange(14)  # offsets up to the centre; |K_ab - K_ba| mirrors the rest
+    for start in range(0, mesh.n_nodes, step):
+        nodes = slice(start, min(start + step, mesh.n_nodes))
+        nbrs = mesh._stencil_nodes(nodes)
+        mirror = stencil[nbrs[:, :14], :, 26 - half, :]  # (p, s, j, i)
+        own = stencil[nodes, :, :14, :]
+        asymmetry = max(asymmetry, np.abs(own - mirror.transpose(0, 3, 1, 2)).max())
+        rows = table[nodes.start * m : nodes.stop * m]
+        keep = rows != 0.0
+        span = slice(indptr[nodes.start * m], indptr[nodes.stop * m])
+        data[span] = rows[keep]
+        cols = nbrs[:, None, :, None].astype(index) * m + np.arange(m, dtype=index)
+        indices[span] = np.broadcast_to(cols, (len(cols), m, 27, m)).reshape(rows.shape)[keep]
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    return StiffnessOperator(matrix, float(asymmetry))
 
 
 def _as_components(vals, m, n):

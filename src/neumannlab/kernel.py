@@ -173,7 +173,7 @@ def mollifier_load(mesh, centers, eps):
     if len(bad):
         i = bad[0]
         what = "support misses the mesh" if hits[i] == 0 else "has zero discrete mass"
-        raise InvalidGeometryError(f"mollifier at {tuple(centers[i])}: {what}")
+        raise InvalidGeometryError(f"mollifier at {tuple(map(float, centers[i]))}: {what}")
     loads /= raw[:, None]
     return loads.T, raw
 
@@ -225,7 +225,8 @@ def _check_pole(mesh, y, eps):
     d = distance_to_boundary(mesh, y)  # raises OutOfDomainError when outside
     if d < eps - 1e-12:
         raise InvalidGeometryError(
-            f"mollifier ball of radius {eps} at {tuple(y)} is not contained in the domain"
+            f"mollifier ball of radius {eps} at {tuple(map(float, y))} "
+            "is not contained in the domain"
         )
     min_depth = max(4 * mesh.h, eps)
     if d < min_depth - 1e-12:

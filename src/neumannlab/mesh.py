@@ -79,6 +79,7 @@ class Mesh:
         self._node_id = -np.ones((nx + 3, ny + 3, nz + 3), dtype=np.int64)
         node_id = self._node_id[1:-1, 1:-1, 1:-1]
         node_id[node_mark] = np.arange(len(node_ijk))
+        self._node_sites = np.flatnonzero(self._node_id >= 0)  # flat grid index of each node
 
         self.nodes = self.origin + self.h * node_ijk.astype(float)
         self.cells = node_id[corners[..., 0], corners[..., 1], corners[..., 2]]
@@ -104,6 +105,7 @@ class Mesh:
             self.facet_hi,
             self.facet_center,
             self._node_id,
+            self._node_sites,
         ):
             arr.setflags(write=False)
 
@@ -176,14 +178,15 @@ class Mesh:
     def cell_origins(self):
         return self.origin + self.h * self.cells_ijk.astype(float)
 
-    def _stencil_nodes(self):
-        """(N, 27) ids of the nodes at each node's lattice offsets {-1, 0, 1}^3, in
-        lexicographic order, -1 where none sits.  Node k is the k-th id of the
-        lattice in C order, so each row's ids ascend."""
+    def _stencil_nodes(self, nodes):
+        """int32 ids of the nodes at the lattice offsets {-1, 0, 1}^3 of each node
+        of the slice ``nodes``, one row of 27 per node, in lexicographic order,
+        -1 where none sits.  Node ids number the lattice in C order, so each
+        row's ids ascend."""
         grid = self._node_id
         offsets = np.array(list(np.ndindex(3, 3, 3))) - 1
         steps = offsets @ (np.array(grid.strides) // grid.itemsize)
-        return grid.ravel()[np.flatnonzero(grid >= 0)[:, None] + steps]
+        return grid.ravel()[self._node_sites[nodes, None] + steps].astype(np.int32)
 
     def cell_ids(self, ijk):
         """Cell id at each lattice index of ijk (..., 3); -1 where no cell is occupied."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .discretize import (
@@ -86,7 +87,14 @@ class SolveInfo:
 
 
 class NeumannSolver:
-    """Stiffness + reduced operator + factorization bundle, reusable across loads."""
+    """Stiffness + reduced operator + factorization bundle, reusable across loads.
+
+    The one symmetry decision, max |K_ab - K_ba| <= 1e-12 max(max |K_ab|, 1),
+    takes max |K_ab - K_ba| from the assembly, which reads it off the stencil
+    table one node block at a time, so the difference matrix of K and its
+    transpose is never formed.  The reduced operator is cut from K in one pass
+    over its entries (``_reduced_block``).
+    """
 
     def __init__(self, mesh, fld, config=None):
         self.mesh = mesh
@@ -97,7 +105,7 @@ class NeumannSolver:
         self.n_dof = self.stiffness.n_dof
         K = self.stiffness.matrix
         # the one symmetry decision: it picks the adjoint operator and the solver
-        self.symmetric = abs(K - K.T).max() <= 1e-12 * max(abs(K).max(), 1.0)
+        self.symmetric = self.stiffness._asymmetry <= 1e-12 * max(np.abs(K.data).max(), 1.0)
         direct = self.config.linear_solver == "direct" or not self.symmetric
         keep = np.ones(self.n_dof, dtype=bool)
         if mesh.is_graph:
@@ -112,11 +120,11 @@ class NeumannSolver:
             nodes = _dissection_order(ijk)
             dofs = (nodes[:, None] * self.m + np.arange(self.m)).ravel()
             self.free_dofs = dofs[keep[dofs]]
-            self._block = K[self.free_dofs][:, self.free_dofs].tocsc()
+            self._block = _reduced_block(K, self.free_dofs).tocsc()
         else:
             self._method = "cg"
             self.free_dofs = np.flatnonzero(keep)
-            self._block = K if keep.all() else K[self.free_dofs][:, self.free_dofs]
+            self._block = K if keep.all() else _reduced_block(K, self.free_dofs)
         self._factors = {}  # transposed? -> SuperLU factor of that block
 
     def operator(self, adjoint=False):
@@ -209,6 +217,28 @@ class NeumannSolver:
         info = SolveInfo(f"graph-{method}", iterations, _relative(res, rhs))
         _guard(info, self.config, "graph")
         return u, info
+
+
+def _reduced_block(K, free):
+    """K[free][:, free] as a CSR, from one pass over K's entries.
+
+    A row and a column mask over ``K.indices`` keep the entries of the free
+    DOFs, and a remap in K's index dtype (int32) renumbers their columns.  The
+    rows come out in ascending DOF order, so a ``free`` out of that order
+    costs one row gather more.
+    """
+    n = len(free)
+    remap = np.full(K.shape[0], -1, dtype=K.indices.dtype)
+    remap[free] = np.arange(n)
+    cols = np.take(remap, K.indices)
+    kept = cols >= 0
+    kept &= np.repeat(remap >= 0, np.diff(K.indptr))
+    before = np.zeros(K.nnz + 1, dtype=K.indptr.dtype)  # kept entries ahead of each one
+    np.cumsum(kept, out=before[1:])
+    rows = np.sort(free)
+    indptr = np.append(before[K.indptr[rows]], before[-1])
+    block = sp.csr_matrix((K.data[kept], cols[kept], indptr), shape=(n, n))
+    return block if np.array_equal(rows, free) else block[np.searchsorted(rows, free)]
 
 
 def _dissection_order(ijk):

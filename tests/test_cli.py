@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neumannlab import cli
 from neumannlab.cli import RunConfig, emit_report, main, parse_config, run_experiment
 
 
@@ -316,6 +317,39 @@ class TestMain:
         out, err = capsys.readouterr()
         assert "config error" in err
         assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize("kind", ["kernel", "estimates", "full-suite"])
+    def test_pole_the_mesh_cannot_hold_is_config_error(self, tmp_path, kind, capsys):
+        cfg = tmp_path / "pole.cfg"
+        cfg.write_text(f"kind = {kind}\nmesh.n = 1\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert (
+            "config error: mollifier ball of radius 2.0 at (0.5, 0.5, 0.5) "
+            "is not contained in the domain"
+        ) in err
+        assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize(
+        "lines",
+        ["mesh.n = 1000000", "mesh.extents = 1 1 inf", "mesh.n = 4\ncoeff.m = 2000"],
+    )
+    def test_oversized_problem_is_refused_before_building(
+        self, tmp_path, lines, capsys, monkeypatch
+    ):
+        def no_mesh(cfg):
+            raise AssertionError("an oversized config must not build a mesh")
+
+        monkeypatch.setattr(cli, "_build_mesh", no_mesh)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"kind = solve\n{lines}\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: problem too large" in capsys.readouterr().err
+
+    def test_budget_admits_128_cubed(self):
+        # the refusal is a prediction from the config: nothing is allocated here
+        spec, _ = cli._checked(RunConfig(mesh_n=128))
+        assert spec.m == 1
 
     @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
     def test_non_finite_coefficients_exit_three(self, tmp_path, capsys, linear_solver):

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import neumannlab
+from neumannlab import discretize
 
 from adjoint_reference import adjoint_coefficients
 from neumannlab.coeff import (
@@ -124,6 +125,39 @@ class TestStencilAssembly:
         for i, j in ours ^ theirs:
             assert max(abs(K[i, j]), abs(ref[i, j])) <= 1e-14 * scale
         assert len(ours ^ theirs) <= 0.01 * len(theirs)
+
+
+#: mesh and field of each chunking case; the scalar meshes hold more than one
+#: default assembly chunk (2048 cells)
+CHUNK_CASES = {
+    "box": (build_box_mesh((1, 1, 1), 14), "checkerboard"),
+    "graph": (
+        build_truncated_graph_mesh(
+            lambda x, y: 0.2 + 0.15 * np.sin(3 * x + 2 * y), 0.6, ((0, 0, 0), (1, 1, 1)), 1 / 16
+        ),
+        "checkerboard",
+    ),
+    "box-m3": (ASSEMBLY_MESHES["box"], "skew-m3"),
+}
+
+
+class TestChunkedAssembly:
+    @pytest.mark.parametrize(
+        "chunk", [1, 7, pytest.param(discretize._ASSEMBLY_CHUNK, id="default")]
+    )
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    def test_bit_identical_at_any_chunk_size(self, monkeypatch, case, chunk):
+        mesh, field = CHUNK_CASES[case]
+        fld = make_coefficient(ASSEMBLY_FIELDS[field])
+        monkeypatch.setattr(discretize, "_ASSEMBLY_CHUNK", fld.m**2 * mesh.n_cells)  # one chunk
+        whole = assemble_stiffness(mesh, fld)
+        monkeypatch.setattr(discretize, "_ASSEMBLY_CHUNK", chunk)
+        chunked = assemble_stiffness(mesh, fld)
+        K, ref = chunked.matrix, whole.matrix
+        assert np.array_equal(K.data, ref.data)
+        assert np.array_equal(K.indices, ref.indices)
+        assert np.array_equal(K.indptr, ref.indptr)
+        assert chunked._asymmetry == whole._asymmetry == abs(ref - ref.T).max()
 
 
 #: Assembles a contrast-100 graph mesh and an m = 3 skew box and prints the

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 
 import neumannlab
 from neumannlab.coeff import (
+    CellwiseRandom,
     CoefficientField,
     Identity,
     ScalarCheckerboard,
@@ -509,6 +511,58 @@ class TestGraphSolve:
             NeumannSolver(flat_graph_12, identity_field, solve_config).solve_bounded(
                 np.zeros(flat_graph_12.n_nodes)
             )
+
+
+SYMMETRY_FIELDS = {
+    "identity": Identity(),
+    "checkerboard": ScalarCheckerboard(10.0, seed=2),
+    "cellwise-random-m2": CellwiseRandom(0.5, 2.0, cell=0.25, seed=3, m=2),
+    "skew-m1": SkewPerturbed(ScalarCheckerboard(10.0, seed=4), 0.5, seed=4),
+    "skew-m3": SkewPerturbed(ScalarCheckerboard(10.0, seed=5, m=3), 0.5, seed=5),
+}
+
+
+class TestOperatorSetUp:
+    @pytest.mark.parametrize("field", sorted(SYMMETRY_FIELDS))
+    def test_symmetry_decision_matches_whole_difference(self, field):
+        fld = make_coefficient(SYMMETRY_FIELDS[field])
+        solver = NeumannSolver(build_box_mesh((1, 1, 1), 6), fld)
+        K = solver.stiffness.matrix
+        assert solver.symmetric == (abs(K - K.T).max() <= 1e-12 * max(abs(K).max(), 1.0))
+        assert solver.symmetric == (not field.startswith("skew"))
+
+    @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
+    @pytest.mark.parametrize("mode", ["bounded", "graph"])
+    def test_reduced_block_is_free_submatrix(self, unit_cube_8, mode, linear_solver):
+        mesh = unit_cube_8 if mode == "bounded" else build_truncated_graph_mesh(
+            lambda x, y: 0.2 + 0.15 * np.sin(3 * x + 2 * y), 0.6, ((0, 0, 0), (1, 1, 1)), 1.0 / 8
+        )
+        fld = make_coefficient(ScalarCheckerboard(100.0, seed=3))
+        solver = NeumannSolver(mesh, fld, SolveConfig(linear_solver=linear_solver))
+        K, free = solver.stiffness.matrix, solver.free_dofs
+        ref = K[free][:, free]
+        if linear_solver == "direct":
+            ref = ref.tocsc()
+        block = solver._block
+        assert block.format == ref.format
+        assert np.array_equal(block.data, ref.data)
+        assert np.array_equal(block.indices, ref.indices)
+        assert np.array_equal(block.indptr, ref.indptr)
+
+    def test_krylov_solver_builds_in_bounded_memory(self):
+        # the stencil table and one cell chunk beside the CSR: about 2.5x its bytes
+        fld = make_coefficient(ScalarCheckerboard(10.0))
+        cfg = SolveConfig(linear_solver="krylov")
+        NeumannSolver(build_box_mesh((1, 1, 1), 2), fld, cfg)
+        mesh = build_box_mesh((1, 1, 1), 24)
+        tracemalloc.start()
+        try:
+            solver = NeumannSolver(mesh, fld, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        K = solver.stiffness.matrix
+        assert peak < 4 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
 
 
 class TestSolverMismatch:
