@@ -34,7 +34,13 @@ import numpy as np
 from . import coeff as coeffmod
 from . import estimates as est
 from .discretize import DiscreteField, boundary_mean
-from .errors import CompatibilityError, InvalidGeometryError, NeumannLabError, NumericFailureError
+from .errors import (
+    CompatibilityError,
+    InvalidGeometryError,
+    NeumannLabError,
+    NonEllipticSpecError,
+    NumericFailureError,
+)
 from .kernel import (
     Mollifier,
     _check_pole,
@@ -60,8 +66,8 @@ IDENTITY_TOL = 1e-8
 #: gate of the relative deviation from the cube series oracle
 ORACLE_RTOL = 0.05
 #: largest predicted problem, in DOFs of a scalar field.  Building a Krylov
-#: solver peaks at about 570 bytes per scalar DOF (64 MB at 48^3), so the
-#: budget is about 1.4 GB of set-up and admits 128^3 (2.15M DOFs).  A DOF's
+#: solver peaks at about 530 bytes per scalar DOF (63 MB at 48^3), so the
+#: budget is about 1.3 GB of set-up and admits 128^3 (2.15M DOFs).  A DOF's
 #: stiffness row holds up to 27 m entries, so an m-component field gets 1/m
 #: of the budget
 _MAX_DOFS = 2_500_000
@@ -212,7 +218,10 @@ def run_experiment(cfg):
 
     A bad config value raises ValueError before anything is built.  Geometry
     the mesh cannot be built from, or a pole whose mollifier ball the mesh
-    cannot hold, raises InvalidGeometryError before any check runs.
+    cannot hold, raises InvalidGeometryError before any check runs, and a
+    coefficient spec that ``make_coefficient`` rejects raises
+    NonEllipticSpecError.  Only ``verify-coeff``, which checks the spec
+    itself, records that rejection as its check's failure.
     """
     records = []
     failures = []
@@ -221,6 +230,7 @@ def run_experiment(cfg):
     if cfg.kind in ("kernel", "estimates", "full-suite"):
         for pole in _pole_list(cfg, mesh):
             _check_pole(mesh, pole, 2 * mesh.h)
+    fld = None if cfg.kind == "verify-coeff" else coeffmod.make_coefficient(spec)
     provenance = {
         "config": cfg.to_dict(),
         "mesh": {"type": cfg.mesh_type, "extents": list(cfg.mesh_extents), "n": cfg.mesh_n},
@@ -228,7 +238,7 @@ def run_experiment(cfg):
         "seed": cfg.seed,
     }
     try:
-        _run_kind(cfg, mesh, coeffmod.make_coefficient(spec), scfg, records)
+        _run_kind(cfg, mesh, fld or coeffmod.make_coefficient(spec), scfg, records)
     except CompatibilityError as e:
         failures.append(
             {
@@ -439,7 +449,8 @@ def main(argv=None):
 
     try:
         report = run_experiment(cfg)
-    except InvalidGeometryError as e:  # from the mesh build or a pole, before any check ran
+    # from the mesh build, a pole or the coefficient spec, before any check ran
+    except (InvalidGeometryError, NonEllipticSpecError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     try:

@@ -119,11 +119,14 @@ class DiscreteField:
 
 @dataclass
 class StiffnessOperator:
-    """Assembled bilinear form K; ``_asymmetry`` is max |K_ab - K_ba|, found on
-    the stencil table for the solver's symmetry decision."""
+    """Assembled bilinear form K, or its block over the free DOFs of a solver.
+
+    ``_asymmetry`` is max |K_ab - K_ba| and ``_scale`` max |K_ab|, both over
+    the whole stencil table, for the solver's symmetry decision."""
 
     matrix: sp.csr_matrix
     _asymmetry: float
+    _scale: float
 
     @property
     def n_dof(self):
@@ -133,9 +136,19 @@ class StiffnessOperator:
 # slot of local corner q in the stencil of local corner p: the lexicographic
 # rank of their offset in {-1, 0, 1}^3, the column order of Mesh._stencil_nodes
 _PAIR_SLOT = (CELL_CORNERS[None, :, :] - CELL_CORNERS[:, None, :] + 1) @ np.array([9, 3, 1])
+# an off-diagonal entry K_rc with |K_rc| <= _DROP_RTOL min(K_rr, K_cc) is not
+# stored.  Cancellation leaves at most 3.4e-16 min(K_rr, K_cc) (measured on
+# box, staircase and graph meshes up to contrast 1e6), and a real entry of a
+# piecewise-constant field is far larger.  A nearly isotropic field has real
+# face-neighbour entries of any size, though, and dropping one perturbs K's
+# null space by its size, so the limit stays a few ulps: against a bordered
+# solve of the same K, on 5^3-6^3 boxes with skew amplitudes 2^-20..2^-55, a
+# bounded solve moved by up to 8.3e-9 at a limit of 1e-12, 7.4e-11 at 1e-14
+# and 9.5e-12 at 1e-15 (3.1e-12 when only exact zeros are dropped)
+_DROP_RTOL = 1e-15
 
 
-def assemble_stiffness(mesh, fld):
+def assemble_stiffness(mesh, fld, free=None):
     """Stiffness matrix as a canonical CSR read off a 27-point stencil table.
 
     Element matrices are one product of the (cells m m, 9G) Gauss-point
@@ -145,13 +158,23 @@ def assemble_stiffness(mesh, fld):
     adds the entries into an (n_dof, 27 m) table, row (p, i), slot (stencil
     offset of q from p, j), in input order: one cell chunk after another, in
     cell order.  So the chunk order fixes the summation order, and the matrix
-    is bit-identical at any chunk size and any BLAS thread count.  Node ids
-    and offsets are both lexicographic, so the table's nonzero entries in
-    row-major order form the CSR with sorted columns (exact zeros dropped),
-    read off one node block at a time into int32 index arrays (int64 past
-    2^31 table entries).  The same pass finds max |K_ab - K_ba| on the table:
-    K[(p, i), (q, j)] at offset s of q from p mirrors the entry at (q, j),
-    slot (26 - s, i).  The transient memory is the table plus one chunk.
+    is bit-identical at any chunk size and any BLAS thread count.
+
+    Only the structural stencil is stored: an off-diagonal entry with
+    |K_rc| <= 1e-15 min(K_rr, K_cc) is roundoff left by a cancellation
+    (a scalar isotropic field's face-neighbour entries are 0 in exact
+    arithmetic) and is dropped, as are exact zeros.  The rule is symmetric in
+    (r, c), so a symmetric K keeps a symmetric pattern.  ``free``, ascending
+    DOF indices, keeps only those rows and columns, renumbered in that order:
+    the result is K[free][:, free], and no other row is formed.
+
+    Node ids and offsets are both lexicographic, so the kept entries of the
+    table in row-major order form the CSR with sorted columns, read off one
+    node block at a time into int32 index arrays (int64 past 2^31 table
+    entries).  The same pass finds max |K_ab - K_ba| and max |K_ab| on the
+    whole table: K[(p, i), (q, j)] at offset s of q from p mirrors the entry
+    at (q, j), slot (26 - s, i).  The transient memory is the table plus one
+    chunk, then the stored entries twice while the table is freed.
     """
     ref, w = volume_quadrature(QUADRATURE_ORDER)
     grads = shape_gradients(ref) / mesh.h  # (G, 8, 3) physical
@@ -176,28 +199,40 @@ def assemble_stiffness(mesh, fld):
         where = mesh.cells[sel, None, None, :, None] * (m * width) + local
         np.add.at(table, where.ravel(), (a @ block).ravel())
     stencil = table.reshape(-1, m, 27, m)  # (node p, i, offset s, j)
-    table = table[: n * width].reshape(n, width)
     index = np.int32 if table.size < 2**31 else np.int64  # scipy's index dtype for this size
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.count_nonzero(table, axis=1), out=indptr[1:])
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=index)
-    asymmetry = 0.0
+    # DOF r's row and column in the result (-1: not kept, as for the extra
+    # node's m entries, read for a missing neighbour) and its drop limit
+    # _DROP_RTOL K_rr, which K_rr > 0 itself passes, or NaN if r is not kept:
+    # no comparison with NaN holds, so its row and column are dropped too
+    place = np.full(n + m, -1, dtype=index)
+    kept = np.arange(n) if free is None else np.asarray(free)
+    place[kept] = np.arange(len(kept), dtype=index)
+    limit = _DROP_RTOL * stencil[:, np.arange(m), 13, np.arange(m)].ravel()
+    limit[place < 0] = np.nan
+    counts, data, indices = [], [], []
+    asymmetry = scale = 0.0
     half = np.arange(14)  # offsets up to the centre; |K_ab - K_ba| mirrors the rest
     for start in range(0, mesh.n_nodes, step):
         nodes = slice(start, min(start + step, mesh.n_nodes))
+        dofs = slice(nodes.start * m, nodes.stop * m)
         nbrs = mesh._stencil_nodes(nodes)
         mirror = stencil[nbrs[:, :14], :, 26 - half, :]  # (p, s, j, i)
         own = stencil[nodes, :, :14, :]
         asymmetry = max(asymmetry, np.abs(own - mirror.transpose(0, 3, 1, 2)).max())
-        rows = table[nodes.start * m : nodes.stop * m]
-        keep = rows != 0.0
-        span = slice(indptr[nodes.start * m], indptr[nodes.stop * m])
-        data[span] = rows[keep]
-        cols = nbrs[:, None, :, None].astype(index) * m + np.arange(m, dtype=index)
-        indices[span] = np.broadcast_to(cols, (len(cols), m, 27, m)).reshape(rows.shape)[keep]
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    return StiffnessOperator(matrix, float(asymmetry))
+        size = np.abs(stencil[nodes]).reshape(-1, m, width)  # (p, i, (s, j))
+        scale = max(scale, size.max())
+        cols = (nbrs[:, None, :, None] * m + np.arange(m)).reshape(len(nbrs), 1, width)
+        keep = size > np.minimum(limit[dofs].reshape(-1, m, 1), limit[cols])
+        counts.append(np.count_nonzero(keep, axis=2).ravel())
+        data.append(stencil[nodes].reshape(keep.shape)[keep])
+        indices.append(np.broadcast_to(place[cols], keep.shape)[keep])
+    del table, stencil, own  # the table's last views: it is freed before the CSR is joined
+    indptr = np.zeros(len(kept) + 1, dtype=index)
+    np.cumsum(np.concatenate(counts)[kept], out=indptr[1:])
+    data = np.concatenate(data)
+    indices = np.concatenate(indices)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(kept), len(kept)))
+    return StiffnessOperator(matrix, float(asymmetry), float(scale))
 
 
 def _as_components(vals, m, n):

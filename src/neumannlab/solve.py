@@ -12,9 +12,8 @@ pivoting as usual).  Every mesh is an occupied subset of an h-lattice and the
 27-point stencil couples only adjacent node planes, so one plane separates
 two halves of any node set; on a regular grid this ordering has provably low
 fill (George, SIAM J. Numer. Anal. 10, 1973).  A general-purpose ordering
-such as minimum degree ignores the lattice and reacts to which roundoff-sized
-entries of K happen to be stored.  The Krylov path keeps the lexicographic
-node order, whose matvecs walk memory in order.
+such as minimum degree ignores the lattice.  The Krylov path keeps the
+lexicographic node order, whose matvecs walk memory in order.
 
 Bounded mode realizes the zero-mean-boundary-trace normalization in closed
 form.  K annihilates constants on both sides, so the multiplier of the
@@ -25,8 +24,8 @@ fields up to solver precision.  The solve projects the load, solves the
 consistent singular system (with one node grounded for LU, as is for Krylov),
 then shifts each component by a constant to zero boundary mean (Bochev &
 Lehoucq, SIAM Review 47, 2005).  Graph mode imposes homogeneous Dirichlet on
-the far (truncation) boundary by removing its DOFs, and the natural condition
-on the graph boundary.
+the far (truncation) boundary by assembling K over the other DOFs only, and
+the natural condition on the graph boundary.
 """
 
 from __future__ import annotations
@@ -90,28 +89,38 @@ class NeumannSolver:
     """Stiffness + reduced operator + factorization bundle, reusable across loads.
 
     The one symmetry decision, max |K_ab - K_ba| <= 1e-12 max(max |K_ab|, 1),
-    takes max |K_ab - K_ba| from the assembly, which reads it off the stencil
-    table one node block at a time, so the difference matrix of K and its
-    transpose is never formed.  The reduced operator is cut from K in one pass
-    over its entries (``_reduced_block``).
+    takes both maxima from the assembly, which reads them off the whole
+    stencil table one node block at a time, so the difference matrix of K and
+    its transpose is never formed.
+
+    Bounded mode holds K over every DOF, for the residual of the constrained
+    system; the LU path cuts its grounded block from K in one pass over its
+    entries (``_reduced_block``), and CG runs on K itself.  Graph mode holds a
+    single operator over the free DOFs, which the assembly reads off directly:
+    K over the far cut is never formed.  It is ``stiffness.matrix``, rows and
+    columns in ``free_dofs`` order: ascending for CG, one nested-dissection
+    permutation (a CSC) for LU.
     """
 
     def __init__(self, mesh, fld, config=None):
         self.mesh = mesh
         self.field = fld
         self.config = config or SolveConfig()
-        self.stiffness = assemble_stiffness(mesh, fld)
         self.m = fld.m
-        self.n_dof = self.stiffness.n_dof
-        K = self.stiffness.matrix
-        # the one symmetry decision: it picks the adjoint operator and the solver
-        self.symmetric = self.stiffness._asymmetry <= 1e-12 * max(np.abs(K.data).max(), 1.0)
-        direct = self.config.linear_solver == "direct" or not self.symmetric
+        self.n_dof = mesh.n_nodes * self.m
         keep = np.ones(self.n_dof, dtype=bool)
         if mesh.is_graph:
             keep.reshape(-1, self.m)[mesh.far_nodes] = False
+            rows = np.flatnonzero(keep)  # K's rows and columns, in this order
         else:
             self.boundary_weights = boundary_weight_vector(mesh)
+            rows = None
+        self.stiffness = assemble_stiffness(mesh, fld, rows)
+        K = self.stiffness.matrix
+        # the one symmetry decision: it picks the adjoint operator and the solver
+        self.symmetric = self.stiffness._asymmetry <= 1e-12 * max(self.stiffness._scale, 1.0)
+        direct = self.config.linear_solver == "direct" or not self.symmetric
+        if not mesh.is_graph:
             # grounding node 0 leaves LU a nonsingular block; Krylov takes K as is
             keep[: self.m] = not direct
         if direct:
@@ -120,15 +129,23 @@ class NeumannSolver:
             nodes = _dissection_order(ijk)
             dofs = (nodes[:, None] * self.m + np.arange(self.m)).ravel()
             self.free_dofs = dofs[keep[dofs]]
-            self._block = _reduced_block(K, self.free_dofs).tocsc()
+            # where free_dofs sit among K's rows
+            at = self.free_dofs if rows is None else np.searchsorted(rows, self.free_dofs)
+            self._block = _reduced_block(K, at).tocsc()
+            if mesh.is_graph:
+                self.stiffness.matrix = self._block
         else:
             self._method = "cg"
             self.free_dofs = np.flatnonzero(keep)
-            self._block = K if keep.all() else _reduced_block(K, self.free_dofs)
+            self._block = K
         self._factors = {}  # transposed? -> SuperLU factor of that block
 
     def operator(self, adjoint=False):
-        """Stiffness of the forward system, or of the adjoint one (K^T unless K is symmetric)."""
+        """Stiffness of the forward system, or of the adjoint one (K^T unless K is symmetric).
+
+        Over every DOF in bounded mode; over ``free_dofs``, in that order, in
+        graph mode.
+        """
         K = self.stiffness.matrix
         return K.T if adjoint and not self.symmetric else K
 
@@ -212,8 +229,7 @@ class NeumannSolver:
             raise InterfaceError("graph solve requested on a bounded mesh")
         u, method, iterations = self._solve_reduced(load, adjoint)
         rhs = load[self.free_dofs]
-        block = self._block.T if adjoint and not self.symmetric else self._block
-        res = block @ u[self.free_dofs] - rhs
+        res = self.operator(adjoint) @ u[self.free_dofs] - rhs
         info = SolveInfo(f"graph-{method}", iterations, _relative(res, rhs))
         _guard(info, self.config, "graph")
         return u, info

@@ -331,6 +331,22 @@ class TestMain:
         assert "[FAIL]" not in out
 
     @pytest.mark.parametrize(
+        "lines,message",
+        [
+            ("coeff.type = cellwise-random\ncoeff.lam = 3", "need m_target >= lam_target"),
+            ("coeff.type = smooth\ncoeff.amplitude = nan", "smooth amplitude must be finite"),
+        ],
+        ids=["cellwise-random-lam-above-bound", "smooth-nan-amplitude"],
+    )
+    def test_rejected_coefficient_spec_is_config_error(self, tmp_path, lines, message, capsys):
+        cfg = tmp_path / "coeff.cfg"
+        cfg.write_text(f"kind = solve\nmesh.n = 4\n{lines}\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert f"config error: {message}" in err
+        assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize(
         "lines",
         ["mesh.n = 1000000", "mesh.extents = 1 1 inf", "mesh.n = 4\ncoeff.m = 2000"],
     )

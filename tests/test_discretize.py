@@ -90,6 +90,15 @@ def coo_stiffness(mesh, fld):
     return sp.coo_matrix((kcell.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
+def drop_roundoff(K):
+    """K without the off-diagonal entries |K_rc| <= _DROP_RTOL min(K_rr, K_cc)."""
+    K = K.tocoo()
+    d = K.diagonal()
+    keep = np.abs(K.data) > discretize._DROP_RTOL * np.minimum(d[K.row], d[K.col])
+    keep |= K.row == K.col
+    return sp.csr_matrix((K.data[keep], (K.row[keep], K.col[keep])), shape=K.shape)
+
+
 ASSEMBLY_MESHES = {
     "box": build_box_mesh((1, 1, 1), 6),
     "staircase": build_staircase_mesh(
@@ -113,18 +122,56 @@ class TestStencilAssembly:
         mesh = ASSEMBLY_MESHES[name]
         fld = make_coefficient(ASSEMBLY_FIELDS[field])
         K = assemble_stiffness(mesh, fld).matrix
-        ref = coo_stiffness(mesh, fld)
+        ref = drop_roundoff(coo_stiffness(mesh, fld))
         assert K.has_canonical_format
         assert not np.any(K.data == 0.0)
         scale = abs(ref).max()
         assert abs(K - ref).max() <= 1e-14 * scale
-        # the patterns differ only where one side's sum cancelled to exact zero
-        ref.eliminate_zeros()
+        # the patterns differ only where one side's roundoff crossed the drop limit
         ours = set(zip(*K.nonzero()))
         theirs = set(zip(*ref.nonzero()))
         for i, j in ours ^ theirs:
             assert max(abs(K[i, j]), abs(ref[i, j])) <= 1e-14 * scale
         assert len(ours ^ theirs) <= 0.01 * len(theirs)
+
+
+class TestDropRule:
+    """K stores the structural stencil: entries at roundoff level are dropped."""
+
+    @pytest.mark.parametrize("field", sorted(ASSEMBLY_FIELDS))
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_MESHES))
+    def test_drops_exactly_the_entries_below_the_limit(self, monkeypatch, name, field):
+        mesh = ASSEMBLY_MESHES[name]
+        fld = make_coefficient(ASSEMBLY_FIELDS[field])
+        K, rtol = assemble_stiffness(mesh, fld).matrix, discretize._DROP_RTOL
+        monkeypatch.setattr(discretize, "_DROP_RTOL", 0.0)
+        table = assemble_stiffness(mesh, fld).matrix.tocoo()  # every nonzero table entry
+        d = table.diagonal()
+        limit = rtol * np.minimum(d[table.row], d[table.col])
+        stored = np.asarray(K[table.row, table.col]).ravel()
+        kept = stored != 0.0
+        assert np.array_equal(stored[kept], table.data[kept])
+        assert K.nnz == np.count_nonzero(kept)
+        off = table.row != table.col
+        assert np.all(np.abs(table.data[~kept]) <= limit[~kept])
+        assert np.all(np.abs(table.data[kept & off]) > limit[kept & off])
+
+    def test_interior_row_of_isotropic_field_holds_21_entries(self):
+        # the 6 face-neighbour entries vanish in exact arithmetic
+        mesh = build_box_mesh((1, 1, 1), 12)
+        fld = make_coefficient(ScalarCheckerboard(10.0, seed=1))
+        K = assemble_stiffness(mesh, fld).matrix
+        ijk = np.rint((mesh.nodes - mesh.origin) / mesh.h)
+        interior = np.all((ijk > 0) & (ijk < 12), axis=1)
+        assert np.all(np.diff(K.indptr)[interior] == 21)
+        assert K.nnz == 38485
+
+    def test_skew_vector_field_drops_nothing(self, monkeypatch):
+        mesh = build_box_mesh((1, 1, 1), 6)
+        fld = make_coefficient(SkewPerturbed(ScalarCheckerboard(10.0, seed=1, m=3), 0.5, seed=1))
+        nnz = assemble_stiffness(mesh, fld).matrix.nnz
+        monkeypatch.setattr(discretize, "_DROP_RTOL", 0.0)
+        assert nnz == assemble_stiffness(mesh, fld).matrix.nnz == 61731
 
 
 #: mesh and field of each chunking case; the scalar meshes hold more than one

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import neumannlab
+from neumannlab import discretize
 from neumannlab.coeff import (
     CellwiseRandom,
     CoefficientField,
@@ -22,6 +23,7 @@ from neumannlab.coeff import (
     make_coefficient,
 )
 from neumannlab.discretize import (
+    assemble_stiffness,
     boundary_mean,
     boundary_weight_vector,
     interpolate,
@@ -220,6 +222,8 @@ class TestConstraintMethods:
     )
     @example(seed=1, contrast=100.0, m=1, amplitude=0.0, n=6)  # CG path
     @example(seed=2, contrast=100.0, m=3, amplitude=0.5, n=6)  # not symmetric: LU on both
+    # real entries of K near the roundoff drop limit: dropping them would break K's null space
+    @example(seed=0, contrast=30.0, m=3, amplitude=2.0**-23, n=5)
     def test_closed_form_matches_bordered_system(self, seed, contrast, m, amplitude, n):
         """The closed-form multiplier path reproduces the bordered (Lagrange) solve."""
         mesh = build_box_mesh((1, 1, 1), n)
@@ -264,7 +268,7 @@ ORDERING_MESHES = {
 def _lexicographic_reference(solver, load):
     """The solve of ``solver`` redone on the lexicographically ordered block."""
     mesh, m = solver.mesh, solver.m
-    K = solver.stiffness.matrix
+    K = assemble_stiffness(mesh, solver.field).matrix  # a graph-mode solver holds no full K
     keep = np.ones(solver.n_dof, dtype=bool)
     if mesh.is_graph:
         keep.reshape(-1, m)[mesh.far_nodes] = False
@@ -522,6 +526,11 @@ SYMMETRY_FIELDS = {
 }
 
 
+GRAPH_MESH = build_truncated_graph_mesh(
+    lambda x, y: 0.2 + 0.15 * np.sin(3 * x + 2 * y), 0.6, ((0, 0, 0), (1, 1, 1)), 1.0 / 8
+)
+
+
 class TestOperatorSetUp:
     @pytest.mark.parametrize("field", sorted(SYMMETRY_FIELDS))
     def test_symmetry_decision_matches_whole_difference(self, field):
@@ -531,15 +540,24 @@ class TestOperatorSetUp:
         assert solver.symmetric == (abs(K - K.T).max() <= 1e-12 * max(abs(K).max(), 1.0))
         assert solver.symmetric == (not field.startswith("skew"))
 
+    @pytest.mark.parametrize("mode", ["bounded", "graph"])
+    @pytest.mark.parametrize("field", sorted(SYMMETRY_FIELDS))
+    def test_symmetry_decision_ignores_dropped_entries(self, monkeypatch, field, mode):
+        # the decision on every table entry, none dropped and no row left out
+        mesh = build_box_mesh((1, 1, 1), 6) if mode == "bounded" else GRAPH_MESH
+        fld = make_coefficient(SYMMETRY_FIELDS[field])
+        solver = NeumannSolver(mesh, fld)
+        monkeypatch.setattr(discretize, "_DROP_RTOL", 0.0)
+        K = assemble_stiffness(mesh, fld).matrix
+        assert solver.symmetric == (abs(K - K.T).max() <= 1e-12 * max(abs(K).max(), 1.0))
+
     @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
     @pytest.mark.parametrize("mode", ["bounded", "graph"])
     def test_reduced_block_is_free_submatrix(self, unit_cube_8, mode, linear_solver):
-        mesh = unit_cube_8 if mode == "bounded" else build_truncated_graph_mesh(
-            lambda x, y: 0.2 + 0.15 * np.sin(3 * x + 2 * y), 0.6, ((0, 0, 0), (1, 1, 1)), 1.0 / 8
-        )
+        mesh = unit_cube_8 if mode == "bounded" else GRAPH_MESH
         fld = make_coefficient(ScalarCheckerboard(100.0, seed=3))
         solver = NeumannSolver(mesh, fld, SolveConfig(linear_solver=linear_solver))
-        K, free = solver.stiffness.matrix, solver.free_dofs
+        K, free = assemble_stiffness(mesh, fld).matrix, solver.free_dofs
         ref = K[free][:, free]
         if linear_solver == "direct":
             ref = ref.tocsc()
@@ -548,6 +566,18 @@ class TestOperatorSetUp:
         assert np.array_equal(block.data, ref.data)
         assert np.array_equal(block.indices, ref.indices)
         assert np.array_equal(block.indptr, ref.indptr)
+
+    @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
+    @pytest.mark.parametrize("field", ["checkerboard", "skew-m3"])
+    def test_graph_operator_is_free_submatrix(self, field, linear_solver):
+        fld = make_coefficient(SYMMETRY_FIELDS[field])
+        solver = NeumannSolver(GRAPH_MESH, fld, SolveConfig(linear_solver=linear_solver))
+        free = solver.free_dofs
+        K = assemble_stiffness(GRAPH_MESH, fld).matrix[free][:, free]
+        for adjoint in (False, True):
+            op = solver.operator(adjoint)
+            assert op.shape == (len(free), len(free))
+            assert (op != (K.T if adjoint and not solver.symmetric else K)).nnz == 0
 
     def test_krylov_solver_builds_in_bounded_memory(self):
         # the stencil table and one cell chunk beside the CSR: about 2.5x its bytes
@@ -563,6 +593,28 @@ class TestOperatorSetUp:
             tracemalloc.stop()
         K = solver.stiffness.matrix
         assert peak < 4 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+
+    def test_graph_krylov_solver_holds_one_free_operator(self):
+        # the stencil table and one cell chunk, or the free operator twice while
+        # the table is freed; K over the far cut beside a reduced copy of it
+        # does not fit, and would stay alive
+        mesh = build_truncated_graph_mesh(
+            lambda x, y: 0.2 + 0.15 * np.sin(3 * x + 2 * y), 0.6, ((0, 0, 0), (1, 1, 1)), 1 / 32
+        )
+        fld = make_coefficient(ScalarCheckerboard(100.0, seed=3))
+        cfg = SolveConfig(linear_solver="krylov")
+        NeumannSolver(build_box_mesh((1, 1, 1), 2), fld, cfg)
+        tracemalloc.start()
+        try:
+            solver = NeumannSolver(mesh, fld, cfg)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        K = solver.operator()
+        assert K is solver._block and K.shape[0] == len(solver.free_dofs)
+        size = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+        assert live < 1.2 * size
+        assert peak < 3.5 * size
 
 
 class TestSolverMismatch:
