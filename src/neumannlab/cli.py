@@ -15,8 +15,10 @@ written as ``.`` (``mesh_n`` is ``mesh.n``); every key has a default,
     poles = center
 
 Experiment kinds: verify-coeff, solve, kernel, estimates, oracle-compare,
-full-suite.  Reports are one JSON document plus one CSV per fitted check;
-re-emission is byte-identical.  Exit codes: 0 all checks pass, 1 check
+full-suite.  The cube series oracle applies to identity coefficients on the
+unit cube box only: oracle-compare elsewhere is a config error, and
+full-suite skips it.  Reports are one JSON document plus one CSV per fitted
+check; re-emission is byte-identical.  Exit codes: 0 all checks pass, 1 check
 failure, 2 config/io error, 3 numeric failure.
 """
 
@@ -134,6 +136,11 @@ def _checked(cfg):
     for attr, allowed in _CHOICES.items():
         if getattr(cfg, attr) not in allowed:
             raise ValueError(f"unknown {attr} {getattr(cfg, attr)!r}; expected one of {allowed}")
+    if cfg.kind == "oracle-compare" and not _oracle_applies(cfg):
+        raise ValueError(
+            "oracle-compare needs identity coefficients on the unit cube "
+            "(mesh.type = box, mesh.extents = 1 1 1)"
+        )
     if cfg.trials < 1:
         raise ValueError(f"trials must be >= 1, got {cfg.trials}")
     if len(cfg.mesh_extents) != 3:
@@ -150,6 +157,15 @@ def _checked(cfg):
             f"of {_MAX_DOFS // cfg.coeff_m} for coeff.m = {cfg.coeff_m}"
         )
     return _build_spec(cfg), _solve_config(cfg)
+
+
+def _oracle_applies(cfg):
+    """Whether the cube series oracle applies: identity coefficients on the unit cube box."""
+    return (
+        cfg.coeff_type == "identity"
+        and cfg.mesh_type == "box"
+        and tuple(cfg.mesh_extents) == (1.0, 1.0, 1.0)
+    )
 
 
 def _build_mesh(cfg):
@@ -271,9 +287,7 @@ def _run_kind(cfg, mesh, fld, scfg, records):
         records.extend(recs)
     if kind in ("estimates", "full-suite"):
         records.extend(_estimates_experiment(cfg, solver, first_kernel))
-    if kind == "oracle-compare" or (
-        kind == "full-suite" and cfg.coeff_type == "identity" and cfg.mesh_type == "box"
-    ):
+    if kind == "oracle-compare" or (kind == "full-suite" and _oracle_applies(cfg)):
         records.extend(_oracle_experiment(cfg, solver, first_kernel))
 
 
@@ -371,8 +385,8 @@ def _estimates_experiment(cfg, solver, kern=None):
     recs = [est.pointwise_decay_check(kern, seed=cfg.seed)]
     a6, adn = est.annulus_fit(kern)
     recs += [a6, adn]
-    recs.append(est.local_norm_fit(kern, 1.0, gradient=False))
-    recs.append(est.local_norm_fit(kern, 1.0, gradient=True))
+    recs.append(est.local_norm_fit(kern, gradient=False))
+    recs.append(est.local_norm_fit(kern, gradient=True))
     recs.append(est.distribution_fit(kern, gradient=False))
     recs.append(est.distribution_fit(kern, gradient=True))
     if not mesh.is_graph:
@@ -386,13 +400,11 @@ def _oracle_experiment(cfg, solver, kern=None):
     """Series-oracle comparison of the forward kernel at the cube centre.
 
     ``kern``, the full-suite run's first forward kernel, is reused when its
-    pole is the centre, else the kernel is built here.
+    pole is the centre, else the kernel is built here.  The identity system's
+    kernel is the scalar one times I_m, so its Frobenius magnitude is sqrt(m)
+    times the scalar oracle's.
     """
     mesh = solver.mesh
-    if mesh.is_graph or cfg.coeff_type != "identity":
-        raise NeumannLabError("oracle-compare requires identity coefficients on a box/graph mesh")
-    if tuple(cfg.mesh_extents) != (1.0, 1.0, 1.0):
-        raise NeumannLabError("the cube series oracle is defined on the unit cube")
     if kern is None or np.any(kern.pole != 0.5):
         kern = build_kernel(mesh, solver.field, (0.5, 0.5, 0.5), solver.config, solver=solver)
     h = mesh.h
@@ -401,7 +413,7 @@ def _oracle_experiment(cfg, solver, kern=None):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = np.geomspace(4 * h, 0.25, 4)
     probes = np.concatenate([np.array([0.5, 0.5, 0.5]) + r * dirs for r in radii])
-    fe = kern.magnitude_at(probes)
+    fe = kern.magnitude_at(probes) / np.sqrt(solver.m)
     oracle = np.abs(cube_neumann_series_batch(probes, np.array([0.5, 0.5, 0.5])))
     rel = float(np.max(np.abs(fe - oracle) / oracle))
     return [_rec("oracle-cube-agreement", rel, ORACLE_RTOL, {"probes": len(probes)})]
@@ -443,6 +455,7 @@ def main(argv=None):
             cfg.seed = args.seed
         if args.out:
             cfg.outdir = args.out
+        _checked(cfg)
     except (OSError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

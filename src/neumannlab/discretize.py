@@ -119,7 +119,7 @@ class DiscreteField:
 
 @dataclass
 class StiffnessOperator:
-    """Assembled bilinear form K, or its block over the free DOFs of a solver.
+    """Assembled bilinear form K over every DOF, or over the ascending DOFs it was given.
 
     ``_asymmetry`` is max |K_ab - K_ba| and ``_scale`` max |K_ab|, both over
     the whole stencil table, for the solver's symmetry decision."""

@@ -297,36 +297,35 @@ def annulus_fit(kernel):
     The annulus excludes the mollified core entirely, so the 4h floor serves
     both the value and the gradient norm.
     """
+    names = ("annulus-l6", "annulus-gradient-l2")
     band = _band(kernel, 4, 0.5)
     if band is None:
-        skip = _skipped("annulus", "band unresolvable")
-        return skip, skip
+        return tuple(_skipped(name, "band unresolvable") for name in names)
     radii = np.geomspace(*band, FIT_SAMPLES)
-    l6, l2 = annulus_norms(kernel, radii)
     return tuple(
         _fitted(name, list(zip(radii.tolist(), norms.tolist())), (2 - D) / 2, 0.15)
-        for name, norms in (("annulus-l6", l6), ("annulus-gradient-l2", l2))
+        for name, norms in zip(names, annulus_norms(kernel, radii))
     )
 
 
-def local_norm_fit(kernel, p=1.0, gradient=False):
-    """Slope fit of the local L^p ball norms; targets 2-d+d/p (N), 1-d+d/p (DN).
+def local_norm_fit(kernel, gradient=False):
+    """Slope fit of the local L^1 ball norms; targets 2-d+d/1 = 2 (N), 1-d+d/1 = 1 (DN).
 
     Gradient norms start at 8h because the FE gradient of the mollified
     column is under-resolved closer to the pole.
     """
+    name = f"local-l1-{'gradient' if gradient else 'value'}"
     band = _band(kernel, 8 if gradient else 4, 1.0)
     if band is None:
-        return _skipped("local-lp", "band unresolvable")
+        return _skipped(name, "band unresolvable")
     radii = np.geomspace(*band, FIT_SAMPLES)
-    norms = local_lp_norm(kernel, radii, p, gradient=gradient)
-    target = (1 - D + D / p) if gradient else (2 - D + D / p)
+    norms = local_lp_norm(kernel, radii, 1.0, gradient=gradient)
     return _fitted(
-        f"local-l{p:g}-{'gradient' if gradient else 'value'}",
+        name,
         list(zip(radii.tolist(), norms.tolist())),
-        float(target),
+        1.0 if gradient else 2.0,
         0.2 if gradient else 0.3,
-        p=p,
+        p=1.0,
     )
 
 
@@ -357,22 +356,18 @@ def distribution_fit(kernel, gradient=False):
     )
 
 
-def holder_seminorm(u, center, radius, mu, boundary=False):
+def holder_seminorm(u, center, radius, mu):
     """Discrete Hoelder seminorm over node pairs in the half ball, plus the
     interior-continuity ratio seminorm * R^mu / sqrt(mean |u|^2 over B_R).
 
-    ``boundary=True`` works on Omega_R = Omega intersected with the ball (the
-    up-to-the-boundary variant); the interior version requires the ball
-    inside the domain.
+    The ball must lie inside the domain.
     """
     if not (0 < mu <= 1):
         raise ValueError("mu must lie in (0, 1]")
     mesh = u.mesh
     center = np.asarray(center, dtype=float)
-    if not boundary:
-        d = distance_to_boundary(mesh, center)
-        if radius > d + 1e-12:
-            raise InvalidGeometryError(f"ball of radius {radius} not inside the domain")
+    if radius > distance_to_boundary(mesh, center) + 1e-12:
+        raise InvalidGeometryError(f"ball of radius {radius} not inside the domain")
     dist = np.linalg.norm(mesh.nodes - center, axis=1)
     inner = np.flatnonzero(dist <= radius / 2)
     if len(inner) < 2:
@@ -489,19 +484,9 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
     )
 
 
-def _eta_profile(dist, radius):
-    """Radial cutoff: 1 on B_{R/2}, 0 outside B_R, linear between (|grad| <= 4/R)."""
-    return np.clip(2.0 - 2.0 * dist / radius, 0.0, 1.0)
-
-
 def caccioppoli_check(u, center, radius, f, g):
     """ratio = ||Du||_{L2(half ball)} / (R^{-1}||u||_{L2(ball)} +
-    R^{d/2}(1+R) sup|g| + R^{d/2+1} sup|f|).
-
-    Also reports the eta-weighted gradient energy (trilinear interpolant of
-    the radial cutoff profile), the quantity the energy argument actually
-    bounds.
-    """
+    R^{d/2}(1+R) sup|g| + R^{d/2+1} sup|f|)."""
     mesh = u.mesh
     if radius < 4 * mesh.h:
         raise UnderResolvedError(f"Caccioppoli radius {radius} below 4h")
@@ -512,9 +497,6 @@ def caccioppoli_check(u, center, radius, f, g):
     gmag2 = (grads**2).sum(axis=(2, 3))
     half = dist2 <= (radius / 2) ** 2
     lhs = float(np.sqrt(np.einsum("g,cg->", w, np.where(half, gmag2, 0.0))))
-    eta_nodes = _eta_profile(np.linalg.norm(mesh.nodes - center, axis=1), radius)
-    eta_q = values_at_quadrature(DiscreteField(mesh, eta_nodes[:, None]))[:, :, 0]
-    lhs_weighted = float(np.sqrt(np.einsum("g,cg->", w, eta_q**2 * gmag2)))
     l2_ball, sup_f, sup_g = _ball_data(u, f, g, center, radius, pts, w)
     rhs = radius ** (-1.0) * l2_ball + radius ** (D / 2) * (1 + radius) * sup_g + radius ** (
         D / 2 + 1
@@ -526,7 +508,6 @@ def caccioppoli_check(u, center, radius, f, g):
         empirical_constant=float(ratio),
         params={
             "lhs": lhs,
-            "lhs_eta_weighted": lhs_weighted,
             "rhs": rhs,
             "center": [float(c) for c in center],
         },

@@ -297,22 +297,21 @@ def check_defining_identity(kernel, phi):
 
     Bounded: B(col_k, phi) + (1/|dOmega|) int_{dOmega} phi^k - (Phi_eps * phi^k)(y).
     Graph:   B(col_k, phi) - (Phi_eps * phi^k)(y); phi must vanish on the far cut.
-    B is the bilinear form of the kernel's direction: K, or K^T for the
-    adjoint kernel of a non-symmetric operator.  In graph mode it is taken
-    over the solver's free DOFs, where its operator lives: the column and phi
-    both vanish on the far cut, so that is the same functional.
+    B is the bilinear form of the kernel's direction, the solver's operator:
+    K, or K^T for the adjoint kernel of a non-symmetric operator, over the
+    DOFs the solver keeps.  In graph mode the column and phi both vanish on
+    the far cut, so that is the whole functional.
     """
     mesh = kernel.mesh
     if phi.mesh is not mesh:
         raise InterfaceError("test field lives on a different mesh")
     m = kernel.m
     K = kernel.solver.operator(kernel.adjoint)
-    dofs = slice(None)
+    dofs = kernel.solver.dofs
     if mesh.is_graph:
         if np.abs(phi.values[mesh.far_nodes]).max() > 1e-14:
             raise InterfaceError("graph-mode test fields must vanish on the far boundary")
         boundary_term = np.zeros(m)
-        dofs = kernel.solver.free_dofs
     else:
         boundary_term = (kernel.solver.boundary_weights @ phi.values) / mesh.boundary_measure
     phi_flat = phi.values.reshape(-1)[dofs]

@@ -1,19 +1,21 @@
 """Pure-Neumann variational solves in both domain modes.
 
-Both modes solve on one reduced stiffness operator, built once per solver and
-reused across right-hand sides and both directions (the adjoint stiffness is
-K^T): sparse LU, factorized on first use, or CG when SolveConfig asks for
-Krylov and K is symmetric.  A non-symmetric K takes LU and factors K^T once,
-on its first adjoint solve.
+A solver holds one stiffness operator, K over the DOFs its mode keeps in
+ascending order, built once and reused across right-hand sides and both
+directions (the adjoint stiffness is K^T): sparse LU, factorized on first
+use, or CG when SolveConfig asks for Krylov and K is symmetric.  A
+non-symmetric K takes LU and factors K^T once, on its first adjoint solve.
 
-The LU path orders the operator by geometric nested dissection of the node
-lattice and factors it in that order (SuperLU's NATURAL column order, partial
-pivoting as usual).  Every mesh is an occupied subset of an h-lattice and the
-27-point stencil couples only adjacent node planes, so one plane separates
-two halves of any node set; on a regular grid this ordering has provably low
-fill (George, SIAM J. Numer. Anal. 10, 1973).  A general-purpose ordering
-such as minimum degree ignores the lattice.  The Krylov path keeps the
-lexicographic node order, whose matvecs walk memory in order.
+SuperLU factors the matrix it is handed, in the order it is handed (NATURAL
+column order, partial pivoting as usual; Li, ACM TOMS 31, 2005), so the LU
+path hands it a copy of the operator's block ordered by geometric nested
+dissection of the node lattice, and keeps only the factor.  Every mesh is an
+occupied subset of an h-lattice and the 27-point stencil couples only
+adjacent node planes, so one plane separates two halves of any node set; on
+a regular grid this ordering has provably low fill (George, SIAM J. Numer.
+Anal. 10, 1973).  A general-purpose ordering such as minimum degree ignores
+the lattice.  CG runs on the operator itself, whose matvecs walk memory in
+order.
 
 Bounded mode realizes the zero-mean-boundary-trace normalization in closed
 form.  K annihilates constants on both sides, so the multiplier of the
@@ -33,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .discretize import (
@@ -86,20 +87,21 @@ class SolveInfo:
 
 
 class NeumannSolver:
-    """Stiffness + reduced operator + factorization bundle, reusable across loads.
+    """Stiffness operator + factorizations, reusable across loads and both directions.
+
+    The solver holds one operator in every mode and on every path: K over
+    ``dofs``, the DOFs its mode keeps, in ascending order.  Bounded mode keeps
+    every DOF; graph mode keeps those off the far cut, and the assembly reads
+    K's block over them off directly, so K over the far cut is never formed.
+    ``free_dofs`` is the order a solve works in: ``dofs`` for CG, the
+    nested-dissection order for LU, less the grounded node 0 in bounded mode.
+    The LU path cuts its factor's input, K[at][:, at] over ``free_dofs``, only
+    to factor it, and keeps only the factor.
 
     The one symmetry decision, max |K_ab - K_ba| <= 1e-12 max(max |K_ab|, 1),
     takes both maxima from the assembly, which reads them off the whole
     stencil table one node block at a time, so the difference matrix of K and
     its transpose is never formed.
-
-    Bounded mode holds K over every DOF, for the residual of the constrained
-    system; the LU path cuts its grounded block from K in one pass over its
-    entries (``_reduced_block``), and CG runs on K itself.  Graph mode holds a
-    single operator over the free DOFs, which the assembly reads off directly:
-    K over the far cut is never formed.  It is ``stiffness.matrix``, rows and
-    columns in ``free_dofs`` order: ascending for CG, one nested-dissection
-    permutation (a CSC) for LU.
     """
 
     def __init__(self, mesh, fld, config=None):
@@ -111,46 +113,44 @@ class NeumannSolver:
         keep = np.ones(self.n_dof, dtype=bool)
         if mesh.is_graph:
             keep.reshape(-1, self.m)[mesh.far_nodes] = False
-            rows = np.flatnonzero(keep)  # K's rows and columns, in this order
         else:
             self.boundary_weights = boundary_weight_vector(mesh)
-            rows = None
-        self.stiffness = assemble_stiffness(mesh, fld, rows)
-        K = self.stiffness.matrix
+        self.dofs = np.flatnonzero(keep)
+        self.stiffness = assemble_stiffness(mesh, fld, self.dofs if mesh.is_graph else None)
         # the one symmetry decision: it picks the adjoint operator and the solver
         self.symmetric = self.stiffness._asymmetry <= 1e-12 * max(self.stiffness._scale, 1.0)
-        direct = self.config.linear_solver == "direct" or not self.symmetric
-        if not mesh.is_graph:
-            # grounding node 0 leaves LU a nonsingular block; Krylov takes K as is
-            keep[: self.m] = not direct
-        if direct:
+        if self.config.linear_solver == "direct" or not self.symmetric:
             self._method = "direct"
+            if not mesh.is_graph:
+                keep[: self.m] = False  # grounding node 0 leaves LU a nonsingular block
             ijk = np.rint((mesh.nodes - mesh.origin) / mesh.h).astype(np.int64)
             nodes = _dissection_order(ijk)
-            dofs = (nodes[:, None] * self.m + np.arange(self.m)).ravel()
-            self.free_dofs = dofs[keep[dofs]]
-            # where free_dofs sit among K's rows
-            at = self.free_dofs if rows is None else np.searchsorted(rows, self.free_dofs)
-            self._block = _reduced_block(K, at).tocsc()
-            if mesh.is_graph:
-                self.stiffness.matrix = self._block
+            order = (nodes[:, None] * self.m + np.arange(self.m)).ravel()
+            self.free_dofs = order[keep[order]]
         else:
             self._method = "cg"
-            self.free_dofs = np.flatnonzero(keep)
-            self._block = K
-        self._factors = {}  # transposed? -> SuperLU factor of that block
+            self.free_dofs = self.dofs
+        self._factors = {}  # transposed? -> SuperLU factor of that direction
 
     def operator(self, adjoint=False):
-        """Stiffness of the forward system, or of the adjoint one (K^T unless K is symmetric).
-
-        Over every DOF in bounded mode; over ``free_dofs``, in that order, in
-        graph mode.
-        """
+        """K over ``dofs`` for the forward system; for the adjoint one, K^T unless K is symmetric."""
         K = self.stiffness.matrix
         return K.T if adjoint and not self.symmetric else K
 
+    def _factor(self, transposed):
+        """SuperLU factor of K, or of K^T, over ``free_dofs`` in that order."""
+        at = np.searchsorted(self.dofs, self.free_dofs)  # where free_dofs sit among K's rows
+        block = self.stiffness.matrix[at][:, at].tocsc()
+        if transposed:
+            # a second factor, not SuperLU's trans="T", which solves a block column by column
+            block = block.T.tocsc()
+        try:
+            return spla.splu(block, permc_spec="NATURAL")
+        except RuntimeError as e:
+            raise NumericFailureError(f"sparse LU factorization failed: {e}") from e
+
     def _solve_reduced(self, rhs, adjoint):
-        """Solve the reduced operator of a direction for rhs[free_dofs]; removed DOFs come back 0.
+        """Solve the operator of a direction for rhs[free_dofs]; the other DOFs come back 0.
 
         ``rhs`` is a load vector or an (n_dof, r) block: LU solves a block in one
         call, CG one column at a time.  Returns (u, method, iterations per column).
@@ -159,15 +159,10 @@ class NeumannSolver:
         r = rhs[self.free_dofs]
         cols = r.reshape(len(r), -1)
         if method == "direct":
-            # a second factor, not SuperLU's trans="T", which solves a block column by column
             transposed = adjoint and not self.symmetric
             lu = self._factors.get(transposed)
             if lu is None:
-                block = self._block.T.tocsc() if transposed else self._block
-                try:
-                    lu = self._factors[transposed] = spla.splu(block, permc_spec="NATURAL")
-                except RuntimeError as e:
-                    raise NumericFailureError(f"sparse LU factorization failed: {e}") from e
+                lu = self._factors[transposed] = self._factor(transposed)
             x = lu.solve(r)
             iterations = np.ones(cols.shape[1], dtype=np.int64)
         else:
@@ -187,7 +182,7 @@ class NeumannSolver:
             count[0] += 1
 
         x, code = spla.cg(
-            self._block, r, rtol=self.config.tolerance, atol=0.0, maxiter=MAX_ITERATIONS,
+            self.operator(), r, rtol=self.config.tolerance, atol=0.0, maxiter=MAX_ITERATIONS,
             callback=cb,
         )
         if code != 0:
@@ -195,6 +190,19 @@ class NeumannSolver:
                 f"cg failed to converge (code {code})", diagnostics={"iterations": count[0]}
             )
         return x, count[0]
+
+    def _finish(self, mode, u, load, adjoint, solved, flux=0.0, multiplier=None):
+        """(u, info) with the residual K u + flux - load over ``dofs``, guarded.
+
+        ``solved`` is the (method, iterations) of ``_solve_reduced`` and
+        ``flux`` the bounded mode's B^T mu, whose DOFs are all of ``dofs``.
+        """
+        method, iterations = solved
+        rhs = load[self.dofs]
+        res = self.operator(adjoint) @ u[self.dofs] + flux - rhs
+        info = SolveInfo(f"{mode}-{method}", iterations, _relative(res, rhs), multiplier)
+        _guard(info, self.config, mode)
+        return u, info
 
     # -- bounded mode --------------------------------------------------
     def solve_bounded(self, load, adjoint=False):
@@ -212,49 +220,19 @@ class NeumannSolver:
         # multiplier, and so the Krylov iterates, of its solve alone
         mu = np.ascontiguousarray(F.transpose(2, 1, 0)).sum(axis=2).T / b.sum()
         flux = (b[:, None, None] * mu).reshape(load.shape)  # B^T mu
-        u, method, iterations = self._solve_reduced(load - flux, adjoint)
+        u, *solved = self._solve_reduced(load - flux, adjoint)
         U = u.reshape(F.shape)
         U -= np.tensordot(b, U, axes=1) / b.sum()
-        res = self.operator(adjoint) @ u + flux - load
-        info = SolveInfo(
-            f"bounded-{method}", iterations, _relative(res, load), mu.reshape((self.m,) + load.shape[1:])
-        )
-        _guard(info, self.config, "bounded")
-        return u, info
+        multiplier = mu.reshape((self.m,) + load.shape[1:])
+        return self._finish("bounded", u, load, adjoint, solved, flux, multiplier)
 
     # -- graph mode ----------------------------------------------------
     def solve_graph(self, load, adjoint=False):
         """Zero far-cut solution of the forward or adjoint system for a load vector or block."""
         if not self.mesh.is_graph:
             raise InterfaceError("graph solve requested on a bounded mesh")
-        u, method, iterations = self._solve_reduced(load, adjoint)
-        rhs = load[self.free_dofs]
-        res = self.operator(adjoint) @ u[self.free_dofs] - rhs
-        info = SolveInfo(f"graph-{method}", iterations, _relative(res, rhs))
-        _guard(info, self.config, "graph")
-        return u, info
-
-
-def _reduced_block(K, free):
-    """K[free][:, free] as a CSR, from one pass over K's entries.
-
-    A row and a column mask over ``K.indices`` keep the entries of the free
-    DOFs, and a remap in K's index dtype (int32) renumbers their columns.  The
-    rows come out in ascending DOF order, so a ``free`` out of that order
-    costs one row gather more.
-    """
-    n = len(free)
-    remap = np.full(K.shape[0], -1, dtype=K.indices.dtype)
-    remap[free] = np.arange(n)
-    cols = np.take(remap, K.indices)
-    kept = cols >= 0
-    kept &= np.repeat(remap >= 0, np.diff(K.indptr))
-    before = np.zeros(K.nnz + 1, dtype=K.indptr.dtype)  # kept entries ahead of each one
-    np.cumsum(kept, out=before[1:])
-    rows = np.sort(free)
-    indptr = np.append(before[K.indptr[rows]], before[-1])
-    block = sp.csr_matrix((K.data[kept], cols[kept], indptr), shape=(n, n))
-    return block if np.array_equal(rows, free) else block[np.searchsorted(rows, free)]
+        u, *solved = self._solve_reduced(load, adjoint)
+        return self._finish("graph", u, load, adjoint, solved)
 
 
 def _dissection_order(ijk):

@@ -183,8 +183,8 @@ def test_c07_annulus_norms(deep_identity_kernel):
 
 
 def test_c08_local_lp_norms(deep_identity_kernel):
-    rec_n = local_norm_fit(deep_identity_kernel, 1.0, gradient=False)
-    rec_dn = local_norm_fit(deep_identity_kernel, 1.0, gradient=True)
+    rec_n = local_norm_fit(deep_identity_kernel, gradient=False)
+    rec_dn = local_norm_fit(deep_identity_kernel, gradient=True)
     ok_slopes = abs(rec_n.slope - 2.0) <= 0.3 and abs(rec_dn.slope - 1.0) <= 0.2
     with pytest.raises(ExponentRangeError):
         local_lp_norm(deep_identity_kernel, 0.3, 3.0)

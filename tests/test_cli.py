@@ -202,6 +202,18 @@ class TestEmit:
         assert data["records"] == []
         assert data["passed"] is True
 
+    def test_skip_records_carry_their_fits_names(self, tmp_path):
+        # at 8^3 every fit band is empty, so each fit leaves a skip record
+        rep = run_experiment(RunConfig(kind="estimates", mesh_n=8, trials=2))
+        assert [rec.name for rec in rep.records if rec.skipped] == [
+            "pointwise-decay", "annulus-l6", "annulus-gradient-l2", "local-l1-value",
+            "local-l1-gradient", "distribution-value", "distribution-gradient",
+        ]
+        names = [rec.name for rec in rep.records]
+        assert len(set(names)) == len(names)
+        csvs = [path.name.split("_", 1)[1] for path in emit_report(rep, tmp_path)[1:]]
+        assert csvs == [f"{name}.csv" for name in names]
+
     def test_reemission_byte_identical(self, tmp_path):
         cfg = RunConfig(kind="verify-coeff", mesh_n=4)
         rep = run_experiment(cfg)
@@ -386,3 +398,49 @@ class TestMain:
         # force non-convergence by capping iterations
         monkeypatch.setattr(solvemod, "MAX_ITERATIONS", 2)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o3")]) == 3
+
+
+class TestOracleScope:
+    """The cube series oracle runs exactly where it applies: identity on the unit cube box."""
+
+    def test_full_suite_skips_oracle_off_the_unit_cube(self, tmp_path):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("kind = full-suite\nmesh.extents = 1 1 2\nmesh.n = 8\ntrials = 2\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o/report.json").read_text())
+        assert not report["failures"]
+        assert "oracle-cube-agreement" not in {rec["name"] for rec in report["records"]}
+
+    @pytest.mark.parametrize(
+        "lines", ["coeff.type = checkerboard", "mesh.type = graph", "mesh.extents = 1 1 2"]
+    )
+    @pytest.mark.parametrize("via", ["config", "subcommand"])
+    def test_oracle_compare_elsewhere_is_config_error(
+        self, tmp_path, lines, via, capsys, monkeypatch
+    ):
+        def no_mesh(cfg):
+            raise AssertionError("a config the oracle does not apply to must not build a mesh")
+
+        monkeypatch.setattr(cli, "_build_mesh", no_mesh)
+        cfg = tmp_path / "oracle.cfg"
+        kind = "oracle-compare" if via == "config" else "solve"
+        cfg.write_text(f"kind = {kind}\nmesh.n = 4\n{lines}\n")
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv if via == "config" else ["oracle-compare"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert "config error: oracle-compare needs identity coefficients on the unit cube" in err
+        assert out == "" and not (tmp_path / "o").exists()
+
+    def test_oracle_compare_passes_for_every_m(self, tmp_path, capsys):
+        # the identity system's kernel is the scalar one times I_m
+        consts = []
+        for m in (1, 2, 3):
+            cfg = tmp_path / f"m{m}.cfg"
+            cfg.write_text(f"kind = oracle-compare\nmesh.n = 12\ncoeff.m = {m}\n")
+            out = tmp_path / f"o{m}"
+            assert main(["--config", str(cfg), "--out", str(out)]) == 0
+            (rec,) = json.loads((out / "report.json").read_text())["records"]
+            assert rec["name"] == "oracle-cube-agreement" and rec["passed"]
+            consts.append(rec["empirical_constant"])
+        assert consts[0] <= cli.ORACLE_RTOL
+        np.testing.assert_allclose(consts[1:], consts[0], rtol=1e-12)

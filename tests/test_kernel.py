@@ -39,7 +39,12 @@ from neumannlab.kernel import (
 )
 from neumannlab.mesh import build_box_mesh, build_staircase_mesh, build_truncated_graph_mesh
 from neumannlab.oracle import cube_neumann_series_batch
-from neumannlab.solve import NeumannSolver, SolveConfig, solve_neumann_bounded
+from neumannlab.solve import (
+    NeumannSolver,
+    SolveConfig,
+    solve_neumann_bounded,
+    solve_neumann_graph,
+)
 
 CENTER = (0.5, 0.5, 0.5)
 
@@ -559,6 +564,24 @@ class TestRepresentation:
         partial = {p: k for p, k in kernel_set.items() if p != 0}
         with pytest.raises(CoverageError):
             representation_solve(partial, lambda p: np.ones((len(p), 1)), None)
+
+    def test_graph_mesh_matches_direct_solve(self, checkerboard_field, solve_config):
+        # the graph branches of the pole loads and of the representation pairing
+        mesh = build_truncated_graph_mesh(
+            lambda x, y: np.zeros_like(x), 0.0, ((0, 0, 0), (1, 1, 1)), 1.0 / 6
+        )
+        assert mesh.n_nodes == 343
+        kernels = build_node_kernel_set(mesh, checkerboard_field, solve_config)
+
+        def f(p):
+            return (np.cos(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]) + p[:, 2])[:, None]
+
+        direct = solve_neumann_graph(mesh, checkerboard_field, f, solve_config)
+        rep = representation_solve(kernels, f, None)
+        readout = mollified_readout(kernels, direct)
+        assert l2_norm(rep - readout) <= 1e-12 * l2_norm(readout)
+        with pytest.raises(InterfaceError, match="boundary density"):
+            representation_solve(kernels, f, lambda p: np.ones((len(p), 1)))
 
     def test_forward_kernels_rejected(self, unit_cube_8, checkerboard_field, solve_config):
         fwd = {0: build_kernel(unit_cube_8, checkerboard_field, CENTER, solve_config)}

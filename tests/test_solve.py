@@ -208,7 +208,8 @@ class TestConstraintMethods:
 
     def test_singular_factor_is_numeric_failure(self, unit_cube_8, identity_field):
         solver = NeumannSolver(unit_cube_8, identity_field, SolveConfig())
-        solver._block = sp.csc_matrix(solver._block.shape)  # SuperLU: exactly singular
+        K = solver.stiffness.matrix
+        solver.stiffness.matrix = sp.csr_matrix(K.shape)  # SuperLU: exactly singular
         with pytest.raises(NumericFailureError, match="factorization"):
             solver.solve_bounded(np.zeros(solver.n_dof))
 
@@ -553,15 +554,27 @@ class TestOperatorSetUp:
 
     @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
     @pytest.mark.parametrize("mode", ["bounded", "graph"])
-    def test_reduced_block_is_free_submatrix(self, unit_cube_8, mode, linear_solver):
+    def test_reduced_block_is_free_submatrix(self, monkeypatch, unit_cube_8, mode, linear_solver):
+        # LU factors K[free][:, free] as a CSC; CG runs on K over dofs itself
         mesh = unit_cube_8 if mode == "bounded" else GRAPH_MESH
         fld = make_coefficient(ScalarCheckerboard(100.0, seed=3))
         solver = NeumannSolver(mesh, fld, SolveConfig(linear_solver=linear_solver))
-        K, free = assemble_stiffness(mesh, fld).matrix, solver.free_dofs
-        ref = K[free][:, free]
+        K = assemble_stiffness(mesh, fld).matrix
+        factored, real_splu = [], spla.splu
+
+        def splu(A, **kwargs):
+            factored.append(A)
+            return real_splu(A, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", splu)
+        solve = solver.solve_graph if mesh.is_graph else solver.solve_bounded
+        solve(np.zeros(solver.n_dof))
         if linear_solver == "direct":
-            ref = ref.tocsc()
-        block = solver._block
+            free = solver.free_dofs
+            (block,), ref = factored, K[free][:, free].tocsc()
+        else:
+            assert factored == [] and solver.free_dofs is solver.dofs
+            block, ref = solver.operator(), K[solver.dofs][:, solver.dofs]
         assert block.format == ref.format
         assert np.array_equal(block.data, ref.data)
         assert np.array_equal(block.indices, ref.indices)
@@ -572,12 +585,49 @@ class TestOperatorSetUp:
     def test_graph_operator_is_free_submatrix(self, field, linear_solver):
         fld = make_coefficient(SYMMETRY_FIELDS[field])
         solver = NeumannSolver(GRAPH_MESH, fld, SolveConfig(linear_solver=linear_solver))
-        free = solver.free_dofs
-        K = assemble_stiffness(GRAPH_MESH, fld).matrix[free][:, free]
+        dofs = solver.dofs
+        assert np.array_equal(dofs, np.sort(solver.free_dofs))
+        K = assemble_stiffness(GRAPH_MESH, fld).matrix[dofs][:, dofs]
         for adjoint in (False, True):
             op = solver.operator(adjoint)
-            assert op.shape == (len(free), len(free))
+            assert op.shape == (len(dofs), len(dofs))
             assert (op != (K.T if adjoint and not solver.symmetric else K)).nnz == 0
+
+    @pytest.mark.parametrize(
+        "linear_solver,field,method",
+        [("direct", "skew-m3", "direct"), ("krylov", "skew-m3", "direct"),
+         ("krylov", "checkerboard-m3", "cg")],
+    )
+    @pytest.mark.parametrize("mode", ["bounded", "graph"])
+    def test_solver_holds_one_sparse_matrix(self, mode, linear_solver, field, method):
+        # the operator; a factor's input lives only while it is factored
+        fields = {**SYMMETRY_FIELDS, "checkerboard-m3": ScalarCheckerboard(10.0, seed=5, m=3)}
+        mesh = build_box_mesh((1, 1, 1), 4) if mode == "bounded" else GRAPH_MESH
+        fld = make_coefficient(fields[field])
+        solver = NeumannSolver(mesh, fld, SolveConfig(linear_solver=linear_solver))
+        solve = solver.solve_graph if mesh.is_graph else solver.solve_bounded
+        load = np.zeros(solver.n_dof)
+        for adjoint in (False, True):
+            assert solve(load, adjoint)[1].method == f"{mode}-{method}"
+        assert len(solver._factors) == (2 if method == "direct" else 0)
+
+        held = []
+
+        def walk(value):
+            if sp.issparse(value):
+                held.append(value)
+            elif isinstance(value, dict):
+                for v in value.values():
+                    walk(v)
+            elif isinstance(value, (list, tuple)):
+                for v in value:
+                    walk(v)
+            elif hasattr(value, "__dict__") and not isinstance(value, type):
+                for v in vars(value).values():
+                    walk(v)
+
+        walk({k: v for k, v in vars(solver).items() if k not in ("mesh", "field")})
+        assert len(held) == 1 and held[0] is solver.operator()
 
     def test_krylov_solver_builds_in_bounded_memory(self):
         # the stencil table and one cell chunk beside the CSR: about 2.5x its bytes
@@ -611,7 +661,8 @@ class TestOperatorSetUp:
         finally:
             tracemalloc.stop()
         K = solver.operator()
-        assert K is solver._block and K.shape[0] == len(solver.free_dofs)
+        assert K is solver.stiffness.matrix and solver.free_dofs is solver.dofs
+        assert K.shape[0] == len(solver.dofs)
         size = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
         assert live < 1.2 * size
         assert peak < 3.5 * size
