@@ -265,7 +265,10 @@ def run_experiment(cfg):
             }
         )
     except NumericFailureError as e:
-        failures.append({"stage": cfg.kind, "error": "numeric-failure", "detail": str(e)})
+        failures.append(
+            {"stage": cfg.kind, "error": "numeric-failure", "detail": str(e),
+             "diagnostics": e.diagnostics}
+        )
     except NeumannLabError as e:
         failures.append({"stage": cfg.kind, "error": type(e).__name__, "detail": str(e)})
     return est.EstimateReport(records, provenance, cfg.hash(), failures)

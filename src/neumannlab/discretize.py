@@ -221,11 +221,13 @@ def assemble_stiffness(mesh, fld, free=None):
         asymmetry = max(asymmetry, np.abs(own - mirror.transpose(0, 3, 1, 2)).max())
         size = np.abs(stencil[nodes]).reshape(-1, m, width)  # (p, i, (s, j))
         scale = max(scale, size.max())
-        cols = (nbrs[:, None, :, None] * m + np.arange(m)).reshape(len(nbrs), 1, width)
+        cols = (nbrs[:, None, :, None] * m + np.arange(m, dtype=index)).reshape(len(nbrs), 1, width)
         keep = size > np.minimum(limit[dofs].reshape(-1, m, 1), limit[cols])
         counts.append(np.count_nonzero(keep, axis=2).ravel())
         data.append(stencil[nodes].reshape(keep.shape)[keep])
-        indices.append(np.broadcast_to(place[cols], keep.shape)[keep])
+        # renumber the kept entries only; without ``free`` a DOF is its own column
+        cols = np.broadcast_to(cols, keep.shape)[keep]
+        indices.append(cols if free is None else place[cols])
     del table, stencil, own  # the table's last views: it is freed before the CSR is joined
     indptr = np.zeros(len(kept) + 1, dtype=index)
     np.cumsum(np.concatenate(counts)[kept], out=indptr[1:])

@@ -213,6 +213,9 @@ class CheckRecord:
 N_DIRECTIONS = 26
 #: samples per slope fit: radii, or thresholds of the weak-type fits
 FIT_SAMPLES = 6
+#: cell magnitudes this close, relative, are one level to the weak-type fits:
+#: far above a kernel's roundoff, far below the gaps between distinct levels
+_TIE_RTOL = 1e-8
 
 
 def radial_probe_samples(kernel, radii, seed=0):
@@ -348,12 +351,28 @@ def distribution_fit(kernel, gradient=False):
     i_hi = min(np.searchsorted(volumes, 4.0 / 3.0 * np.pi * r_hi**3), len(mags) - 1)
     if i_lo >= i_hi or mags[i_hi] <= 0:
         return _skipped(name, "band unresolvable")
-    ts = np.geomspace(mags[i_hi], mags[i_lo], FIT_SAMPLES)
+    ts = np.geomspace(_level_gap(mags, i_hi, True), _level_gap(mags, i_lo, False), FIT_SAMPLES)
     meas = distribution_function(kernel, ts, gradient=gradient)
     target = -D / (D - 1) if gradient else -D / (D - 2)
     return _fitted(
         name, list(zip(ts.tolist(), meas.tolist())), float(target), 0.3 if gradient else 0.6
     )
+
+
+def _level_gap(mags, i, below):
+    """End threshold of a distribution fit at mags[i], for magnitudes sorted descending.
+
+    It is the geometric mean of the two magnitudes on either side of the first
+    gap between magnitude levels below mags[i] (``below``) or above it, so no
+    magnitude sits within _TIE_RTOL / 2 of it and a last-bit change of the
+    kernel cannot move a cell across it.  Magnitudes within _TIE_RTOL of their
+    neighbour form one level: cells mirrored by a symmetry of the problem
+    agree to roundoff, and the neighbour of a band end is often one of them.
+    mags[i] itself where no such gap, to a positive magnitude, exists.
+    """
+    gaps = np.flatnonzero((mags[1:] < mags[:-1] * (1 - _TIE_RTOL)) & (mags[1:] > 0))
+    k = gaps[gaps >= i] if below else gaps[gaps < i][::-1]  # gap k: mags[k] > mags[k + 1]
+    return float(np.sqrt(mags[k[0]] * mags[k[0] + 1])) if len(k) else float(mags[i])
 
 
 def holder_seminorm(u, center, radius, mu):

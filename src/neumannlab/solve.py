@@ -17,14 +17,26 @@ Anal. 10, 1973).  A general-purpose ordering such as minimum degree ignores
 the lattice.  CG runs on the operator itself, whose matvecs walk memory in
 order.
 
+CG is preconditioned by two levels: M^-1 r = r / diag(K) + P Kc^-1 P^T r.
+P aggregates the DOFs of one component at the nodes of one 4^3 block of the
+node lattice, Kc = P^T K P is the Galerkin coarse operator, and its sparse LU
+is formed once per solver, on the first CG solve, and serves every column.
+Diagonal scaling alone removes the dependence on contrast but not on h; the
+coarse solve carries the smooth error that Jacobi cannot, so the iteration
+count depends on the aggregate width H/h = 4, not on h (Toselli & Widlund,
+Domain Decomposition Methods, 2005; aggregation coarse spaces: Vanek, Mandel
+& Brezina, Computing 56, 1996).  The stopping rule is CG's own,
+||K x - b|| <= tolerance ||b||, on the unpreconditioned residual.
+
 Bounded mode realizes the zero-mean-boundary-trace normalization in closed
 form.  K annihilates constants on both sides, so the multiplier of the
 constrained system K u + B^T mu = F, B u = 0 is mu_i = sum F_i / sum b per
 component; it absorbs exactly the quadrature residual of the compatibility
 condition, so the discrete variational identity holds against arbitrary test
 fields up to solver precision.  The solve projects the load, solves the
-consistent singular system (with one node grounded for LU, as is for Krylov),
-then shifts each component by a constant to zero boundary mean (Bochev &
+consistent singular system (with one node grounded for LU; CG solves it as
+is, and its coarse operator grounds one aggregate), then shifts each
+component by a constant to zero boundary mean (Bochev &
 Lehoucq, SIAM Review 47, 2005).  Graph mode imposes homogeneous Dirichlet on
 the far (truncation) boundary by assembling K over the other DOFs only, and
 the natural condition on the graph boundary.
@@ -35,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .discretize import (
@@ -52,6 +65,8 @@ from .errors import CompatibilityError, InterfaceError, NumericFailureError
 
 #: Krylov iteration cap per right-hand side
 MAX_ITERATIONS = 20000
+#: lattice nodes per edge of an aggregate of CG's coarse space
+_AGGREGATE = 4
 #: largest |int f + int g| accepted, relative to the L1 size of the data
 COMPATIBILITY_RTOL = 1e-6
 #: graph solves flag a load supported within this many cells of the far cut
@@ -123,14 +138,14 @@ class NeumannSolver:
             self._method = "direct"
             if not mesh.is_graph:
                 keep[: self.m] = False  # grounding node 0 leaves LU a nonsingular block
-            ijk = np.rint((mesh.nodes - mesh.origin) / mesh.h).astype(np.int64)
-            nodes = _dissection_order(ijk)
+            nodes = _dissection_order(_lattice_index(mesh))
             order = (nodes[:, None] * self.m + np.arange(self.m)).ravel()
             self.free_dofs = order[keep[order]]
         else:
             self._method = "cg"
             self.free_dofs = self.dofs
         self._factors = {}  # transposed? -> SuperLU factor of that direction
+        self._coarse = None  # CG's (agg, 1 / diag K, coarse factor), built on its first solve
 
     def operator(self, adjoint=False):
         """K over ``dofs`` for the forward system; for the adjoint one, K^T unless K is symmetric."""
@@ -183,13 +198,68 @@ class NeumannSolver:
 
         x, code = spla.cg(
             self.operator(), r, rtol=self.config.tolerance, atol=0.0, maxiter=MAX_ITERATIONS,
-            callback=cb,
+            M=self._preconditioner(), callback=cb,
         )
         if code != 0:
+            residual = float(_relative(r - self.operator() @ x, r)[0])
             raise NumericFailureError(
-                f"cg failed to converge (code {code})", diagnostics={"iterations": count[0]}
+                f"cg failed to converge (code {code})",
+                diagnostics={"method": "cg", "iterations": count[0], "residual": residual},
             )
         return x, count[0]
+
+    def _preconditioner(self):
+        """Two-level preconditioner M^-1 r = r / diag(K) + P Kc^-1 P^T r of CG.
+
+        P is the aggregation of the DOFs over ``dofs``: DOF (p, i) belongs to
+        the coarse DOF (aggregate of p, i), where the aggregate of node p is its
+        lattice index // _AGGREGATE.  Coarse ids follow the nested-dissection
+        order of the aggregate lattice, Kc = P^T K P is factored once, with
+        NATURAL order, and every column reuses the factor.  In bounded mode K
+        annihilates constants, and so would Kc: the first aggregate's m coarse
+        DOFs are grounded, as node 0 is on the LU path.  A mesh whose one
+        aggregate is grounded gets diagonal scaling alone.
+        """
+        if self._coarse is None:
+            self._coarse = self._coarse_space()
+        agg, inv_diag, lu = self._coarse
+        nc = 0 if lu is None else lu.shape[0]
+
+        def apply(r):
+            z = r * inv_diag
+            if nc:
+                # P^T r, with the grounded DOFs summed into slot nc and dropped
+                rc = np.bincount(agg, weights=r, minlength=nc + 1)[:nc]
+                z += np.append(lu.solve(rc), 0.0)[agg]
+            return z
+
+        return spla.LinearOperator((len(agg),) * 2, matvec=apply, dtype=float)
+
+    def _coarse_space(self):
+        """(agg, 1 / diag K, SuperLU factor of Kc or None): each DOF's coarse id, nc if none."""
+        m, K = self.m, self.stiffness.matrix
+        lattice = _lattice_index(self.mesh) // _AGGREGATE
+        span = lattice.max(axis=0) + 1
+        key = np.ravel_multi_index(lattice.T, span)[self.dofs // m]
+        used, agg = np.unique(key, return_inverse=True)
+        rank = np.argsort(_dissection_order(np.stack(np.unravel_index(used, span), axis=1)))
+        agg = rank[agg] * m + self.dofs % m
+        grounded = 0 if self.mesh.is_graph else m
+        nc = len(used) * m - grounded
+        agg -= grounded
+        agg[agg < 0] = nc
+        inv_diag = 1.0 / K.diagonal()
+        if nc == 0:
+            return agg, inv_diag, None
+        coarse = agg < nc
+        P = sp.csr_matrix(
+            (np.ones(coarse.sum()), agg[coarse], np.r_[0, np.cumsum(coarse)]), shape=(len(agg), nc)
+        )
+        try:
+            lu = spla.splu((P.T @ (K @ P)).tocsc(), permc_spec="NATURAL")
+        except RuntimeError as e:
+            raise NumericFailureError(f"coarse LU factorization failed: {e}") from e
+        return agg, inv_diag, lu
 
     def _finish(self, mode, u, load, adjoint, solved, flux=0.0, multiplier=None):
         """(u, info) with the residual K u + flux - load over ``dofs``, guarded.
@@ -233,6 +303,11 @@ class NeumannSolver:
             raise InterfaceError("graph solve requested on a bounded mesh")
         u, *solved = self._solve_reduced(load, adjoint)
         return self._finish("graph", u, load, adjoint, solved)
+
+
+def _lattice_index(mesh):
+    """Integer h-lattice index (N, 3) of each mesh node."""
+    return np.rint((mesh.nodes - mesh.origin) / mesh.h).astype(np.int64)
 
 
 def _dissection_order(ijk):

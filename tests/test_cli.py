@@ -398,6 +398,10 @@ class TestMain:
         # force non-convergence by capping iterations
         monkeypatch.setattr(solvemod, "MAX_ITERATIONS", 2)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o3")]) == 3
+        (failure,) = json.loads((tmp_path / "o3/report.json").read_text())["failures"]
+        diagnostics = failure["diagnostics"]
+        assert diagnostics["method"] == "cg" and diagnostics["iterations"] == 2
+        assert 1e-13 < diagnostics["residual"] < 1.0
 
 
 class TestOracleScope:

@@ -31,6 +31,7 @@ from neumannlab.discretize import (
     l2_norm,
 )
 from neumannlab.errors import CompatibilityError, InterfaceError, NumericFailureError
+from neumannlab.kernel import build_kernel
 from neumannlab.mesh import build_box_mesh, build_staircase_mesh, build_truncated_graph_mesh
 from neumannlab.oracle import halfspace_neumann
 from neumannlab.solve import (
@@ -207,11 +208,15 @@ class TestConstraintMethods:
             SolveConfig(linear_solver="magic")
 
     def test_singular_factor_is_numeric_failure(self, unit_cube_8, identity_field):
-        solver = NeumannSolver(unit_cube_8, identity_field, SolveConfig())
-        K = solver.stiffness.matrix
-        solver.stiffness.matrix = sp.csr_matrix(K.shape)  # SuperLU: exactly singular
-        with pytest.raises(NumericFailureError, match="factorization"):
-            solver.solve_bounded(np.zeros(solver.n_dof))
+        # LU factors the operator's block, CG its coarse operator
+        for linear_solver in ("direct", "krylov"):
+            cfg = SolveConfig(linear_solver=linear_solver)
+            solver = NeumannSolver(unit_cube_8, identity_field, cfg)
+            K = solver.stiffness.matrix
+            solver.stiffness.matrix = sp.csr_matrix(K.shape)  # SuperLU: exactly singular
+            with pytest.raises(NumericFailureError, match="factorization"):
+                with np.errstate(divide="ignore"):  # CG's 1 / diag K
+                    solver.solve_bounded(np.zeros(solver.n_dof))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -425,6 +430,63 @@ class TestBlockSolves:
                 assert np.abs(info.multiplier[:, j] - one.multiplier).max() <= 1e-12 * scale
 
 
+def _wavy_floor(x, y):
+    """A floor of three plane waves near the bottom of the (-3, 3)^3 box; slope <= 0.4."""
+    z = np.full_like(x, -2.8)
+    for a, k, t in ((0.06, 3.0, 0.4), (0.04, 3.5, 1.9), (0.03, 2.5, 2.7)):
+        z = z + a * np.sin(k * (np.cos(t) * x + np.sin(t) * y))
+    return z
+
+
+class TestTwoLevelCG:
+    """CG is preconditioned by diagonal scaling plus one coarse solve on 4^3-node aggregates."""
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("mode", ["bounded", "graph"])
+    def test_matches_lu(self, mode, m):
+        mesh = build_box_mesh((1, 1, 1), 10) if mode == "bounded" else GRAPH_MESH
+        fld = make_coefficient(ScalarCheckerboard(100.0, seed=7, m=m))
+        load = np.random.default_rng(7).standard_normal(mesh.n_nodes * m)
+        out = {}
+        for linear_solver in ("direct", "krylov"):
+            cfg = SolveConfig(linear_solver=linear_solver, tolerance=1e-12)
+            solver = NeumannSolver(mesh, fld, cfg)
+            solve = solver.solve_graph if mesh.is_graph else solver.solve_bounded
+            out[linear_solver], info = solve(load)
+        assert info.method == f"{mode}-cg" and solver._coarse[2] is not None
+        u, uk = out["direct"], out["krylov"]
+        assert np.linalg.norm(uk - u) <= 1e-8 * np.linalg.norm(u)
+        if mode == "bounded":
+            b = boundary_weight_vector(mesh)
+            assert np.abs(b @ uk.reshape(-1, m) / b.sum()).max() <= 1e-12 * np.abs(uk).max()
+
+    @pytest.mark.parametrize("extents", [(1, 1, 1), (2, 1, 1)])
+    def test_one_and_two_cell_boxes(self, extents):
+        # the one aggregate is grounded: diagonal scaling alone
+        mesh = build_box_mesh(extents, 1)
+        fld = make_coefficient(ScalarCheckerboard(10.0, cell=1.0, m=2))
+        load = np.random.default_rng(1).standard_normal(mesh.n_nodes * 2)
+        direct, _ = NeumannSolver(mesh, fld).solve_bounded(load)
+        solver = NeumannSolver(mesh, fld, SolveConfig(linear_solver="krylov", tolerance=1e-12))
+        u, info = solver.solve_bounded(load)
+        assert info.method == "bounded-cg" and solver._coarse[2] is None
+        assert np.linalg.norm(u - direct) <= 1e-8 * np.linalg.norm(direct)
+
+    def test_iterations_do_not_grow_with_refinement(self):
+        # plain CG takes about twice the iterations at h = 1/9 as at h = 1/6
+        fld = make_coefficient(ScalarCheckerboard(100.0, seed=3))
+        cfg = SolveConfig(linear_solver="krylov")
+        pole = (0.3, -0.4, -1.5)
+
+        def iterations(h):
+            mesh = build_truncated_graph_mesh(_wavy_floor, 0.5, ((-3, -3, -3), (3, 3, 3)), h)
+            return int(build_kernel(mesh, fld, pole, cfg).telemetry["columns"][0]["iterations"])
+
+        coarse, fine = iterations(1 / 6), iterations(1 / 9)
+        assert fine <= 1.3 * coarse
+        assert iterations(1 / 6) == coarse
+
+
 class TestNonFiniteCoefficients:
     @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
     def test_nan_field_is_numeric_failure(self, linear_solver):
@@ -555,7 +617,9 @@ class TestOperatorSetUp:
     @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
     @pytest.mark.parametrize("mode", ["bounded", "graph"])
     def test_reduced_block_is_free_submatrix(self, monkeypatch, unit_cube_8, mode, linear_solver):
-        # LU factors K[free][:, free] as a CSC; CG runs on K over dofs itself
+        # LU factors K[free][:, free] as a CSC; CG runs on K over dofs itself and
+        # factors only its coarse operator: m DOFs per aggregate of 4^3 lattice
+        # nodes holding a kept DOF, less the m grounded in bounded mode
         mesh = unit_cube_8 if mode == "bounded" else GRAPH_MESH
         fld = make_coefficient(ScalarCheckerboard(100.0, seed=3))
         solver = NeumannSolver(mesh, fld, SolveConfig(linear_solver=linear_solver))
@@ -573,7 +637,12 @@ class TestOperatorSetUp:
             free = solver.free_dofs
             (block,), ref = factored, K[free][:, free].tocsc()
         else:
-            assert factored == [] and solver.free_dofs is solver.dofs
+            lattice = np.rint((mesh.nodes - mesh.origin) / mesh.h).astype(np.int64) // 4
+            aggregates = len(np.unique(lattice[solver.dofs // solver.m], axis=0))
+            grounded = 0 if mesh.is_graph else solver.m
+            (coarse,) = factored
+            assert coarse.shape == (aggregates * solver.m - grounded,) * 2
+            assert coarse.shape[0] < len(solver.dofs) and solver.free_dofs is solver.dofs
             block, ref = solver.operator(), K[solver.dofs][:, solver.dofs]
         assert block.format == ref.format
         assert np.array_equal(block.data, ref.data)
