@@ -88,7 +88,6 @@ class DiscreteField:
 
     mesh: Mesh
     values: np.ndarray
-    flags: tuple = ()
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -31,9 +31,9 @@ class CompatibilityError(NeumannLabError):
     Carries the per-component residual of the integral balance.
     """
 
-    def __init__(self, residual, message=None):
+    def __init__(self, residual):
         self.residual = residual
-        super().__init__(message or f"incompatible Neumann data, residual={residual}")
+        super().__init__(f"incompatible Neumann data, residual={residual}")
 
 
 class NumericFailureError(NeumannLabError):

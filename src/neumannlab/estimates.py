@@ -167,16 +167,6 @@ def local_lp_norm(kernel, radii, p, gradient=False):
     return np.reshape(norms, radii.shape)[()]
 
 
-def distribution_function(obj, thresholds, gradient=False):
-    """|{ x : |value| > t }| by cell-center sampling, one measure per threshold."""
-    thresholds = np.asarray(thresholds, dtype=float)
-    if np.any(thresholds <= 0) or np.any(np.diff(thresholds) <= 0):
-        raise ValueError("thresholds must be positive and strictly increasing")
-    mesh, _ = _kernel_fields(obj)
-    mags = cell_magnitudes(obj, gradient=gradient)
-    return np.array([(mags > t).sum() * mesh.h**3 for t in thresholds])
-
-
 # ----------------------------------------------------------------------
 # records
 
@@ -352,7 +342,7 @@ def distribution_fit(kernel, gradient=False):
     if i_lo >= i_hi or mags[i_hi] <= 0:
         return _skipped(name, "band unresolvable")
     ts = np.geomspace(_level_gap(mags, i_hi, True), _level_gap(mags, i_lo, False), FIT_SAMPLES)
-    meas = distribution_function(kernel, ts, gradient=gradient)
+    meas = np.array([(mags > t).sum() * kernel.mesh.h**3 for t in ts])
     target = -D / (D - 1) if gradient else -D / (D - 2)
     return _fitted(
         name, list(zip(ts.tolist(), meas.tolist())), float(target), 0.3 if gradient else 0.6

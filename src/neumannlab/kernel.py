@@ -32,12 +32,7 @@ from .discretize import (
     interpolate,
     shape_values,
 )
-from .errors import (
-    CoverageError,
-    InterfaceError,
-    InvalidGeometryError,
-    UnderResolvedError,
-)
+from .errors import CoverageError, InterfaceError, InvalidGeometryError
 from .mesh import distance_to_boundary
 from .solve import NeumannSolver, solver_for
 
@@ -189,7 +184,6 @@ class NeumannKernel:
 
     mesh: object
     pole: np.ndarray
-    eps: float
     values: np.ndarray  # (n_nodes, m, m)
     pole_load: np.ndarray  # (n_nodes,)
     adjoint: bool
@@ -218,19 +212,17 @@ class NeumannKernel:
         return float(np.linalg.norm(v)) if v.ndim == 2 else np.linalg.norm(v, axis=(1, 2))
 
 
-def _check_pole(mesh, y, eps):
-    """eps is at least 2h, and the mollifier ball at y lies in the domain at depth max(4h, eps)."""
-    if eps < 2 * mesh.h - 1e-12:
-        raise UnderResolvedError(f"mollifier radius {eps} below 2h = {2 * mesh.h}")
+def _check_pole(mesh, y):
+    """The mollifier ball of radius 2h at y lies in the domain at depth 4h."""
+    eps = 2 * mesh.h
     d = distance_to_boundary(mesh, y)  # raises OutOfDomainError when outside
     if d < eps - 1e-12:
         raise InvalidGeometryError(
             f"mollifier ball of radius {eps} at {tuple(map(float, y))} "
             "is not contained in the domain"
         )
-    min_depth = max(4 * mesh.h, eps)
-    if d < min_depth - 1e-12:
-        raise InvalidGeometryError(f"pole depth {d:.4g} below the required {min_depth:.4g}")
+    if d < 4 * mesh.h - 1e-12:
+        raise InvalidGeometryError(f"pole depth {d:.4g} below the required {4 * mesh.h:.4g}")
 
 
 def _pole_rhs(solver, loads):
@@ -273,23 +265,21 @@ def _telemetry(raw_mass, info, i, m):
     }
 
 
-def build_kernel(mesh, fld, y, config=None, eps=None, adjoint=False, solver=None):
+def build_kernel(mesh, fld, y, config=None, adjoint=False, solver=None):
     """All m columns at pole y; adjoint=True builds the kernel of the adjoint operator.
 
-    ``solver`` is the forward solver in both directions.  ``eps`` defaults to
-    2h, the finest resolvable mollification scale.  The pole must lie at
-    depth max(4h, eps) or more, so its mollifier is never clipped by the
-    boundary.
+    ``solver`` is the forward solver in both directions.  The mollifier
+    radius is 2h, the finest resolvable scale, and the pole must lie at depth
+    4h or more, so its mollifier is never clipped by the boundary.
     """
     y = np.asarray(y, dtype=float)
-    eps = 2 * mesh.h if eps is None else float(eps)
-    _check_pole(mesh, y, eps)
+    _check_pole(mesh, y)
     solver = solver_for(mesh, fld, config, solver)
-    loads, raw = mollifier_load(mesh, y, eps)
+    loads, raw = mollifier_load(mesh, y, 2 * mesh.h)
     values, info = _solve_poles(solver, loads, adjoint)
     telemetry = _telemetry(raw[0], info, 0, fld.m)
     values = np.ascontiguousarray(values[0])
-    return NeumannKernel(mesh, y, eps, values, loads[:, 0], adjoint, solver, telemetry)
+    return NeumannKernel(mesh, y, values, loads[:, 0], adjoint, solver, telemetry)
 
 
 def check_defining_identity(kernel, phi):
@@ -326,15 +316,13 @@ def check_defining_identity(kernel, phi):
 def check_symmetry_identity(kernel_fwd, kernel_adj):
     """Defect of the mollified-pairing symmetry identity.
 
-    max over (l, k) of |<Phi_eps'(.; x), N_eps_{lk}(., y)> - <Phi_eps(.; y),
-    Nt_eps'_{kl}(., x)>| for the forward kernel at y and the adjoint kernel at
-    x.  Exact at the discrete level because the two stiffness operators are
-    transposes.
+    max over (l, k) of |<Phi_eps(.; x), N_eps_{lk}(., y)> - <Phi_eps(.; y),
+    Nt_eps_{kl}(., x)>| for the forward kernel at y and the adjoint kernel at
+    x, both mollified at eps = 2h on one mesh.  Exact at the discrete level
+    because the two stiffness operators are transposes.
     """
     if kernel_fwd.mesh is not kernel_adj.mesh:
         raise InterfaceError("kernels live on different meshes")
-    if abs(kernel_fwd.eps - kernel_adj.eps) > 1e-14:
-        raise InterfaceError("symmetry pairing requires matching mollification radii")
     if kernel_fwd.adjoint == kernel_adj.adjoint:
         raise InterfaceError("need one forward and one adjoint kernel")
     m = kernel_fwd.m
@@ -370,9 +358,8 @@ def build_node_kernel_set(mesh, fld, config=None):
             f"full kernel set on {n} nodes exceeds {MAX_KERNEL_SET_NODES}; "
             "representation tests are meant for coarse meshes"
         )
-    eps = 2 * mesh.h
     solver = NeumannSolver(mesh, fld, config)
-    loads, raw = mollifier_load(mesh, mesh.nodes, eps)
+    loads, raw = mollifier_load(mesh, mesh.nodes, 2 * mesh.h)
     values = np.empty((n, n, m, m))
     kernels = {}
     for lo in range(0, n, _POLE_BLOCK):
@@ -380,7 +367,7 @@ def build_node_kernel_set(mesh, fld, config=None):
         values[lo:hi], info = _solve_poles(solver, loads[:, lo:hi], True)
         for p in range(lo, hi):
             kernels[p] = NeumannKernel(
-                mesh, mesh.nodes[p], eps, values[p], loads[:, p], True, solver,
+                mesh, mesh.nodes[p], values[p], loads[:, p], True, solver,
                 _telemetry(raw[p], info, p - lo, m),
             )
     return kernels

@@ -35,7 +35,8 @@ component; it absorbs exactly the quadrature residual of the compatibility
 condition, so the discrete variational identity holds against arbitrary test
 fields up to solver precision.  The solve projects the load, solves the
 consistent singular system (with one node grounded for LU; CG solves it as
-is, and its coarse operator grounds one aggregate), then shifts each
+is, preconditions only the mean-free part of each residual, and its coarse
+operator grounds one aggregate), then shifts each
 component by a constant to zero boundary mean (Bochev &
 Lehoucq, SIAM Review 47, 2005).  Graph mode imposes homogeneous Dirichlet on
 the far (truncation) boundary by assembling K over the other DOFs only, and
@@ -69,8 +70,6 @@ MAX_ITERATIONS = 20000
 _AGGREGATE = 4
 #: largest |int f + int g| accepted, relative to the L1 size of the data
 COMPATIBILITY_RTOL = 1e-6
-#: graph solves flag a load supported within this many cells of the far cut
-TRUNCATION_MARGIN_CELLS = 4
 
 
 @dataclass(frozen=True)
@@ -218,14 +217,20 @@ class NeumannSolver:
         NATURAL order, and every column reuses the factor.  In bounded mode K
         annihilates constants, and so would Kc: the first aggregate's m coarse
         DOFs are grounded, as node 0 is on the LU path.  A mesh whose one
-        aggregate is grounded gets diagonal scaling alone.
+        aggregate is grounded gets diagonal scaling alone.  Bounded mode also
+        subtracts each component's mean from r first: the residuals of the
+        consistent singular system are mean-free up to roundoff, and the
+        grounded coarse inverse would amplify that roundoff along the constants.
         """
         if self._coarse is None:
             self._coarse = self._coarse_space()
         agg, inv_diag, lu = self._coarse
         nc = 0 if lu is None else lu.shape[0]
+        m, bounded = self.m, not self.mesh.is_graph
 
         def apply(r):
+            if bounded:
+                r = (r.reshape(-1, m) - r.reshape(-1, m).mean(axis=0)).reshape(-1)
             z = r * inv_diag
             if nc:
                 # P^T r, with the grounded DOFs summed into slot nc and dropped
@@ -416,31 +421,10 @@ def solve_neumann_bounded(mesh, fld, f, g, config=None, solver=None):
 
 
 def solve_neumann_graph(mesh, fld, f, config=None, solver=None):
-    """Y^{1,2}-type solve: natural condition on the graph boundary, zero on the far cut.
-
-    A support too close to the far boundary sets a truncation-warning flag.
-    """
+    """Y^{1,2}-type solve: natural condition on the graph boundary, zero on the far cut."""
     solver = solver_for(mesh, fld, config, solver)
     m = fld.m
-    load = assemble_volume_load(mesh, f, m)
-    flags = _truncation_flags(mesh, load, m)
-    u, info = solver.solve_graph(load)
-    out = DiscreteField(mesh, u.reshape(-1, m), flags=flags)
+    u, info = solver.solve_graph(assemble_volume_load(mesh, f, m))
+    out = DiscreteField(mesh, u.reshape(-1, m))
     out.info = info
     return out
-
-
-def _truncation_flags(mesh, load, m):
-    margin = TRUNCATION_MARGIN_CELLS * mesh.h
-    support = np.flatnonzero(np.abs(load.reshape(-1, m)).sum(axis=1) > 0)
-    if len(support) == 0 or mesh.far_nodes is None or len(mesh.far_nodes) == 0:
-        return ()
-    pts = mesh.nodes[support]
-    far_lo = mesh.facet_lo[~mesh.graph_facets]
-    far_hi = mesh.facet_hi[~mesh.graph_facets]
-    d = np.maximum(far_lo[None] - pts[:, None], 0.0) + np.maximum(pts[:, None] - far_hi[None], 0.0)
-    dist = np.sqrt((d**2).sum(axis=2)).min()
-    if dist < margin:
-        return (f"truncation-warning: load support within {dist:.3g} of the far boundary",)
-    return ()
-

@@ -231,7 +231,6 @@ def test_c09_cube_oracle_agreement():
 def test_c10_graph_halfspace_oracle():
     h = 1.0 / 6.0
     pole = np.array([0.0, 0.0, 4 * h])
-    eps = 2 * h
     # floor probes under the pole: the maximal far-distance locus of this
     # domain type, where the reflection doubles the kernel value
     probes = np.array([[0, 0, 0], [h, 0, 0], [0, h, 0], [-h, 0, 0], [2 * h, 0, 0]])
@@ -243,7 +242,7 @@ def test_c10_graph_halfspace_oracle():
             ((-L / 2, -L / 2, 0), (L / 2, L / 2, L)), h,
         )
         cfg = SolveConfig(linear_solver="krylov", tolerance=1e-10)
-        kern = build_kernel(mesh, make_coefficient(Identity()), pole, cfg, eps=eps)
+        kern = build_kernel(mesh, make_coefficient(Identity()), pole, cfg)
         fe = interpolate(kern.column(0), probes)[:, 0]
         return np.abs(fe - exact) / exact
 

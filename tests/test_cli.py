@@ -276,6 +276,16 @@ class TestMain:
         (rec,) = [r for r in report["records"] if r["name"] == "solve-residual"]
         assert rec["empirical_constant"] <= 100 * RunConfig().solve_tolerance
 
+    def test_loose_tolerance_does_not_loosen_solve_gates(self, tmp_path):
+        # CG stops at a relative residual near 0.9; the residual gate stays 1e-8
+        cfg = tmp_path / "loose.cfg"
+        cfg.write_text("kind = solve\nmesh.n = 8\ncoeff.type = checkerboard\n"
+                       "solve.linear_solver = krylov\nsolve.tolerance = 0.9\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        report = json.loads((tmp_path / "o/report.json").read_text())
+        gates = {r["name"]: r["params"]["tolerance"] for r in report["records"]}
+        assert gates == {"solve-boundary-mean": 1e-9, "solve-residual": 1e-8}
+
     @pytest.mark.parametrize(
         "line",
         [

@@ -26,7 +26,7 @@ from neumannlab.estimates import (
     annulus_norms,
     caccioppoli_check,
     cell_magnitudes,
-    distribution_function,
+    distribution_fit,
     fit_power_law,
     holder_seminorm,
     local_lp_norm,
@@ -162,14 +162,14 @@ class TestNormMonotonicity:
         assert local_lp_norm(cb_kernel_16, 0.3, 2.9) > 0
         assert local_lp_norm(cb_kernel_16, 0.3, 1.49, gradient=True) > 0
 
-    def test_distribution_nonincreasing(self, cb_kernel_16):
-        ts = np.geomspace(0.01, 1.0, 8)
-        meas = distribution_function(cb_kernel_16, ts)
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_distribution_fit_samples_nonincreasing(self, cb_kernel_20, gradient):
+        # superlevel-set measures fall as the threshold rises
+        rec = distribution_fit(cb_kernel_20, gradient=gradient)
+        ts, meas = np.array(rec.samples).T
+        assert not rec.skipped and len(ts) > 2
+        assert np.all(np.diff(ts) > 0) and np.all(meas > 0)
         assert np.all(np.diff(meas) <= 0)
-
-    def test_distribution_above_max_is_zero(self, cb_kernel_16):
-        top = cell_magnitudes(cb_kernel_16).max()
-        assert distribution_function(cb_kernel_16, [2 * top])[0] == 0.0
 
     def test_zero_field_norms(self, unit_cube_8, identity_field, solve_config):
         # the f = 0 build: all norms vanish

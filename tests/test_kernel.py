@@ -17,13 +17,15 @@ from neumannlab.coeff import (
     SmoothVMO,
     make_coefficient,
 )
-from neumannlab.discretize import DiscreteField, boundary_mean, gauss_rule_1d, l2_norm, shape_values
-from neumannlab.errors import (
-    CoverageError,
-    InterfaceError,
-    InvalidGeometryError,
-    UnderResolvedError,
+from neumannlab.discretize import (
+    DiscreteField,
+    boundary_mean,
+    gauss_rule_1d,
+    interpolate,
+    l2_norm,
+    shape_values,
 )
+from neumannlab.errors import CoverageError, InterfaceError, InvalidGeometryError
 from neumannlab.kernel import (
     MAX_KERNEL_SET_NODES,
     MOLLIFIER_NORMALIZATION,
@@ -177,30 +179,29 @@ class TestLoadStencil:
             mollifier_load(unit_cube_8, [CENTER, (3.0, 0.5, 0.5)], 0.25)
 
 
+def mollified_column(solver, eps):
+    """Bounded scalar kernel at CENTER mollified at radius eps: the load's own solve."""
+    mesh = solver.mesh
+    load, _ = mollifier_load(mesh, CENTER, eps)
+    u, _ = solver.solve_bounded(load[:, 0] - solver.boundary_weights / mesh.boundary_measure)
+    return DiscreteField(mesh, u)
+
+
 class TestColumnBuild:
     def test_compatibility_by_construction(self, unit_cube_12, identity_field, solve_config):
-        col = build_kernel(unit_cube_12, identity_field, CENTER, solve_config, eps=2 / 12).column(0)
+        col = build_kernel(unit_cube_12, identity_field, CENTER, solve_config).column(0)
         assert np.abs(boundary_mean(col)).max() < 1e-10
-
-    def test_under_resolved_eps(self, unit_cube_12, identity_field, solve_config):
-        with pytest.raises(UnderResolvedError):
-            build_kernel(unit_cube_12, identity_field, CENTER, solve_config, eps=1.2 / 12).column(0)
 
     def test_ball_outside_domain(self, unit_cube_12, identity_field, solve_config):
         message = f"mollifier ball of radius {2 / 12} at (0.08, 0.5, 0.5) is not contained"
         with pytest.raises(InvalidGeometryError, match=re.escape(message)):
-            build_kernel(
-                unit_cube_12, identity_field, (0.08, 0.5, 0.5), solve_config, eps=2 / 12
-            ).column(0)
+            build_kernel(unit_cube_12, identity_field, (0.08, 0.5, 0.5), solve_config).column(0)
 
-    def test_energy_scaling_in_eps(self, identity_field, solve_config, gradient_l2_norm):
+    def test_energy_scaling_in_eps(self, identity_field, gradient_l2_norm):
         # ||Dv|| ~ eps^{(2-d)/2}: halving eps grows the energy by about sqrt(2)
         mesh = build_box_mesh((1, 1, 1), 32)
-        solver = NeumannSolver(mesh, identity_field, solve_config)  # one factorization
-        e = {}
-        for eps in (4 / 32, 8 / 32):
-            kern = build_kernel(mesh, identity_field, CENTER, solve_config, eps=eps, solver=solver)
-            e[eps] = gradient_l2_norm(kern.column(0))
+        solver = NeumannSolver(mesh, identity_field, SolveConfig(linear_solver="krylov"))
+        e = {eps: gradient_l2_norm(mollified_column(solver, eps)) for eps in (4 / 32, 8 / 32)}
         ratio = e[4 / 32] / e[8 / 32]
         assert abs(ratio - np.sqrt(2)) / np.sqrt(2) < 0.25
 
@@ -222,14 +223,12 @@ class TestKernelBuild:
         assert np.array_equal(a.values, b.values)
 
     def test_eps_consistency(self, identity_field, solve_config):
-        mesh = build_box_mesh((1, 1, 1), 16)
-        k2 = build_kernel(mesh, identity_field, CENTER, solve_config, eps=2 / 16)
-        k3 = build_kernel(mesh, identity_field, CENTER, solve_config, eps=3 / 16)
+        solver = NeumannSolver(build_box_mesh((1, 1, 1), 16), identity_field, solve_config)
         probes = np.array(CENTER) + np.array(
             [[6 / 16, 0, 0], [0, -7 / 16, 0], [5 / 16, 5 / 16, 0]]
         )
-        a = k2.magnitude_at(probes)
-        b = k3.magnitude_at(probes)
+        a, b = (np.abs(interpolate(mollified_column(solver, eps), probes)[:, 0])
+                for eps in (2 / 16, 3 / 16))
         assert np.max(np.abs(a - b) / b) < 0.05
 
     def test_pole_depth_enforced(self, unit_cube_12, identity_field, solve_config):
@@ -374,12 +373,6 @@ class TestSymmetryIdentity:
         other = NeumannSolver(unit_cube_8, make_coefficient(ScalarCheckerboard(10.0)), solve_config)
         with pytest.raises(InterfaceError):
             build_kernel(unit_cube_8, fld, CENTER, solve_config, adjoint=True, solver=other)
-
-    def test_eps_mismatch_rejected(self, unit_cube_12, identity_field, solve_config):
-        kf = build_kernel(unit_cube_12, identity_field, CENTER, solve_config, eps=2 / 12)
-        ka = build_kernel(unit_cube_12, identity_field, CENTER, solve_config, eps=3 / 12, adjoint=True)
-        with pytest.raises(InterfaceError):
-            check_symmetry_identity(kf, ka)
 
 
 class TestAdjointFromForwardSolver:

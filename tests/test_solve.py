@@ -486,6 +486,20 @@ class TestTwoLevelCG:
         assert fine <= 1.3 * coarse
         assert iterations(1 / 6) == coarse
 
+    def test_bounded_iterations_do_not_grow_with_refinement(self):
+        # the grounded coarse inverse amplifies a residual's roundoff along the
+        # constants, K's null space, unless the residual is made mean-free first
+        fld = make_coefficient(ScalarCheckerboard(1000.0))
+
+        def iterations(n):
+            solver = NeumannSolver(
+                build_box_mesh((1, 1, 1), n), fld, SolveConfig(linear_solver="krylov")
+            )
+            load = np.random.default_rng(0).standard_normal(solver.n_dof)
+            return int(solver.solve_bounded(load - load.mean())[1].iterations[0])
+
+        assert iterations(20) <= 1.3 * iterations(32)
+
 
 class TestNonFiniteCoefficients:
     @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
@@ -519,7 +533,6 @@ class TestGraphSolve:
 
         u = solve_neumann_graph(mesh, identity_field, bump, solve_config)
         assert np.abs(u.values[mesh.far_nodes]).max() == 0.0
-        assert u.flags == ()
 
     def test_halfspace_truncation_error_shrinks_with_box(self, identity_field, solve_config):
         # Dirichlet truncation error decays like 1/L; the tight 10% bound runs
@@ -548,18 +561,6 @@ class TestGraphSolve:
         err6 = np.abs(run(6.0) - exact) / np.abs(exact)
         assert np.all(err6 < err3)
         assert err6.max() < 0.35
-
-    def test_truncation_warning_flag(self, identity_field, solve_config):
-        mesh = build_truncated_graph_mesh(
-            lambda x, y: np.zeros_like(x), 0.0, ((0, 0, 0), (2, 2, 2)), 0.25
-        )
-
-        def near_far_bump(p):
-            r2 = ((p - np.array([1.9, 1.0, 1.0])) ** 2).sum(axis=1)
-            return np.maximum(0.0, 1.0 - r2 / 0.01)[:, None]
-
-        u = solve_neumann_graph(mesh, identity_field, near_far_bump, solve_config)
-        assert any("truncation-warning" in fl for fl in u.flags)
 
     def test_unbalanced_source_allowed_in_graph_mode(self, flat_graph_12, identity_field, solve_config):
         # no compatibility condition on the unbounded domain
@@ -776,9 +777,7 @@ class TestSolverMismatch:
 
         solver = NeumannSolver(unit_cube_8, checkerboard_field)
         with pytest.raises(InterfaceError, match="coefficient field"):
-            build_kernel(
-                unit_cube_8, identity_field, (0.5, 0.5, 0.5), eps=0.25, solver=solver
-            ).column(0)
+            build_kernel(unit_cube_8, identity_field, (0.5, 0.5, 0.5), solver=solver).column(0)
 
     def test_local_boundedness_other_field(self, unit_cube_8, identity_field, checkerboard_field):
         from neumannlab.estimates import test_local_boundedness as local_boundedness

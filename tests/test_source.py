@@ -65,3 +65,59 @@ def test_public_names_have_callers():
         if name not in used
     ]
     assert not unused, unused
+
+
+def _defaulted_params(tree):
+    """(function, parameter, position or None) of each defaulted parameter of a
+    public module-level function; keyword-only parameters have no position."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            for i in range(len(positional) - len(args.defaults), len(positional)):
+                yield node.name, positional[i].arg, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def _passed_arguments():
+    """function -> [largest positional count, keywords] over the calls in
+    CALLER_FILES.  ``from ... import f as g`` makes a call of g a call of f; a
+    call with *args passes every position, and one with **kwargs (keyword
+    None) every keyword."""
+    passed = {}
+    for path in CALLER_FILES:
+        tree = ast.parse(path.read_text())
+        alias = {
+            a.asname: a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for a in node.names
+            if a.asname
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                entry = passed.setdefault(alias.get(name, name), [0, set()])
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                entry[0] = max(entry[0], float("inf") if starred else len(node.args))
+                entry[1] |= {kw.arg for kw in node.keywords}
+    return passed
+
+
+def test_defaulted_parameters_have_callers():
+    # a default that no caller overrides is an option nothing exercises; the
+    # command-line entry point's argv is passed by the interpreter
+    passed = _passed_arguments()
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for func, param, pos in _defaulted_params(ast.parse(path.read_text())):
+            count, keywords = passed.get(func, (0, set()))
+            if (path.name, func) == ("cli.py", "main") or keywords & {param, None}:
+                continue
+            if pos is None or count <= pos:
+                unused.append(f"{path.name} {func}({param})")
+    assert not unused, unused
