@@ -53,7 +53,13 @@ from .kernel import (
 )
 from .mesh import build_box_mesh, build_truncated_graph_mesh
 from .oracle import cube_neumann_series_batch
-from .solve import NeumannSolver, SolveConfig, solve_neumann_bounded, solve_neumann_graph
+from .solve import (
+    NeumannSolver,
+    SolveConfig,
+    _one_blas_thread,
+    solve_neumann_bounded,
+    solve_neumann_graph,
+)
 
 KINDS = ("verify-coeff", "solve", "kernel", "estimates", "oracle-compare", "full-suite")
 #: accepted values of the choice keys; coeff.type and solve.* are checked by
@@ -233,8 +239,12 @@ def _rec(name, value, tol, extra=None):
     return rec
 
 
+@_one_blas_thread()
 def run_experiment(cfg):
     """Execute the configured pipeline; deterministic given (config, seed).
+
+    The run holds BLAS at one thread, so its report does not depend on the
+    host's BLAS thread setting.
 
     A bad config value raises ValueError before anything is built.  Geometry
     the mesh cannot be built from, or a pole whose mollifier ball the mesh
@@ -444,14 +454,16 @@ def emit_report(report, outdir):
 
 
 def main(argv=None):
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value configuration file")
-    common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--out", help="override the output directory")
-    parser = argparse.ArgumentParser(prog="neumannlab", description=__doc__, parents=[common])
+    parser = argparse.ArgumentParser(prog="neumannlab", description=__doc__)
     sub = parser.add_subparsers(dest="kind")
-    for kind in KINDS:
-        sub.add_parser(kind, parents=[common])
+    # the options go before or after the subcommand; its copies default to
+    # SUPPRESS, so they set only what they are given and never reset a value
+    # parsed before the subcommand
+    targets = [(parser, None)] + [(sub.add_parser(kind), argparse.SUPPRESS) for kind in KINDS]
+    for target, default in targets:
+        target.add_argument("--config", default=default, help="key = value configuration file")
+        target.add_argument("--seed", type=int, default=default, help="override the config seed")
+        target.add_argument("--out", default=default, help="override the output directory")
     args = parser.parse_args(argv)
 
     try:

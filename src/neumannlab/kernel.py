@@ -19,6 +19,8 @@ kernels of both directions (the Krylov path, CG, takes symmetric K only).
 from __future__ import annotations
 
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,7 @@ from .discretize import (
 )
 from .errors import CoverageError, InterfaceError, InvalidGeometryError
 from .mesh import distance_to_boundary
-from .solve import NeumannSolver, solver_for
+from .solve import NeumannSolver, _one_blas_thread, solver_for
 
 #: normalization of the quartic bump (1 - |z|^2)^2 on the unit ball in d = 3:
 #: 4 pi int_0^1 (1 - r^2)^2 r^2 dr = 32 pi / 105
@@ -338,19 +340,32 @@ def check_symmetry_identity(kernel_fwd, kernel_adj):
 #: largest mesh a full node kernel set is built on: its dense storage grows
 #: like n_nodes^2, and representation tests are meant for coarse meshes
 MAX_KERNEL_SET_NODES = 3500
-#: poles per blocked solve: solving all 343 poles of a 6^3 m = 3 set as one
-#: block doubled the process's peak memory (100 -> 200 MB); blocks of 32 poles
-#: keep it flat at no cost in time
-_POLE_BLOCK = 32
+#: poles per blocked solve.  Memory grows with the blocks in flight, one per
+#: worker: solving all 343 poles of a 6^3 m = 3 set as one block doubled the
+#: process's peak memory (100 -> 200 MB); two blocks of 16 in flight raise it
+#: by about 5 MB over one block of 32 at a time, two blocks of 32 by about 10 MB
+_POLE_BLOCK = 16
+#: most worker threads solving pole blocks at once
+_MAX_WORKERS = 4
 
 
+def _workers(blocks):
+    """Worker threads for ``blocks`` pole blocks: one per usable CPU, capped."""
+    return min(len(os.sched_getaffinity(0)), blocks, _MAX_WORKERS)
+
+
+@_one_blas_thread()
 def build_node_kernel_set(mesh, fld, config=None):
     """Adjoint kernels at eps = 2h at every mesh node (the discrete Green-matrix transpose).
 
     The forward solver's one factorization (of K^T unless K is symmetric),
     one load stencil and a few blocked adjoint solves serve all poles;
     boundary poles use clipped, renormalized mollifiers.  Every kernel's
-    values are a view of one (n_poles, n_nodes, m, m) array.
+    values are a view of one (n_poles, n_nodes, m, m) array.  The factor is
+    formed first; then worker threads solve the pole blocks, each writing its
+    own slice of that array (SuperLU's triangular solves and sparse products
+    release the GIL).  Everything runs with BLAS at one thread, so the kernels
+    are bit-identical at any worker count and any host thread setting.
     """
     n, m = mesh.n_nodes, fld.m
     if n > MAX_KERNEL_SET_NODES:
@@ -360,12 +375,20 @@ def build_node_kernel_set(mesh, fld, config=None):
         )
     solver = NeumannSolver(mesh, fld, config)
     loads, raw = mollifier_load(mesh, mesh.nodes, 2 * mesh.h)
+    solver._prepare(adjoint=True)
     values = np.empty((n, n, m, m))
-    kernels = {}
-    for lo in range(0, n, _POLE_BLOCK):
+
+    def solve_block(lo):
         hi = min(lo + _POLE_BLOCK, n)
         values[lo:hi], info = _solve_poles(solver, loads[:, lo:hi], True)
-        for p in range(lo, hi):
+        return info
+
+    starts = range(0, n, _POLE_BLOCK)
+    with futures.ThreadPoolExecutor(_workers(len(starts))) as pool:
+        infos = list(pool.map(solve_block, starts))
+    kernels = {}
+    for lo, info in zip(starts, infos):
+        for p in range(lo, min(lo + _POLE_BLOCK, n)):
             kernels[p] = NeumannKernel(
                 mesh, mesh.nodes[p], values[p], loads[:, p], True, solver,
                 _telemetry(raw[p], info, p - lo, m),

@@ -41,10 +41,22 @@ component by a constant to zero boundary mean (Bochev &
 Lehoucq, SIAM Review 47, 2005).  Graph mode imposes homogeneous Dirichlet on
 the far (truncation) boundary by assembling K over the other DOFs only, and
 the natural condition on the graph boundary.
+
+SuperLU's supernode kernels and numpy's dense products run in OpenBLAS, whose
+blocking and summation order follow its thread count.  The runs whose results
+are reported, ``cli.run_experiment`` and ``kernel.build_node_kernel_set``,
+therefore pin every loaded OpenBLAS to one thread for their whole length
+(``_one_blas_thread``), so their bits do not depend on the host's thread
+setting, and worker threads that solve in parallel do not oversubscribe the
+cores.  The libraries are looked up on each entry, among those already
+loaded; where none exports the setter, the pin does nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +158,19 @@ class NeumannSolver:
         self._factors = {}  # transposed? -> SuperLU factor of that direction
         self._coarse = None  # CG's (agg, 1 / diag K, coarse factor), built on its first solve
 
+    def _prepare(self, adjoint):
+        """What every solve of a direction shares, formed on first use: the LU
+        factor of its operator, or CG's coarse space.  Forming it is not
+        thread-safe; solves that find it formed are."""
+        if self._method == "direct":
+            transposed = adjoint and not self.symmetric
+            if transposed not in self._factors:
+                self._factors[transposed] = self._factor(transposed)
+            return self._factors[transposed]
+        if self._coarse is None:
+            self._coarse = self._coarse_space()
+        return self._coarse
+
     def operator(self, adjoint=False):
         """K over ``dofs`` for the forward system; for the adjoint one, K^T unless K is symmetric."""
         K = self.stiffness.matrix
@@ -173,11 +198,7 @@ class NeumannSolver:
         r = rhs[self.free_dofs]
         cols = r.reshape(len(r), -1)
         if method == "direct":
-            transposed = adjoint and not self.symmetric
-            lu = self._factors.get(transposed)
-            if lu is None:
-                lu = self._factors[transposed] = self._factor(transposed)
-            x = lu.solve(r)
+            x = self._prepare(adjoint).solve(r)
             iterations = np.ones(cols.shape[1], dtype=np.int64)
         else:
             x = np.empty_like(cols)
@@ -222,9 +243,7 @@ class NeumannSolver:
         consistent singular system are mean-free up to roundoff, and the
         grounded coarse inverse would amplify that roundoff along the constants.
         """
-        if self._coarse is None:
-            self._coarse = self._coarse_space()
-        agg, inv_diag, lu = self._coarse
+        agg, inv_diag, lu = self._prepare(False)
         nc = 0 if lu is None else lu.shape[0]
         m, bounded = self.m, not self.mesh.is_graph
 
@@ -344,6 +363,57 @@ def _dissection_order(ijk):
         live = live[split & (choice < 2)]
         live = live[np.argsort(key[live], kind="stable")]
     return np.argsort(key, kind="stable")
+
+
+class _PhdrInfo(ctypes.Structure):
+    """The leading fields of glibc's struct dl_phdr_info."""
+
+    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+
+
+_PHDR_CALLBACK = ctypes.CFUNCTYPE(
+    ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t, ctypes.c_void_p
+)
+
+
+def _loaded_openblas():
+    """Every loaded OpenBLAS that exports ``openblas_set_num_threads_local``."""
+    iterate = getattr(ctypes.CDLL(None), "dl_iterate_phdr", None)
+    if iterate is None:
+        return []
+    iterate.argtypes, iterate.restype = [_PHDR_CALLBACK, ctypes.c_void_p], ctypes.c_int
+    paths = []
+
+    def visit(info, size, data):
+        paths.append(info.contents.name)
+        return 0
+
+    callback = _PHDR_CALLBACK(visit)  # referenced until dl_iterate_phdr returns
+    iterate(callback, None)
+    found = []
+    for path in paths:
+        if path and b"openblas" in os.path.basename(path):
+            lib = ctypes.CDLL(os.fsdecode(path), mode=os.RTLD_NOLOAD)
+            setter = getattr(lib, "openblas_set_num_threads_local", None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+                found.append(lib)
+    return found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run with every loaded OpenBLAS at one thread; restore each count on exit.
+
+    The setter acts process-wide, so threads started inside run at one too.
+    """
+    libs = _loaded_openblas()
+    previous = [lib.openblas_set_num_threads_local(1) for lib in libs]
+    try:
+        yield
+    finally:
+        for lib, count in zip(libs, previous):
+            lib.openblas_set_num_threads_local(count)
 
 
 def solver_for(mesh, fld, config, solver=None):

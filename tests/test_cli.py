@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neumannlab
 from neumannlab import cli
 from neumannlab.cli import RunConfig, emit_report, main, parse_config, run_experiment
 
@@ -250,6 +254,16 @@ class TestMain:
         report = json.loads((tmp_path / "o/report.json").read_text())
         assert report["provenance"]["config"]["kind"] == "solve"
 
+    @pytest.mark.parametrize("subcommand_first", [True, False])
+    def test_options_either_side_of_the_subcommand(self, config_file, tmp_path, subcommand_first):
+        options = ["--config", str(config_file), "--seed", "5", "--out", str(tmp_path / "o")]
+        argv = ["solve"] + options if subcommand_first else options + ["solve"]
+        assert main(argv) == 0
+        config = json.loads((tmp_path / "o/report.json").read_text())["provenance"]["config"]
+        # kind from the subcommand, seed and outdir from the options, mesh.n from the file
+        assert (config["kind"], config["seed"], config["mesh_n"]) == ("solve", 5, 4)
+        assert config["outdir"] == str(tmp_path / "o")
+
     def test_seed_override_changes_hash(self, config_file, tmp_path):
         main(["--config", str(config_file), "--seed", "11", "--out", str(tmp_path / "a")])
         main(["--config", str(config_file), "--seed", "12", "--out", str(tmp_path / "b")])
@@ -412,6 +426,30 @@ class TestMain:
         diagnostics = failure["diagnostics"]
         assert diagnostics["method"] == "cg" and diagnostics["iterations"] == 2
         assert 1e-13 < diagnostics["residual"] < 1.0
+
+
+@pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
+def test_report_independent_of_blas_threads(tmp_path, linear_solver):
+    # the shipped 24^3 config, whose LU supernodes and dense products are
+    # large enough for OpenBLAS's thread count to reach the bits unpinned
+    repo = Path(__file__).resolve().parents[1]
+    config = (repo / "configs" / "checkerboard_estimates_24.cfg").read_text()
+    config += f"solve.linear_solver = {linear_solver}\n"
+    src = str(Path(neumannlab.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        run = tmp_path / threads
+        run.mkdir()
+        (run / "run.cfg").write_text(config)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # one relative outdir, so the embedded config and its hash agree
+        subprocess.run(
+            [sys.executable, "-m", "neumannlab.cli", "--config", "run.cfg", "--out", "out"],
+            cwd=run, env=env, capture_output=True, check=True,
+        )
+        reports.append((run / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 class TestOracleScope:

@@ -1,5 +1,8 @@
 import itertools
+import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,7 +28,12 @@ from neumannlab.discretize import (
     l2_norm,
     shape_values,
 )
-from neumannlab.errors import CoverageError, InterfaceError, InvalidGeometryError
+from neumannlab.errors import (
+    CoverageError,
+    InterfaceError,
+    InvalidGeometryError,
+    NumericFailureError,
+)
 from neumannlab.kernel import (
     MAX_KERNEL_SET_NODES,
     MOLLIFIER_NORMALIZATION,
@@ -442,7 +450,8 @@ class TestNodeKernelSet:
         import neumannlab.kernel as kernelmod
         import neumannlab.solve as solvemod
 
-        calls = {"splu": 0, "solve": 0, "load": 0}
+        calls = {"splu": 0, "load": 0}
+        solves = []  # one entry per blocked solve; list.append is atomic across workers
         splu, load = solvemod.spla.splu, kernelmod.mollifier_load
 
         class CountingLU:
@@ -450,7 +459,7 @@ class TestNodeKernelSet:
                 self.lu = lu
 
             def solve(self, rhs):
-                calls["solve"] += 1
+                solves.append(rhs.shape[1])
                 return self.lu.solve(rhs)
 
         def counting_splu(*args, **kwargs):
@@ -466,7 +475,9 @@ class TestNodeKernelSet:
         kernels = build_node_kernel_set(*skew_case)
         assert len(kernels) == 343
         assert calls["splu"] == 1 and calls["load"] == 1
-        assert calls["solve"] <= 11  # 1029 columns in blocks of 32 poles
+        # 1029 columns in blocks of _POLE_BLOCK poles
+        assert len(solves) == math.ceil(343 / kernelmod._POLE_BLOCK)
+        assert sum(solves) == 1029
         shared = kernels[0].values.base
         assert all(k.values.base is shared for k in kernels.values())
         assert all(len(k.telemetry["columns"]) == 3 for k in kernels.values())
@@ -490,6 +501,79 @@ class TestNodeKernelSet:
             assert np.abs(kernels[p].values - own).max() <= 1e-12 * scale
             assert np.abs(kernels[p].pole_load - load[:, 0]).max() <= 1e-15
 
+    @pytest.mark.parametrize("case", ["skew-6", "checkerboard-8"])
+    def test_bit_identical_at_any_worker_count(self, case, skew_case, unit_cube_8,
+                                               checkerboard_field, monkeypatch):
+        import neumannlab.kernel as kernelmod
+
+        args = skew_case if case == "skew-6" else (unit_cube_8, checkerboard_field, SolveConfig())
+        solve_poles = kernelmod._solve_poles
+        threads = []
+
+        def recording(*a, **kw):
+            threads.append(threading.get_ident())
+            return solve_poles(*a, **kw)
+
+        monkeypatch.setattr(kernelmod, "_solve_poles", recording)
+        built = []
+        interval = sys.getswitchinterval()
+        for workers in (1, 3):
+            monkeypatch.setattr(kernelmod, "_workers", lambda blocks, w=workers: w)
+            threads.clear()
+            # frequent thread switches, so that a block written by the wrong
+            # worker or a lost slice shows
+            sys.setswitchinterval(1e-6)
+            try:
+                kernels = build_node_kernel_set(*args)
+            finally:
+                sys.setswitchinterval(interval)
+            # every block is solved on a pool thread, even with one worker
+            assert threading.get_ident() not in threads
+            assert workers > 1 or len(set(threads)) == 1
+            built.append(kernels)
+        one, three = built
+        assert sorted(one) == sorted(three)
+        for p in one:
+            assert one[p].values.tobytes() == three[p].values.tobytes()
+            assert one[p].telemetry == three[p].telemetry
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_threads_and_blas_counts_restored(self, skew_case, monkeypatch, fail):
+        # a worker's typed error reaches the caller as that error, and the
+        # pool's threads and the BLAS thread counts are gone and back either way
+        import neumannlab.kernel as kernelmod
+        import neumannlab.solve as solvemod
+
+        libs = solvemod._loaded_openblas()
+        if not libs:
+            pytest.skip("no OpenBLAS with openblas_set_num_threads_local is loaded")
+        solve_poles = kernelmod._solve_poles
+        inside = []
+
+        def recording(*a, **kw):
+            inside.append(_blas_counts(libs))
+            if fail:
+                raise NumericFailureError("injected worker failure")
+            return solve_poles(*a, **kw)
+
+        monkeypatch.setattr(kernelmod, "_solve_poles", recording)
+        # a prior count other than 1, so that a missed restore shows
+        previous = [lib.openblas_set_num_threads_local(2) for lib in libs]
+        try:
+            before = set(threading.enumerate())
+            prior = _blas_counts(libs)
+            if fail:
+                with pytest.raises(NumericFailureError, match="injected worker failure"):
+                    build_node_kernel_set(*skew_case)
+            else:
+                build_node_kernel_set(*skew_case)
+            assert set(threading.enumerate()) == before
+            assert _blas_counts(libs) == prior == [2] * len(libs)
+            assert inside and all(c == [1] * len(libs) for c in inside)
+        finally:
+            for lib, count in zip(libs, previous):
+                lib.openblas_set_num_threads_local(count)
+
     def test_large_mesh_refused_before_assembly(self, identity_field, monkeypatch):
         import neumannlab.solve as solvemod
 
@@ -501,6 +585,16 @@ class TestNodeKernelSet:
         assert mesh.n_nodes > MAX_KERNEL_SET_NODES
         with pytest.raises(CoverageError):
             build_node_kernel_set(mesh, identity_field)
+
+
+def _blas_counts(libs):
+    """Each OpenBLAS library's thread count, read through its own getter."""
+    getters = (
+        "openblas_get_num_threads",
+        "scipy_openblas_get_num_threads",
+        "scipy_openblas_get_num_threads64_",
+    )
+    return [next(getattr(lib, g) for g in getters if hasattr(lib, g))() for lib in libs]
 
 
 @pytest.fixture(scope="module")

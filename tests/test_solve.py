@@ -356,19 +356,22 @@ class TestDissectionOrder:
         assert solver._factors[False].nnz < mmd.nnz
 
 
-#: Prints the sha256 of the values of a 6^3 m = 3 skew node kernel set, which
-#: comes from blocked LU solves.
+#: Prints the sha256 of the values and telemetry of the 6^3 and 8^3 m = 3 skew
+#: node kernel sets, which come from blocked LU solves.
 _KERNEL_SET_HASH_SCRIPT = """
 import hashlib
+import json
 import numpy as np
 from neumannlab.coeff import ScalarCheckerboard, SkewPerturbed, make_coefficient
 from neumannlab.kernel import build_node_kernel_set
 from neumannlab.mesh import build_box_mesh
 
 spec = SkewPerturbed(ScalarCheckerboard(10.0, seed=1, m=3), 0.5, seed=1)
-kernels = build_node_kernel_set(build_box_mesh((1, 1, 1), 6), make_coefficient(spec))
-values = np.stack([kernels[p].values for p in sorted(kernels)])
-print(hashlib.sha256(values.tobytes()).hexdigest())
+for n in (6, 8):
+    kernels = build_node_kernel_set(build_box_mesh((1, 1, 1), n), make_coefficient(spec))
+    digest = hashlib.sha256(np.stack([kernels[p].values for p in sorted(kernels)]).tobytes())
+    digest.update(json.dumps([kernels[p].telemetry for p in sorted(kernels)]).encode())
+    print(digest.hexdigest())
 """
 
 
@@ -383,7 +386,7 @@ def test_direct_solves_independent_of_blas_threads():
             text=True, check=True,
         )
         hashes.append(out.stdout.split())
-    assert len(hashes[0]) == 1
+    assert len(hashes[0]) == 2
     assert hashes[0] == hashes[1]
 
 
