@@ -19,6 +19,7 @@ from .discretize import DiscreteField, boundary_mean
 from .kernel import (
     Mollifier,
     NeumannKernel,
+    NodeKernelSet,
     build_kernel,
     build_node_kernel_set,
     check_defining_identity,
@@ -49,6 +50,7 @@ __all__ = [
     "Mollifier",
     "NeumannKernel",
     "NeumannSolver",
+    "NodeKernelSet",
     "ScalarCheckerboard",
     "SkewPerturbed",
     "SmoothVMO",

@@ -153,6 +153,8 @@ def _checked(cfg):
         )
     if cfg.trials < 1:
         raise ValueError(f"trials must be >= 1, got {cfg.trials}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     if len(cfg.mesh_extents) != 3:
         raise ValueError(f"mesh.extents needs 3 lengths, got {len(cfg.mesh_extents)}")
     if cfg.coeff_m < 1:

@@ -152,6 +152,15 @@ def _scalar_times_identity(vals, m):
     return vals[:, None, None, None, None] * a[None]
 
 
+def _cell_index(pts, cell):
+    """Lattice cell indices (n, 3) of the points, exact while every |x / cell| < 2^53."""
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        scaled = pts / cell
+    if not np.all(np.abs(scaled) < 2.0**53):
+        raise NumericFailureError(f"cell size {cell} puts points past 2^53 cells: inexact indices")
+    return np.floor(scaled + 1e-12).astype(np.int64)
+
+
 def _checkerboard_field(spec):
     if spec.contrast < 1:
         raise NonEllipticSpecError(f"checkerboard contrast must be >= 1, got {spec.contrast}")
@@ -159,7 +168,7 @@ def _checkerboard_field(spec):
         raise NonEllipticSpecError("checkerboard parameters must be finite and positive")
 
     def ev(pts):
-        idx = np.floor(pts / spec.cell + 1e-12).astype(np.int64)
+        idx = _cell_index(pts, spec.cell)
         parity = (idx.sum(axis=1) + spec.seed) % 2
         vals = np.where(parity == 0, 1.0, float(spec.contrast))
         return _scalar_times_identity(vals, spec.m)
@@ -198,7 +207,7 @@ def _cellwise_random_field(spec):
         return mat
 
     def ev(pts):
-        idx = np.floor(pts / spec.cell + 1e-12).astype(np.int64)
+        idx = _cell_index(pts, spec.cell)
         uniq, inv = np.unique(idx, axis=0, return_inverse=True)
         mats = np.stack([cell_matrix(tuple(int(v) for v in k)) for k in uniq])
         out = mats[inv.reshape(-1)]
@@ -227,7 +236,7 @@ def _skew_field(spec):
         return mat
 
     def ev(pts):
-        idx = np.floor(pts / spec.cell + 1e-12).astype(np.int64)
+        idx = _cell_index(pts, spec.cell)
         uniq, inv = np.unique(idx, axis=0, return_inverse=True)
         mats = np.stack([cell_skew(tuple(int(v) for v in k)) for k in uniq])
         skew = spec.amplitude * mats[inv.reshape(-1)]

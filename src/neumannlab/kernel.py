@@ -14,6 +14,10 @@ an eps-consistency check; nothing below the mesh scale is resolvable.
 
 The adjoint stiffness is K^T, so one operator, the forward solver's, serves
 kernels of both directions (the Krylov path, CG, takes symmetric K only).
+
+A node kernel set holds the adjoint kernels at every node as one array with
+their pole loads, so the representation formula and the mollified readout
+are one product each.
 """
 
 from __future__ import annotations
@@ -251,16 +255,16 @@ def _solve_poles(solver, loads, adjoint):
     return u.reshape(solver.mesh.n_nodes, m, loads.shape[1], m).transpose(2, 0, 1, 3), info
 
 
-def _telemetry(raw_mass, info, i, m):
-    """Per-column solve telemetry of pole i in a blocked solve."""
+def _telemetry(raw_mass, info, m):
+    """Per-column solve telemetry of a one-pole solve."""
     return {
         "raw_mass": float(raw_mass),
         "columns": [
             {
                 "k": k,
                 "method": info.method,
-                "iterations": int(info.iterations[i * m + k]),
-                "residual": float(info.residuals[i * m + k]),
+                "iterations": int(info.iterations[k]),
+                "residual": float(info.residuals[k]),
             }
             for k in range(m)
         ],
@@ -279,7 +283,7 @@ def build_kernel(mesh, fld, y, config=None, adjoint=False, solver=None):
     solver = solver_for(mesh, fld, config, solver)
     loads, raw = mollifier_load(mesh, y, 2 * mesh.h)
     values, info = _solve_poles(solver, loads, adjoint)
-    telemetry = _telemetry(raw[0], info, 0, fld.m)
+    telemetry = _telemetry(raw[0], info, fld.m)
     values = np.ascontiguousarray(values[0])
     return NeumannKernel(mesh, y, values, loads[:, 0], adjoint, solver, telemetry)
 
@@ -354,17 +358,25 @@ def _workers(blocks):
     return min(len(os.sched_getaffinity(0)), blocks, _MAX_WORKERS)
 
 
+@dataclass(frozen=True)
+class NodeKernelSet:
+    """The discrete Green-matrix transpose: adjoint kernels at every node of ``mesh``."""
+
+    mesh: object
+    values: np.ndarray  # (n_poles, n_nodes, m, m): [p, q] is pole p's kernel at node q
+    loads: np.ndarray  # (n_nodes, n_poles): column p is pole p's mollifier load
+
+
 @_one_blas_thread()
 def build_node_kernel_set(mesh, fld, config=None):
-    """Adjoint kernels at eps = 2h at every mesh node (the discrete Green-matrix transpose).
+    """The ``NodeKernelSet`` of adjoint kernels at eps = 2h at every mesh node.
 
     The forward solver's one factorization (of K^T unless K is symmetric),
     one load stencil and a few blocked adjoint solves serve all poles;
-    boundary poles use clipped, renormalized mollifiers.  Every kernel's
-    values are a view of one (n_poles, n_nodes, m, m) array.  The factor is
+    boundary poles use clipped, renormalized mollifiers.  The factor is
     formed first; then worker threads solve the pole blocks, each writing its
-    own slice of that array (SuperLU's triangular solves and sparse products
-    release the GIL).  Everything runs with BLAS at one thread, so the kernels
+    own slice of the values (SuperLU's triangular solves and sparse products
+    release the GIL).  Everything runs with BLAS at one thread, so the values
     are bit-identical at any worker count and any host thread setting.
     """
     n, m = mesh.n_nodes, fld.m
@@ -374,66 +386,40 @@ def build_node_kernel_set(mesh, fld, config=None):
             "representation tests are meant for coarse meshes"
         )
     solver = NeumannSolver(mesh, fld, config)
-    loads, raw = mollifier_load(mesh, mesh.nodes, 2 * mesh.h)
+    loads, _ = mollifier_load(mesh, mesh.nodes, 2 * mesh.h)
     solver._prepare(adjoint=True)
     values = np.empty((n, n, m, m))
 
     def solve_block(lo):
         hi = min(lo + _POLE_BLOCK, n)
-        values[lo:hi], info = _solve_poles(solver, loads[:, lo:hi], True)
-        return info
+        values[lo:hi], _ = _solve_poles(solver, loads[:, lo:hi], True)
 
     starts = range(0, n, _POLE_BLOCK)
     with futures.ThreadPoolExecutor(_workers(len(starts))) as pool:
-        infos = list(pool.map(solve_block, starts))
-    kernels = {}
-    for lo, info in zip(starts, infos):
-        for p in range(lo, min(lo + _POLE_BLOCK, n)):
-            kernels[p] = NeumannKernel(
-                mesh, mesh.nodes[p], values[p], loads[:, p], True, solver,
-                _telemetry(raw[p], info, p - lo, m),
-            )
-    return kernels
+        # drained, so that a worker's error reaches the caller
+        list(pool.map(solve_block, starts))
+    return NodeKernelSet(mesh, values, loads)
 
 
 def representation_solve(kernels, f, g):
     """Evaluate u(x) = int N(x, y) f(y) dy + int_dOmega N(x, y) g(y) dsigma(y).
 
-    ``kernels`` maps node id -> adjoint kernel at that node.  By discrete
-    duality the result equals the mollified readout of the direct solve (same
-    discretization, same eps) to solver precision.
+    Node p, component l, is <F, adjoint column l of pole x_p> for the load F
+    of (f, g).  By discrete duality this equals the mollified readout of the
+    direct solve (same discretization, same eps) to solver precision.
     """
-    if not kernels:
-        raise CoverageError("empty kernel set")
-    sample = next(iter(kernels.values()))
-    mesh = sample.mesh
-    if not sample.adjoint:
-        raise InterfaceError("representation pairing requires adjoint kernels")
-    missing = [p for p in range(mesh.n_nodes) if p not in kernels]
-    if missing:
-        raise CoverageError(f"kernel set misses {len(missing)} node poles (first: {missing[:4]})")
-    m = sample.m
+    mesh = kernels.mesh
+    n, m = mesh.n_nodes, kernels.values.shape[-1]
     load = assemble_volume_load(mesh, f, m)
     if not mesh.is_graph:
         load = load + assemble_boundary_load(mesh, g, m)
     elif g is not None:
         raise InterfaceError("graph-mode representation takes no boundary density")
-    out = np.empty((mesh.n_nodes, m))
-    for p in range(mesh.n_nodes):
-        kern = kernels[p]
-        for l in range(m):
-            # <F, l-th adjoint column at pole x_p> = (Phi_eps * u^l)(x_p)
-            out[p, l] = load @ kern.values[:, :, l].reshape(-1)
-    return DiscreteField(mesh, out)
+    return DiscreteField(mesh, np.einsum("j,pjl->pl", load, kernels.values.reshape(n, n * m, m)))
 
 
 def mollified_readout(kernels, u):
     """Apply each pole's averaging functional to u: the eps-consistent point values."""
-    sample = next(iter(kernels.values()))
-    mesh = sample.mesh
-    if u.mesh is not mesh:
+    if u.mesh is not kernels.mesh:
         raise InterfaceError("field lives on a different mesh")
-    out = np.empty((mesh.n_nodes, u.m))
-    for p in range(mesh.n_nodes):
-        out[p] = kernels[p].pole_load @ u.values
-    return DiscreteField(mesh, out)
+    return DiscreteField(kernels.mesh, kernels.loads.T @ u.values)

@@ -158,7 +158,7 @@ def test_c04_representation_formula():
     rel = l2_norm(rep - readout) / l2_norm(readout)
     passed = rel <= 1e-7
     announce(4, "representation-formula", passed,
-             f"rel L2 diff {rel:.2e} <= 1e-7 over {len(kernels)} pole solves")
+             f"rel L2 diff {rel:.2e} <= 1e-7 over {len(kernels.values)} pole solves")
 
 
 def test_c05_interior_pointwise_decay(checkerboard_24_kernel):

@@ -264,6 +264,20 @@ class TestMain:
         assert (config["kind"], config["seed"], config["mesh_n"]) == ("solve", 5, 4)
         assert config["outdir"] == str(tmp_path / "o")
 
+    @pytest.mark.parametrize("route", ["config", "option-after", "option-before"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, route):
+        cfg = tmp_path / "seed.cfg"
+        seed_line = "seed = -1\n" if route == "config" else ""
+        cfg.write_text("kind = verify-coeff\nmesh.n = 4\n" + seed_line)
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        if route == "option-after":
+            argv = ["verify-coeff"] + argv + ["--seed", "-3"]
+        elif route == "option-before":
+            argv = argv + ["--seed", "-3", "verify-coeff"]
+        assert main(argv) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_seed_override_changes_hash(self, config_file, tmp_path):
         main(["--config", str(config_file), "--seed", "11", "--out", str(tmp_path / "a")])
         main(["--config", str(config_file), "--seed", "12", "--out", str(tmp_path / "b")])
@@ -412,6 +426,16 @@ class TestMain:
         )
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "non-finite" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("coeff_type", ["checkerboard", "cellwise-random", "skew"])
+    def test_tiny_cell_exits_three(self, tmp_path, capsys, coeff_type):
+        # past 2^53 cells the cell indices are not exact: the field is refused
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            f"kind = solve\nmesh.n = 4\ncoeff.type = {coeff_type}\ncoeff.cell = 1e-300\n"
+        )
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "2^53" in capsys.readouterr().out
 
     def test_exit_three_on_numeric_failure(self, tmp_path, monkeypatch):
         cfg = tmp_path / "numfail.cfg"

@@ -157,6 +157,31 @@ class TestNegativeCells:
         assert values.tolist() == expected
 
 
+class TestCellRange:
+    # lattice cell indices are exact in float64 only below 2^53 cells
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ScalarCheckerboard(10.0, cell=1e-300),
+            CellwiseRandom(0.5, 2.0, cell=1e-300),
+            SkewPerturbed(Identity(), 0.5, cell=1e-300),
+        ],
+        ids=["checkerboard", "cellwise-random", "skew"],
+    )
+    def test_tiny_cell_is_numeric_failure(self, spec):
+        with pytest.raises(NumericFailureError, match="2\\^53"):
+            make_coefficient(spec).evaluate(POINTS)
+
+    def test_indices_exact_below_the_limit(self):
+        fld = make_coefficient(ScalarCheckerboard(10.0, cell=1.0))
+        top = 2.0**53 - 1  # odd: the contrast phase
+        vals = fld.evaluate(np.array([[top, 0, 0], [top - 1, 0, 0], [-top, 0, 0]]))
+        assert vals[:, 0, 0, 0, 0].tolist() == [10.0, 1.0, 10.0]
+        with pytest.raises(NumericFailureError):
+            fld.evaluate(np.array([[2.0**53, 0, 0]]))
+
+
 class TestAdjoint:
     @pytest.mark.parametrize(
         "spec",
