@@ -67,12 +67,21 @@ def shape_gradients(t):
     return grads
 
 
-def volume_quadrature(order):
-    """Tensor rule on the unit cell: points (G, 3), weights (G,)."""
+def _tensor_rule(order):
     x, w = gauss_rule_1d(order)
     pts = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
     wts = np.prod(np.stack(np.meshgrid(w, w, w, indexing="ij"), axis=-1).reshape(-1, 3), axis=1)
+    pts.setflags(write=False)
+    wts.setflags(write=False)
     return pts, wts
+
+
+_VOLUME_RULES = {order: _tensor_rule(order) for order in _GAUSS}
+
+
+def volume_quadrature(order):
+    """Tensor rule on the unit cell: read-only points (G, 3) and weights (G,)."""
+    return _VOLUME_RULES[order]
 
 
 def quadrature_points(mesh, order=QUADRATURE_ORDER):
@@ -288,14 +297,19 @@ def assemble_boundary_load(mesh, g, m):
     On graph meshes only graph facets carry data (the far boundary is
     artificial).
     """
-    out = np.zeros(mesh.n_nodes * m)
     if g is None:
-        return out
+        return np.zeros(mesh.n_nodes * m)
+    return _boundary_load(mesh, g, m, facet_quadrature(mesh))
+
+
+def _boundary_load(mesh, g, m, quadrature):
+    """assemble_boundary_load of a density g on the mesh's ``facet_quadrature``."""
+    out = np.zeros(mesh.n_nodes * m)
     if mesh.is_graph:
         sel = np.flatnonzero(mesh.graph_facets)
     else:
         sel = np.arange(len(mesh.facet_cell))
-    pts, trace, w2 = facet_quadrature(mesh)
+    pts, trace, w2 = quadrature
     gv = _as_components(g(pts[sel].reshape(-1, 3)), m, len(sel) * trace.shape[0])
     gv = gv.reshape(len(sel), trace.shape[0], m)
     contrib = np.einsum("g,fgi,gc->fci", w2, gv, trace)  # (F, 4 corners, m)

@@ -28,8 +28,10 @@ import numpy as np
 from .discretize import (
     QUADRATURE_ORDER,
     DiscreteField,
-    assemble_boundary_load,
+    _boundary_load,
     assemble_volume_load,
+    facet_quadrature,
+    gauss_rule_1d,
     gradient_at_quadrature,
     quadrature_points,
     values_at_quadrature,
@@ -405,49 +407,88 @@ def _sup_on_nodes(u, center, radius):
     return float(np.abs(u.values[sel]).max())
 
 
-def _ball_data(u, f, g, center, radius, pts, w):
+def _ball_data(u, fv, g, center, radius, pts, w):
     """(||u||_{L2(B)}, sup_B |f|, sup |g| over the boundary facets centred in B)
     for B = B_radius(center), with ``pts, w`` the mesh's Gauss points and
-    weights; f is evaluated at the Gauss points in B, and None data give 0."""
+    weights and ``fv`` f's values at those points (C, G, m); None data give 0."""
     mesh = u.mesh
     inside = ((pts - center) ** 2).sum(axis=2) <= radius**2
+    # the reduction's summation order follows values_at_quadrature's layout
     vq = values_at_quadrature(u)
     l2 = float(np.sqrt(np.einsum("g,cg->", w, np.where(inside, (vq**2).sum(axis=2), 0.0))))
     sup_f = sup_g = 0.0
-    if f is not None and inside.any():
-        sup_f = float(np.abs(np.asarray(f(pts[inside]), dtype=float)).max())
+    if fv is not None and inside.any():
+        sup_f = float(np.abs(fv[inside]).max())
     near = np.linalg.norm(mesh.facet_center - center, axis=1) <= radius
     if g is not None and near.any():
         sup_g = float(np.abs(np.asarray(g(mesh.facet_center[near]), dtype=float)).max())
     return l2, sup_f, sup_g
 
 
+def _random_modes(rng, m):
+    """Cosine modes k in {1, 2, 3} and amplitudes in [-1, 1), each (3, m), of a random density."""
+    return rng.integers(1, 4, size=(3, m)), rng.uniform(-1.0, 1.0, size=(3, m))
+
+
+def _cosine_density(modes, amps, cos, shape):
+    """sum_q amps[q, i] cos(k pi x) cos(k pi y), k = modes[q, i], for each
+    component i: an array ``shape`` + (m,).  ``cos[k]`` is the pair of cosine
+    arrays of mode k, broadcasting to ``shape``; the sum keeps the (i, q) order."""
+    m = modes.shape[1]
+    out = np.zeros((*shape, m))
+    for comp in range(m):
+        for q in range(3):
+            cx, cy = cos[modes[q, comp]]
+            out[..., comp] += amps[q, comp] * cx * cy
+    return out
+
+
 def random_compatible_data(mesh, m, rng):
     """Smooth random cosine-mode f, a constant g balancing it exactly, and
     their load vector (volume load of f plus boundary load of g)."""
-    modes = rng.integers(1, 4, size=(3, m))
-    amps = rng.uniform(-1.0, 1.0, size=(3, m))
+    modes, amps = _random_modes(rng, m)
 
     def f(pts):
-        # one cosine pair per distinct mode; the sum keeps the (comp, q) order
+        # one cosine pair per distinct mode
         cos = {
             k: (np.cos(k * np.pi * pts[:, 0]), np.cos(k * np.pi * pts[:, 1]))
             for k in np.unique(modes)
         }
-        out = np.zeros((len(pts), m))
-        for comp in range(m):
-            for q in range(3):
-                cx, cy = cos[modes[q, comp]]
-                out[:, comp] += amps[q, comp] * cx * cy
-        return out
+        return _cosine_density(modes, amps, cos, (len(pts),))
 
-    load = assemble_volume_load(mesh, f, m)
+    g, load = _balanced(mesh, assemble_volume_load(mesh, f, m), m, facet_quadrature(mesh))
+    return f, g, load
+
+
+def _balanced(mesh, load, m, facets):
+    """The constant boundary density g that balances a volume load exactly, and
+    the load plus g's boundary load on the facet rule ``facets``."""
     gconst = -load.reshape(-1, m).sum(axis=0) / mesh.boundary_measure
 
     def g(pts):
         return np.broadcast_to(gconst, (len(pts), m)).copy()
 
-    return f, g, load + assemble_boundary_load(mesh, g, m)
+    return g, load + _boundary_load(mesh, g, m, facets)
+
+
+def _axis_tables(mesh):
+    """For the x and the y axis: the distinct Gauss coordinates of the mesh's
+    cells and each Gauss point's index into them, (C, G).
+
+    A coordinate is (origin + h i) + h t for a cell's lattice index i and a 1D
+    Gauss point t, as ``quadrature_points`` forms it, so a function of one
+    coordinate taken on the table and gathered has the bits it has at the
+    points themselves.
+    """
+    t, _ = gauss_rule_1d(QUADRATURE_ORDER)
+    ref, _ = volume_quadrature(QUADRATURE_ORDER)
+    tables = []
+    for axis in (0, 1):
+        ijk = mesh.cells_ijk[:, axis]
+        lattice = mesh.origin[axis] + mesh.h * np.arange(ijk.max() + 1.0)
+        coords = (lattice[:, None] + mesh.h * t).ravel()
+        tables.append((coords, ijk[:, None] * len(t) + np.searchsorted(t, ref[:, axis])))
+    return tables
 
 
 def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None):
@@ -458,6 +499,11 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
     Passing explicit ``balls`` [(center, radius), ...] makes the estimate
     comparable across refinements of the same domain.  ``trials`` must be at
     least 1: with none, the record would hold no sample and a constant of 0.
+
+    Each trial's data are those of ``random_compatible_data`` drawn from the
+    same generator.  Its density is evaluated once, on the grid of distinct
+    Gauss coordinates (x, y), and gathered to the Gauss points, which serve
+    both the load and sup |f|.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -466,10 +512,21 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
     m = fld.m
     diam = np.linalg.norm(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0))
     pts, w = quadrature_points(mesh)
+    (xs, ix), (ys, iy) = _axis_tables(mesh)
+    facets = facet_quadrature(mesh)
     table = []
     best = 0.0
     for trial in range(trials):
-        f, g, load = random_compatible_data(mesh, m, rng)
+        modes, amps = _random_modes(rng, m)
+        cos = {
+            k: (np.cos(k * np.pi * xs)[:, None], np.cos(k * np.pi * ys)[None, :])
+            for k in np.unique(modes)
+        }
+        fv = _cosine_density(modes, amps, cos, (len(xs), len(ys)))[ix, iy]  # (C, G, m)
+        # assemble_volume_load samples its density at quadrature_points(mesh),
+        # cell by cell, in the order of fv's rows
+        load = assemble_volume_load(mesh, lambda _: fv.reshape(-1, m), m)
+        g, load = _balanced(mesh, load, m, facets)
         u = DiscreteField(mesh, solver.solve_bounded(load)[0].reshape(-1, m))
         if balls is not None:
             center, radius = balls[trial % len(balls)]
@@ -478,7 +535,7 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
             center = mesh.nodes[rng.integers(0, mesh.n_nodes)]
             radius = float(rng.uniform(4 * mesh.h, diam / 2))
         sup_half = _sup_on_nodes(u, center, radius / 2)
-        l2_ball, sup_f, sup_g = _ball_data(u, f, g, center, radius, pts, w)
+        l2_ball, sup_f, sup_g = _ball_data(u, fv, g, center, radius, pts, w)
         rhs = radius ** (-D / 2) * l2_ball + radius**2 * sup_f + radius * sup_g
         if rhs == 0.0:
             continue  # degenerate 0/0 trial
@@ -506,7 +563,10 @@ def caccioppoli_check(u, center, radius, f, g):
     gmag2 = (grads**2).sum(axis=(2, 3))
     half = dist2 <= (radius / 2) ** 2
     lhs = float(np.sqrt(np.einsum("g,cg->", w, np.where(half, gmag2, 0.0))))
-    l2_ball, sup_f, sup_g = _ball_data(u, f, g, center, radius, pts, w)
+    fv = None
+    if f is not None:
+        fv = np.asarray(f(pts.reshape(-1, 3)), dtype=float).reshape(*dist2.shape, -1)
+    l2_ball, sup_f, sup_g = _ball_data(u, fv, g, center, radius, pts, w)
     rhs = radius ** (-1.0) * l2_ball + radius ** (D / 2) * (1 + radius) * sup_g + radius ** (
         D / 2 + 1
     ) * sup_f

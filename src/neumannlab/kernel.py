@@ -158,6 +158,11 @@ def mollifier_load(mesh, centers, eps):
         # lattice offsets of the cells whose closure meets the support box
         axes = [np.arange(int(np.floor(f - reach - 1)) + 1, int(np.ceil(f + reach))) for f in frac]
         D = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        # of those, the cells whose closure comes within eps of the center: the
+        # Gauss points lie inside a cell, so a cell further off holds none in
+        # the support (a node pole keeps 64 of its 216)
+        gap = np.maximum(D - frac, 0.0) + np.maximum(frac - D - 1, 0.0)
+        D = D[(gap**2).sum(axis=1) < (eps / h) ** 2]
         vals = profile((h * (D[:, None, :] + P[None, :, :] - frac)).reshape(-1, 3))
         stencil = np.einsum("g,cg,gp->cp", W, vals.reshape(len(D), -1), psi)
         members = np.flatnonzero(group == g)

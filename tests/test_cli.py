@@ -332,24 +332,36 @@ class TestMain:
         assert main(["--config", str(cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    #: a config that runs, so each case below fails on its own bad value
+    BASE_CONFIG = "kind = kernel\nmesh.n = 8\n"
+
+    def test_bad_values_base_config_runs(self, tmp_path):
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text(self.BASE_CONFIG)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize(
-        "line",
+        "line, message",
         [
-            "mesh.type = sphere",
-            "coeff.type = foo",
-            "poles = nowhere",
-            "solve.linear_solver = magic",
-            "solve.tolerance = 2",
-            "trials = 0",
-            "mesh.extents = 1 1",
-            "coeff.m = 0",
+            pytest.param(line, message, id=line)
+            for line, message in [
+                ("mesh.type = sphere", "unknown mesh_type 'sphere'"),
+                ("coeff.type = foo", "unknown coefficient type 'foo'"),
+                ("poles = nowhere", "unknown poles 'nowhere'"),
+                ("solve.linear_solver = magic", "unknown linear solver magic"),
+                ("solve.tolerance = 2", "tolerance must lie in (0, 1)"),
+                ("trials = 0", "trials must be >= 1, got 0"),
+                ("mesh.extents = 1 1", "mesh.extents needs 3 lengths, got 2"),
+                ("coeff.m = 0", "coeff.m must be >= 1, got 0"),
+                ("seed = -1", "seed must be >= 0, got -1"),
+            ]
         ],
     )
-    def test_bad_values_are_config_errors(self, tmp_path, line, capsys):
+    def test_bad_values_are_config_errors(self, tmp_path, line, message, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"kind = kernel\nmesh.n = 4\n{line}\n")
+        cfg.write_text(f"{self.BASE_CONFIG}{line}\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "lines",

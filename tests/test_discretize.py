@@ -311,6 +311,18 @@ class TestLoads:
         assert_allclose(discrete, exact, rtol=1e-12)
 
 
+class TestVolumeQuadrature:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_shared_rules_are_read_only(self, order):
+        # every caller gets the same arrays, so none may write into them
+        pts, wts = volume_quadrature(order)
+        assert pts is volume_quadrature(order)[0]
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            wts[0] = 0.0
+
+
 class TestDiscreteFieldChecks:
     def test_row_count_mismatch(self, unit_cube_8):
         with pytest.raises(InterfaceError):

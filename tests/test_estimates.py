@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import local_boundedness_reference
 from neumannlab import estimates, solve
-from neumannlab.coeff import ScalarCheckerboard, SkewPerturbed, make_coefficient
+from neumannlab.coeff import Identity, ScalarCheckerboard, SkewPerturbed, make_coefficient
 from neumannlab.discretize import (
     QUADRATURE_ORDER,
     DiscreteField,
@@ -38,7 +39,7 @@ from neumannlab.estimates import (
 )
 from neumannlab.kernel import build_kernel
 from neumannlab.mesh import build_box_mesh
-from neumannlab.solve import SolveConfig, solve_neumann_bounded
+from neumannlab.solve import SolveConfig, solve_neumann_bounded, solver_for
 
 CENTER = (0.5, 0.5, 0.5)
 
@@ -261,7 +262,35 @@ class TestHolder:
         assert np.isfinite(ratio) and ratio > 0
 
 
+#: name: (mesh.n, coefficient spec, linear solver)
+LOCAL_BOUNDEDNESS_CASES = {
+    "checkerboard-12-direct": (12, ScalarCheckerboard(10.0), "direct"),
+    "checkerboard-12-krylov": (12, ScalarCheckerboard(10.0), "krylov"),
+    "identity-8": (8, Identity(), "direct"),
+    "checkerboard-m2-10": (10, ScalarCheckerboard(10.0, m=2), "direct"),
+    "skew-m3-9": (9, SkewPerturbed(ScalarCheckerboard(10.0, m=3), 0.5), "direct"),
+}
+
+
 class TestLocalBoundedness:
+    @pytest.mark.parametrize("name", sorted(LOCAL_BOUNDEDNESS_CASES))
+    def test_matches_trial_by_trial_reference(self, name):
+        # one density evaluation per trial keeps every bit of the samples
+        n, spec, linear_solver = LOCAL_BOUNDEDNESS_CASES[name]
+        mesh = build_box_mesh((1, 1, 1), n)
+        fld = make_coefficient(spec)
+        solver = solver_for(mesh, fld, SolveConfig(linear_solver=linear_solver), None)
+        balls = [(CENTER, 0.4), ((0.3, 0.6, 0.45), 0.25), ((0.0, 0.0, 1.0), 0.6)]
+        for seed, balls in [(0, None), (7, None), (3, balls)]:
+            rec = local_boundedness_trials(mesh, fld, trials=6, seed=seed, solver=solver,
+                                           balls=balls)
+            samples, constant = local_boundedness_reference.local_boundedness_trials(
+                mesh, fld, 6, seed, solver=solver, balls=balls
+            )
+            assert len(samples) > 0
+            assert rec.samples == samples
+            assert rec.empirical_constant == constant
+
     def test_constants_finite_and_reproducible(self, unit_cube_8, checkerboard_field, solve_config):
         a = local_boundedness_trials(unit_cube_8, checkerboard_field, trials=5, seed=9)
         b = local_boundedness_trials(unit_cube_8, checkerboard_field, trials=5, seed=9)

@@ -147,6 +147,46 @@ def per_cell_load(mesh, center, eps, subdiv=3, order=2):
     return load / load.sum(), load.sum()
 
 
+def box_stencil_load(mesh, centers, eps):
+    """``mollifier_load`` with the bump evaluated on every cell of the support's
+    bounding box: (loads (n_nodes, k), raw masses (k,), occupied box cells (k,))."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    k, n, h = len(centers), mesh.n_nodes, mesh.h
+    rel = (centers - mesh.origin) / h
+    near = np.round(rel)
+    snap = np.abs(rel - near) < 1e-12
+    base = np.where(snap, near, np.floor(rel)).astype(np.int64)
+    offsets, group = np.unique(np.where(snap, 0.0, rel - base), axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    x, w = gauss_rule_1d(2)
+    sub = (np.arange(3)[:, None] + x[None, :]).ravel() / 3
+    wsub = np.tile(w / 3, 3)
+    P = np.stack(np.meshgrid(sub, sub, sub, indexing="ij"), axis=-1).reshape(-1, 3)
+    W = np.einsum("i,j,k->ijk", wsub, wsub, wsub).ravel() * h**3
+    psi = shape_values(P)
+    profile = Mollifier((0.0, 0.0, 0.0), eps)
+    reach = (eps + 1e-12) / h
+    hits = np.zeros(k, dtype=np.int64)
+    index, weight = [], []
+    for g, frac in enumerate(offsets):
+        axes = [np.arange(int(np.floor(f - reach - 1)) + 1, int(np.ceil(f + reach))) for f in frac]
+        D = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        vals = profile((h * (D[:, None, :] + P[None, :, :] - frac)).reshape(-1, 3))
+        stencil = np.einsum("g,cg,gp->cp", W, vals.reshape(len(D), -1), psi)
+        members = np.flatnonzero(group == g)
+        cells = mesh.cell_ids(base[members][:, None, :] + D[None])
+        hits[members] = (cells >= 0).sum(axis=1)
+        col, cell = np.nonzero((cells >= 0) & np.any(stencil != 0.0, axis=1))
+        index.append((members[col][:, None] * n + mesh.cells[cells[col, cell]]).ravel())
+        weight.append(stencil[cell].ravel())
+    loads = np.bincount(
+        np.concatenate(index), np.concatenate(weight), minlength=k * n
+    ).reshape(k, n)
+    raw = loads.sum(axis=1)
+    with np.errstate(invalid="ignore"):  # a column of zero mass
+        return (loads / raw[:, None]).T, raw, hits
+
+
 LOAD_MESHES = {
     # name: (mesh, centers: a node, off-lattice, boundary-clipped ones)
     "box": (
@@ -179,6 +219,32 @@ class TestLoadStencil:
             assert abs(raw[j] - ref_raw) <= 1e-14 * ref_raw
             single, _ = mollifier_load(mesh, center, eps)
             assert np.abs(single[:, 0] - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(LOAD_MESHES))
+    def test_matches_the_support_box_stencil(self, name):
+        # the bump is evaluated on the cells within eps of the center only:
+        # the loads and masses keep every bit of the whole-box evaluation
+        mesh, centers = LOAD_MESHES[name]
+        rng = np.random.default_rng(3)
+        lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+        nodes = mesh.nodes[rng.choice(mesh.n_nodes, 10, replace=False)]
+        inner = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=(10, 3))
+        clipped = lo + (hi - lo) * rng.uniform(-0.05, 0.05, size=(5, 3))
+        centers = np.concatenate([centers, nodes, inner, clipped])
+        for eps in (2 * mesh.h, 1.3 * mesh.h):
+            loads, raw = mollifier_load(mesh, centers, eps)
+            ref, ref_raw, _ = box_stencil_load(mesh, centers, eps)
+            assert np.array_equal(loads, ref)
+            assert np.array_equal(raw, ref_raw)
+
+    def test_ball_off_the_mesh_inside_the_box(self, unit_cube_8):
+        # the support box of (1.2, 1.2, 1.2) holds the corner cell, its ball
+        # none: the mesh is missed, not met with zero mass
+        _, _, hits = box_stencil_load(unit_cube_8, (1.2, 1.2, 1.2), 0.25)
+        assert hits[0] == 1
+        message = "mollifier at (1.2, 1.2, 1.2): support misses the mesh"
+        with pytest.raises(InvalidGeometryError, match=re.escape(message)):
+            mollifier_load(unit_cube_8, (1.2, 1.2, 1.2), 0.25)
 
     def test_support_off_the_mesh(self, unit_cube_8):
         # the point prints as plain floats, not np.float64(...)
