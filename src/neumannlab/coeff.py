@@ -148,8 +148,10 @@ def _identity_field(spec):
 
 
 def _scalar_times_identity(vals, m):
-    a = _identity_tensor(m)
-    return vals[:, None, None, None, None] * a[None]
+    """vals[n] times the identity tensor: the values on the diagonal of zeros."""
+    out = np.zeros((len(vals), D, D, m, m))
+    np.einsum("naaii->nai", out)[...] = vals[:, None, None]  # a writable view of the diagonal
+    return out
 
 
 def _cell_index(pts, cell):
@@ -169,7 +171,7 @@ def _checkerboard_field(spec):
 
     def ev(pts):
         idx = _cell_index(pts, spec.cell)
-        parity = (idx.sum(axis=1) + spec.seed) % 2
+        parity = (idx[:, 0] + idx[:, 1] + idx[:, 2] + spec.seed) & 1  # floor mod 2, any sign
         vals = np.where(parity == 0, 1.0, float(spec.contrast))
         return _scalar_times_identity(vals, spec.m)
 
@@ -185,6 +187,36 @@ def _cell_seed(seed, tag, key):
     return (seed, tag) + tuple(int(v) % 2**64 for v in key)
 
 
+def _cell_keys(idx):
+    """Distinct rows of the (n, 3) cell indices idx, and each point's row among them.
+
+    A row is keyed by one int64 code, its offset from the least index of the
+    batch in mixed radix, which is injective for indices of any sign.  A batch
+    whose bounding box of cells holds 2^63 or more falls back to a row-wise
+    unique.
+    """
+    lo = idx.min(axis=0)
+    span = idx.max(axis=0) - lo + 1
+    if int(span[0]) * int(span[1]) * int(span[2]) >= 2**63:
+        rows, inv = np.unique(idx, axis=0, return_inverse=True)
+        return rows, inv.reshape(-1)
+    rel = idx - lo
+    code = (rel[:, 0] * span[1] + rel[:, 1]) * span[2] + rel[:, 2]
+    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
+    return idx[first], inv
+
+
+def _cell_matrices(cache, idx, draw):
+    """The matrix of each point's cell, from ``cache`` (keyed by the cell's
+    index tuple); ``draw(keys)`` makes the missing cells' matrices in one batch."""
+    rows, inv = _cell_keys(idx)
+    keys = [tuple(row) for row in rows.tolist()]
+    missing = [key for key in keys if key not in cache]
+    if missing:
+        cache.update(zip(missing, draw(missing)))
+    return np.stack([cache[key] for key in keys])[inv]
+
+
 def _cellwise_random_field(spec):
     if not np.isfinite([spec.lam_target, spec.m_target, spec.cell]).all():
         raise NonEllipticSpecError("cellwise-random parameters must be finite")
@@ -195,23 +227,17 @@ def _cellwise_random_field(spec):
     md = D * spec.m
     cache = {}
 
-    def cell_matrix(key):
-        mat = cache.get(key)
-        if mat is None:
-            rng = np.random.default_rng(_cell_seed(spec.seed, 0x5EED, key))
-            q, _ = np.linalg.qr(rng.standard_normal((md, md)))
-            eigs = rng.uniform(spec.lam_target, spec.m_target, size=md)
-            mat = (q * eigs) @ q.T
-            mat = 0.5 * (mat + mat.T)
-            cache[key] = mat
-        return mat
+    def draw(keys):
+        # each cell's own stream: an (md, md) normal draw, then md eigenvalues
+        rngs = [np.random.default_rng(_cell_seed(spec.seed, 0x5EED, key)) for key in keys]
+        q, _ = np.linalg.qr(np.stack([rng.standard_normal((md, md)) for rng in rngs]))
+        eigs = [rng.uniform(spec.lam_target, spec.m_target, size=md) for rng in rngs]
+        mats = (q * np.stack(eigs)[:, None, :]) @ q.transpose(0, 2, 1)
+        return 0.5 * (mats + mats.transpose(0, 2, 1))
 
     def ev(pts):
-        idx = _cell_index(pts, spec.cell)
-        uniq, inv = np.unique(idx, axis=0, return_inverse=True)
-        mats = np.stack([cell_matrix(tuple(int(v) for v in k)) for k in uniq])
-        out = mats[inv.reshape(-1)]
-        return out.reshape(len(pts), D, spec.m, D, spec.m).transpose(0, 1, 3, 2, 4)
+        mats = _cell_matrices(cache, _cell_index(pts, spec.cell), draw)
+        return mats.reshape(len(pts), D, spec.m, D, spec.m).transpose(0, 1, 3, 2, 4)
 
     return CoefficientField(spec, spec.m, float(spec.lam_target), float(spec.m_target), ev)
 
@@ -225,21 +251,14 @@ def _skew_field(spec):
     md = D * base.m
     cache = {}
 
-    def cell_skew(key):
-        mat = cache.get(key)
-        if mat is None:
-            rng = np.random.default_rng(_cell_seed(spec.seed, 0xA5CE, key))
-            g = rng.standard_normal((md, md))
-            s = g - g.T
-            mat = s / np.linalg.norm(s, 2)
-            cache[key] = mat
-        return mat
+    def draw(keys):
+        rngs = [np.random.default_rng(_cell_seed(spec.seed, 0xA5CE, key)) for key in keys]
+        g = np.stack([rng.standard_normal((md, md)) for rng in rngs])
+        s = g - g.transpose(0, 2, 1)
+        return s / np.linalg.norm(s, 2, axis=(1, 2))[:, None, None]
 
     def ev(pts):
-        idx = _cell_index(pts, spec.cell)
-        uniq, inv = np.unique(idx, axis=0, return_inverse=True)
-        mats = np.stack([cell_skew(tuple(int(v) for v in k)) for k in uniq])
-        skew = spec.amplitude * mats[inv.reshape(-1)]
+        skew = spec.amplitude * _cell_matrices(cache, _cell_index(pts, spec.cell), draw)
         skew_t = skew.reshape(len(pts), D, base.m, D, base.m).transpose(0, 1, 3, 2, 4)
         return base.evaluate(pts) + skew_t
 
@@ -268,7 +287,7 @@ def verify_ellipticity_bounds(fld, sample_points, seed=0):
     mats = fld.matrices(sample_points)
     sym = 0.5 * (mats + mats.transpose(0, 2, 1))
     lam_est = float(np.linalg.eigvalsh(sym)[:, 0].min())
-    m_est = float(max(np.linalg.norm(m, 2) for m in mats))
+    m_est = float(np.linalg.norm(mats, 2, axis=(1, 2)).max())
     if lam_est <= 0:
         raise NonEllipticFieldError(f"field is not elliptic: lambda_est={lam_est}")
     if lam_est < fld.lam - 1e-12:
@@ -282,12 +301,16 @@ def verify_ellipticity_bounds(fld, sample_points, seed=0):
     md = mats.shape[1]
     xi = rng.standard_normal((_ELLIPTICITY_PROBES, md))
     eta = rng.standard_normal((_ELLIPTICITY_PROBES, md))
-    for mat in mats:
-        quad = np.einsum("pa,ab,pb->p", xi, mat, xi)
-        norms2 = (xi**2).sum(axis=1)
-        if np.any(quad < fld.lam * norms2 - 1e-10 * norms2):
-            raise NonEllipticFieldError("quadratic-form probe violates the coercivity bound")
-        cross = np.abs(np.einsum("pa,ab,pb->p", eta, mat, xi))
-        if np.any(cross > fld.bound * np.linalg.norm(xi, axis=1) * np.linalg.norm(eta, axis=1) + 1e-10):
-            raise NonEllipticFieldError("quadratic-form probe violates the boundedness bound")
+    quad = np.einsum("pa,nab,pb->np", xi, mats, xi)
+    norms2 = (xi**2).sum(axis=1)
+    cross = np.abs(np.einsum("pa,nab,pb->np", eta, mats, xi))
+    cross_limit = fld.bound * np.linalg.norm(xi, axis=1) * np.linalg.norm(eta, axis=1) + 1e-10
+    coercive = ~np.any(quad < fld.lam * norms2 - 1e-10 * norms2, axis=1)
+    bounded = ~np.any(cross > cross_limit, axis=1)
+    # the first sample that fails a probe names the bound it violates
+    first = np.argmin(coercive & bounded)
+    if not coercive[first]:
+        raise NonEllipticFieldError("quadratic-form probe violates the coercivity bound")
+    if not bounded[first]:
+        raise NonEllipticFieldError("quadratic-form probe violates the boundedness bound")
     return lam_est, m_est

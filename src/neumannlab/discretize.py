@@ -204,7 +204,7 @@ def assemble_stiffness(mesh, fld, free=None):
         pts = origins[:, None, :] + mesh.h * ref[None, :, :]
         a = fld.evaluate(pts.reshape(-1, 3)).reshape(-1, len(ref), 3, 3, m, m)
         a = np.ascontiguousarray(a.transpose(0, 4, 5, 1, 2, 3)).reshape(-1, 9 * len(ref))
-        where = mesh.cells[sel, None, None, :, None] * (m * width) + local
+        where = np.ascontiguousarray(mesh.cells[sel])[:, None, None, :, None] * (m * width) + local
         np.add.at(table, where.ravel(), (a @ block).ravel())
     stencil = table.reshape(-1, m, 27, m)  # (node p, i, offset s, j)
     index = np.int32 if table.size < 2**31 else np.int64  # scipy's index dtype for this size
@@ -219,23 +219,26 @@ def assemble_stiffness(mesh, fld, free=None):
     limit[place < 0] = np.nan
     counts, data, indices = [], [], []
     asymmetry = scale = 0.0
-    half = np.arange(14)  # offsets up to the centre; |K_ab - K_ba| mirrors the rest
+    # table position of K[(q, i), (p, j)], the mirror of entry (p, j, s, i), less
+    # q m width, where q's rows start; offsets up to the centre, as
+    # |K_ab - K_ba| mirrors the rest
+    mirror_at = np.arange(m)[:, None] * width + (26 - np.arange(14))[:, None, None] * m + np.arange(m)
     for start in range(0, mesh.n_nodes, step):
         nodes = slice(start, min(start + step, mesh.n_nodes))
         dofs = slice(nodes.start * m, nodes.stop * m)
         nbrs = mesh._stencil_nodes(nodes)
-        mirror = stencil[nbrs[:, :14], :, 26 - half, :]  # (p, s, j, i)
+        mirror = table.take(nbrs[:, :14, None, None] * index(m * width) + mirror_at)  # (p, s, j, i)
         own = stencil[nodes, :, :14, :]
         asymmetry = max(asymmetry, np.abs(own - mirror.transpose(0, 3, 1, 2)).max())
         size = np.abs(stencil[nodes]).reshape(-1, m, width)  # (p, i, (s, j))
         scale = max(scale, size.max())
         cols = (nbrs[:, None, :, None] * m + np.arange(m, dtype=index)).reshape(len(nbrs), 1, width)
-        keep = size > np.minimum(limit[dofs].reshape(-1, m, 1), limit[cols])
+        keep = size > np.minimum(limit[dofs].reshape(-1, m, 1), limit.take(cols))
         counts.append(np.count_nonzero(keep, axis=2).ravel())
         data.append(stencil[nodes].reshape(keep.shape)[keep])
         # renumber the kept entries only; without ``free`` a DOF is its own column
         cols = np.broadcast_to(cols, keep.shape)[keep]
-        indices.append(cols if free is None else place[cols])
+        indices.append(cols if free is None else place.take(cols))
     del table, stencil, own  # the table's last views: it is freed before the CSR is joined
     indptr = np.zeros(len(kept) + 1, dtype=index)
     np.cumsum(np.concatenate(counts)[kept], out=indptr[1:])

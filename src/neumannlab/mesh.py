@@ -57,6 +57,14 @@ class Mesh:
         each boundary facet is an axis-aligned square owned by exactly one cell.
     graph_facets : bool mask over facets (graph domains only), True where the
         facet belongs to the staircase floor rather than the truncation cut.
+
+    The topology is built by lattice slices: the node marks, each cell's
+    corner ids and each direction's exposed facets are the occupancy and
+    node-id lattices shifted by one corner or face offset, read at the
+    occupied cells, with no per-cell scatter or lookup.  Layout is part of the
+    contract: ``cells``, ``nodes`` and ``cells_ijk`` are column-major (the
+    layout ``np.argwhere`` gives), and the ``estimates`` reductions over
+    values gathered through ``cells`` sum in an order that follows it.
     """
 
     def __init__(self, origin, h, occupancy, graph_facet_rule=None):
@@ -69,25 +77,30 @@ class Mesh:
         nx, ny, nz = occ.shape
 
         cells_ijk = np.argwhere(occ)  # lexicographic, deterministic
-        corners = cells_ijk[:, None, :] + CELL_CORNERS[None, :, :]  # (C, 8, 3)
-
+        # a node sits at lattice index v where some cell v - corner is occupied
         node_mark = np.zeros((nx + 1, ny + 1, nz + 1), dtype=bool)
-        node_mark[corners[..., 0], corners[..., 1], corners[..., 2]] = True
+        for dx, dy, dz in CELL_CORNERS:
+            node_mark[dx : dx + nx, dy : dy + ny, dz : dz + nz] |= occ
         node_ijk = np.argwhere(node_mark)
         # node ids on the lattice, padded by one empty layer so that every
         # node's 27 neighbours are in range; -1 where no node sits
-        self._node_id = -np.ones((nx + 3, ny + 3, nz + 3), dtype=np.int64)
+        self._node_id = np.full((nx + 3, ny + 3, nz + 3), -1, dtype=np.int32)
         node_id = self._node_id[1:-1, 1:-1, 1:-1]
-        node_id[node_mark] = np.arange(len(node_ijk))
+        node_id[node_mark] = np.arange(len(node_ijk), dtype=np.int32)
         self._node_sites = np.flatnonzero(self._node_id >= 0)  # flat grid index of each node
 
         self.nodes = self.origin + self.h * node_ijk.astype(float)
-        self.cells = node_id[corners[..., 0], corners[..., 1], corners[..., 2]]
+        # corner k of every cell, in cell order: the id lattice shifted by the
+        # corner's offset, read at the occupied cells; filled row by row and
+        # transposed, so cells is column-major like cells_ijk
+        cells = np.empty((len(CELL_CORNERS), len(cells_ijk)), dtype=np.int64)
+        for k, (dx, dy, dz) in enumerate(CELL_CORNERS):
+            cells[k] = node_id[dx : dx + nx, dy : dy + ny, dz : dz + nz][occ]
+        self.cells = cells.T
         self.cells_ijk = cells_ijk
 
-        cell_id = -np.ones((nx, ny, nz), dtype=np.int64)
-        cell_id[cells_ijk[:, 0], cells_ijk[:, 1], cells_ijk[:, 2]] = np.arange(len(cells_ijk))
-        self._cell_id = cell_id
+        self._cell_id = np.full((nx, ny, nz), -1, dtype=np.int64)
+        self._cell_id[occ] = np.arange(len(cells_ijk))
 
         self._build_boundary(graph_facet_rule)
 
@@ -111,27 +124,25 @@ class Mesh:
 
     def _build_boundary(self, graph_facet_rule):
         occ = self._occ
-        nx, ny, nz = occ.shape
-        padded = np.zeros((nx + 2, ny + 2, nz + 2), dtype=bool)
-        padded[1:-1, 1:-1, 1:-1] = occ
+        padded = np.pad(occ, 1)
+        inner = (slice(1, -1),) * 3
 
         facet_nodes, normals, owners, graph_mask = [], [], [], []
-        ijk = self.cells_ijk
         for axis, side, local in CELL_FACES:
-            shift = np.zeros(3, dtype=np.int64)
-            shift[axis] = side
-            nb = ijk + shift
-            exposed = ~padded[nb[:, 0] + 1, nb[:, 1] + 1, nb[:, 2] + 1]
-            if not exposed.any():
+            # a cell's facet is exposed where the padded occupancy, shifted by
+            # one layer towards the facet, is empty
+            nb = list(inner)
+            nb[axis] = slice(1 + side, padded.shape[axis] - 1 + side)
+            cids = self._cell_id[occ & ~padded[tuple(nb)]]  # ascending: ids number cells in C order
+            if not len(cids):
                 continue
-            cids = np.flatnonzero(exposed)
             facet_nodes.append(self.cells[np.ix_(cids, np.array(local))])
             n = np.zeros((len(cids), 3))
             n[:, axis] = float(side)
             normals.append(n)
             owners.append(cids)
             if graph_facet_rule is not None:
-                centers = self.origin + self.h * (ijk[cids].astype(float) + 0.5)
+                centers = self.origin + self.h * (self.cells_ijk[cids].astype(float) + 0.5)
                 centers[:, axis] += side * self.h / 2.0
                 graph_mask.append(graph_facet_rule(axis, side, centers))
 
@@ -152,12 +163,15 @@ class Mesh:
         else:
             self.graph_facets = None
 
-        fverts = self.nodes[self.facet_nodes]  # (F, 4, 3)
-        self.facet_lo = fverts.min(axis=1)
-        self.facet_hi = fverts.max(axis=1)
+        # node coordinates grow with the lattice index, so a facet's corner
+        # (s, t) = (0, 0) holds its least and (1, 1) its greatest coordinates
+        self.facet_lo = self.nodes[self.facet_nodes[:, 0]]
+        self.facet_hi = self.nodes[self.facet_nodes[:, 2]]
         self.facet_center = 0.5 * (self.facet_lo + self.facet_hi)
         if self.graph_facets is not None:
-            self.far_nodes = np.unique(self.facet_nodes[~self.graph_facets])
+            far = np.zeros(self.n_nodes, dtype=bool)
+            far[self.facet_nodes[~self.graph_facets]] = True
+            self.far_nodes = np.flatnonzero(far)
             self.far_nodes.setflags(write=False)
         else:
             self.far_nodes = None
@@ -186,7 +200,7 @@ class Mesh:
         grid = self._node_id
         offsets = np.array(list(np.ndindex(3, 3, 3))) - 1
         steps = offsets @ (np.array(grid.strides) // grid.itemsize)
-        return grid.ravel()[self._node_sites[nodes, None] + steps].astype(np.int32)
+        return grid.ravel()[self._node_sites[nodes, None] + steps]
 
     def cell_ids(self, ijk):
         """Cell id at each lattice index of ijk (..., 3); -1 where no cell is occupied."""

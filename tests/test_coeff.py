@@ -6,12 +6,16 @@ from numpy.testing import assert_allclose
 
 from adjoint_reference import adjoint_coefficients
 from neumannlab.coeff import (
+    D,
     CoefficientField,
     CellwiseRandom,
     Identity,
     ScalarCheckerboard,
     SkewPerturbed,
     SmoothVMO,
+    _cell_index,
+    _cell_seed,
+    _identity_tensor,
     make_coefficient,
     verify_ellipticity_bounds,
 )
@@ -244,3 +248,137 @@ def test_evaluate_rejects_non_finite_output():
     fld = CoefficientField(Identity(), 1, 1.0, 1.0, lambda pts: np.full((len(pts), 3, 3, 1, 1), np.inf))
     with pytest.raises(NumericFailureError, match="non-finite"):
         fld.evaluate(POINTS[:4])
+
+
+# points at negative coordinates, and points exactly on the faces, edges and
+# corners of 0.25-cells (a checkerboard's parity changes across each)
+SIGNED_POINTS = np.concatenate(
+    [
+        np.random.default_rng(4).uniform(-1.5, 1.5, (200, 3)),
+        0.25 * np.random.default_rng(5).integers(-6, 7, (40, 3)),
+        [[0.25, 0.1, -0.3], [-0.5, -0.25, 0.0], [0.0, 0.0, 0.0]],
+    ]
+)
+
+
+def scalar_reference(spec, pts):
+    """The scalar value of an Identity, ScalarCheckerboard or SmoothVMO field, as a sum
+    over the index columns and a product with the identity tensor."""
+    if isinstance(spec, Identity):
+        vals = np.ones(len(pts))
+    elif isinstance(spec, ScalarCheckerboard):
+        parity = (_cell_index(pts, spec.cell).sum(axis=1) + spec.seed) % 2
+        vals = np.where(parity == 0, 1.0, float(spec.contrast))
+    else:
+        vals = 1.0 + spec.amplitude * np.prod(np.sin(2 * np.pi * spec.frequency * pts), axis=1)
+    return vals[:, None, None, None, None] * _identity_tensor(spec.m)
+
+
+class TestScalarFields:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda m: Identity(m=m),
+            lambda m: ScalarCheckerboard(10.0, m=m),
+            lambda m: ScalarCheckerboard(7.0, cell=0.5, seed=1, m=m),
+            lambda m: SmoothVMO(1.5, 0.4, m=m),
+        ],
+        ids=["identity", "checkerboard", "checkerboard-seed1", "smooth"],
+    )
+    def test_equal_to_scalar_times_identity(self, make, m):
+        spec = make(m)
+        got = make_coefficient(spec).evaluate(SIGNED_POINTS)
+        assert np.array_equal(got, scalar_reference(spec, SIGNED_POINTS))
+
+    def test_both_phases_on_face_points(self):
+        vals = make_coefficient(ScalarCheckerboard(10.0)).evaluate(SIGNED_POINTS[200:])
+        assert set(vals[:, 0, 0, 0, 0]) == {1.0, 10.0}
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_non_finite_value_raises(self, m):
+        with pytest.raises(NumericFailureError, match="non-finite"):
+            make_coefficient(SmoothVMO(np.nan, 0.5, m=m)).evaluate(SIGNED_POINTS)
+
+
+def cell_draw_reference(spec, pts):
+    """A CellwiseRandom or SkewPerturbed field's per-cell matrices, one cell at a
+    time from its own seeded stream, for the (n, 3) points."""
+    if isinstance(spec, CellwiseRandom):
+        md = D * spec.m
+    else:
+        md = D * spec.base.m
+    out = []
+    for key in _cell_index(pts, spec.cell).tolist():
+        if isinstance(spec, CellwiseRandom):
+            rng = np.random.default_rng(_cell_seed(spec.seed, 0x5EED, key))
+            q, _ = np.linalg.qr(rng.standard_normal((md, md)))
+            eigs = rng.uniform(spec.lam_target, spec.m_target, size=md)
+            mat = (q * eigs) @ q.T
+            out.append(0.5 * (mat + mat.T))
+        else:
+            g = np.random.default_rng(_cell_seed(spec.seed, 0xA5CE, key)).standard_normal((md, md))
+            s = g - g.T
+            out.append(s / np.linalg.norm(s, 2))
+    return np.stack(out)
+
+
+class TestCellDraws:
+    # cells at 2^41 apart overflow the batch's int64 cell code: the row-wise keys
+    FAR = np.array([[-(2.0**40), 0.5, 0.5], [2.0**40, 2.0**40, -(2.0**40)], [0.5, 0.5, 0.5]])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["cellwise-random", "skew"])
+    def test_equal_to_per_cell_draws(self, kind, m):
+        if kind == "cellwise-random":
+            spec = CellwiseRandom(0.5, 3.0, cell=0.25, seed=11, m=m)
+        else:
+            spec = SkewPerturbed(Identity(m=m), 0.5, cell=0.25, seed=11)
+        fld = make_coefficient(spec)
+        for pts in (SIGNED_POINTS, SIGNED_POINTS[::-3], self.FAR):
+            want = cell_draw_reference(spec, pts)
+            if kind == "skew":
+                want = np.eye(D * m) + spec.amplitude * want
+            got = fld.matrices(pts)
+            assert np.array_equal(got, want)
+
+    def test_far_cells_take_row_keys(self):
+        # spans 2 x 2^32 x 2^32: cells (0, 0, 0) and (1, 0, 0) would share the code
+        # 0 = 2^64 (mod 2^64), so the batch must take the row-wise keys
+        wrap = np.array([[0.5, 0.5, 0.5], [1.5, 2.0**32 - 0.5, 2.0**32 - 0.5], [1.5, 0.5, 0.5]])
+        spec = CellwiseRandom(0.5, 3.0, cell=1.0, seed=2)
+        for pts in (self.FAR, wrap):
+            got = make_coefficient(spec).matrices(pts)
+            assert np.array_equal(got, cell_draw_reference(spec, pts))
+        assert not np.array_equal(got[0], got[2])
+
+
+def verify_reference(fld, sample_points, seed):
+    """verify_ellipticity_bounds one sample at a time: lambda_est, M_est, the
+    coercivity probe forms (samples, probes) and the probe vectors."""
+    mats = fld.matrices(sample_points)
+    sym = 0.5 * (mats + mats.transpose(0, 2, 1))
+    lam_est = float(np.linalg.eigvalsh(sym)[:, 0].min())
+    m_est = float(max(np.linalg.norm(m, 2) for m in mats))
+    rng = np.random.default_rng(seed)
+    xi = rng.standard_normal((8, mats.shape[1]))
+    probes = np.stack([np.einsum("pa,ab,pb->p", xi, mat, xi) for mat in mats])
+    return lam_est, m_est, probes, xi
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ScalarCheckerboard(10.0),
+        SkewPerturbed(ScalarCheckerboard(10.0, m=3), 0.5, seed=2),
+        CellwiseRandom(0.5, 2.0, seed=3, m=2),
+    ],
+    ids=["checkerboard", "skew-m3", "cellwise-random-m2"],
+)
+def test_verify_equal_to_per_sample_loop(spec):
+    fld = make_coefficient(spec)
+    pts = np.random.default_rng(9).uniform(-1.0, 1.0, (64, 3))
+    lam_est, m_est, probes, xi = verify_reference(fld, pts, seed=5)
+    assert verify_ellipticity_bounds(fld, pts, seed=5) == (lam_est, m_est)
+    # the batched probe forms of verify_ellipticity_bounds
+    assert np.array_equal(np.einsum("pa,nab,pb->np", xi, fld.matrices(pts), xi), probes)

@@ -1,9 +1,16 @@
+import importlib.util
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from mesh_reference import reference_arrays
+from neumannlab import mesh as meshmod
 from neumannlab.errors import (
     InvalidGeometryError,
     LipschitzViolationError,
@@ -127,12 +134,13 @@ class TestStaircase:
     def test_random_unions_closure(self, boxes):
         spec = [((x, y, z), (x + a, y + b, z + c)) for x, y, z, a, b, c in boxes]
         try:
-            mesh = build_staircase_mesh(spec, 0.5)
+            mesh, call = built(build_staircase_mesh, spec, 0.5)
         except InvalidGeometryError:
             return  # disconnected draw
         total = (mesh.facet_area[:, None] * mesh.facet_normal).sum(axis=0)
         assert_allclose(total, 0.0, atol=1e-10)
         assert_allclose(mesh.facet_area.sum(), mesh.boundary_measure)
+        assert_matches_reference(mesh, call)
 
 
 class TestTruncatedGraph:
@@ -351,3 +359,73 @@ class TestLocate:
         mesh, outside = LOCATE_MESHES[name]
         with pytest.raises(OutOfDomainError):
             mesh.locate(np.vstack([mesh.nodes[:5], outside, mesh.nodes[5:9]]))
+
+
+def built(build, *args):
+    """The mesh ``build(*args)`` returns, and the arguments it passed to ``Mesh``."""
+    calls = []
+
+    class Recording(meshmod.Mesh):
+        def __init__(self, *a, **kw):
+            calls.append((a, kw))
+            super().__init__(*a, **kw)
+
+    with mock.patch.object(meshmod, "Mesh", Recording):
+        mesh = build(*args)
+    return mesh, calls[-1]
+
+
+def assert_matches_reference(mesh, call):
+    """Every topology and boundary array equals the per-cell construction's in
+    values, dtype and strides (``_node_id`` in values: it is stored as int32).
+    The stride of a length-1 axis is never stepped, so it is not compared."""
+    args, kwargs = call
+    for name, want in reference_arrays(*args, **kwargs).items():
+        got = getattr(mesh, name)
+        if want is None:
+            assert got is None, name
+            continue
+        assert np.array_equal(got, want), name
+        if name != "_node_id":
+            assert got.dtype == want.dtype and _steps(got) == _steps(want), name
+
+
+def _steps(arr):
+    return [stride for stride, n in zip(arr.strides, arr.shape) if n > 1]
+
+
+def perfbench_graph_inputs(count):
+    """The first graph-krylov job inputs of workload seed 1 (box from -3: lattice
+    indices start below the origin)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    jobs = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(jobs)  # its dataclasses look their module up in sys.modules
+    return jobs, jobs.graph_inputs(np.random.default_rng(1))[:count]
+
+
+class TestLatticeTopology:
+    """Mesh builds its topology from shifted lattice slices, bit for bit the
+    arrays of the per-cell fancy-index construction in ``mesh_reference``."""
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (build_box_mesh, ((1, 1, 1), 1)),
+            (build_box_mesh, ((1, 1.5, 0.5), 4)),
+            (build_staircase_mesh, ([((0, 0, 0), (0.5, 1, 1)), ((0.5, 0, 0), (1, 0.5, 1))], 0.25)),
+            (build_truncated_graph_mesh, (lambda x, y: 0.3 * x, 0.5, ((0, 0, 0), (1, 1, 1)), 1 / 6)),
+        ],
+        ids=["unit-cell", "box", "l-shape", "graph"],
+    )
+    def test_matches_reference(self, build, args):
+        assert_matches_reference(*built(build, *args))
+
+    @pytest.mark.parametrize("job", range(2))
+    def test_perfbench_graph_profiles(self, job):
+        jobs, inputs = perfbench_graph_inputs(2)
+        mesh, call = built(
+            build_truncated_graph_mesh, inputs[job].profile, jobs.GRAPH_K, jobs.GRAPH_BOX, jobs.GRAPH_H
+        )
+        assert mesh.origin.min() < 0 and mesh.graph_facets.any()
+        assert_matches_reference(mesh, call)
