@@ -11,6 +11,7 @@ normalization and as the boundary-mean evaluator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,12 @@ def _tensor_rule(order):
 
 
 _VOLUME_RULES = {order: _tensor_rule(order) for order in _GAUSS}
+# the shape functions and their reference gradients at each rule's points,
+# (G, 8) and (G, 8, 3): loads and Gauss-point values are products with these
+_SHAPE_TABLES = {order: shape_values(rule[0]) for order, rule in _VOLUME_RULES.items()}
+_GRADIENT_TABLES = {order: shape_gradients(rule[0]) for order, rule in _VOLUME_RULES.items()}
+for _table in (*_SHAPE_TABLES.values(), *_GRADIENT_TABLES.values()):
+    _table.setflags(write=False)
 
 
 def volume_quadrature(order):
@@ -257,19 +264,42 @@ def _as_components(vals, m, n):
     return vals
 
 
+def _table_product(a, table):
+    """sum_k a[c, k, i] table[k, q] as (c, i, q): the (c i, k) rows of ``a``,
+    copied C-contiguous, times the table in one product, so the sums do not
+    follow ``a``'s memory layout."""
+    rows = np.ascontiguousarray(a.transpose(0, 2, 1)).reshape(-1, a.shape[1])
+    return (rows @ table).reshape(len(a), a.shape[2], -1)
+
+
 def assemble_volume_load(mesh, f, m):
     """Load entries (p, i) = int_Omega f^i psi_p."""
     out = np.zeros(mesh.n_nodes * m)
     if f is None:
         return out
     ref, w = volume_quadrature(QUADRATURE_ORDER)
-    psi = shape_values(ref)
     pts = mesh.cell_origins()[:, None, :] + mesh.h * ref[None, :, :]
     fv = _as_components(f(pts.reshape(-1, 3)), m, mesh.n_cells * len(ref))
-    fv = fv.reshape(mesh.n_cells, len(ref), m)
-    lcell = np.einsum("g,cgi,gp->cpi", w * mesh.h**3, fv, psi)
-    np.add.at(out, (mesh.cells[:, :, None] * m + np.arange(m)).reshape(-1), lcell.reshape(-1))
+    weighted = fv.reshape(mesh.n_cells, len(ref), m) * (w * mesh.h**3)[:, None]
+    lcell = _table_product(weighted, _SHAPE_TABLES[QUADRATURE_ORDER])  # (C, m, 8)
+    # entry (c, i, p) adds to DOF (cells[c, p], i), so each DOF sums its entries in cell order
+    dofs = mesh.cells[:, None, :] * m + np.arange(m)[:, None]
+    np.add.at(out, dofs.reshape(-1), lcell.reshape(-1))
     return out
+
+
+def _facet_rule(order):
+    """Facet Gauss coordinates s, t and weights (Gf,) on the unit square, and the
+    read-only trace table (Gf, 4) of the facet's corner shape functions."""
+    x, w = gauss_rule_1d(order)
+    s, t = np.meshgrid(x, x, indexing="ij")
+    s, t = s.ravel(), t.ravel()
+    trace = np.stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t], axis=1)
+    trace.setflags(write=False)
+    return s, t, np.outer(w, w).ravel(), trace
+
+
+_FACET_RULE = _facet_rule(QUADRATURE_ORDER)
 
 
 def facet_quadrature(mesh):
@@ -278,11 +308,8 @@ def facet_quadrature(mesh):
     The trace columns follow the stored facet node order (s, t) = (0,0),
     (1,0), (1,1), (0,1) of ``CELL_FACES``.
     """
-    x, w = gauss_rule_1d(QUADRATURE_ORDER)
-    s, t = np.meshgrid(x, x, indexing="ij")
-    s, t = s.ravel(), t.ravel()
-    w2 = np.outer(w, w).ravel() * mesh.h**2
-    trace = np.stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t], axis=1)
+    s, t, w, trace = _FACET_RULE
+    w2 = w * mesh.h**2
     # s runs along the lower tangential axis, t along the upper one
     normal = np.argmax(mesh.facet_normal != 0, axis=1)
     rows = np.arange(len(normal))
@@ -314,9 +341,8 @@ def _boundary_load(mesh, g, m, quadrature):
         sel = np.arange(len(mesh.facet_cell))
     pts, trace, w2 = quadrature
     gv = _as_components(g(pts[sel].reshape(-1, 3)), m, len(sel) * trace.shape[0])
-    gv = gv.reshape(len(sel), trace.shape[0], m)
-    contrib = np.einsum("g,fgi,gc->fci", w2, gv, trace)  # (F, 4 corners, m)
-    np.add.at(out.reshape(-1, m), mesh.facet_nodes[sel], contrib)
+    contrib = _table_product(gv.reshape(len(sel), len(w2), m) * w2[:, None], trace)  # (F, m, 4)
+    np.add.at(out.reshape(-1, m), mesh.facet_nodes[sel], contrib.transpose(0, 2, 1))
     return out
 
 
@@ -344,23 +370,44 @@ def interpolate(fld, points):
 
 def gradient_at_quadrature(fld, quadrature_order=QUADRATURE_ORDER):
     """Gradients of the trilinear field at Gauss points: (C, G, m, 3)."""
-    ref, _ = volume_quadrature(quadrature_order)
-    grads = shape_gradients(ref) / fld.mesh.h  # (G, 8, 3)
+    grads = _GRADIENT_TABLES[quadrature_order] / fld.mesh.h  # (G, 8, 3) physical
     nodal = fld.values[fld.mesh.cells]  # (C, 8, m)
-    return np.einsum("gpa,cpm->cgma", grads, nodal)
+    out = _table_product(nodal, grads.transpose(1, 0, 2).reshape(8, -1))  # (C, m, G 3)
+    return out.reshape(len(nodal), fld.m, -1, 3).transpose(0, 2, 1, 3)
 
 
 def values_at_quadrature(fld, quadrature_order=QUADRATURE_ORDER):
-    ref, _ = volume_quadrature(quadrature_order)
-    psi = shape_values(ref)
-    nodal = fld.values[fld.mesh.cells]
-    return np.einsum("gp,cpm->cgm", psi, nodal)
+    """Values of the trilinear field at Gauss points: (C, G, m)."""
+    nodal = fld.values[fld.mesh.cells]  # (C, 8, m)
+    psi = np.ascontiguousarray(_SHAPE_TABLES[quadrature_order].T)
+    return _table_product(nodal, psi).transpose(0, 2, 1)
+
+
+def ordered_sum(a, axis=None):
+    """``a.sum(axis)`` summed in an order the code states, not in ``a``'s memory layout.
+
+    numpy reduces an array in its memory order, so equal values laid out in
+    another order can sum to other last bits.  This sums a C-contiguous copy
+    with numpy's reductions, not BLAS.  With ``axis`` None it sums all the
+    entries in C order, pairwise from 8 terms on.  Otherwise the summed axes
+    move to the front, in the order given, and the slices along them are
+    added one after another in index order; a short summed axis, such as
+    the components of a Gauss-point value, stays cheap that way.  Every
+    reduction of quadrature values that reaches a report goes through here,
+    so its bits do not depend on how a gather or a product laid out its input.
+    """
+    if axis is None:
+        return np.ascontiguousarray(a).sum()
+    axes = (axis,) if np.ndim(axis) == 0 else tuple(axis)
+    front = np.ascontiguousarray(np.moveaxis(a, axes, range(len(axes))))
+    slices = front.shape[: len(axes)]
+    return front.reshape(math.prod(slices), *front.shape[len(axes) :]).sum(axis=0)
 
 
 def l2_norm(fld):
     vals = values_at_quadrature(fld)
     _, w = volume_quadrature(QUADRATURE_ORDER)
-    return float(np.sqrt(np.einsum("g,cgm->", w * fld.mesh.h**3, vals**2)))
+    return float(np.sqrt(ordered_sum(w * fld.mesh.h**3 * ordered_sum(vals**2, axis=2))))
 
 
 def l2_error(fld, exact):
@@ -371,4 +418,4 @@ def l2_error(fld, exact):
     if ex.ndim == 1:
         ex = ex[:, None]
     diff = vals - ex.reshape(vals.shape)
-    return float(np.sqrt(np.einsum("g,cgm->", w, diff**2)))
+    return float(np.sqrt(ordered_sum(w * ordered_sum(diff**2, axis=2))))

@@ -33,6 +33,7 @@ from .discretize import (
     facet_quadrature,
     gauss_rule_1d,
     gradient_at_quadrature,
+    ordered_sum,
     quadrature_points,
     values_at_quadrature,
     volume_quadrature,
@@ -100,16 +101,17 @@ def cell_magnitudes(obj, gradient=False):
     mesh, flat = _kernel_fields(obj)
     if gradient:
         g = gradient_at_quadrature(flat, quadrature_order=1)  # (C, 1, mm, 3)
-        return np.sqrt((g[:, 0] ** 2).sum(axis=(1, 2)))
+        return np.sqrt(ordered_sum(g[:, 0] ** 2, axis=(1, 2)))
     vals = values_at_quadrature(flat, quadrature_order=1)  # (C, 1, mm)
-    return np.sqrt((vals[:, 0] ** 2).sum(axis=1))
+    return np.sqrt(ordered_sum(vals[:, 0] ** 2, axis=1))
 
 
 def annulus_norms(kernel, radii):
     """(L^6 norm of N, L^2 norm of DN) over cells fully outside B_r(pole), for
     each r of ``radii``: two arrays shaped like ``radii`` (scalars for a scalar).
 
-    The kernel is evaluated at the Gauss points once for all radii.
+    The kernel and its magnitudes are evaluated at the Gauss points once for
+    all radii.
     """
     mesh = kernel.mesh
     radii = np.asarray(radii, dtype=float)
@@ -119,18 +121,17 @@ def annulus_norms(kernel, radii):
     lo = mesh.cell_origins()
     hi = lo + mesh.h
     gap = np.maximum(lo - y, 0.0) + np.maximum(y - hi, 0.0)
-    dist = np.sqrt((gap**2).sum(axis=1))
+    dist = np.sqrt(ordered_sum(gap**2, axis=1))
     _, flat = _kernel_fields(kernel)
     _, w = volume_quadrature(QUADRATURE_ORDER)
-    all_vals = values_at_quadrature(flat)
-    all_grads = gradient_at_quadrature(flat)
+    w = w * mesh.h**3
+    mag6 = ordered_sum(values_at_quadrature(flat) ** 2, axis=2) ** 3  # |N|^6, (C, G)
+    mag2 = ordered_sum(gradient_at_quadrature(flat) ** 2, axis=(2, 3))  # |DN|^2
     l6, l2 = [], []
     for r in radii.ravel():
         outside = dist >= r
-        mag6 = ((all_vals[outside] ** 2).sum(axis=2)) ** 3  # |N|^6 at each Gauss point
-        l6.append(np.einsum("g,cg->", w * mesh.h**3, mag6) ** (1.0 / 6.0))
-        mag2 = (all_grads[outside] ** 2).sum(axis=(2, 3))
-        l2.append(np.sqrt(np.einsum("g,cg->", w * mesh.h**3, mag2)))
+        l6.append(ordered_sum(w * mag6[outside]) ** (1.0 / 6.0))
+        l2.append(np.sqrt(ordered_sum(w * mag2[outside])))
     return np.reshape(l6, radii.shape)[()], np.reshape(l2, radii.shape)[()]
 
 
@@ -154,16 +155,14 @@ def local_lp_norm(kernel, radii, p, gradient=False):
         raise InvalidGeometryError(f"radius {radii.max()} exceeds pole distance {d_y}")
     _, flat = _kernel_fields(kernel)
     pts, w = quadrature_points(mesh)
-    dist2 = ((pts - y) ** 2).sum(axis=2)  # (C, G)
+    dist2 = ordered_sum((pts - y) ** 2, axis=2)  # (C, G)
     if gradient:
-        g = gradient_at_quadrature(flat)
-        mag = np.sqrt((g**2).sum(axis=(2, 3)))
+        mag = np.sqrt(ordered_sum(gradient_at_quadrature(flat) ** 2, axis=(2, 3)))
     else:
-        v = values_at_quadrature(flat)
-        mag = np.sqrt((v**2).sum(axis=2))
-    integrand = mag**p
+        mag = np.sqrt(ordered_sum(values_at_quadrature(flat) ** 2, axis=2))
+    integrand = w * mag**p
     norms = [
-        float(np.einsum("g,cg->", w, np.where(dist2 <= r**2, integrand, 0.0))) ** (1.0 / p)
+        float(ordered_sum(np.where(dist2 <= r**2, integrand, 0.0))) ** (1.0 / p)
         for r in radii.ravel()
     ]
     return np.reshape(norms, radii.shape)[()]
@@ -391,10 +390,10 @@ def holder_seminorm(u, center, radius, mu):
         dp = np.linalg.norm(pts[i + 1 :] - pts[i], axis=1)
         sem = max(sem, float((dv / dp**mu).max()))
     pts_q, w = quadrature_points(mesh)
-    inside = ((pts_q - center) ** 2).sum(axis=2) <= radius**2
-    vol = float(np.einsum("g,cg->", w, inside.astype(float)))
-    vq = values_at_quadrature(u)
-    mean_sq = float(np.einsum("g,cg->", w, np.where(inside, (vq**2).sum(axis=2), 0.0))) / vol
+    inside = ordered_sum((pts_q - center) ** 2, axis=2) <= radius**2
+    vol = float(ordered_sum(np.where(inside, w, 0.0)))
+    sq = ordered_sum(values_at_quadrature(u) ** 2, axis=2)
+    mean_sq = float(ordered_sum(np.where(inside, w * sq, 0.0))) / vol
     ratio = sem * radius**mu / np.sqrt(mean_sq) if mean_sq > 0 else 0.0
     return sem, float(ratio)
 
@@ -412,10 +411,9 @@ def _ball_data(u, fv, g, center, radius, pts, w):
     for B = B_radius(center), with ``pts, w`` the mesh's Gauss points and
     weights and ``fv`` f's values at those points (C, G, m); None data give 0."""
     mesh = u.mesh
-    inside = ((pts - center) ** 2).sum(axis=2) <= radius**2
-    # the reduction's summation order follows values_at_quadrature's layout
-    vq = values_at_quadrature(u)
-    l2 = float(np.sqrt(np.einsum("g,cg->", w, np.where(inside, (vq**2).sum(axis=2), 0.0))))
+    inside = ordered_sum((pts - center) ** 2, axis=2) <= radius**2
+    sq = ordered_sum(values_at_quadrature(u) ** 2, axis=2)
+    l2 = float(np.sqrt(ordered_sum(np.where(inside, w * sq, 0.0))))
     sup_f = sup_g = 0.0
     if fv is not None and inside.any():
         sup_f = float(np.abs(fv[inside]).max())
@@ -503,7 +501,9 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
     Each trial's data are those of ``random_compatible_data`` drawn from the
     same generator.  Its density is evaluated once, on the grid of distinct
     Gauss coordinates (x, y), and gathered to the Gauss points, which serve
-    both the load and sup |f|.
+    both the load and sup |f|.  Every trial's data and ball are drawn first,
+    in the generator order of one trial after another; then one bounded
+    solve takes all the loads as an (n_dof, trials) block.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -514,8 +514,7 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
     pts, w = quadrature_points(mesh)
     (xs, ix), (ys, iy) = _axis_tables(mesh)
     facets = facet_quadrature(mesh)
-    table = []
-    best = 0.0
+    drawn, loads = [], []
     for trial in range(trials):
         modes, amps = _random_modes(rng, m)
         cos = {
@@ -527,13 +526,19 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
         # cell by cell, in the order of fv's rows
         load = assemble_volume_load(mesh, lambda _: fv.reshape(-1, m), m)
         g, load = _balanced(mesh, load, m, facets)
-        u = DiscreteField(mesh, solver.solve_bounded(load)[0].reshape(-1, m))
         if balls is not None:
             center, radius = balls[trial % len(balls)]
             center = np.asarray(center, dtype=float)
         else:
             center = mesh.nodes[rng.integers(0, mesh.n_nodes)]
             radius = float(rng.uniform(4 * mesh.h, diam / 2))
+        drawn.append((fv, g, center, radius))
+        loads.append(load)
+    block = solver.solve_bounded(np.stack(loads, axis=1))[0]
+    table = []
+    best = 0.0
+    for (fv, g, center, radius), col in zip(drawn, block.T):
+        u = DiscreteField(mesh, col.reshape(-1, m))
         sup_half = _sup_on_nodes(u, center, radius / 2)
         l2_ball, sup_f, sup_g = _ball_data(u, fv, g, center, radius, pts, w)
         rhs = radius ** (-D / 2) * l2_ball + radius**2 * sup_f + radius * sup_g
@@ -558,11 +563,10 @@ def caccioppoli_check(u, center, radius, f, g):
         raise UnderResolvedError(f"Caccioppoli radius {radius} below 4h")
     center = np.asarray(center, dtype=float)
     pts, w = quadrature_points(mesh)
-    dist2 = ((pts - center) ** 2).sum(axis=2)
-    grads = gradient_at_quadrature(u)
-    gmag2 = (grads**2).sum(axis=(2, 3))
+    dist2 = ordered_sum((pts - center) ** 2, axis=2)
+    gmag2 = ordered_sum(gradient_at_quadrature(u) ** 2, axis=(2, 3))
     half = dist2 <= (radius / 2) ** 2
-    lhs = float(np.sqrt(np.einsum("g,cg->", w, np.where(half, gmag2, 0.0))))
+    lhs = float(np.sqrt(ordered_sum(np.where(half, w * gmag2, 0.0))))
     fv = None
     if f is not None:
         fv = np.asarray(f(pts.reshape(-1, 3)), dtype=float).reshape(*dist2.shape, -1)

@@ -36,6 +36,7 @@ from .discretize import (
     assemble_volume_load,
     gauss_rule_1d,
     interpolate,
+    ordered_sum,
     shape_values,
 )
 from .errors import CoverageError, InterfaceError, InvalidGeometryError
@@ -121,6 +122,25 @@ def integrate_mollifier(mollifier):
 _OFFSET_SNAP = 1e-12
 
 
+def _subcell_rule():
+    """The mollifier load's rule on the unit cell: QUADRATURE_ORDER Gauss points
+    on each of MOLLIFIER_SUBDIV^3 sub-cells, axis by axis (3, G), their
+    weights (G,) and the shape table (G, 8), all read-only."""
+    x, w = gauss_rule_1d(QUADRATURE_ORDER)
+    sub = (np.arange(MOLLIFIER_SUBDIV)[:, None] + x[None, :]).ravel() / MOLLIFIER_SUBDIV
+    wsub = np.tile(w / MOLLIFIER_SUBDIV, MOLLIFIER_SUBDIV)
+    points = np.stack(np.meshgrid(sub, sub, sub, indexing="ij"), axis=-1).reshape(-1, 3)
+    weights = np.einsum("i,j,k->ijk", wsub, wsub, wsub).ravel()
+    psi = shape_values(points)
+    points = np.ascontiguousarray(points.T)
+    for a in (points, weights, psi):
+        a.setflags(write=False)
+    return points, weights, psi
+
+
+_SUBCELL_RULE = _subcell_rule()
+
+
 def mollifier_load(mesh, centers, eps):
     """Unit-mass nodal loads l_p = int_Omega Phi_eps(. - y) psi_p / mass, one per center.
 
@@ -143,14 +163,8 @@ def mollifier_load(mesh, centers, eps):
     offsets, group = np.unique(np.where(snap, 0.0, rel - base), axis=0, return_inverse=True)
     group = group.reshape(-1)
 
-    subdiv = MOLLIFIER_SUBDIV
-    x, w = gauss_rule_1d(QUADRATURE_ORDER)
-    sub = (np.arange(subdiv)[:, None] + x[None, :]).ravel() / subdiv  # unit-cell coords
-    wsub = np.tile(w / subdiv, subdiv)
-    P = np.stack(np.meshgrid(sub, sub, sub, indexing="ij"), axis=-1).reshape(-1, 3)
-    W = np.einsum("i,j,k->ijk", wsub, wsub, wsub).ravel() * h**3
-    psi = shape_values(P)  # (G, 8)
-    profile = Mollifier((0.0, 0.0, 0.0), eps)
+    P, W, psi = _SUBCELL_RULE  # unit-cell points (3, G), weights (G,), shape table (G, 8)
+    W = W * h**3
     reach = (eps + 1e-12) / h  # support half-width in lattice units, with slack
     hits = np.zeros(k, dtype=np.int64)
     index, weight = [], []
@@ -163,8 +177,13 @@ def mollifier_load(mesh, centers, eps):
         # the support (a node pole keeps 64 of its 216)
         gap = np.maximum(D - frac, 0.0) + np.maximum(frac - D - 1, 0.0)
         D = D[(gap**2).sum(axis=1) < (eps / h) ** 2]
-        vals = profile((h * (D[:, None, :] + P[None, :, :] - frac)).reshape(-1, 3))
-        stencil = np.einsum("g,cg,gp->cp", W, vals.reshape(len(D), -1), psi)
+        # the offsets from the center axis by axis, (3, cells, G), so that each
+        # operation runs over whole rows; the squares add x, y, z in turn, as in
+        # Mollifier.__call__
+        lattice = D.T.astype(float, order="C")
+        offset = h * (lattice[:, :, None] + P[:, None, :] - frac[:, None, None])
+        vals = _bump(ordered_sum(offset**2, axis=0) / eps**2, eps)
+        stencil = (vals * W) @ psi
         members = np.flatnonzero(group == g)
         cells = mesh.cell_ids(base[members][:, None, :] + D[None])
         hits[members] = (cells >= 0).sum(axis=1)
@@ -359,8 +378,15 @@ _MAX_WORKERS = 4
 
 
 def _workers(blocks):
-    """Worker threads for ``blocks`` pole blocks: one per usable CPU, capped."""
-    return min(len(os.sched_getaffinity(0)), blocks, _MAX_WORKERS)
+    """Worker threads for ``blocks`` pole blocks: one per usable CPU, capped.
+
+    Where the platform has no affinity call (macOS), every CPU counts as usable.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, blocks, _MAX_WORKERS)
 
 
 @dataclass(frozen=True)
@@ -420,7 +446,7 @@ def representation_solve(kernels, f, g):
         load = load + assemble_boundary_load(mesh, g, m)
     elif g is not None:
         raise InterfaceError("graph-mode representation takes no boundary density")
-    return DiscreteField(mesh, np.einsum("j,pjl->pl", load, kernels.values.reshape(n, n * m, m)))
+    return DiscreteField(mesh, load @ kernels.values.reshape(n, n * m, m))
 
 
 def mollified_readout(kernels, u):

@@ -61,10 +61,11 @@ class Mesh:
     The topology is built by lattice slices: the node marks, each cell's
     corner ids and each direction's exposed facets are the occupancy and
     node-id lattices shifted by one corner or face offset, read at the
-    occupied cells, with no per-cell scatter or lookup.  Layout is part of the
-    contract: ``cells``, ``nodes`` and ``cells_ijk`` are column-major (the
-    layout ``np.argwhere`` gives), and the ``estimates`` reductions over
-    values gathered through ``cells`` sum in an order that follows it.
+    occupied cells, with no per-cell scatter or lookup.  ``cells``, ``nodes``
+    and ``cells_ijk`` are column-major (the layout ``np.argwhere`` gives).
+    No reported value depends on that layout: Gauss-point values and loads
+    are products of C-contiguous copies, and reductions go through
+    ``discretize.ordered_sum``.
     """
 
     def __init__(self, origin, h, occupancy, graph_facet_rule=None):

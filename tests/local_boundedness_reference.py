@@ -2,13 +2,19 @@
 
 The package tabulates each trial's density once and reads the load and
 sup |f| off that table.  Tests compare it against this loop, which draws
-each trial's data with ``random_compatible_data`` and evaluates f again at
-the Gauss points inside the ball.
+each trial's data with ``random_compatible_data`` and its ball, solves all
+trials' loads as one block, and evaluates f again at the Gauss points inside
+the ball.
 """
 
 import numpy as np
 
-from neumannlab.discretize import DiscreteField, quadrature_points, values_at_quadrature
+from neumannlab.discretize import (
+    DiscreteField,
+    ordered_sum,
+    quadrature_points,
+    values_at_quadrature,
+)
 from neumannlab.estimates import random_compatible_data
 from neumannlab.solve import solver_for
 
@@ -19,9 +25,9 @@ def ball_data(u, f, g, center, radius, pts, w):
     """(||u||_{L2(B)}, sup_B |f|, sup |g| over the boundary facets centred in B)
     for B = B_radius(center); f is evaluated at the Gauss points in B."""
     mesh = u.mesh
-    inside = ((pts - center) ** 2).sum(axis=2) <= radius**2
-    vq = values_at_quadrature(u)
-    l2 = float(np.sqrt(np.einsum("g,cg->", w, np.where(inside, (vq**2).sum(axis=2), 0.0))))
+    inside = ordered_sum((pts - center) ** 2, axis=2) <= radius**2
+    sq = ordered_sum(values_at_quadrature(u) ** 2, axis=2)
+    l2 = float(np.sqrt(ordered_sum(w * np.where(inside, sq, 0.0))))
     sup_f = sup_g = 0.0
     if f is not None and inside.any():
         sup_f = float(np.abs(np.asarray(f(pts[inside]), dtype=float)).max())
@@ -38,17 +44,21 @@ def local_boundedness_trials(mesh, fld, trials, seed, solver=None, balls=None):
     m = fld.m
     diam = np.linalg.norm(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0))
     pts, w = quadrature_points(mesh)
-    table = []
-    best = 0.0
+    drawn = []
     for trial in range(trials):
         f, g, load = random_compatible_data(mesh, m, rng)
-        u = DiscreteField(mesh, solver.solve_bounded(load)[0].reshape(-1, m))
         if balls is not None:
             center, radius = balls[trial % len(balls)]
             center = np.asarray(center, dtype=float)
         else:
             center = mesh.nodes[rng.integers(0, mesh.n_nodes)]
             radius = float(rng.uniform(4 * mesh.h, diam / 2))
+        drawn.append((f, g, load, center, radius))
+    block = solver.solve_bounded(np.stack([load for _, _, load, _, _ in drawn], axis=1))[0]
+    table = []
+    best = 0.0
+    for trial, (f, g, _, center, radius) in enumerate(drawn):
+        u = DiscreteField(mesh, block[:, trial].reshape(-1, m))
         dist = np.linalg.norm(mesh.nodes - center, axis=1)
         sel = dist <= radius / 2
         sup_half = float(np.abs(u.values[sel]).max()) if sel.any() else 0.0

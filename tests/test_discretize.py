@@ -26,9 +26,13 @@ from neumannlab.discretize import (
     assemble_volume_load,
     boundary_mean,
     boundary_weight_vector,
+    facet_quadrature,
+    gradient_at_quadrature,
     interpolate,
     l2_norm,
     shape_gradients,
+    shape_values,
+    values_at_quadrature,
     volume_quadrature,
 )
 from neumannlab.errors import InterfaceError, NumericFailureError, UnsupportedError
@@ -309,6 +313,65 @@ class TestLoads:
                     p[tangential] += (hi - lo)[tangential] * (xa, xb)
                     exact += area * wa * wb * (g(p[None]) * ell(p[None]))[0]
         assert_allclose(discrete, exact, rtol=1e-12)
+
+
+#: a staircase mesh and an m = 2 field on it, for the per-cell references
+def _staircase_field(m):
+    mesh = build_staircase_mesh([((0, 0, 0), (0.5, 1, 1)), ((0.5, 0, 0), (1, 0.5, 1))], 0.125)
+    values = np.random.default_rng(m).standard_normal((mesh.n_nodes, m))
+    return mesh, DiscreteField(mesh, values)
+
+
+class TestTableProducts:
+    """Loads and Gauss-point values are products with shape tables; per-cell
+    sums are the reference, to a few ulps of the largest entry."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_loads_match_per_cell_sums(self, m):
+        mesh, _ = _staircase_field(m)
+
+        def f(p):
+            both = np.stack([np.cos(3 * p[:, 0]) + p[:, 1] * p[:, 2], np.sin(p[:, 2])], axis=1)
+            return both[:, :m]
+
+        ref, w = volume_quadrature(2)
+        psi = shape_values(ref)
+        expected = np.zeros((mesh.n_nodes, m))
+        for cell, origin in zip(mesh.cells, mesh.cell_origins()):
+            fv = f(origin + mesh.h * ref)  # (G, m)
+            wfv = w[:, None, None] * mesh.h**3 * fv[:, None, :]
+            expected[cell] += (wfv * psi[:, :, None]).sum(axis=0)
+        load = assemble_volume_load(mesh, f, m).reshape(-1, m)
+        assert np.abs(load - expected).max() <= 1e-15 * np.abs(expected).max() * 8
+        pts, trace, w2 = facet_quadrature(mesh)
+        expected = np.zeros((mesh.n_nodes, m))
+        for nodes, facet_pts in zip(mesh.facet_nodes, pts):
+            gv = f(facet_pts)  # (Gf, m)
+            expected[nodes] += (w2[:, None, None] * trace[:, :, None] * gv[:, None, :]).sum(0)
+        load = assemble_boundary_load(mesh, f, m).reshape(-1, m)
+        assert np.abs(load - expected).max() <= 1e-15 * np.abs(expected).max() * 8
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_gauss_point_values_match_per_cell_sums(self, m):
+        mesh, u = _staircase_field(m)
+        ref, _ = volume_quadrature(2)
+        psi, grads = shape_values(ref), shape_gradients(ref) / mesh.h
+        nodal = u.values[mesh.cells]  # (C, 8, m)
+        values = (psi[None, :, :, None] * nodal[:, None, :, :]).sum(axis=2)
+        gradients = (grads[None, :, :, None, :] * nodal[:, None, :, :, None]).sum(axis=2)
+        scale = np.abs(u.values).max()
+        assert np.abs(values_at_quadrature(u) - values).max() <= 8e-15 * scale
+        assert np.abs(gradient_at_quadrature(u) - gradients).max() <= 8e-15 * scale / mesh.h
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_gauss_point_values_ignore_cells_layout(self, m, monkeypatch):
+        # Mesh keeps cells column-major for speed; a C-ordered copy gives the same bits
+        mesh, u = _staircase_field(m)
+        before = values_at_quadrature(u), gradient_at_quadrature(u)
+        monkeypatch.setattr(mesh, "cells", np.ascontiguousarray(mesh.cells))
+        after = values_at_quadrature(u), gradient_at_quadrature(u)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(map(np.ascontiguousarray, before),
+                                                              map(np.ascontiguousarray, after)))
 
 
 class TestVolumeQuadrature:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import local_boundedness_reference
-from neumannlab import estimates, solve
+from neumannlab import discretize, estimates, solve
 from neumannlab.coeff import Identity, ScalarCheckerboard, SkewPerturbed, make_coefficient
 from neumannlab.discretize import (
     QUADRATURE_ORDER,
@@ -13,6 +13,7 @@ from neumannlab.discretize import (
     assemble_boundary_load,
     assemble_volume_load,
     gradient_at_quadrature,
+    ordered_sum,
     quadrature_points,
     values_at_quadrature,
     volume_quadrature,
@@ -75,27 +76,27 @@ def reference_annulus_norms(kernel, r):
     mesh = kernel.mesh
     lo = mesh.cell_origins()
     gap = np.maximum(lo - kernel.pole, 0.0) + np.maximum(kernel.pole - (lo + mesh.h), 0.0)
-    outside = np.sqrt((gap**2).sum(axis=1)) >= r
+    outside = np.sqrt(ordered_sum(gap**2, axis=1)) >= r
     _, w = volume_quadrature(QUADRATURE_ORDER)
     vals = values_at_quadrature(_flat(kernel))[outside]
-    mag6 = ((vals**2).sum(axis=2)) ** 3
+    mag6 = ordered_sum(vals**2, axis=2) ** 3
     grads = gradient_at_quadrature(_flat(kernel))[outside]
-    mag2 = (grads**2).sum(axis=(2, 3))
+    mag2 = ordered_sum(grads**2, axis=(2, 3))
     return (
-        float(np.einsum("g,cg->", w * mesh.h**3, mag6) ** (1.0 / 6.0)),
-        float(np.sqrt(np.einsum("g,cg->", w * mesh.h**3, mag2))),
+        float(ordered_sum(w * mesh.h**3 * mag6) ** (1.0 / 6.0)),
+        float(np.sqrt(ordered_sum(w * mesh.h**3 * mag2))),
     )
 
 
 def reference_local_lp_norm(kernel, r, p, gradient):
     """One radius's ball norm, from the kernel evaluated at every Gauss point."""
     pts, w = quadrature_points(kernel.mesh)
-    inside = ((pts - kernel.pole) ** 2).sum(axis=2) <= r**2
+    inside = ordered_sum((pts - kernel.pole) ** 2, axis=2) <= r**2
     if gradient:
-        mag = np.sqrt((gradient_at_quadrature(_flat(kernel)) ** 2).sum(axis=(2, 3)))
+        mag = np.sqrt(ordered_sum(gradient_at_quadrature(_flat(kernel)) ** 2, axis=(2, 3)))
     else:
-        mag = np.sqrt((values_at_quadrature(_flat(kernel)) ** 2).sum(axis=2))
-    return float(np.einsum("g,cg->", w, np.where(inside, mag**p, 0.0))) ** (1.0 / p)
+        mag = np.sqrt(ordered_sum(values_at_quadrature(_flat(kernel)) ** 2, axis=2))
+    return float(ordered_sum(w * np.where(inside, mag**p, 0.0))) ** (1.0 / p)
 
 
 def _count_calls(monkeypatch, modules, name):
@@ -205,6 +206,71 @@ class TestRadiusSweeps:
         assert (values[0], grads[0]) == (1, 1)
         local_norm_fit(cb_kernel_20, gradient=True)
         assert (values[0], grads[0]) == (1, 2)
+
+
+def _relaid(monkeypatch, layout):
+    """Make each Gauss-point evaluation the reductions read return its array
+    (of a tuple, the first item) copied into ``layout``: the same values,
+    in another memory order."""
+    for module in (discretize, estimates):
+        for name in ("values_at_quadrature", "gradient_at_quadrature", "quadrature_points"):
+            fn = getattr(module, name)
+
+            def relaid(*args, _fn=fn, **kwargs):
+                out = _fn(*args, **kwargs)
+                return (layout(out[0]), *out[1:]) if isinstance(out, tuple) else layout(out)
+
+            monkeypatch.setattr(module, name, relaid)
+
+
+def _ball_data(kernel):
+    pts, w = quadrature_points(kernel.mesh)  # relaid under the patch
+    fv = np.cos(pts[..., :1])
+    return estimates._ball_data(kernel.column(0), fv, None, (0.45, 0.5, 0.55), 0.3, pts, w)
+
+
+#: every reduction of Gauss-point values that reaches report.json, on a kernel
+REPORT_REDUCTIONS = {
+    "l2_norm": lambda k: discretize.l2_norm(k.column(0)),
+    "l2_error": lambda k: discretize.l2_error(k.column(0), lambda x: np.sin(x[:, : k.m])),
+    "annulus_norms": lambda k: annulus_norms(k, np.geomspace(4 * k.mesh.h, 0.45, 6)),
+    "local_lp_norm": lambda k: local_lp_norm(k, np.geomspace(4 * k.mesh.h, 0.5, 6), 1.0),
+    "local_lp_norm-gradient": lambda k: local_lp_norm(
+        k, np.geomspace(4 * k.mesh.h, 0.5, 6), 1.4, gradient=True
+    ),
+    "cell_magnitudes": lambda k: cell_magnitudes(k),
+    "cell_magnitudes-gradient": lambda k: cell_magnitudes(k, gradient=True),
+    "holder_seminorm": lambda k: holder_seminorm(k.column(0), (0.45, 0.5, 0.55), 0.35, 0.5),
+    "_ball_data": _ball_data,
+    "caccioppoli_check": lambda k: caccioppoli_check(
+        k.column(0), (0.45, 0.5, 0.55), 0.4, lambda x: np.cos(x[:, : k.m]), None
+    ).to_dict(),
+}
+
+
+class TestStatedOrder:
+    @pytest.mark.parametrize("axis", [None, 0, 1, 2, (1, 2), (2, 3)])
+    def test_ordered_sum_ignores_layout(self, axis):
+        a = np.random.default_rng(5).standard_normal((300, 8, 3, 3))
+        sums = [ordered_sum(layout, axis=axis) for layout in
+                (np.ascontiguousarray(a), np.asfortranarray(a), a.transpose(3, 2, 1, 0).T)]
+        assert all(np.asarray(s).tobytes() == np.asarray(sums[0]).tobytes() for s in sums)
+
+    @pytest.mark.parametrize("name", ["cb_kernel_20", "skew_kernel_12"])
+    @pytest.mark.parametrize("reduction", sorted(REPORT_REDUCTIONS))
+    def test_report_reductions_ignore_layout(self, reduction, name, request, monkeypatch):
+        # the same Gauss-point values in C and in Fortran order give the same bits
+        kern = request.getfixturevalue(name)
+        results = []
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            with monkeypatch.context() as patch:
+                _relaid(patch, layout)
+                results.append(REPORT_REDUCTIONS[reduction](kern))
+        c_order, f_order = results
+        if isinstance(c_order, dict):
+            assert c_order == f_order
+        else:
+            assert np.asarray(c_order).tobytes() == np.asarray(f_order).tobytes()
 
 
 class TestDecay:

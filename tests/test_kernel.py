@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import re
 import sys
 import threading
@@ -172,7 +173,7 @@ def box_stencil_load(mesh, centers, eps):
         axes = [np.arange(int(np.floor(f - reach - 1)) + 1, int(np.ceil(f + reach))) for f in frac]
         D = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         vals = profile((h * (D[:, None, :] + P[None, :, :] - frac)).reshape(-1, 3))
-        stencil = np.einsum("g,cg,gp->cp", W, vals.reshape(len(D), -1), psi)
+        stencil = (vals.reshape(len(D), -1) * W) @ psi
         members = np.flatnonzero(group == g)
         cells = mesh.cell_ids(base[members][:, None, :] + D[None])
         hits[members] = (cells >= 0).sum(axis=1)
@@ -599,6 +600,19 @@ class TestNodeKernelSet:
         one, three = built
         assert one.values.shape == three.values.shape
         assert one.values.tobytes() == three.values.tobytes()
+
+    def test_workers_without_affinity_call(self, unit_cube_8, checkerboard_field, monkeypatch):
+        # macOS has no os.sched_getaffinity: every CPU counts as usable there
+        import neumannlab.kernel as kernelmod
+
+        expected = build_node_kernel_set(unit_cube_8, checkerboard_field, SolveConfig())
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert kernelmod._workers(64) == min(os.cpu_count() or 1, kernelmod._MAX_WORKERS)
+        assert kernelmod._workers(1) == 1
+        kernels = build_node_kernel_set(unit_cube_8, checkerboard_field, SolveConfig())
+        assert kernels.values.tobytes() == expected.values.tobytes()
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # a count it cannot tell
+        assert kernelmod._workers(64) == 1
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_threads_and_blas_counts_restored(self, skew_case, monkeypatch, fail):

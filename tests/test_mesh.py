@@ -378,7 +378,9 @@ def built(build, *args):
 def assert_matches_reference(mesh, call):
     """Every topology and boundary array equals the per-cell construction's in
     values, dtype and strides (``_node_id`` in values: it is stored as int32).
-    The stride of a length-1 axis is never stepped, so it is not compared."""
+    The strides pin the layout the construction has always returned; no
+    reported value depends on it.  The stride of a length-1 axis is never
+    stepped, so it is not compared."""
     args, kwargs = call
     for name, want in reference_arrays(*args, **kwargs).items():
         got = getattr(mesh, name)

@@ -121,3 +121,28 @@ def test_defaulted_parameters_have_callers():
             if pos is None or count <= pos:
                 unused.append(f"{path.name} {func}({param})")
     assert not unused, unused
+
+
+def _einsum_is_scalar(subscripts):
+    """Whether an einsum's output has no index: nothing after "->", or in
+    implicit mode no index that appears once and no broadcast "..."."""
+    if "->" in subscripts:
+        return not subscripts.split("->")[1].strip()
+    letters = subscripts.replace(",", "").replace(" ", "")
+    return "..." not in letters and all(letters.count(c) > 1 for c in letters)
+
+
+def test_no_einsum_reduces_to_a_scalar():
+    # np.einsum sums in its operands' memory order, so a scalar einsum's bits
+    # follow a layout; a reduction goes through discretize.ordered_sum instead
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"):
+                continue
+            spec = node.args[0] if node.args else None
+            if not (isinstance(spec, ast.Constant) and isinstance(spec.value, str)):
+                found.append(f"{path.name}:{node.lineno} subscripts not a string literal")
+            elif _einsum_is_scalar(spec.value):
+                found.append(f"{path.name}:{node.lineno} {spec.value!r}")
+    assert SOURCES and not found, found
