@@ -3,8 +3,10 @@
 A field evaluates batches of points to arrays of shape (n, 3, 3, m, m); the
 (md) x (md) matrix view used for ellipticity checks flattens row index
 (alpha, i) against column index (beta, j).  All generators are deterministic
-given their spec (and seed), and evaluation is order-independent, so assembled
-operators are bit-reproducible.
+given their spec (and seed).  A random field's tensor on a lattice cell is a
+pure function of (seed, tag, cell index), drawn from a counter-based hash
+(SplitMix64's finalizer), so evaluation is order- and batch-independent and
+assembled operators are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -171,50 +173,51 @@ def _checkerboard_field(spec):
 
     def ev(pts):
         idx = _cell_index(pts, spec.cell)
-        parity = (idx[:, 0] + idx[:, 1] + idx[:, 2] + spec.seed) & 1  # floor mod 2, any sign
+        parity = (idx[:, 0] + idx[:, 1] + idx[:, 2] + (spec.seed & 1)) & 1  # floor mod 2, any sign
         vals = np.where(parity == 0, 1.0, float(spec.contrast))
         return _scalar_times_identity(vals, spec.m)
 
     return CoefficientField(spec, spec.m, 1.0, float(spec.contrast), ev)
 
 
-def _cell_seed(seed, tag, key):
-    """Seed entropy of one lattice cell.
+#: SplitMix64's increment, the golden ratio in 64 bits
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
-    Negative lattice indices enter as their 64-bit two's complement: an
-    injective code that leaves the entropy of every non-negative cell as it was.
+
+def _mix(z):
+    """SplitMix64's finalizer, a bijection of uint64 arrays (wrapping arithmetic)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _cell_draws(idx, seed, tag, n_normal, n_uniform=0):
+    """Counter-based draws of the lattice cells idx (n, 3): each point's cell
+    among the distinct cells, and their (cells, n_normal) standard normals and
+    (cells, n_uniform) uniforms.
+
+    A cell's key chains ``h <- mix((h ^ v) + gamma)`` over the seed's 64-bit
+    words (least significant first, so a seed of 2^64 or more folds into
+    several words), the tag and the indices i, j, k (negative ones as their
+    64-bit two's complement).  Slot s of a cell is ``mix(key + (s + 1) gamma)``,
+    SplitMix64's stream from the key; its top 53 bits with the last set to 1
+    give an odd multiple of 2^-53, strictly inside (0, 1).  Pairs of slots give
+    Box-Muller normals.  So a cell's draws are a pure function of (seed, tag,
+    cell), whatever batch it comes in, and grouping points by key is exact.
     """
-    return (seed, tag) + tuple(int(v) % 2**64 for v in key)
-
-
-def _cell_keys(idx):
-    """Distinct rows of the (n, 3) cell indices idx, and each point's row among them.
-
-    A row is keyed by one int64 code, its offset from the least index of the
-    batch in mixed radix, which is injective for indices of any sign.  A batch
-    whose bounding box of cells holds 2^63 or more falls back to a row-wise
-    unique.
-    """
-    lo = idx.min(axis=0)
-    span = idx.max(axis=0) - lo + 1
-    if int(span[0]) * int(span[1]) * int(span[2]) >= 2**63:
-        rows, inv = np.unique(idx, axis=0, return_inverse=True)
-        return rows, inv.reshape(-1)
-    rel = idx - lo
-    code = (rel[:, 0] * span[1] + rel[:, 1]) * span[2] + rel[:, 2]
-    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
-    return idx[first], inv
-
-
-def _cell_matrices(cache, idx, draw):
-    """The matrix of each point's cell, from ``cache`` (keyed by the cell's
-    index tuple); ``draw(keys)`` makes the missing cells' matrices in one batch."""
-    rows, inv = _cell_keys(idx)
-    keys = [tuple(row) for row in rows.tolist()]
-    missing = [key for key in keys if key not in cache]
-    if missing:
-        cache.update(zip(missing, draw(missing)))
-    return np.stack([cache[key] for key in keys])[inv]
+    seed = int(seed)
+    words = [(seed >> s) & (2**64 - 1) for s in range(0, max(seed.bit_length(), 1), 64)]
+    h = np.zeros(1, dtype=np.uint64)
+    for v in [*np.array(words + [tag], dtype=np.uint64), *idx.astype(np.uint64).T]:
+        h = _mix((h ^ v) + _GAMMA)
+    keys, inv = np.unique(h, return_inverse=True)
+    pairs = (n_normal + 1) // 2
+    slots = np.arange(1, 2 * pairs + n_uniform + 1, dtype=np.uint64) * _GAMMA
+    u = ((_mix(keys[:, None] + slots) >> np.uint64(11)) | np.uint64(1)) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[:, :pairs]))
+    angle = 2.0 * np.pi * u[:, pairs : 2 * pairs]
+    normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    return inv.reshape(-1), normals.reshape(len(keys), -1)[:, :n_normal], u[:, 2 * pairs :]
 
 
 def _cellwise_random_field(spec):
@@ -225,19 +228,15 @@ def _cellwise_random_field(spec):
     if spec.m_target < spec.lam_target or spec.cell <= 0:
         raise NonEllipticSpecError("need m_target >= lam_target > 0 and cell > 0")
     md = D * spec.m
-    cache = {}
-
-    def draw(keys):
-        # each cell's own stream: an (md, md) normal draw, then md eigenvalues
-        rngs = [np.random.default_rng(_cell_seed(spec.seed, 0x5EED, key)) for key in keys]
-        q, _ = np.linalg.qr(np.stack([rng.standard_normal((md, md)) for rng in rngs]))
-        eigs = [rng.uniform(spec.lam_target, spec.m_target, size=md) for rng in rngs]
-        mats = (q * np.stack(eigs)[:, None, :]) @ q.transpose(0, 2, 1)
-        return 0.5 * (mats + mats.transpose(0, 2, 1))
 
     def ev(pts):
-        mats = _cell_matrices(cache, _cell_index(pts, spec.cell), draw)
-        return mats.reshape(len(pts), D, spec.m, D, spec.m).transpose(0, 1, 3, 2, 4)
+        # each cell: an (md, md) normal draw for the eigenvectors, then md eigenvalues
+        inv, g, u = _cell_draws(_cell_index(pts, spec.cell), spec.seed, 0x5EED, md * md, md)
+        q, _ = np.linalg.qr(g.reshape(-1, md, md))
+        eigs = spec.lam_target + (spec.m_target - spec.lam_target) * u
+        mats = (q * eigs[:, None, :]) @ q.transpose(0, 2, 1)
+        mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+        return mats[inv].reshape(len(pts), D, spec.m, D, spec.m).transpose(0, 1, 3, 2, 4)
 
     return CoefficientField(spec, spec.m, float(spec.lam_target), float(spec.m_target), ev)
 
@@ -249,16 +248,12 @@ def _skew_field(spec):
         raise NonEllipticSpecError("skew cell size must be finite and positive")
     base = make_coefficient(spec.base)
     md = D * base.m
-    cache = {}
-
-    def draw(keys):
-        rngs = [np.random.default_rng(_cell_seed(spec.seed, 0xA5CE, key)) for key in keys]
-        g = np.stack([rng.standard_normal((md, md)) for rng in rngs])
-        s = g - g.transpose(0, 2, 1)
-        return s / np.linalg.norm(s, 2, axis=(1, 2))[:, None, None]
 
     def ev(pts):
-        skew = spec.amplitude * _cell_matrices(cache, _cell_index(pts, spec.cell), draw)
+        inv, g, _ = _cell_draws(_cell_index(pts, spec.cell), spec.seed, 0xA5CE, md * md)
+        g = g.reshape(-1, md, md)
+        s = g - g.transpose(0, 2, 1)
+        skew = spec.amplitude * (s / np.linalg.norm(s, 2, axis=(1, 2))[:, None, None])[inv]
         skew_t = skew.reshape(len(pts), D, base.m, D, base.m).transpose(0, 1, 3, 2, 4)
         return base.evaluate(pts) + skew_t
 

@@ -122,7 +122,7 @@ def test_c03_symmetry_identity_nonvacuous():
         np.array([5 / 12, 5 / 12, 5 / 12]),
     ]
     kerns = [build_kernel(mesh, fld, p, CFG, solver=solver) for p in poles]
-    adj = build_kernel(mesh, fld, poles[1], CFG, adjoint=True)
+    adj = build_kernel(mesh, fld, poles[1], CFG, adjoint=True, solver=solver)
     defect = check_symmetry_identity(kerns[0], adj)
     asym = max(
         abs(kerns[j].value_at(poles[i])[0, 0] - kerns[i].value_at(poles[j])[0, 0])

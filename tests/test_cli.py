@@ -278,6 +278,17 @@ class TestMain:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("seed", [2**63, 2**70])
+    @pytest.mark.parametrize("coeff_type", ["checkerboard", "cellwise-random", "skew"])
+    def test_seeds_past_int64_run(self, tmp_path, capsys, coeff_type, seed):
+        # a seed is any int >= 0: past int64 it still reaches the fields and the rngs
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(
+            f"kind = full-suite\nmesh.n = 8\ncoeff.type = {coeff_type}\ntrials = 2\nseed = {seed}\n"
+        )
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert "Traceback" not in "".join(capsys.readouterr())
+
     def test_seed_override_changes_hash(self, config_file, tmp_path):
         main(["--config", str(config_file), "--seed", "11", "--out", str(tmp_path / "a")])
         main(["--config", str(config_file), "--seed", "12", "--out", str(tmp_path / "b")])

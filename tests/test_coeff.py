@@ -13,8 +13,8 @@ from neumannlab.coeff import (
     ScalarCheckerboard,
     SkewPerturbed,
     SmoothVMO,
+    _cell_draws,
     _cell_index,
-    _cell_seed,
     _identity_tensor,
     make_coefficient,
     verify_ellipticity_bounds,
@@ -145,18 +145,18 @@ class TestNegativeCells:
             (
                 CELL_SEEDED[0],
                 [0, 5, 17, 30],
-                [1.3105227776614636, -0.29855502948875345, -0.12922418706364952, 0.05768207306295864],
+                [1.0701227842879575, -0.29455623141013126, -0.10881883194230557, -0.10566831674758925],
             ),
             (
                 CELL_SEEDED[1],
                 [1, 5, 17, 30],
-                [-0.05209687835319575, -0.06295928601006984, 0.18717212957374257, -0.1563069698157209],
+                [-0.0997921532007363, -0.1212929046908982, -0.18527699815356213, 0.22551349222036987],
             ),
         ],
         ids=["cellwise-random", "skew"],
     )
     def test_nonnegative_cell_unchanged(self, spec, flat_index, expected):
-        # values drawn with the seed tuple (seed, tag, i, j, k) before negative cells were encoded
+        # the counter-based draws of cell (1, 2, 0): any change to the hash moves them
         values = make_coefficient(spec).evaluate(self.POINT).ravel()[flat_index]
         assert values.tolist() == expected
 
@@ -302,30 +302,29 @@ class TestScalarFields:
 
 
 def cell_draw_reference(spec, pts):
-    """A CellwiseRandom or SkewPerturbed field's per-cell matrices, one cell at a
-    time from its own seeded stream, for the (n, 3) points."""
-    if isinstance(spec, CellwiseRandom):
-        md = D * spec.m
-    else:
-        md = D * spec.base.m
+    """A CellwiseRandom or SkewPerturbed field's per-cell matrices, each point's
+    cell drawn alone through _cell_draws, for the (n, 3) points."""
     out = []
-    for key in _cell_index(pts, spec.cell).tolist():
+    for key in _cell_index(pts, spec.cell):
         if isinstance(spec, CellwiseRandom):
-            rng = np.random.default_rng(_cell_seed(spec.seed, 0x5EED, key))
-            q, _ = np.linalg.qr(rng.standard_normal((md, md)))
-            eigs = rng.uniform(spec.lam_target, spec.m_target, size=md)
+            md = D * spec.m
+            _, g, u = _cell_draws(key[None], spec.seed, 0x5EED, md * md, md)
+            q, _ = np.linalg.qr(g.reshape(md, md))
+            eigs = spec.lam_target + (spec.m_target - spec.lam_target) * u[0]
             mat = (q * eigs) @ q.T
             out.append(0.5 * (mat + mat.T))
         else:
-            g = np.random.default_rng(_cell_seed(spec.seed, 0xA5CE, key)).standard_normal((md, md))
-            s = g - g.T
+            md = D * spec.base.m
+            _, g, _ = _cell_draws(key[None], spec.seed, 0xA5CE, md * md)
+            s = g.reshape(md, md) - g.reshape(md, md).T
             out.append(s / np.linalg.norm(s, 2))
     return np.stack(out)
 
 
 class TestCellDraws:
-    # cells at 2^41 apart overflow the batch's int64 cell code: the row-wise keys
+    # cells 2^42 apart with negative indices, and cells 2^32 apart, in units of the cell
     FAR = np.array([[-(2.0**40), 0.5, 0.5], [2.0**40, 2.0**40, -(2.0**40)], [0.5, 0.5, 0.5]])
+    WRAP = np.array([[0.5, 0.5, 0.5], [1.5, 2.0**32 - 0.5, 2.0**32 - 0.5], [1.5, 0.5, 0.5]])
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["cellwise-random", "skew"])
@@ -335,22 +334,105 @@ class TestCellDraws:
         else:
             spec = SkewPerturbed(Identity(m=m), 0.5, cell=0.25, seed=11)
         fld = make_coefficient(spec)
-        for pts in (SIGNED_POINTS, SIGNED_POINTS[::-3], self.FAR):
+        for pts in (SIGNED_POINTS, SIGNED_POINTS[::-3], 0.25 * self.FAR, 0.25 * self.WRAP):
             want = cell_draw_reference(spec, pts)
             if kind == "skew":
                 want = np.eye(D * m) + spec.amplitude * want
             got = fld.matrices(pts)
             assert np.array_equal(got, want)
-
-    def test_far_cells_take_row_keys(self):
-        # spans 2 x 2^32 x 2^32: cells (0, 0, 0) and (1, 0, 0) would share the code
-        # 0 = 2^64 (mod 2^64), so the batch must take the row-wise keys
-        wrap = np.array([[0.5, 0.5, 0.5], [1.5, 2.0**32 - 0.5, 2.0**32 - 0.5], [1.5, 0.5, 0.5]])
-        spec = CellwiseRandom(0.5, 3.0, cell=1.0, seed=2)
-        for pts in (self.FAR, wrap):
-            got = make_coefficient(spec).matrices(pts)
-            assert np.array_equal(got, cell_draw_reference(spec, pts))
         assert not np.array_equal(got[0], got[2])
+        # a batch, its two halves and its reversal, on a second instance of the spec
+        pts = np.concatenate([SIGNED_POINTS, 0.25 * self.FAR, 0.25 * self.WRAP])
+        whole = fld.matrices(pts)
+        fld = make_coefficient(spec)
+        assert np.array_equal(np.concatenate([fld.matrices(pts[:101]), fld.matrices(pts[101:])]), whole)
+        assert np.array_equal(fld.matrices(pts[::-1])[::-1], whole)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**70])
+    def test_uniforms_equal_python_int_hash(self, seed):
+        # the chain and the slots in unbounded Python ints, reduced mod 2^64 by hand
+        def mix(z):
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+            return z ^ (z >> 31)
+
+        gamma = 0x9E3779B97F4A7C15
+        cells = [[0, 0, 0], [-1, 2**40, 5], [2**32, -(2**52), -7]]
+        words = [seed % 2**64] + ([seed >> 64] if seed >= 2**64 else [])
+        inv, _, u = _cell_draws(np.array(cells), seed, 0x5EED, 0, 3)
+        for cell, got in zip(cells, u[inv]):
+            key = 0
+            for v in words + [0x5EED] + [c % 2**64 for c in cell]:
+                key = mix(((key ^ v) + gamma) % 2**64)
+            want = [((mix((key + s * gamma) % 2**64) >> 11) | 1) / 2**53 for s in (1, 2, 3)]
+            assert got.tolist() == want
+
+
+class TestDrawStatistics:
+    # 47^3 > 10^5 cells around the origin, negative indices included
+    CELLS = np.stack(np.meshgrid(*3 * [np.arange(-23, 24)], indexing="ij"), axis=-1)
+    N = CELLS[..., 0].size
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        inv, g, u = _cell_draws(self.CELLS.reshape(-1, 3), 1, 0x5EED, 9, 3)
+        # every cell is distinct: inv puts the draws back on the lattice
+        assert len(g) == self.N
+        return g[inv].reshape(self.CELLS.shape[:3] + (9,)), u[inv].reshape(self.CELLS.shape[:3] + (3,))
+
+    def test_uniforms_strictly_inside(self, draws):
+        u = draws[1]
+        assert u.min() > 0.0 and u.max() < 1.0
+
+    @pytest.mark.parametrize("which, mean, var, mu4", [(0, 0.0, 1.0, 3.0), (1, 0.5, 1 / 12, 1 / 80)])
+    def test_slot_moments(self, draws, which, mean, var, mu4):
+        x = draws[which].reshape(self.N, -1)
+        # four standard errors of the sample mean and of the sample variance
+        assert np.all(np.abs(x.mean(axis=0) - mean) < 4 * np.sqrt(var / self.N))
+        assert np.all(np.abs(x.var(axis=0) - var) < 4 * np.sqrt((mu4 - var**2) / self.N))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_adjacent_cells_uncorrelated(self, draws, which, axis):
+        x = draws[which]
+        a = np.moveaxis(x, axis, 0)[:-1].reshape(-1, x.shape[-1])
+        b = np.moveaxis(x, axis, 0)[1:].reshape(-1, x.shape[-1])
+        a, b = a - a.mean(axis=0), b - b.mean(axis=0)
+        corr = (a * b).mean(axis=0) / (a.std(axis=0) * b.std(axis=0))
+        assert np.all(np.abs(corr) < 4 / np.sqrt(len(a)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_eigenvalues_within_targets(self, m):
+        spec = CellwiseRandom(0.5, 3.0, cell=0.25, seed=2, m=m)
+        pts = np.random.default_rng(3).uniform(-4.0, 4.0, (4000, 3))
+        eigs = np.linalg.eigvalsh(make_coefficient(spec).matrices(pts))
+        assert eigs.min() >= 0.5 - 1e-12 and eigs.max() <= 3.0 + 1e-12
+
+
+#: the random fields the test suite builds, with a sample of the seeds its property tests draw
+RANDOM_SPECS = [
+    CellwiseRandom(lam, bound, seed=seed, m=m)
+    for lam, bound in [(0.5, 2.0), (0.5, 3.0)]
+    for seed in [1, 2, 3, 4, 5, 7, 42]
+    for m in [1, 2, 3]
+] + [
+    SkewPerturbed(base, amplitude, seed=seed)
+    for base, seed in [
+        *[(ScalarCheckerboard(c, seed=s, m=m), s) for c in (3.0, 4.0, 10.0)
+          for s in [0, 1, 2, 3, 4, 5, 2**16] for m in [1, 2, 3]],
+        *[(Identity(m=m), s) for s in [0, 3, 11] for m in [1, 2, 3]],
+        (CellwiseRandom(0.5, 3.0, seed=4, m=3), 4),
+    ]
+    for amplitude in [0.4, 0.5]
+]
+
+
+def test_every_random_field_is_elliptic():
+    pts = np.concatenate([SIGNED_POINTS, np.random.default_rng(6).uniform(0.0, 1.0, (200, 3))])
+    for spec in RANDOM_SPECS:
+        fld = make_coefficient(spec)
+        lam, bound = verify_ellipticity_bounds(fld, pts)
+        assert lam >= fld.lam - 1e-12 and bound <= fld.bound + 1e-12
 
 
 def verify_reference(fld, sample_points, seed):
