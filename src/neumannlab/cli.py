@@ -77,6 +77,8 @@ _RESIDUAL_TOL = 1e-8
 _BOUNDARY_MEAN_TOL = 1e-9
 #: gate of the relative deviation from the cube series oracle
 ORACLE_RTOL = 0.05
+#: pole of the cube series oracle comparison
+_CUBE_CENTER = (0.5, 0.5, 0.5)
 #: largest predicted problem, in DOFs of a scalar field.  Building a Krylov
 #: solver peaks at about 530 bytes per scalar DOF (63 MB at 48^3), so the
 #: budget is about 1.3 GB of set-up and admits 128^3 (2.15M DOFs).  A DOF's
@@ -207,6 +209,7 @@ def _build_spec(cfg):
                 cfg.coeff_contrast, cell=cfg.coeff_cell, seed=cfg.seed, m=cfg.coeff_m
             ),
             cfg.coeff_amplitude,
+            cell=cfg.coeff_cell,
             seed=cfg.seed,
         )
     if t == "smooth":
@@ -262,6 +265,8 @@ def run_experiment(cfg):
     if cfg.kind in ("kernel", "estimates", "full-suite"):
         for pole in _pole_list(cfg, mesh):
             _check_pole(mesh, pole)
+    elif cfg.kind == "oracle-compare":
+        _check_pole(mesh, _CUBE_CENTER)
     fld = None if cfg.kind == "verify-coeff" else coeffmod.make_coefficient(spec)
     provenance = {
         "config": cfg.to_dict(),
@@ -327,35 +332,20 @@ def _verify_coeff(cfg, fld):
 
 def _solve_experiment(cfg, solver):
     mesh, fld, scfg = solver.mesh, solver.field, solver.config
-    m = fld.m
     L = cfg.mesh_extents[0]
 
     def f(p):
-        return np.broadcast_to(
-            (np.pi / L) ** 2 * np.cos(np.pi * p[:, 0] / L)[:, None], (len(p), m)
-        ).copy()
+        return np.repeat((np.pi / L) ** 2 * np.cos(np.pi * p[:, 0] / L)[:, None], fld.m, axis=1)
 
     if mesh.is_graph:
-        center = 0.5 * (mesh.nodes.min(0) + mesh.nodes.max(0))
-
-        def bump(p):
-            r2 = ((p - center) ** 2).sum(axis=1)
-            return np.broadcast_to(
-                np.maximum(0.0, 1.0 - r2 / (4 * mesh.h) ** 2)[:, None], (len(p), m)
-            ).copy()
-
-        u = solve_neumann_graph(mesh, fld, bump, scfg, solver=solver)
+        u = solve_neumann_graph(mesh, fld, f, scfg, solver=solver)
         far = float(np.abs(u.values[mesh.far_nodes]).max())
-        return [
-            _rec("graph-far-boundary-zero", far, 1e-14),
-            _rec("solve-residual", u.info.residual, _RESIDUAL_TOL),
-        ]
-
-    u = solve_neumann_bounded(mesh, fld, f, None, scfg, solver=solver)
-    bm = float(np.abs(boundary_mean(u)).max())
-    recs = [_rec("solve-boundary-mean", bm, _BOUNDARY_MEAN_TOL)]
-    recs.append(_rec("solve-residual", u.info.residual, _RESIDUAL_TOL))
-    return recs
+        rec = _rec("graph-far-boundary-zero", far, 1e-14)
+    else:
+        u = solve_neumann_bounded(mesh, fld, f, None, scfg, solver=solver)
+        bm = float(np.abs(boundary_mean(u)).max())
+        rec = _rec("solve-boundary-mean", bm, _BOUNDARY_MEAN_TOL)
+    return [rec, _rec("solve-residual", u.info.residual, _RESIDUAL_TOL)]
 
 
 def _kernel_experiment(cfg, solver):
@@ -387,11 +377,10 @@ def _kernel_experiment(cfg, solver):
                 {"pole": list(map(float, pole)), "telemetry": kern.telemetry},
             )
         )
-    if not mesh.is_graph:
-        # forward kernel at the first pole against the adjoint kernel at the last
-        k_adj = build_kernel(mesh, fld, poles[-1], scfg, adjoint=True, solver=solver)
-        defect = check_symmetry_identity(kernels[0], k_adj)
-        recs.append(_rec("symmetry-identity", defect, IDENTITY_TOL))
+    # forward kernel at the first pole against the adjoint kernel at the last
+    k_adj = build_kernel(mesh, fld, poles[-1], scfg, adjoint=True, solver=solver)
+    defect = check_symmetry_identity(kernels[0], k_adj)
+    recs.append(_rec("symmetry-identity", defect, IDENTITY_TOL))
     return recs, kernels[0]
 
 
@@ -425,21 +414,22 @@ def _oracle_experiment(cfg, solver, kern=None):
     """
     mesh = solver.mesh
     if kern is None or np.any(kern.pole != 0.5):
-        kern = build_kernel(mesh, solver.field, (0.5, 0.5, 0.5), solver.config, solver=solver)
+        kern = build_kernel(mesh, solver.field, _CUBE_CENTER, solver.config, solver=solver)
     h = mesh.h
     rng = np.random.default_rng(cfg.seed)
     dirs = rng.standard_normal((16, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = np.geomspace(4 * h, 0.25, 4)
-    probes = np.concatenate([np.array([0.5, 0.5, 0.5]) + r * dirs for r in radii])
+    probes = np.concatenate([np.array(_CUBE_CENTER) + r * dirs for r in radii])
     fe = kern.magnitude_at(probes) / np.sqrt(solver.m)
-    oracle = np.abs(cube_neumann_series_batch(probes, np.array([0.5, 0.5, 0.5])))
+    oracle = np.abs(cube_neumann_series_batch(probes, np.array(_CUBE_CENTER)))
     rel = float(np.max(np.abs(fe - oracle) / oracle))
     return [_rec("oracle-cube-agreement", rel, ORACLE_RTOL, {"probes": len(probes)})]
 
 
 def emit_report(report, outdir):
-    """Write report.json and one CSV per record; returns the file list."""
+    """Write report.json and one CSV per record, removing the record CSVs
+    (``NN_name.csv``) an earlier report left; returns the file list."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "report.json"
@@ -452,6 +442,9 @@ def emit_report(report, outdir):
         lines = ["scale,value"] + [f"{a!r},{b!r}" for a, b in rec.samples]
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
+    for path in rec_dir.glob("*_*.csv"):
+        if path.name.split("_", 1)[0].isdigit() and path not in written:
+            path.unlink()
     return written
 
 

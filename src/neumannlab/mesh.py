@@ -235,11 +235,16 @@ class Mesh:
     def _find(self, points):
         """``locate`` with cell id -1 for points outside."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = (pts - self.origin) / self.h
+        # points off the lattice's box widened by a cell (NaN included) are
+        # outside, before their lattice index is cast to int
+        lo = self.origin - self.h
+        hi = self.origin + (np.array(self._occ.shape) + 1) * self.h
+        near = np.all((pts > lo) & (pts < hi), axis=1)
+        rel = np.where(near[:, None], pts - self.origin, 0.0) / self.h
         base = np.floor(rel + _SNAP).astype(np.int64)
         cell_ids = np.full(len(pts), -1, dtype=np.int64)
         local = np.empty((len(pts), 3))
-        todo = np.arange(len(pts))
+        todo = np.flatnonzero(near)
         for off in _LOCATE_OFFSETS:
             idx = base[todo] + off
             t = rel[todo] - idx

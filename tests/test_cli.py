@@ -52,6 +52,10 @@ class TestConfig:
     def test_shipped_configs_load(self, path):
         assert parse_config(path).kind
 
+    def test_skew_field_takes_the_cell_in_both_parts(self):
+        spec, _ = cli._checked(RunConfig(coeff_type="skew", coeff_cell=0.125))
+        assert spec.cell == 0.125 and spec.base.cell == 0.125
+
     def test_hash_changes_with_content(self):
         a = RunConfig(seed=1)
         b = RunConfig(seed=2)
@@ -225,6 +229,23 @@ class TestEmit:
         emit_report(rep, tmp_path / "b")
         assert (tmp_path / "a/report.json").read_bytes() == (tmp_path / "b/report.json").read_bytes()
 
+    def test_records_hold_only_the_current_reports_csvs(self, tmp_path):
+        from neumannlab.estimates import CheckRecord, EstimateReport
+
+        def report(*names):
+            return EstimateReport([CheckRecord(name, [(1.0, 0.0)]) for name in names], {}, "abc")
+
+        emit_report(report(*(f"check-{i}" for i in range(12))), tmp_path)
+        rec_dir = tmp_path / "records"
+        for name in ("notes.csv", "run_log.csv", "00_check-0.txt"):
+            (rec_dir / name).write_text("kept\n")
+        files = emit_report(report("solve-residual", "check-1"), tmp_path)
+        assert sorted(path.name for path in rec_dir.iterdir()) == [
+            "00_check-0.txt", "00_solve-residual.csv", "01_check-1.csv", "notes.csv",
+            "run_log.csv",
+        ]
+        assert files[1:] == [rec_dir / "00_solve-residual.csv", rec_dir / "01_check-1.csv"]
+
     def test_csv_rows_match_samples(self, tmp_path):
         cfg = RunConfig(kind="solve", mesh_n=4)
         rep = run_experiment(cfg)
@@ -391,7 +412,7 @@ class TestMain:
         assert "config error" in err
         assert "[FAIL]" not in out
 
-    @pytest.mark.parametrize("kind", ["kernel", "estimates", "full-suite"])
+    @pytest.mark.parametrize("kind", ["kernel", "estimates", "full-suite", "oracle-compare"])
     def test_pole_the_mesh_cannot_hold_is_config_error(self, tmp_path, kind, capsys):
         cfg = tmp_path / "pole.cfg"
         cfg.write_text(f"kind = {kind}\nmesh.n = 1\n")
@@ -543,3 +564,51 @@ class TestOracleScope:
             consts.append(rec["empirical_constant"])
         assert consts[0] <= cli.ORACLE_RTOL
         np.testing.assert_allclose(consts[1:], consts[0], rtol=1e-12)
+
+
+class TestGraphMode:
+    """mesh.type = graph runs the box's solve density and both kernel identities."""
+
+    @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
+    @pytest.mark.parametrize("coeff_type", ["identity", "checkerboard", "skew"])
+    @pytest.mark.parametrize("kind", ["solve", "kernel", "full-suite"])
+    def test_graph_run_passes_and_reruns_byte_identical(
+        self, tmp_path, kind, coeff_type, linear_solver
+    ):
+        cfg = tmp_path / "graph.cfg"
+        cfg.write_text(
+            f"kind = {kind}\nmesh.type = graph\nmesh.n = 12\ncoeff.type = {coeff_type}\n"
+            f"trials = 2\nsolve.linear_solver = {linear_solver}\n"
+        )
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        reports = []
+        for _ in range(2):
+            assert main(argv) == 0
+            reports.append((tmp_path / "o/report.json").read_bytes())
+        assert reports[0] == reports[1]
+        records = {rec["name"]: rec for rec in json.loads(reports[0])["records"]}
+        assert "solve-boundary-mean" not in records
+        if kind != "kernel":
+            assert records["graph-far-boundary-zero"]["empirical_constant"] == 0.0
+        if kind != "solve":
+            assert records["symmetry-identity"]["empirical_constant"] <= cli.IDENTITY_TOL
+
+    def test_graph_solves_the_box_density(self, monkeypatch):
+        pts = np.random.default_rng(0).uniform(size=(50, 3))
+        densities = {}
+
+        def capture(name, solve):
+            def wrapped(mesh, fld, f, *args, **kwargs):
+                densities[name] = f(pts)
+                return solve(mesh, fld, f, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(cli, "solve_neumann_graph", capture("graph", cli.solve_neumann_graph))
+        monkeypatch.setattr(
+            cli, "solve_neumann_bounded", capture("box", cli.solve_neumann_bounded)
+        )
+        for mesh_type in ("box", "graph"):
+            assert run_experiment(RunConfig(kind="solve", mesh_type=mesh_type, mesh_n=8)).passed
+        np.testing.assert_array_equal(densities["graph"], densities["box"])
+        np.testing.assert_array_equal(densities["box"][:, 0], np.pi**2 * np.cos(np.pi * pts[:, 0]))

@@ -34,6 +34,7 @@ from neumannlab.errors import (
     InterfaceError,
     InvalidGeometryError,
     NumericFailureError,
+    OutOfDomainError,
 )
 from neumannlab.kernel import (
     MAX_KERNEL_SET_NODES,
@@ -309,6 +310,12 @@ class TestKernelBuild:
     def test_pole_depth_enforced(self, unit_cube_12, identity_field, solve_config):
         with pytest.raises(InvalidGeometryError):
             build_kernel(unit_cube_12, identity_field, (0.25, 0.5, 0.5), solve_config)
+
+    @pytest.mark.parametrize("pole", [(np.nan, 0.5, 0.5), (0.5, np.inf, 0.5), (0.5, 0.5, 1e300)])
+    def test_non_finite_or_far_pole_is_outside(self, unit_cube_12, identity_field, solve_config,
+                                               pole):
+        with pytest.raises(OutOfDomainError):
+            build_kernel(unit_cube_12, identity_field, pole, solve_config)
 
     def test_scale_consistency(self, identity_field, solve_config):
         # N_s(x, y) = s^{2-d} N_1(x/s, y/s) within discretization error

@@ -355,6 +355,19 @@ class TestLocate:
         assert isinstance(mesh.contains(pts[0]), bool)
 
     @pytest.mark.parametrize("name", sorted(LOCATE_MESHES))
+    def test_non_finite_and_far_points_are_outside(self, name):
+        # refused without a RuntimeWarning from casting their lattice index to int
+        mesh, _ = LOCATE_MESHES[name]
+        bad = np.repeat(mesh.nodes[:1], 5, axis=0)
+        bad[np.arange(5), [0, 0, 1, 2, 2]] = [np.nan, np.inf, -np.inf, 1e300, -1e300]
+        for p in bad:
+            assert mesh.contains(p) is False
+            with pytest.raises(OutOfDomainError):
+                mesh.locate(p)
+        inside = mesh.contains(np.vstack([bad, mesh.nodes[:1]]))
+        assert np.array_equal(inside, [False] * 5 + [True])
+
+    @pytest.mark.parametrize("name", sorted(LOCATE_MESHES))
     def test_outside_point_in_batch_raises(self, name):
         mesh, outside = LOCATE_MESHES[name]
         with pytest.raises(OutOfDomainError):
