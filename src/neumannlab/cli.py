@@ -139,7 +139,6 @@ def parse_config(path):
             setattr(cfg, field.name, tuple(float(tok) for tok in value.split()))
         else:
             setattr(cfg, field.name, type(field.default)(value))
-    _checked(cfg)
     return cfg
 
 
@@ -320,7 +319,7 @@ def _verify_coeff(cfg, fld):
     lo = np.zeros(3)
     hi = np.asarray(cfg.mesh_extents, dtype=float)
     pts = lo + rng.uniform(size=(64, 3)) * (hi - lo)
-    lam_est, m_est = coeffmod.verify_ellipticity_bounds(fld, pts, seed=cfg.seed)
+    lam_est, m_est = coeffmod.verify_ellipticity_bounds(fld, pts)
     rec = est.CheckRecord(
         name="ellipticity-bounds",
         samples=[(1.0, lam_est), (2.0, m_est)],
@@ -450,15 +449,10 @@ def emit_report(report, outdir):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="neumannlab", description=__doc__)
-    sub = parser.add_subparsers(dest="kind")
-    # the options go before or after the subcommand; its copies default to
-    # SUPPRESS, so they set only what they are given and never reset a value
-    # parsed before the subcommand
-    targets = [(parser, None)] + [(sub.add_parser(kind), argparse.SUPPRESS) for kind in KINDS]
-    for target, default in targets:
-        target.add_argument("--config", default=default, help="key = value configuration file")
-        target.add_argument("--seed", type=int, default=default, help="override the config seed")
-        target.add_argument("--out", default=default, help="override the output directory")
+    parser.add_argument("kind", nargs="?", choices=KINDS, help="override the config kind")
+    parser.add_argument("--config", help="key = value configuration file")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--out", help="override the output directory")
     args = parser.parse_args(argv)
 
     try:

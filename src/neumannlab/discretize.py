@@ -120,16 +120,8 @@ class DiscreteField:
     def m(self):
         return self.values.shape[1]
 
-    def __add__(self, other):
-        return DiscreteField(self.mesh, self.values + other.values)
-
     def __sub__(self, other):
         return DiscreteField(self.mesh, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return DiscreteField(self.mesh, self.values * float(scalar))
-
-    __rmul__ = __mul__
 
 
 @dataclass
@@ -142,10 +134,6 @@ class StiffnessOperator:
     matrix: sp.csr_matrix
     _asymmetry: float
     _scale: float
-
-    @property
-    def n_dof(self):
-        return self.matrix.shape[0]
 
 
 # slot of local corner q in the stencil of local corner p: the lexicographic
@@ -257,8 +245,6 @@ def assemble_stiffness(mesh, fld, free=None):
 
 def _as_components(vals, m, n):
     vals = np.asarray(vals, dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
     if vals.shape != (n, m):
         raise ValueError(f"density returned shape {vals.shape}, expected {(n, m)}")
     return vals

@@ -55,8 +55,10 @@ class Mesh:
     h : uniform cell edge length.
     facet_nodes, facet_area, facet_normal, facet_cell : boundary facet data;
         each boundary facet is an axis-aligned square owned by exactly one cell.
-    graph_facets : bool mask over facets (graph domains only), True where the
-        facet belongs to the staircase floor rather than the truncation cut.
+    graph_facets : bool mask over facets (``graph`` meshes only), True where
+        the facet belongs to the staircase floor rather than the truncation
+        cut: every downward facet, and every side facet whose neighbour cell
+        lies in the lattice box.  The box's side and top planes are far.
 
     The topology is built by lattice slices: the node marks, each cell's
     corner ids and each direction's exposed facets are the occupancy and
@@ -68,7 +70,7 @@ class Mesh:
     ``discretize.ordered_sum``.
     """
 
-    def __init__(self, origin, h, occupancy, graph_facet_rule=None):
+    def __init__(self, origin, h, occupancy, graph=False):
         self.origin = np.asarray(origin, dtype=float)
         self.h = float(h)
         occ = np.asarray(occupancy, dtype=bool)
@@ -103,7 +105,7 @@ class Mesh:
         self._cell_id = np.full((nx, ny, nz), -1, dtype=np.int64)
         self._cell_id[occ] = np.arange(len(cells_ijk))
 
-        self._build_boundary(graph_facet_rule)
+        self._build_boundary(graph)
 
         self.volume = len(self.cells) * self.h**3
         self.boundary_measure = float(self.facet_area.sum())
@@ -123,7 +125,7 @@ class Mesh:
         ):
             arr.setflags(write=False)
 
-    def _build_boundary(self, graph_facet_rule):
+    def _build_boundary(self, graph):
         occ = self._occ
         padded = np.pad(occ, 1)
         inner = (slice(1, -1),) * 3
@@ -135,17 +137,16 @@ class Mesh:
             nb = list(inner)
             nb[axis] = slice(1 + side, padded.shape[axis] - 1 + side)
             cids = self._cell_id[occ & ~padded[tuple(nb)]]  # ascending: ids number cells in C order
-            if not len(cids):
-                continue
             facet_nodes.append(self.cells[np.ix_(cids, np.array(local))])
             n = np.zeros((len(cids), 3))
             n[:, axis] = float(side)
             normals.append(n)
             owners.append(cids)
-            if graph_facet_rule is not None:
-                centers = self.origin + self.h * (self.cells_ijk[cids].astype(float) + 0.5)
-                centers[:, axis] += side * self.h / 2.0
-                graph_mask.append(graph_facet_rule(axis, side, centers))
+            if graph and axis == 2:
+                graph_mask.append(np.full(len(cids), side < 0))
+            elif graph:
+                beyond = self.cells_ijk[cids, axis] + side
+                graph_mask.append((beyond >= 0) & (beyond < occ.shape[axis]))
 
         self.facet_nodes = np.concatenate(facet_nodes)
         self.facet_normal = np.concatenate(normals)
@@ -158,7 +159,7 @@ class Mesh:
         self.facet_normal = self.facet_normal[keys]
         self.facet_cell = self.facet_cell[keys]
         self.facet_area = np.full(len(self.facet_cell), self.h**2)
-        if graph_facet_rule is not None:
+        if graph:
             self.graph_facets = np.concatenate(graph_mask)[keys]
             self.graph_facets.setflags(write=False)
         else:
@@ -334,11 +335,11 @@ def _require_connected(occ):
 def build_truncated_graph_mesh(profile, lipschitz_constant, box, h):
     """Staircase mesh of {x3 > profile(x1, x2)} clipped to ``box``.
 
-    ``profile`` is a callable evaluated on the lattice corner grid (or an
-    array of corner samples).  The staircase floor sits at the smallest
-    lattice level above the max of the profile over each column footprint,
-    so every node satisfies x3 >= profile and interior nodes are strictly
-    above it.  Side and top facets of the box are flagged as far boundary.
+    ``profile`` is a callable evaluated on the lattice corner grid.  The
+    staircase floor sits at the smallest lattice level above the max of the
+    profile over each column footprint, so every node satisfies x3 >= profile
+    and interior nodes are strictly above it.  Side and top facets of the box
+    are flagged as far boundary.
     """
     h = float(h)
     lo = np.asarray(box[0], dtype=float)
@@ -350,11 +351,8 @@ def build_truncated_graph_mesh(profile, lipschitz_constant, box, h):
 
     gx = lo[0] + h * np.arange(nx + 1)
     gy = lo[1] + h * np.arange(ny + 1)
-    if callable(profile):
-        X, Y = np.meshgrid(gx, gy, indexing="ij")
-        phi = np.asarray(profile(X, Y), dtype=float)
-    else:
-        phi = np.asarray(profile, dtype=float)
+    X, Y = np.meshgrid(gx, gy, indexing="ij")
+    phi = np.asarray(profile(X, Y), dtype=float)
     if phi.shape != (nx + 1, ny + 1):
         raise InvalidGeometryError(
             f"profile samples must have shape {(nx + 1, ny + 1)}, got {phi.shape}"
@@ -372,16 +370,7 @@ def build_truncated_graph_mesh(profile, lipschitz_constant, box, h):
     if not occ.any():
         raise InvalidGeometryError("profile leaves no cells inside the box")
 
-    def graph_rule(axis, side, centers):
-        # graph boundary = staircase floor and its step walls; the box's four
-        # side planes and top plane are the artificial far boundary
-        if axis == 2:
-            # downward facets are floor; upward facets only occur on the top plane
-            return np.full(len(centers), side < 0)
-        plane = hi[axis] if side > 0 else lo[axis]
-        return np.abs(centers[:, axis] - plane) > _SNAP
-
-    return Mesh(lo, h, occ, graph_facet_rule=graph_rule)
+    return Mesh(lo, h, occ, graph=True)
 
 
 def _check_lipschitz(phi, h, K):

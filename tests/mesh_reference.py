@@ -5,15 +5,17 @@ shifted slices of its occupancy and node-id lattices, and must match this
 construction in values, dtype and memory layout.  It scatters each cell's 8
 corners to mark the nodes, gathers the corner node ids per cell, and finds a
 cell's exposed facets by looking its 6 neighbours up in a padded occupancy.
+A graph mesh's facet is far when its centre lies on the lattice box's top
+plane or on one of its four side planes (within ``_SNAP``), else graph.
 """
 
 import numpy as np
 
-from neumannlab.mesh import CELL_CORNERS, CELL_FACES
+from neumannlab.mesh import _SNAP, CELL_CORNERS, CELL_FACES
 
 
-def reference_arrays(origin, h, occupancy, graph_facet_rule=None):
-    """The topology and boundary arrays of ``Mesh(origin, h, occupancy, graph_facet_rule)``."""
+def reference_arrays(origin, h, occupancy, graph=False):
+    """The topology and boundary arrays of ``Mesh(origin, h, occupancy, graph)``."""
     origin = np.asarray(origin, dtype=float)
     occ = np.asarray(occupancy, dtype=bool)
     nx, ny, nz = occ.shape
@@ -47,10 +49,12 @@ def reference_arrays(origin, h, occupancy, graph_facet_rule=None):
         n[:, axis] = float(side)
         normals.append(n)
         owners.append(cids)
-        if graph_facet_rule is not None:
+        if graph:
             centers = origin + h * (cells_ijk[cids].astype(float) + 0.5)
             centers[:, axis] += side * h / 2.0
-            graph_mask.append(graph_facet_rule(axis, side, centers))
+            box_plane = origin[axis] + (h * occ.shape[axis] if side > 0 else 0.0)
+            on_plane = np.abs(centers[:, axis] - box_plane) <= _SNAP
+            graph_mask.append(~on_plane if axis < 2 else np.full(len(cids), side < 0))
 
     facet_nodes = np.concatenate(facet_nodes)
     facet_normal = np.concatenate(normals)
@@ -74,7 +78,7 @@ def reference_arrays(origin, h, occupancy, graph_facet_rule=None):
     out["facet_lo"] = fverts.min(axis=1)
     out["facet_hi"] = fverts.max(axis=1)
     out["facet_center"] = 0.5 * (out["facet_lo"] + out["facet_hi"])
-    if graph_facet_rule is not None:
+    if graph:
         out["graph_facets"] = np.concatenate(graph_mask)[keys]
         out["far_nodes"] = np.unique(out["facet_nodes"][~out["graph_facets"]])
     return out

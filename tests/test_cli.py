@@ -70,20 +70,27 @@ class TestRunExperiment:
         assert rec.params["lambda_est"] == 1.0
         assert rec.params["M_est"] == 1.0
 
-    def test_incompatible_solve_reported(self, unit_cube_8):
-        # force incompatibility by a graph-incompatible hand-built run
+    def test_incompatible_solve_reported(self, tmp_path, monkeypatch, capsys):
         from neumannlab.errors import CompatibilityError
-        from neumannlab.coeff import Identity, make_coefficient
-        from neumannlab.solve import SolveConfig, solve_neumann_bounded
 
-        with pytest.raises(CompatibilityError):
-            solve_neumann_bounded(
-                unit_cube_8,
-                make_coefficient(Identity()),
-                lambda p: np.ones((len(p), 1)),
-                None,
-                SolveConfig(),
-            )
+        def incompatible(*args, **kwargs):
+            raise CompatibilityError(np.array([0.25, -0.5]))
+
+        monkeypatch.setattr(cli, "solve_neumann_bounded", incompatible)
+        rep = run_experiment(RunConfig(kind="solve", mesh_n=4))
+        assert not rep.passed
+        assert rep.failures == [
+            {
+                "stage": "solve",
+                "error": "compatibility",
+                "detail": "volume/boundary data violate the integral balance",
+                "residual": [0.25, -0.5],
+            }
+        ]
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("kind = solve\nmesh.n = 4\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "[FAIL] compatibility:" in capsys.readouterr().out
 
     @pytest.mark.parametrize("policy,n_poles", [("near-boundary", 2), ("lattice", 8)])
     def test_pole_policies(self, policy, n_poles):
@@ -268,6 +275,24 @@ class TestMain:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense without equals\n")
         assert main(["--config", str(bad)]) == 2
+
+    def test_exit_two_on_unwritable_outdir(self, config_file, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("a regular file, not a directory\n")
+        assert main(["--config", str(config_file), "--out", str(blocker / "out")]) == 2
+        assert capsys.readouterr().err.startswith("io error:")
+
+    def test_unknown_kind_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bogus"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_help_lists_the_kinds(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        assert "{" + ",".join(cli.KINDS) + "}" in capsys.readouterr().out
 
     def test_subcommand_overrides_kind(self, config_file, tmp_path):
         code = main(["solve", "--config", str(config_file), "--out", str(tmp_path / "o")])

@@ -202,6 +202,19 @@ class TestTruncatedGraph:
                 lambda x, y: -0.5 + 0 * x, 0.0, ((0, 0, 0), (1, 1, 1)), 0.25
             )
 
+    @pytest.mark.parametrize(
+        "profile, box, message",
+        [
+            (lambda x, y: 0 * x, ((0, 0, 0), (1, 0, 1)), "degenerate truncation box"),
+            (lambda x, y: 0 * x[:-1], ((0, 0, 0), (1, 1, 1)), r"must have shape \(5, 5\), got \(4, 5\)"),
+            (lambda x, y: 0.8 + 0 * x, ((0, 0, 0), (1, 1, 1)), "box too short for the profile"),
+        ],
+        ids=["degenerate-box", "profile-shape", "box-too-short"],
+    )
+    def test_bad_input_rejected(self, profile, box, message):
+        with pytest.raises(InvalidGeometryError, match=message):
+            build_truncated_graph_mesh(profile, 0.0, box, 0.25)
+
 
 def lipschitz_reference(phi, h, max_offset=None):
     """All-pairs loop: worst |phi(a) - phi(b)| / |a - b| over pairs at most

@@ -23,6 +23,7 @@ from neumannlab.coeff import (
     make_coefficient,
 )
 from neumannlab.discretize import (
+    DiscreteField,
     assemble_stiffness,
     boundary_mean,
     boundary_weight_vector,
@@ -37,7 +38,9 @@ from neumannlab.oracle import halfspace_neumann
 from neumannlab.solve import (
     NeumannSolver,
     SolveConfig,
+    SolveInfo,
     _dissection_order,
+    _guard,
     solve_neumann_bounded,
     solve_neumann_graph,
 )
@@ -144,7 +147,7 @@ class TestBoundedSolve:
         u1 = solve_neumann_bounded(unit_cube_8, checkerboard_field, f1, None, solve_config)
         u2 = solve_neumann_bounded(unit_cube_8, checkerboard_field, f2, None, solve_config)
         u12 = solve_neumann_bounded(unit_cube_8, checkerboard_field, fsum, None, solve_config)
-        diff = l2_norm(u12 - (u1 + u2))
+        diff = l2_norm(DiscreteField(unit_cube_8, u12.values - (u1.values + u2.values)))
         assert diff <= 2 * solve_config.tolerance * max(l2_norm(u12), 1.0)
 
     def test_energy_bound_stable_under_refinement(
@@ -384,6 +387,17 @@ def test_direct_solves_independent_of_blas_threads():
         hashes.append(out.stdout.split())
     assert len(hashes[0]) == 2
     assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("tolerance, limit", [(1e-8, 1e-6), (1e-13, 1e-9)])
+def test_guard_refuses_residual_above_its_limit(tolerance, limit):
+    # the limit is max(100 * tolerance, 1e-9): a residual at it passes, above it raises
+    cfg = SolveConfig(linear_solver="krylov", tolerance=tolerance)
+    _guard(SolveInfo("bounded-cg", np.array([7, 12]), np.array([0.0, limit])), cfg, "bounded")
+    info = SolveInfo("bounded-cg", np.array([7, 12]), np.array([0.0, 1.5 * limit]))
+    with pytest.raises(NumericFailureError, match="bounded solve residual .* above tolerance") as err:
+        _guard(info, cfg, "bounded")
+    assert err.value.diagnostics == {"method": "bounded-cg", "iterations": 12}
 
 
 class TestBlockSolves:
