@@ -11,6 +11,7 @@ normalization and as the boundary-mean evaluator.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -26,9 +27,10 @@ QUADRATURE_ORDER = 2
 #: cells per stiffness-assembly chunk, and nodes per block of the CSR read-off,
 #: for a scalar field (an m-component field takes 1/m^2 as many): a chunk's
 #: Gauss-point tensors and element matrices stay a few MB, so the assembly's
-#: transient memory is the stencil table plus one chunk.  Chunks are scattered
-#: in cell order, which alone fixes the summation order, so K is bit-identical
-#: at any chunk size
+#: transient memory is first the stencil table plus one chunk, then the table
+#: plus the kept indices; the stored values, written into the table's own
+#: buffer, are never held twice.  Chunks are scattered in cell order, which
+#: alone fixes the summation order, so K is bit-identical at any chunk size
 _ASSEMBLY_CHUNK = 2048
 
 _GAUSS = {
@@ -176,8 +178,11 @@ def assemble_stiffness(mesh, fld, free=None):
     node block at a time into int32 index arrays (int64 past 2^31 table
     entries).  The same pass finds max |K_ab - K_ba| and max |K_ab| on the
     whole table: K[(p, i), (q, j)] at offset s of q from p mirrors the entry
-    at (q, j), slot (26 - s, i).  The transient memory is the table plus one
-    chunk, then the stored entries twice while the table is freed.
+    at (q, j), slot (26 - s, i).  Each block's kept values are written into
+    the front of the table itself, behind every row a later block still
+    reads, and the table, shrunk to the stored count, becomes the CSR's data.
+    So the transient memory is first the table plus one chunk, then the table
+    plus the kept indices, and the stored values are never held twice.
     """
     ref, w = volume_quadrature(QUADRATURE_ORDER)
     grads = shape_gradients(ref) / mesh.h  # (G, 8, 3) physical
@@ -201,6 +206,7 @@ def assemble_stiffness(mesh, fld, free=None):
         a = np.ascontiguousarray(a.transpose(0, 4, 5, 1, 2, 3)).reshape(-1, 9 * len(ref))
         where = np.ascontiguousarray(mesh.cells[sel])[:, None, None, :, None] * (m * width) + local
         np.add.at(table, where.ravel(), (a @ block).ravel())
+    del pts, a, where  # the last chunk's arrays: freed before the read-off's peak
     stencil = table.reshape(-1, m, 27, m)  # (node p, i, offset s, j)
     index = np.int32 if table.size < 2**31 else np.int64  # scipy's index dtype for this size
     # DOF r's row and column in the result (-1: not kept, as for the extra
@@ -212,12 +218,18 @@ def assemble_stiffness(mesh, fld, free=None):
     place[kept] = np.arange(len(kept), dtype=index)
     limit = _DROP_RTOL * stencil[:, np.arange(m), 13, np.arange(m)].ravel()
     limit[place < 0] = np.nan
-    counts, data, indices = [], [], []
+    counts, indices, pending = [], [], collections.deque()
+    stored = 0  # kept values written to the front of the table
     asymmetry = scale = 0.0
     # table position of K[(q, i), (p, j)], the mirror of entry (p, j, s, i), less
     # q m width, where q's rows start; offsets up to the centre, as
     # |K_ab - K_ba| mirrors the rest
     mirror_at = np.arange(m)[:, None] * width + (26 - np.arange(14))[:, None, None] * m + np.arange(m)
+    # node ids number the lattice in C order, so a node's neighbours lie at
+    # most one lattice plane, one row and one site back: no block reads the
+    # table more than ``reach`` entries before its first node's rows
+    _, ny, nz = mesh._node_id.shape
+    reach = (ny * nz + nz + 1) * m * width
     for start in range(0, mesh.n_nodes, step):
         nodes = slice(start, min(start + step, mesh.n_nodes))
         dofs = slice(nodes.start * m, nodes.stop * m)
@@ -230,23 +242,32 @@ def assemble_stiffness(mesh, fld, free=None):
         cols = (nbrs[:, None, :, None] * m + np.arange(m, dtype=index)).reshape(len(nbrs), 1, width)
         keep = size > np.minimum(limit[dofs].reshape(-1, m, 1), limit.take(cols))
         counts.append(np.count_nonzero(keep, axis=2).ravel())
-        data.append(stencil[nodes].reshape(keep.shape)[keep])
+        pending.append(stencil[nodes].reshape(keep.shape)[keep])
         # renumber the kept entries only; without ``free`` a DOF is its own column
         cols = np.broadcast_to(cols, keep.shape)[keep]
         indices.append(cols if free is None else place.take(cols))
-    del table, stencil, own  # the table's last views: it is freed before the CSR is joined
+        # the kept values go to the front of the table once no later block reads there
+        clear = table.size if nodes.stop == mesh.n_nodes else nodes.stop * m * width - reach
+        while pending and stored + len(pending[0]) <= clear:
+            values = pending.popleft()
+            table[stored : stored + len(values)] = values
+            stored += len(values)
+    del stencil, own  # the table's last views: resize needs its only reference
+    try:
+        table.resize(stored)
+    except ValueError:  # a tracer that reads frame locals (a debugger) holds one more
+        table = table[:stored].copy()
     indptr = np.zeros(len(kept) + 1, dtype=index)
     np.cumsum(np.concatenate(counts)[kept], out=indptr[1:])
-    data = np.concatenate(data)
     indices = np.concatenate(indices)
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(kept), len(kept)))
+    matrix = sp.csr_matrix((table, indices, indptr), shape=(len(kept), len(kept)))
     return StiffnessOperator(matrix, float(asymmetry), float(scale))
 
 
 def _as_components(vals, m, n):
     vals = np.asarray(vals, dtype=float)
     if vals.shape != (n, m):
-        raise ValueError(f"density returned shape {vals.shape}, expected {(n, m)}")
+        raise InterfaceError(f"density returned shape {vals.shape}, expected {(n, m)}")
     return vals
 
 

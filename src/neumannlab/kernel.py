@@ -426,6 +426,12 @@ def build_node_kernel_set(mesh, fld, config=None):
         values[lo:hi], _ = _solve_poles(solver, loads[:, lo:hi], True)
 
     starts = range(0, n, _POLE_BLOCK)
+    # the workers share one factor, so its solve must be safe to call from
+    # several threads at once.  SuperLU.solve is; scipy.linalg.lu_solve
+    # (LAPACK getrs) is not: with scipy 1.17.1 and OpenBLAS 0.3.31, two threads
+    # solving on one dense 300x300 factor returned wrong columns in 54-78 of
+    # 80 blocks (up to 0.022 off), where SuperLU.solve, dtrsm, dgemm and
+    # matmul matched serial.  Keep the pole blocks off dense LAPACK solves
     with futures.ThreadPoolExecutor(_workers(len(starts))) as pool:
         # drained, so that a worker's error reaches the caller
         list(pool.map(solve_block, starts))

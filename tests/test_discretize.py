@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import neumannlab
 from neumannlab import discretize
 
 from adjoint_reference import adjoint_coefficients
+from stiffness_reference import reference_stiffness
 from neumannlab.coeff import (
     CellwiseRandom,
     Identity,
@@ -192,6 +194,89 @@ CHUNK_CASES = {
 }
 
 
+def _interior_dofs(mesh, m):
+    """Ascending DOFs of the nodes off a graph mesh's far boundary."""
+    keep = np.ones(mesh.n_nodes * m, dtype=bool)
+    keep.reshape(-1, m)[mesh.far_nodes] = False
+    return np.flatnonzero(keep)
+
+
+#: mesh, field spec and ``free`` of each read-off case: every assembly mesh
+#: and field, a graph mesh with free DOFs, and the 6^3 m = 3 skew box, where
+#: nothing is dropped, so the kept values land right behind the rows read
+READ_OFF_CASES = {
+    f"{name}-{field}": (ASSEMBLY_MESHES[name], ASSEMBLY_FIELDS[field], None)
+    for name in ASSEMBLY_MESHES
+    for field in ASSEMBLY_FIELDS
+}
+READ_OFF_CASES["graph-free-checkerboard"] = (
+    ASSEMBLY_MESHES["graph"], ASSEMBLY_FIELDS["checkerboard"],
+    _interior_dofs(ASSEMBLY_MESHES["graph"], 1),
+)
+READ_OFF_CASES["graph-free-skew-m3"] = (
+    ASSEMBLY_MESHES["graph"], ASSEMBLY_FIELDS["skew-m3"], _interior_dofs(ASSEMBLY_MESHES["graph"], 3),
+)
+READ_OFF_CASES["box-nothing-dropped"] = (
+    ASSEMBLY_MESHES["box"], SkewPerturbed(ScalarCheckerboard(10.0, seed=1, m=3), 0.5, seed=1), None,
+)
+
+
+class TestInPlaceReadOff:
+    """The CSR written into the stencil table's own buffer is the list-and-join one."""
+
+    # chunk 1 gives two-node read-off blocks: the most blocks held back
+    @pytest.mark.parametrize(
+        "chunk", [1, 7, pytest.param(discretize._ASSEMBLY_CHUNK, id="default")]
+    )
+    @pytest.mark.parametrize("case", sorted(READ_OFF_CASES))
+    def test_bit_identical_to_list_and_join(self, monkeypatch, case, chunk):
+        mesh, spec, free = READ_OFF_CASES[case]
+        fld = make_coefficient(spec)
+        monkeypatch.setattr(discretize, "_ASSEMBLY_CHUNK", chunk)
+        ours, ref = assemble_stiffness(mesh, fld, free), reference_stiffness(mesh, fld, free)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(ours.matrix, name), getattr(ref.matrix, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert ours._asymmetry == ref._asymmetry
+        assert ours._scale == ref._scale
+
+    def test_same_matrix_under_a_tracer_that_reads_frame_locals(self):
+        # a debugger's view of the frame's locals is one more reference to the
+        # table, which the in-place shrink refuses; the read-off copies instead
+        mesh, spec, free = READ_OFF_CASES["graph-free-checkerboard"]
+        fld = make_coefficient(spec)
+
+        def tracer(frame, event, arg):
+            frame.f_locals
+            return tracer
+
+        outer = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            traced = assemble_stiffness(mesh, fld, free).matrix
+        finally:
+            sys.settrace(outer)
+        K = reference_stiffness(mesh, fld, free).matrix
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(traced, name), getattr(K, name))
+
+    def test_peak_memory_below_one_copy_of_the_stored_entries(self):
+        # the list-and-join read-off held the stored values twice and peaked
+        # above this bound; the table's own buffer holds them once
+        mesh = build_box_mesh((1, 1, 1), 48)
+        fld = make_coefficient(ASSEMBLY_FIELDS["checkerboard"])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            K = assemble_stiffness(mesh, fld).matrix
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        table = (mesh.n_nodes + 1) * 27 * np.dtype(float).itemsize
+        assert peak <= table + K.data.nbytes + K.indices.nbytes
+
+
 class TestChunkedAssembly:
     @pytest.mark.parametrize(
         "chunk", [1, 7, pytest.param(discretize._ASSEMBLY_CHUNK, id="default")]
@@ -257,6 +342,12 @@ class TestLoads:
     def test_zero_data_zero_load(self, unit_cube_8):
         assert_allclose(assemble_volume_load(unit_cube_8, None, 1), 0.0)
         assert_allclose(assemble_boundary_load(unit_cube_8, None, 1), 0.0)
+
+    @pytest.mark.parametrize("assemble", [assemble_volume_load, assemble_boundary_load])
+    def test_one_dimensional_density_is_an_interface_error(self, assemble):
+        # a scalar density must return (n, 1), not (n,)
+        with pytest.raises(InterfaceError, match="density returned shape"):
+            assemble(build_box_mesh((1, 1, 1), 4), lambda p: np.cos(np.pi * p[:, 0]), 1)
 
     def test_constant_volume_load_sums_to_volume(self, unit_cube_8):
         c = 2.5

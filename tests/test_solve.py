@@ -180,6 +180,14 @@ class TestBoundedSolve:
         assert u.m == 2
         assert np.abs(boundary_mean(u)).max() < 1e-10
 
+    def test_one_dimensional_density_is_an_interface_error(self, identity_field, solve_config):
+        # a scalar density must return (n, 1), not (n,)
+        mesh = build_box_mesh((1, 1, 1), 4)
+        with pytest.raises(InterfaceError, match="density returned shape"):
+            solve_neumann_bounded(
+                mesh, identity_field, lambda p: np.cos(np.pi * p[:, 0]), None, solve_config
+            )
+
 
 class TestConstraintMethods:
     def test_krylov_matches_direct(self, identity_field):
@@ -728,9 +736,9 @@ class TestOperatorSetUp:
         assert peak < 4 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
 
     def test_graph_krylov_solver_holds_one_free_operator(self):
-        # the stencil table and one cell chunk, or the free operator twice while
-        # the table is freed; K over the far cut beside a reduced copy of it
-        # does not fit, and would stay alive
+        # the stencil table and one cell chunk, then the table beside the kept
+        # indices; K over the far cut beside a reduced copy of it does not fit,
+        # and would stay alive
         mesh = build_truncated_graph_mesh(
             lambda x, y: 0.2 + 0.15 * np.sin(3 * x + 2 * y), 0.6, ((0, 0, 0), (1, 1, 1)), 1 / 32
         )
