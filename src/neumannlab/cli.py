@@ -17,9 +17,9 @@ written as ``.`` (``mesh_n`` is ``mesh.n``); every key has a default,
 Experiment kinds: verify-coeff, solve, kernel, estimates, oracle-compare,
 full-suite.  The cube series oracle applies to identity coefficients on the
 unit cube box only: oracle-compare elsewhere is a config error, and
-full-suite skips it.  Reports are one JSON document plus one CSV per fitted
-check; re-emission is byte-identical.  Exit codes: 0 all checks pass, 1 check
-failure, 2 config/io error, 3 numeric failure.
+full-suite skips it.  Reports are one JSON document plus one CSV per record
+(header only if skipped); re-emission is byte-identical.  Exit codes: 0 all
+checks pass, 1 check failure, 2 config/io error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ _RESIDUAL_TOL = 1e-8
 _BOUNDARY_MEAN_TOL = 1e-9
 #: gate of the relative deviation from the cube series oracle
 ORACLE_RTOL = 0.05
+#: tangential mode cutoff of the cube series oracle
+_ORACLE_CUTOFF = 20
 #: pole of the cube series oracle comparison
 _CUBE_CENTER = (0.5, 0.5, 0.5)
 #: largest predicted problem, in DOFs of a scalar field.  Building a Krylov
@@ -85,6 +87,11 @@ _CUBE_CENTER = (0.5, 0.5, 0.5)
 #: stiffness row holds up to 27 m entries, so an m-component field gets 1/m
 #: of the budget
 _MAX_DOFS = 2_500_000
+#: largest predicted memory of the local-boundedness pass, in bytes: 8 trials
+#: at the DOF budget.  Until its one block solve it holds each trial's density
+#: (8 m floats a cell) and load with the solve's copies (7 m floats a node;
+#: tracemalloc, 8^3 to 16^3), so 128^3 admits 8 trials (2.0 GB)
+_MAX_TRIAL_BYTES = 8 * 120 * _MAX_DOFS
 
 
 @dataclass
@@ -162,12 +169,21 @@ def _checked(cfg):
         raise ValueError(f"coeff.m must be >= 1, got {cfg.coeff_m}")
     if cfg.mesh_n < 1:
         raise ValueError(f"mesh.n must be >= 1, got {cfg.mesh_n}")
-    # node count of the box lattice; a bad extent is left to the mesh build
-    nodes = np.prod(np.rint(np.maximum(cfg.mesh_extents, 0.0) * cfg.mesh_n) + 1)
+    # cell and node counts of the box lattice; a bad extent is left to the mesh build
+    cells = np.rint(np.maximum(cfg.mesh_extents, 0.0) * cfg.mesh_n)
+    nodes = np.prod(cells + 1)
     if nodes * cfg.coeff_m > _MAX_DOFS / cfg.coeff_m:
         raise ValueError(
             f"problem too large: {nodes * cfg.coeff_m:.4g} predicted DOFs exceed the budget "
             f"of {_MAX_DOFS // cfg.coeff_m} for coeff.m = {cfg.coeff_m}"
+        )
+    # a Python float, which compares exactly with an int trials of any size
+    max_trials = float(_MAX_TRIAL_BYTES // (8 * cfg.coeff_m * (8 * np.prod(cells) + 7 * nodes)))
+    on_box = cfg.kind in ("estimates", "full-suite") and cfg.mesh_type == "box"
+    if on_box and cfg.trials > max_trials:
+        raise ValueError(
+            f"problem too large: trials = {cfg.trials} exceeds the {max_trials:.0f} trials whose "
+            f"local-boundedness data fit {_MAX_TRIAL_BYTES:.3g} bytes at this mesh and coeff.m"
         )
     return _build_spec(cfg), _solve_config(cfg)
 
@@ -406,6 +422,8 @@ def _estimates_experiment(cfg, solver, kern=None):
 def _oracle_experiment(cfg, solver, kern=None):
     """Series-oracle comparison of the forward kernel at the cube centre.
 
+    Its samples are one (radius, relative error) row per probe, radius-major.
+
     ``kern``, the full-suite run's first forward kernel, is reused when its
     pole is the centre, else the kernel is built here.  The identity system's
     kernel is the scalar one times I_m, so its Frobenius magnitude is sqrt(m)
@@ -421,9 +439,11 @@ def _oracle_experiment(cfg, solver, kern=None):
     radii = np.geomspace(4 * h, 0.25, 4)
     probes = np.concatenate([np.array(_CUBE_CENTER) + r * dirs for r in radii])
     fe = kern.magnitude_at(probes) / np.sqrt(solver.m)
-    oracle = np.abs(cube_neumann_series_batch(probes, np.array(_CUBE_CENTER)))
-    rel = float(np.max(np.abs(fe - oracle) / oracle))
-    return [_rec("oracle-cube-agreement", rel, ORACLE_RTOL, {"probes": len(probes)})]
+    oracle = np.abs(cube_neumann_series_batch(probes, np.array(_CUBE_CENTER), _ORACLE_CUTOFF))
+    rel = np.abs(fe - oracle) / oracle
+    rec = _rec("oracle-cube-agreement", float(np.max(rel)), ORACLE_RTOL, {"probes": len(probes)})
+    rec.samples = list(zip(np.repeat(radii, len(dirs)).tolist(), rel.tolist()))
+    return [rec]
 
 
 def emit_report(report, outdir):

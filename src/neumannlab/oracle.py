@@ -65,7 +65,7 @@ def _gk_batch(kappa, s, t):
     return num / (2.0 * k * (1.0 - np.exp(-2.0 * k)))
 
 
-def cube_neumann_series_batch(xs, y, cutoff=20):
+def cube_neumann_series_batch(xs, y, cutoff):
     """Unit-cube Neumann kernel N(x, y), flux -1/6 and zero boundary mean, at probes xs (n, 3)."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")

@@ -1,8 +1,8 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.  The heavy shared builds (24^3 checkerboard kernel, the deep-pole
-identity kernel, the 32^3 oracle-comparison kernel) are session fixtures.
+criterion.  The heavy shared builds (the 24^3 checkerboard kernel and the
+deep-pole identity kernel) are session fixtures.
 """
 
 import copy
@@ -41,7 +41,7 @@ from neumannlab.kernel import (
     representation_solve,
 )
 from neumannlab.mesh import build_box_mesh, build_truncated_graph_mesh
-from neumannlab.oracle import cube_neumann_series_batch, halfspace_neumann
+from neumannlab.oracle import halfspace_neumann
 from neumannlab.solve import NeumannSolver, SolveConfig, solve_neumann_bounded
 
 CENTER = np.array([0.5, 0.5, 0.5])
@@ -212,20 +212,14 @@ def test_c08_local_lp_norms(deep_identity_kernel):
 
 
 def test_c09_cube_oracle_agreement():
-    mesh = build_box_mesh((1, 1, 1), 32)
-    fld = make_coefficient(Identity())
-    kern = build_kernel(mesh, fld, CENTER, CFG)
-    rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((16, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = np.geomspace(4 * mesh.h, 0.25, 4)
-    probes = np.concatenate([CENTER + r * dirs for r in radii])
-    fe = kern.magnitude_at(probes)
-    oracle = np.abs(cube_neumann_series_batch(probes, CENTER, 20))
-    rel = float(np.max(np.abs(fe - oracle) / oracle))
-    passed = rel <= 0.05
+    # the CLI's oracle-compare kind: 16 directions at 4 radii from 4h to 0.25
+    # around the cube centre, series cutoff 20
+    report = run_experiment(RunConfig(kind="oracle-compare", mesh_n=32))
+    (rec,) = report.records
+    rel = rec.empirical_constant
+    passed = not report.failures and len(rec.samples) == 64 and rel <= 0.05 and rec.passed
     announce(9, "cube-series-oracle", passed,
-             f"max rel err {rel:.4f} <= 0.05 over {len(probes)} probes, 32^3 mesh")
+             f"max rel err {rel:.4f} <= 0.05 over {len(rec.samples)} probes, 32^3 mesh")
 
 
 def test_c10_graph_halfspace_oracle():

@@ -467,7 +467,12 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "lines",
-        ["mesh.n = 1000000", "mesh.extents = 1 1 inf", "mesh.n = 4\ncoeff.m = 2000"],
+        [
+            "mesh.n = 1000000",
+            "mesh.extents = 1 1 inf",
+            "mesh.n = 4\ncoeff.m = 2000",
+            "kind = estimates\nmesh.n = 24\ntrials = 100000",
+        ],
     )
     def test_oversized_problem_is_refused_before_building(
         self, tmp_path, lines, capsys, monkeypatch
@@ -485,6 +490,14 @@ class TestMain:
         # the refusal is a prediction from the config: nothing is allocated here
         spec, _ = cli._checked(RunConfig(mesh_n=128))
         assert spec.m == 1
+
+        with pytest.raises(ValueError, match="trials = 10 exceeds the 9 trials"):
+            cli._checked(RunConfig(mesh_n=128, trials=10))
+
+    @pytest.mark.parametrize("kind, mesh_type", [("kernel", "box"), ("estimates", "graph")])
+    def test_trials_budget_spares_runs_without_the_pass(self, kind, mesh_type):
+        # only the local-boundedness pass, run on boxes, holds every trial at once
+        cli._checked(RunConfig(kind=kind, mesh_type=mesh_type, mesh_n=24, trials=100000))
 
     @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
     def test_non_finite_coefficients_exit_three(self, tmp_path, capsys, linear_solver):
@@ -586,6 +599,12 @@ class TestOracleScope:
             assert main(["--config", str(cfg), "--out", str(out)]) == 0
             (rec,) = json.loads((out / "report.json").read_text())["records"]
             assert rec["name"] == "oracle-cube-agreement" and rec["passed"]
+            # one (radius, relative error) row per probe: 16 directions a radius, radius-major
+            radii, rel = np.array(rec["samples"]).T
+            assert len(rel) == 64 and rel.max() == rec["empirical_constant"]
+            assert np.array_equal(radii, np.repeat(radii[::16], 16)) and len(set(radii)) == 4
+            rows = (out / "records" / "00_oracle-cube-agreement.csv").read_text().splitlines()
+            assert len(rows) == 1 + 64
             consts.append(rec["empirical_constant"])
         assert consts[0] <= cli.ORACLE_RTOL
         np.testing.assert_allclose(consts[1:], consts[0], rtol=1e-12)

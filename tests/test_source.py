@@ -20,11 +20,10 @@ def test_no_assert_statements():
 
 
 #: files whose references make a package name used: the package modules
-#: (re-exports in __init__ do not count), the scripts, the benchmark, and the
-#: acceptance gate with its fixtures; the per-module unit tests do not count
+#: (re-exports in __init__ do not count), the benchmark, and the acceptance
+#: gate with its fixtures; the per-module unit tests do not count
 CALLER_FILES = (
     [path for path in SOURCES if path.name != "__init__.py"]
-    + sorted((REPO / "scripts").glob("*.py"))
     + sorted((REPO / "perfbench").glob("*.py"))
     + [REPO / "tests" / "test_acceptance.py", REPO / "tests" / "conftest.py"]
 )
