@@ -85,13 +85,16 @@ _CUBE_CENTER = (0.5, 0.5, 0.5)
 #: solver peaks at about 530 bytes per scalar DOF (63 MB at 48^3), so the
 #: budget is about 1.3 GB of set-up and admits 128^3 (2.15M DOFs).  A DOF's
 #: stiffness row holds up to 27 m entries, so an m-component field gets 1/m
-#: of the budget
+#: of the budget.  LU's fill grows faster than the DOFs and has its own budget
 _MAX_DOFS = 2_500_000
-#: largest predicted memory of the local-boundedness pass, in bytes: 8 trials
-#: at the DOF budget.  Until its one block solve it holds each trial's density
-#: (8 m floats a cell) and load with the solve's copies (7 m floats a node;
-#: tracemalloc, 8^3 to 16^3), so 128^3 admits 8 trials (2.0 GB)
-_MAX_TRIAL_BYTES = 8 * 120 * _MAX_DOFS
+#: largest predicted LU fill, in factor entries, of a run on the LU path.
+#: SuperLU's fill in the nested-dissection order is 1.00-1.044 times
+#: 1.2 m^2 N^(4/3) log2 N for N lattice nodes (scalar checkerboards from 8^3
+#: to 32^3, skew fields with m = 1 to 3 up to 16^3; a symmetric m-component
+#: field fills m, not m^2, times the scalar), and 54M entries at 40^3 peaked
+#: at about 650 MB.  The prediction uses 1.25, so the budget admits 48^3 and
+#: refuses 64^3 for a scalar field
+_MAX_LU_FILL = 2e8
 
 
 @dataclass
@@ -169,21 +172,19 @@ def _checked(cfg):
         raise ValueError(f"coeff.m must be >= 1, got {cfg.coeff_m}")
     if cfg.mesh_n < 1:
         raise ValueError(f"mesh.n must be >= 1, got {cfg.mesh_n}")
-    # cell and node counts of the box lattice; a bad extent is left to the mesh build
-    cells = np.rint(np.maximum(cfg.mesh_extents, 0.0) * cfg.mesh_n)
-    nodes = np.prod(cells + 1)
+    # node count of the box lattice; a bad extent is left to the mesh build
+    nodes = np.prod(np.rint(np.maximum(cfg.mesh_extents, 0.0) * cfg.mesh_n) + 1)
     if nodes * cfg.coeff_m > _MAX_DOFS / cfg.coeff_m:
         raise ValueError(
             f"problem too large: {nodes * cfg.coeff_m:.4g} predicted DOFs exceed the budget "
             f"of {_MAX_DOFS // cfg.coeff_m} for coeff.m = {cfg.coeff_m}"
         )
-    # a Python float, which compares exactly with an int trials of any size
-    max_trials = float(_MAX_TRIAL_BYTES // (8 * cfg.coeff_m * (8 * np.prod(cells) + 7 * nodes)))
-    on_box = cfg.kind in ("estimates", "full-suite") and cfg.mesh_type == "box"
-    if on_box and cfg.trials > max_trials:
+    fill = 1.25 * cfg.coeff_m**2 * nodes ** (4 / 3) * np.log2(nodes)
+    on_lu = cfg.solve_linear_solver == "direct" or cfg.coeff_type == "skew"
+    if cfg.kind != "verify-coeff" and on_lu and fill > _MAX_LU_FILL:
         raise ValueError(
-            f"problem too large: trials = {cfg.trials} exceeds the {max_trials:.0f} trials whose "
-            f"local-boundedness data fit {_MAX_TRIAL_BYTES:.3g} bytes at this mesh and coeff.m"
+            f"problem too large: {fill:.3g} predicted LU fill entries exceed the budget "
+            f"of {_MAX_LU_FILL:.3g}; solve.linear_solver = krylov takes CG for symmetric fields"
         )
     return _build_spec(cfg), _solve_config(cfg)
 

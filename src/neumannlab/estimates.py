@@ -31,7 +31,6 @@ from .discretize import (
     _boundary_load,
     assemble_volume_load,
     facet_quadrature,
-    gauss_rule_1d,
     gradient_at_quadrature,
     ordered_sum,
     quadrature_points,
@@ -428,65 +427,38 @@ def _random_modes(rng, m):
     return rng.integers(1, 4, size=(3, m)), rng.uniform(-1.0, 1.0, size=(3, m))
 
 
-def _cosine_density(modes, amps, cos, shape):
-    """sum_q amps[q, i] cos(k pi x) cos(k pi y), k = modes[q, i], for each
-    component i: an array ``shape`` + (m,).  ``cos[k]`` is the pair of cosine
-    arrays of mode k, broadcasting to ``shape``; the sum keeps the (i, q) order."""
-    m = modes.shape[1]
-    out = np.zeros((*shape, m))
-    for comp in range(m):
-        for q in range(3):
-            cx, cy = cos[modes[q, comp]]
-            out[..., comp] += amps[q, comp] * cx * cy
-    return out
-
-
 def random_compatible_data(mesh, m, rng):
     """Smooth random cosine-mode f, a constant g balancing it exactly, and
     their load vector (volume load of f plus boundary load of g)."""
     modes, amps = _random_modes(rng, m)
 
     def f(pts):
-        # one cosine pair per distinct mode
+        # one cosine pair per distinct mode; each component sums its modes in order
         cos = {
             k: (np.cos(k * np.pi * pts[:, 0]), np.cos(k * np.pi * pts[:, 1]))
             for k in np.unique(modes)
         }
-        return _cosine_density(modes, amps, cos, (len(pts),))
+        out = np.zeros((len(pts), m))
+        for comp in range(m):
+            for q in range(3):
+                cx, cy = cos[modes[q, comp]]
+                out[:, comp] += amps[q, comp] * cx * cy
+        return out
 
     g, load = _balanced(mesh, assemble_volume_load(mesh, f, m), m, facet_quadrature(mesh))
-    return f, g, load
+    return f, _constant(g), load
+
+
+def _constant(value):
+    """The density equal to the vector ``value`` (m,) at every point."""
+    return lambda pts: np.broadcast_to(value, (len(pts), len(value))).copy()
 
 
 def _balanced(mesh, load, m, facets):
-    """The constant boundary density g that balances a volume load exactly, and
-    the load plus g's boundary load on the facet rule ``facets``."""
-    gconst = -load.reshape(-1, m).sum(axis=0) / mesh.boundary_measure
-
-    def g(pts):
-        return np.broadcast_to(gconst, (len(pts), m)).copy()
-
-    return g, load + _boundary_load(mesh, g, m, facets)
-
-
-def _axis_tables(mesh):
-    """For the x and the y axis: the distinct Gauss coordinates of the mesh's
-    cells and each Gauss point's index into them, (C, G).
-
-    A coordinate is (origin + h i) + h t for a cell's lattice index i and a 1D
-    Gauss point t, as ``quadrature_points`` forms it, so a function of one
-    coordinate taken on the table and gathered has the bits it has at the
-    points themselves.
-    """
-    t, _ = gauss_rule_1d(QUADRATURE_ORDER)
-    ref, _ = volume_quadrature(QUADRATURE_ORDER)
-    tables = []
-    for axis in (0, 1):
-        ijk = mesh.cells_ijk[:, axis]
-        lattice = mesh.origin[axis] + mesh.h * np.arange(ijk.max() + 1.0)
-        coords = (lattice[:, None] + mesh.h * t).ravel()
-        tables.append((coords, ijk[:, None] * len(t) + np.searchsorted(t, ref[:, axis])))
-    return tables
+    """The constant boundary value g (m,) that balances a volume load exactly,
+    and the load plus g's boundary load on the facet rule ``facets``."""
+    g = -load.reshape(-1, m).sum(axis=0) / mesh.boundary_measure
+    return g, load + _boundary_load(mesh, _constant(g), m, facets)
 
 
 def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None):
@@ -498,12 +470,16 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
     comparable across refinements of the same domain.  ``trials`` must be at
     least 1: with none, the record would hold no sample and a constant of 0.
 
-    Each trial's data are those of ``random_compatible_data`` drawn from the
-    same generator.  Its density is evaluated once, on the grid of distinct
-    Gauss coordinates (x, y), and gathered to the Gauss points, which serve
-    both the load and sup |f|.  Every trial's data and ball are drawn first,
-    in the generator order of one trial after another; then one bounded
-    solve takes all the loads as an (n_dof, trials) block.
+    Each trial draws the data of ``random_compatible_data`` and then its ball
+    from the same generator.  The trial data span only 3m dimensions: a
+    density is a combination c (3, m) of the densities cos(k pi x) cos(k pi y)
+    e_i, k = 1, 2, 3, and its balancing g and its solution are the same
+    combination of theirs.  So the 3m basis loads, each balanced by its own
+    g, are solved once as one (n_dof, 3m) block, and a trial reads u, f at
+    the Gauss points and g off its c.  More trials sample more coefficient
+    vectors and balls; they cost time, not memory.  Every basis solve passes
+    the solver's residual guard, and a trial's residual norm is at most
+    sum |c| times the largest basis residual norm.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -512,35 +488,34 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
     m = fld.m
     diam = np.linalg.norm(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0))
     pts, w = quadrature_points(mesh)
-    (xs, ix), (ys, iy) = _axis_tables(mesh)
+    k = np.arange(1, 4)
+    cosines = np.cos(k * np.pi * pts[..., :1]) * np.cos(k * np.pi * pts[..., 1:2])  # (C, G, 3)
     facets = facet_quadrature(mesh)
-    drawn, loads = [], []
+    balanced = []
+    for q, i in np.ndindex(3, m):
+        density = np.zeros((cosines[..., q].size, m))
+        density[:, i] = cosines[..., q].ravel()
+        # assemble_volume_load samples its density at quadrature_points(mesh)
+        load = assemble_volume_load(mesh, lambda _: density, m)
+        balanced.append(_balanced(mesh, load, m, facets))
+    gs, loads = zip(*balanced)
+    basis = solver.solve_bounded(np.stack(loads, axis=1))[0]  # column q m + i: mode q + 1, e_i
+    table = []
+    best = 0.0
     for trial in range(trials):
         modes, amps = _random_modes(rng, m)
-        cos = {
-            k: (np.cos(k * np.pi * xs)[:, None], np.cos(k * np.pi * ys)[None, :])
-            for k in np.unique(modes)
-        }
-        fv = _cosine_density(modes, amps, cos, (len(xs), len(ys)))[ix, iy]  # (C, G, m)
-        # assemble_volume_load samples its density at quadrature_points(mesh),
-        # cell by cell, in the order of fv's rows
-        load = assemble_volume_load(mesh, lambda _: fv.reshape(-1, m), m)
-        g, load = _balanced(mesh, load, m, facets)
+        c = np.zeros((3, m))
+        np.add.at(c, (modes - 1, np.arange(m)), amps)
         if balls is not None:
             center, radius = balls[trial % len(balls)]
             center = np.asarray(center, dtype=float)
         else:
             center = mesh.nodes[rng.integers(0, mesh.n_nodes)]
             radius = float(rng.uniform(4 * mesh.h, diam / 2))
-        drawn.append((fv, g, center, radius))
-        loads.append(load)
-    block = solver.solve_bounded(np.stack(loads, axis=1))[0]
-    table = []
-    best = 0.0
-    for (fv, g, center, radius), col in zip(drawn, block.T):
-        u = DiscreteField(mesh, col.reshape(-1, m))
+        u = DiscreteField(mesh, (basis @ c.ravel()).reshape(-1, m))
         sup_half = _sup_on_nodes(u, center, radius / 2)
-        l2_ball, sup_f, sup_g = _ball_data(u, fv, g, center, radius, pts, w)
+        g = _constant(c.ravel() @ np.array(gs))
+        l2_ball, sup_f, sup_g = _ball_data(u, cosines @ c, g, center, radius, pts, w)
         rhs = radius ** (-D / 2) * l2_ball + radius**2 * sup_f + radius * sup_g
         if rhs == 0.0:
             continue  # degenerate 0/0 trial

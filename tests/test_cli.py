@@ -471,7 +471,8 @@ class TestMain:
             "mesh.n = 1000000",
             "mesh.extents = 1 1 inf",
             "mesh.n = 4\ncoeff.m = 2000",
-            "kind = estimates\nmesh.n = 24\ntrials = 100000",
+            "mesh.n = 64",
+            "mesh.n = 64\ncoeff.type = skew\nsolve.linear_solver = krylov",
         ],
     )
     def test_oversized_problem_is_refused_before_building(
@@ -487,17 +488,20 @@ class TestMain:
         assert "config error: problem too large" in capsys.readouterr().err
 
     def test_budget_admits_128_cubed(self):
-        # the refusal is a prediction from the config: nothing is allocated here
-        spec, _ = cli._checked(RunConfig(mesh_n=128))
+        # the refusals are predictions from the config: nothing is allocated here
+        spec, _ = cli._checked(RunConfig(mesh_n=128, solve_linear_solver="krylov"))
         assert spec.m == 1
+        cli._checked(RunConfig(mesh_n=48))
 
-        with pytest.raises(ValueError, match="trials = 10 exceeds the 9 trials"):
-            cli._checked(RunConfig(mesh_n=128, trials=10))
+        with pytest.raises(ValueError, match="predicted LU fill .* krylov"):
+            cli._checked(RunConfig(mesh_n=128))
 
-    @pytest.mark.parametrize("kind, mesh_type", [("kernel", "box"), ("estimates", "graph")])
-    def test_trials_budget_spares_runs_without_the_pass(self, kind, mesh_type):
-        # only the local-boundedness pass, run on boxes, holds every trial at once
-        cli._checked(RunConfig(kind=kind, mesh_type=mesh_type, mesh_n=24, trials=100000))
+    @pytest.mark.parametrize(
+        "kind, linear_solver", [("verify-coeff", "direct"), ("solve", "krylov")]
+    )
+    def test_fill_budget_spares_runs_without_lu(self, kind, linear_solver):
+        # verify-coeff factors nothing, and CG takes a symmetric field
+        cli._checked(RunConfig(kind=kind, mesh_n=64, solve_linear_solver=linear_solver))
 
     @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
     def test_non_finite_coefficients_exit_three(self, tmp_path, capsys, linear_solver):
