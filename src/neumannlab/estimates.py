@@ -21,7 +21,7 @@ than a factor 3 is recorded as low-power and does not gate the suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -185,18 +185,7 @@ class CheckRecord:
     skipped: bool = False
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "samples": [[float(a), float(b)] for a, b in self.samples],
-            "slope": self.slope,
-            "stderr": self.stderr,
-            "target": self.target,
-            "window": self.window,
-            "empirical_constant": self.empirical_constant,
-            "params": self.params,
-            "passed": self.passed,
-            "skipped": self.skipped,
-        }
+        return {**asdict(self), "samples": [[float(a), float(b)] for a, b in self.samples]}
 
 
 #: random probe directions per radius of the pointwise-decay fit

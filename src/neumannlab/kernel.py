@@ -22,7 +22,6 @@ are one product each.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent import futures
 from dataclasses import dataclass
@@ -48,8 +47,6 @@ from .solve import NeumannSolver, _one_blas_thread, solver_for
 MOLLIFIER_NORMALIZATION = 105.0 / (32.0 * np.pi)
 #: sub-cells per cell axis of the mollifier load quadrature
 MOLLIFIER_SUBDIV = 3
-#: sub-intervals per axis of the support box in the unit-mass check
-_MASS_SUBDIVISIONS = 64
 
 
 def _bump(z2, radius):
@@ -76,44 +73,20 @@ class Mollifier:
 
 
 def integrate_mollifier(mollifier):
-    """Refined Gauss quadrature of Phi_eps over its support (mesh-independent).
+    """Mass of Phi_eps by its exact radial rule (mesh-independent).
 
-    The rule is the tensor product of n = 128 Gauss nodes per axis (64
-    sub-intervals of the support box, 2 points each), summed in O(n^2 log n)
-    without forming the n^3 grid.  With scaled squared offsets t_x, t_y, t_z
-    the bump is c eps^-3 (r - t_z)^2 on t_z < r, where r = 1 - t_x - t_y.
-    The t_z are V-shaped along the axis, so for each (x, y) node pair the
-    z-nodes inside the ball form one contiguous run, and the sum over it is
-
-        sum_run w (r - t)^2 = r^2 A - 2 r B + C,
-
-    with A = sum w, B = sum w t, C = sum w t^2 over the run.  Only about n/2
-    distinct runs occur, and every pair of a run shares its moments, so their
-    rounding does not average out: each run's moments are summed directly
-    and correctly rounded (``math.fsum``).  Differences of prefix sums cancel
-    large partial sums and drift by tens of ulps of the unit mass; numpy's
-    pairwise sum leaves up to 4 ulps against the point-array rule.
+    r^2 Phi_eps(r) = c eps^-3 r^2 (1 - r^2/eps^2)^2 is a polynomial of degree
+    6 in r on [0, eps], so 4 pi times its 4-node Gauss-Legendre sum there is
+    the mass, exact up to rounding.  The profile is read through
+    ``mollifier`` itself, at points on a ray from its centre, so the check
+    covers the Cartesian evaluation, offsets rounded through center + offset.
     """
     eps = mollifier.radius
-    x, w = gauss_rule_1d(2)
-    edges = np.linspace(-eps, eps, _MASS_SUBDIVISIONS + 1)
-    h = edges[1] - edges[0]
-    pts1 = (edges[:-1, None] + h * x[None, :]).ravel()
-    wts1 = np.tile(h * w, _MASS_SUBDIVISIONS)
-    # offsets rounded through center + offset, as the bump sees its points
-    tx, ty, tz = (((pts1 + c) - c) ** 2 / eps**2 for c in mollifier.center)
-    r = (1.0 - tx[:, None] - ty[None, :]).ravel()
-    # the run [lo, hi) of z-nodes with t_z < r, found on both arms of the V
-    mid = int(np.argmin(tz))
-    lo = mid - np.searchsorted(tz[:mid][::-1], r)
-    hi = mid + np.searchsorted(tz[mid:], r)
-    _, first, run = np.unique(lo * (len(tz) + 1) + hi, return_index=True, return_inverse=True)
-    terms = [(wts1 * tz**j).tolist() for j in range(3)]
-    moments = np.array([[math.fsum(a[lo[p] : hi[p]]) for a in terms] for p in first])
-    A, B, C = moments[run].T
-    inner = r * r * A - 2.0 * r * B + C
-    W = np.outer(wts1, wts1).ravel()
-    return float(MOLLIFIER_NORMALIZATION * (W * inner).sum() / eps**3)
+    x, w = np.polynomial.legendre.leggauss(4)
+    r = 0.5 * eps * (1.0 + x)
+    ray = np.asarray(mollifier.center, dtype=float) + np.outer(r, (1.0, 0.0, 0.0))
+    # 4 pi times the rule on [0, eps], whose weights are eps w / 2
+    return float(2.0 * np.pi * eps * (w * r**2 * mollifier(ray)).sum())
 
 
 #: fractional lattice offsets this close to a lattice point are snapped onto

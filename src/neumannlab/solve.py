@@ -48,8 +48,9 @@ are reported, ``cli.run_experiment`` and ``kernel.build_node_kernel_set``,
 therefore pin every loaded OpenBLAS to one thread for their whole length
 (``_one_blas_thread``), so their bits do not depend on the host's thread
 setting, and worker threads that solve in parallel do not oversubscribe the
-cores.  The libraries are looked up on each entry, among those already
-loaded; where none exports the setter, the pin does nothing.
+cores.  The libraries are looked up on each entry, among the files that
+``/proc/self/maps`` lists (so only on Linux); elsewhere, or where none
+exports the setter, the pin does nothing.
 """
 
 from __future__ import annotations
@@ -365,39 +366,29 @@ def _dissection_order(ijk):
     return np.argsort(key, kind="stable")
 
 
-class _PhdrInfo(ctypes.Structure):
-    """The leading fields of glibc's struct dl_phdr_info."""
-
-    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
-
-
-_PHDR_CALLBACK = ctypes.CFUNCTYPE(
-    ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t, ctypes.c_void_p
-)
-
-
 def _loaded_openblas():
-    """Every loaded OpenBLAS that exports ``openblas_set_num_threads_local``."""
-    iterate = getattr(ctypes.CDLL(None), "dl_iterate_phdr", None)
-    if iterate is None:
+    """Every loaded OpenBLAS that exports ``openblas_set_num_threads_local``.
+
+    The candidates are the files mapped into the process, read off
+    ``/proc/self/maps``; where that file does not exist, none are found.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            rows = [line.split(maxsplit=5) for line in maps if "openblas" in line]
+    except OSError:
         return []
-    iterate.argtypes, iterate.restype = [_PHDR_CALLBACK, ctypes.c_void_p], ctypes.c_int
-    paths = []
-
-    def visit(info, size, data):
-        paths.append(info.contents.name)
-        return 0
-
-    callback = _PHDR_CALLBACK(visit)  # referenced until dl_iterate_phdr returns
-    iterate(callback, None)
     found = []
-    for path in paths:
-        if path and b"openblas" in os.path.basename(path):
-            lib = ctypes.CDLL(os.fsdecode(path), mode=os.RTLD_NOLOAD)
-            setter = getattr(lib, "openblas_set_num_threads_local", None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-                found.append(lib)
+    for path in dict.fromkeys(row[5].rstrip("\n") for row in rows if len(row) == 6):
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:  # mapped, but not a loaded library
+            continue
+        setter = getattr(lib, "openblas_set_num_threads_local", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+            found.append(lib)
     return found
 
 

@@ -1,10 +1,10 @@
 """The local-boundedness trials, one density evaluation per use.
 
-The package tabulates each trial's density once and reads the load and
-sup |f| off that table.  Tests compare it against this loop, which draws
-each trial's data with ``random_compatible_data`` and its ball, solves all
-trials' loads as one block, and evaluates f again at the Gauss points inside
-the ball.
+The package solves the 3m basis loads once and combines their solutions,
+loads and densities by each trial's coefficients.  Tests compare it against
+this loop, which draws each trial's data with ``random_compatible_data`` and
+its ball, solves each trial's own load (all trials' loads as one block), and
+evaluates f again at the Gauss points inside the ball.
 """
 
 import numpy as np
