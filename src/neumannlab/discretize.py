@@ -11,7 +11,6 @@ normalization and as the boundary-mean evaluator.
 
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass
 
@@ -130,12 +129,11 @@ class DiscreteField:
 class StiffnessOperator:
     """Assembled bilinear form K over every DOF, or over the ascending DOFs it was given.
 
-    ``_asymmetry`` is max |K_ab - K_ba| and ``_scale`` max |K_ab|, both over
-    the whole stencil table, for the solver's symmetry decision."""
+    ``symmetric``: whether A[a, b, i, j] == A[b, a, j, i] bit for bit at every
+    Gauss point, so that K^T = K up to the roundoff of the element products."""
 
     matrix: sp.csr_matrix
-    _asymmetry: float
-    _scale: float
+    symmetric: bool
 
 
 # slot of local corner q in the stencil of local corner p: the lexicographic
@@ -165,6 +163,11 @@ def assemble_stiffness(mesh, fld, free=None):
     cell order.  So the chunk order fixes the summation order, and the matrix
     is bit-identical at any chunk size and any BLAS thread count.
 
+    The adjoint system has the transposed coefficients, so K^T = K when
+    A[a, b, i, j] == A[b, a, j, i]: the operator counts as symmetric iff that
+    holds bit for bit at every Gauss point.  Each chunk's tensors are
+    compared as they are evaluated, until one chunk differs.
+
     Only the structural stencil is stored: an off-diagonal entry with
     |K_rc| <= 1e-15 min(K_rr, K_cc) is roundoff left by a cancellation
     (a scalar isotropic field's face-neighbour entries are 0 in exact
@@ -176,11 +179,9 @@ def assemble_stiffness(mesh, fld, free=None):
     Node ids and offsets are both lexicographic, so the kept entries of the
     table in row-major order form the CSR with sorted columns, read off one
     node block at a time into int32 index arrays (int64 past 2^31 table
-    entries).  The same pass finds max |K_ab - K_ba| and max |K_ab| on the
-    whole table: K[(p, i), (q, j)] at offset s of q from p mirrors the entry
-    at (q, j), slot (26 - s, i).  Each block's kept values are written into
-    the front of the table itself, behind every row a later block still
-    reads, and the table, shrunk to the stored count, becomes the CSR's data.
+    entries).  A block reads only its own rows, so its kept values are
+    written into the front of the table itself as soon as they are copied
+    out, and the table, shrunk to the stored count, becomes the CSR's data.
     So the transient memory is first the table plus one chunk, then the table
     plus the kept indices, and the stored values are never held twice.
     """
@@ -198,15 +199,22 @@ def assemble_stiffness(mesh, fld, free=None):
     # a chunk holds two cells or more (all of a one-cell mesh)
     step = max(_ASSEMBLY_CHUNK // m**2, 2)
     bounds = [*range(0, max(mesh.n_cells - 1, 1), step), mesh.n_cells]
+    # partner[k]: flat index of A[b, a, j, i] for the entry k of A[a, b, i, j];
+    # the k below partner[k] give each pair of entries that must agree once
+    partner = np.arange(9 * m * m).reshape(3, 3, m, m).transpose(1, 0, 3, 2).ravel()
+    upper = np.flatnonzero(np.arange(9 * m * m) < partner)
+    symmetric = True
     for start, stop in zip(bounds, bounds[1:]):
         sel = slice(start, stop)
         origins = mesh.origin + mesh.h * mesh.cells_ijk[sel].astype(float)
         pts = origins[:, None, :] + mesh.h * ref[None, :, :]
         a = fld.evaluate(pts.reshape(-1, 3)).reshape(-1, len(ref), 3, 3, m, m)
+        flat = a.reshape(-1, 9 * m * m)
+        symmetric = symmetric and np.array_equal(flat[:, upper], flat[:, partner[upper]])
         a = np.ascontiguousarray(a.transpose(0, 4, 5, 1, 2, 3)).reshape(-1, 9 * len(ref))
         where = np.ascontiguousarray(mesh.cells[sel])[:, None, None, :, None] * (m * width) + local
         np.add.at(table, where.ravel(), (a @ block).ravel())
-    del pts, a, where  # the last chunk's arrays: freed before the read-off's peak
+    del pts, a, flat, where  # the last chunk's arrays: freed before the read-off's peak
     stencil = table.reshape(-1, m, 27, m)  # (node p, i, offset s, j)
     index = np.int32 if table.size < 2**31 else np.int64  # scipy's index dtype for this size
     # DOF r's row and column in the result (-1: not kept, as for the extra
@@ -218,41 +226,24 @@ def assemble_stiffness(mesh, fld, free=None):
     place[kept] = np.arange(len(kept), dtype=index)
     limit = _DROP_RTOL * stencil[:, np.arange(m), 13, np.arange(m)].ravel()
     limit[place < 0] = np.nan
-    counts, indices, pending = [], [], collections.deque()
+    counts, indices = [], []
     stored = 0  # kept values written to the front of the table
-    asymmetry = scale = 0.0
-    # table position of K[(q, i), (p, j)], the mirror of entry (p, j, s, i), less
-    # q m width, where q's rows start; offsets up to the centre, as
-    # |K_ab - K_ba| mirrors the rest
-    mirror_at = np.arange(m)[:, None] * width + (26 - np.arange(14))[:, None, None] * m + np.arange(m)
-    # node ids number the lattice in C order, so a node's neighbours lie at
-    # most one lattice plane, one row and one site back: no block reads the
-    # table more than ``reach`` entries before its first node's rows
-    _, ny, nz = mesh._node_id.shape
-    reach = (ny * nz + nz + 1) * m * width
     for start in range(0, mesh.n_nodes, step):
         nodes = slice(start, min(start + step, mesh.n_nodes))
         dofs = slice(nodes.start * m, nodes.stop * m)
         nbrs = mesh._stencil_nodes(nodes)
-        mirror = table.take(nbrs[:, :14, None, None] * index(m * width) + mirror_at)  # (p, s, j, i)
-        own = stencil[nodes, :, :14, :]
-        asymmetry = max(asymmetry, np.abs(own - mirror.transpose(0, 3, 1, 2)).max())
         size = np.abs(stencil[nodes]).reshape(-1, m, width)  # (p, i, (s, j))
-        scale = max(scale, size.max())
         cols = (nbrs[:, None, :, None] * m + np.arange(m, dtype=index)).reshape(len(nbrs), 1, width)
         keep = size > np.minimum(limit[dofs].reshape(-1, m, 1), limit.take(cols))
         counts.append(np.count_nonzero(keep, axis=2).ravel())
-        pending.append(stencil[nodes].reshape(keep.shape)[keep])
+        # at most the block's own entries, which start at or past ``stored``
+        values = stencil[nodes].reshape(keep.shape)[keep]
+        table[stored : stored + len(values)] = values
+        stored += len(values)
         # renumber the kept entries only; without ``free`` a DOF is its own column
         cols = np.broadcast_to(cols, keep.shape)[keep]
         indices.append(cols if free is None else place.take(cols))
-        # the kept values go to the front of the table once no later block reads there
-        clear = table.size if nodes.stop == mesh.n_nodes else nodes.stop * m * width - reach
-        while pending and stored + len(pending[0]) <= clear:
-            values = pending.popleft()
-            table[stored : stored + len(values)] = values
-            stored += len(values)
-    del stencil, own  # the table's last views: resize needs its only reference
+    del stencil  # the table's last view: resize needs its only reference
     try:
         table.resize(stored)
     except ValueError:  # a tracer that reads frame locals (a debugger) holds one more
@@ -261,7 +252,7 @@ def assemble_stiffness(mesh, fld, free=None):
     np.cumsum(np.concatenate(counts)[kept], out=indptr[1:])
     indices = np.concatenate(indices)
     matrix = sp.csr_matrix((table, indices, indptr), shape=(len(kept), len(kept)))
-    return StiffnessOperator(matrix, float(asymmetry), float(scale))
+    return StiffnessOperator(matrix, symmetric)
 
 
 def _as_components(vals, m, n):

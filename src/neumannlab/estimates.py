@@ -458,6 +458,8 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
     Passing explicit ``balls`` [(center, radius), ...] makes the estimate
     comparable across refinements of the same domain.  ``trials`` must be at
     least 1: with none, the record would hold no sample and a constant of 0.
+    So must ``balls``, if given, hold a ball, and a centre outside the mesh,
+    whose every trial is degenerate, raises OutOfDomainError.
 
     Each trial draws the data of ``random_compatible_data`` and then its ball
     from the same generator.  The trial data span only 3m dimensions: a
@@ -472,6 +474,10 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if balls is not None:
+        if len(balls) == 0:
+            raise ValueError("balls must hold at least one (center, radius)")
+        mesh.locate(np.array([center for center, _ in balls], dtype=float))
     solver = solver_for(mesh, fld, None, solver)
     rng = np.random.default_rng(seed)
     m = fld.m

@@ -63,7 +63,7 @@ class Mollifier:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN fails this too
             raise ValueError("mollifier radius must be positive")
 
     def __call__(self, points):

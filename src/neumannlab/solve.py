@@ -3,8 +3,9 @@
 A solver holds one stiffness operator, K over the DOFs its mode keeps in
 ascending order, built once and reused across right-hand sides and both
 directions (the adjoint stiffness is K^T): sparse LU, factorized on first
-use, or CG when SolveConfig asks for Krylov and K is symmetric.  A
-non-symmetric K takes LU and factors K^T once, on its first adjoint solve.
+use, or CG when SolveConfig asks for Krylov and K is symmetric, as the
+assembly decides from the coefficient tensors.  A non-symmetric K takes LU
+and factors K^T once, on its first adjoint solve.
 
 SuperLU factors the matrix it is handed, in the order it is handed (NATURAL
 column order, partial pivoting as usual; Li, ACM TOMS 31, 2005), so the LU
@@ -125,10 +126,9 @@ class NeumannSolver:
     The LU path cuts its factor's input, K[at][:, at] over ``free_dofs``, only
     to factor it, and keeps only the factor.
 
-    The one symmetry decision, max |K_ab - K_ba| <= 1e-12 max(max |K_ab|, 1),
-    takes both maxima from the assembly, which reads them off the whole
-    stencil table one node block at a time, so the difference matrix of K and
-    its transpose is never formed.
+    The one symmetry decision is the assembly's: A[a, b, i, j] ==
+    A[b, a, j, i] bit for bit at every Gauss point, so neither K's
+    transpose nor its difference from K is ever formed.
     """
 
     def __init__(self, mesh, fld, config=None):
@@ -145,7 +145,7 @@ class NeumannSolver:
         self.dofs = np.flatnonzero(keep)
         self.stiffness = assemble_stiffness(mesh, fld, self.dofs if mesh.is_graph else None)
         # the one symmetry decision: it picks the adjoint operator and the solver
-        self.symmetric = self.stiffness._asymmetry <= 1e-12 * max(self.stiffness._scale, 1.0)
+        self.symmetric = self.stiffness.symmetric
         if self.config.linear_solver == "direct" or not self.symmetric:
             self._method = "direct"
             if not mesh.is_graph:

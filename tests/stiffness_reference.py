@@ -2,9 +2,11 @@
 
 The reference for ``tests/test_discretize.py``: ``assemble_stiffness`` writes
 the kept entries of each node block into the front of its own stencil table
-and shrinks the table to the stored count.  This construction appends each
-block's kept values to a list, frees the table and joins the lists; the
-matrix and the symmetry measures must match it bit for bit.  It reads
+as soon as it has copied them out, and shrinks the table to the stored
+count.  This construction appends each block's kept values to a list, frees
+the table and joins the lists; the matrix must match it bit for bit.  The
+symmetry decision is checked apart from the assembly, on the coefficient
+tensors at ``quadrature_points(mesh)``.  The construction reads
 ``_ASSEMBLY_CHUNK`` and ``_DROP_RTOL`` from ``discretize`` at call time, so a
 test that patches them patches both constructions.
 """
@@ -16,6 +18,7 @@ from neumannlab import discretize
 from neumannlab.discretize import (
     QUADRATURE_ORDER,
     StiffnessOperator,
+    quadrature_points,
     shape_gradients,
     volume_quadrature,
 )
@@ -23,9 +26,16 @@ from neumannlab.discretize import (
 _PAIR_SLOT = discretize._PAIR_SLOT
 
 
+def tensors_symmetric(mesh, fld):
+    """Whether A[a, b, i, j] == A[b, a, j, i] bit for bit at every Gauss point."""
+    pts, _ = quadrature_points(mesh)
+    A = fld.evaluate(pts.reshape(-1, 3))
+    return np.array_equal(A, A.transpose(0, 2, 1, 4, 3))
+
+
 def reference_stiffness(mesh, fld, free=None):
     """``assemble_stiffness(mesh, fld, free)`` read off into lists that are joined
-    after the table is freed."""
+    after the table is freed, with ``tensors_symmetric`` as its symmetry."""
     ref, w = volume_quadrature(QUADRATURE_ORDER)
     grads = shape_gradients(ref) / mesh.h  # (G, 8, 3) physical
     block = np.einsum("g,gpa,gqb->gabpq", w * mesh.h**3, grads, grads).reshape(9 * len(ref), 64)
@@ -60,20 +70,11 @@ def reference_stiffness(mesh, fld, free=None):
     limit = discretize._DROP_RTOL * stencil[:, np.arange(m), 13, np.arange(m)].ravel()
     limit[place < 0] = np.nan
     counts, data, indices = [], [], []
-    asymmetry = scale = 0.0
-    # table position of K[(q, i), (p, j)], the mirror of entry (p, j, s, i), less
-    # q m width, where q's rows start; offsets up to the centre, as
-    # |K_ab - K_ba| mirrors the rest
-    mirror_at = np.arange(m)[:, None] * width + (26 - np.arange(14))[:, None, None] * m + np.arange(m)
     for start in range(0, mesh.n_nodes, step):
         nodes = slice(start, min(start + step, mesh.n_nodes))
         dofs = slice(nodes.start * m, nodes.stop * m)
         nbrs = mesh._stencil_nodes(nodes)
-        mirror = table.take(nbrs[:, :14, None, None] * index(m * width) + mirror_at)  # (p, s, j, i)
-        own = stencil[nodes, :, :14, :]
-        asymmetry = max(asymmetry, np.abs(own - mirror.transpose(0, 3, 1, 2)).max())
         size = np.abs(stencil[nodes]).reshape(-1, m, width)  # (p, i, (s, j))
-        scale = max(scale, size.max())
         cols = (nbrs[:, None, :, None] * m + np.arange(m, dtype=index)).reshape(len(nbrs), 1, width)
         keep = size > np.minimum(limit[dofs].reshape(-1, m, 1), limit.take(cols))
         counts.append(np.count_nonzero(keep, axis=2).ravel())
@@ -81,10 +82,10 @@ def reference_stiffness(mesh, fld, free=None):
         # renumber the kept entries only; without ``free`` a DOF is its own column
         cols = np.broadcast_to(cols, keep.shape)[keep]
         indices.append(cols if free is None else place.take(cols))
-    del table, stencil, own  # the table's last views: it is freed before the CSR is joined
+    del table, stencil  # the table's last view: it is freed before the CSR is joined
     indptr = np.zeros(len(kept) + 1, dtype=index)
     np.cumsum(np.concatenate(counts)[kept], out=indptr[1:])
     data = np.concatenate(data)
     indices = np.concatenate(indices)
     matrix = sp.csr_matrix((data, indices, indptr), shape=(len(kept), len(kept)))
-    return StiffnessOperator(matrix, float(asymmetry), float(scale))
+    return StiffnessOperator(matrix, tensors_symmetric(mesh, fld))

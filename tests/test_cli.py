@@ -497,11 +497,15 @@ class TestMain:
             cli._checked(RunConfig(mesh_n=128))
 
     @pytest.mark.parametrize(
-        "kind, linear_solver", [("verify-coeff", "direct"), ("solve", "krylov")]
+        "kind, linear_solver, coeff",
+        [("verify-coeff", "direct", {}), ("solve", "krylov", {}),
+         ("solve", "krylov", {"coeff_type": "skew", "coeff_amplitude": 0.0})],
+        ids=["verify-coeff-direct", "solve-krylov", "solve-krylov-skew-amplitude-0"],
     )
-    def test_fill_budget_spares_runs_without_lu(self, kind, linear_solver):
-        # verify-coeff factors nothing, and CG takes a symmetric field
-        cli._checked(RunConfig(kind=kind, mesh_n=64, solve_linear_solver=linear_solver))
+    def test_fill_budget_spares_runs_without_lu(self, kind, linear_solver, coeff):
+        # verify-coeff factors nothing, and CG takes a symmetric field, as a
+        # skew field of amplitude 0 is
+        cli._checked(RunConfig(kind=kind, mesh_n=64, solve_linear_solver=linear_solver, **coeff))
 
     @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
     def test_non_finite_coefficients_exit_three(self, tmp_path, capsys, linear_solver):

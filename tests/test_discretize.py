@@ -13,7 +13,7 @@ import neumannlab
 from neumannlab import discretize
 
 from adjoint_reference import adjoint_coefficients
-from stiffness_reference import reference_stiffness
+from stiffness_reference import reference_stiffness, tensors_symmetric
 from neumannlab.coeff import (
     CellwiseRandom,
     Identity,
@@ -203,7 +203,7 @@ def _interior_dofs(mesh, m):
 
 #: mesh, field spec and ``free`` of each read-off case: every assembly mesh
 #: and field, a graph mesh with free DOFs, and the 6^3 m = 3 skew box, where
-#: nothing is dropped, so the kept values land right behind the rows read
+#: nothing is dropped, so each block's kept values overwrite its own rows
 READ_OFF_CASES = {
     f"{name}-{field}": (ASSEMBLY_MESHES[name], ASSEMBLY_FIELDS[field], None)
     for name in ASSEMBLY_MESHES
@@ -224,7 +224,7 @@ READ_OFF_CASES["box-nothing-dropped"] = (
 class TestInPlaceReadOff:
     """The CSR written into the stencil table's own buffer is the list-and-join one."""
 
-    # chunk 1 gives two-node read-off blocks: the most blocks held back
+    # chunk 1 gives two-node read-off blocks: the most blocks written to the front
     @pytest.mark.parametrize(
         "chunk", [1, 7, pytest.param(discretize._ASSEMBLY_CHUNK, id="default")]
     )
@@ -238,8 +238,7 @@ class TestInPlaceReadOff:
             got, want = getattr(ours.matrix, name), getattr(ref.matrix, name)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-        assert ours._asymmetry == ref._asymmetry
-        assert ours._scale == ref._scale
+        assert ours.symmetric == ref.symmetric
 
     def test_same_matrix_under_a_tracer_that_reads_frame_locals(self):
         # a debugger's view of the frame's locals is one more reference to the
@@ -293,7 +292,7 @@ class TestChunkedAssembly:
         assert np.array_equal(K.data, ref.data)
         assert np.array_equal(K.indices, ref.indices)
         assert np.array_equal(K.indptr, ref.indptr)
-        assert chunked._asymmetry == whole._asymmetry == abs(ref - ref.T).max()
+        assert chunked.symmetric == whole.symmetric == tensors_symmetric(mesh, fld)
 
 
 #: Assembles a contrast-100 graph mesh and an m = 3 skew box and prints the

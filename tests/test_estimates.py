@@ -23,6 +23,7 @@ from neumannlab.discretize import (
 from neumannlab.errors import (
     ExponentRangeError,
     InvalidGeometryError,
+    OutOfDomainError,
     UnderResolvedError,
 )
 from neumannlab.estimates import (
@@ -407,6 +408,17 @@ class TestLocalBoundedness:
         # zero trials would return a record with no samples and constant 0.0
         with pytest.raises(ValueError, match="trials"):
             local_boundedness_trials(unit_cube_8, identity_field, trials=trials)
+
+    def test_no_balls_refused(self, identity_field):
+        # an empty list would divide by zero picking a trial's ball
+        with pytest.raises(ValueError, match="balls"):
+            local_boundedness_trials(build_box_mesh((1, 1, 1), 4), identity_field, balls=[])
+
+    def test_ball_centred_outside_refused(self, identity_field):
+        # every trial of such a ball is degenerate: no sample and a constant of 0
+        balls = [(CENTER, 0.4), ((9.0, 9.0, 9.0), 0.5)]
+        with pytest.raises(OutOfDomainError):
+            local_boundedness_trials(build_box_mesh((1, 1, 1), 4), identity_field, balls=balls)
 
 
 class TestRandomCompatibleData:

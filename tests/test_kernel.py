@@ -75,6 +75,11 @@ class TestMollifier:
         assert_allclose(peak, 105 / (32 * np.pi), rtol=1e-15)
         assert peak <= 2.0  # the admissible-bump bound
 
+    @pytest.mark.parametrize("radius", [0.0, -0.1, float("nan")])
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            Mollifier(CENTER, radius)
+
     def test_support(self):
         mol = Mollifier(CENTER, 0.2)
         assert mol(np.array([0.71, 0.5, 0.5]))[0] == 0.0

@@ -14,12 +14,15 @@ from numpy.testing import assert_allclose
 
 import neumannlab
 from neumannlab import discretize
+
+from stiffness_reference import tensors_symmetric
 from neumannlab.coeff import (
     CellwiseRandom,
     CoefficientField,
     Identity,
     ScalarCheckerboard,
     SkewPerturbed,
+    SmoothVMO,
     make_coefficient,
 )
 from neumannlab.discretize import (
@@ -606,6 +609,7 @@ SYMMETRY_FIELDS = {
     "identity": Identity(),
     "checkerboard": ScalarCheckerboard(10.0, seed=2),
     "cellwise-random-m2": CellwiseRandom(0.5, 2.0, cell=0.25, seed=3, m=2),
+    "smooth-m3": SmoothVMO(2.0, 0.5, m=3),
     "skew-m1": SkewPerturbed(ScalarCheckerboard(10.0, seed=4), 0.5, seed=4),
     "skew-m3": SkewPerturbed(ScalarCheckerboard(10.0, seed=5, m=3), 0.5, seed=5),
 }
@@ -628,13 +632,29 @@ class TestOperatorSetUp:
     @pytest.mark.parametrize("mode", ["bounded", "graph"])
     @pytest.mark.parametrize("field", sorted(SYMMETRY_FIELDS))
     def test_symmetry_decision_ignores_dropped_entries(self, monkeypatch, field, mode):
-        # the decision on every table entry, none dropped and no row left out
+        # the tensor decision agrees with a relative 1e-12 bound on K - K^T
+        # over every table entry, none dropped and no row left out
         mesh = build_box_mesh((1, 1, 1), 6) if mode == "bounded" else GRAPH_MESH
         fld = make_coefficient(SYMMETRY_FIELDS[field])
         solver = NeumannSolver(mesh, fld)
+        assert solver.symmetric == tensors_symmetric(mesh, fld)
         monkeypatch.setattr(discretize, "_DROP_RTOL", 0.0)
         K = assemble_stiffness(mesh, fld).matrix
         assert solver.symmetric == (abs(K - K.T).max() <= 1e-12 * max(abs(K).max(), 1.0))
+
+    @pytest.mark.parametrize("mode", ["bounded", "graph"])
+    def test_faint_skew_part_is_not_symmetric(self, flat_graph_12, mode):
+        # a skew part of 2^-55 leaves K - K^T far below 1e-12 |K|, but not zero:
+        # the operator is not symmetric, and a Krylov config takes LU
+        mesh = build_box_mesh((1, 1, 1), 4) if mode == "bounded" else flat_graph_12
+        fld = make_coefficient(SkewPerturbed(ScalarCheckerboard(10.0, seed=4), 2.0**-55, seed=4))
+        solver = NeumannSolver(mesh, fld, SolveConfig(linear_solver="krylov"))
+        assert not solver.symmetric and not tensors_symmetric(mesh, fld)
+        K = solver.operator()
+        assert 0 < abs(K - K.T).max() <= 1e-15 * abs(K).max()
+        solve = solver.solve_graph if mesh.is_graph else solver.solve_bounded
+        load = np.random.default_rng(4).standard_normal(solver.n_dof)
+        assert solve(load)[1].method == f"{mode}-direct"
 
     @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
     @pytest.mark.parametrize("mode", ["bounded", "graph"])

@@ -122,6 +122,18 @@ def test_defaulted_parameters_have_callers():
     assert not unused, unused
 
 
+def test_no_dense_lu_solves():
+    # scipy.linalg.lu_solve (LAPACK getrs) returned wrong columns when worker
+    # threads solved on one shared factor, as the kernel set's workers do
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        imported = {a.name.rsplit(".", 1)[-1] for a in ast.walk(tree) if isinstance(a, ast.alias)}
+        found += [f"{path.name} {name}" for name in ("lu_factor", "lu_solve")
+                  if name in _referenced(tree) | imported]
+    assert SOURCES and not found, found
+
+
 def _einsum_is_scalar(subscripts):
     """Whether an einsum's output has no index: nothing after "->", or in
     implicit mode no index that appears once and no broadcast "..."."""
