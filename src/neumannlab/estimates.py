@@ -458,8 +458,11 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
     Passing explicit ``balls`` [(center, radius), ...] makes the estimate
     comparable across refinements of the same domain.  ``trials`` must be at
     least 1: with none, the record would hold no sample and a constant of 0.
-    So must ``balls``, if given, hold a ball, and a centre outside the mesh,
-    whose every trial is degenerate, raises OutOfDomainError.
+    So must ``balls``, if given, hold a ball, each of radius > 0, and a
+    centre outside the mesh, whose every trial is degenerate, raises
+    OutOfDomainError.  Balls too small to hold any of the data at the mesh's
+    Gauss points leave every trial degenerate too: that raises
+    UnderResolvedError.
 
     Each trial draws the data of ``random_compatible_data`` and then its ball
     from the same generator.  The trial data span only 3m dimensions: a
@@ -477,6 +480,9 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
     if balls is not None:
         if len(balls) == 0:
             raise ValueError("balls must hold at least one (center, radius)")
+        for _, radius in balls:
+            if not radius > 0:
+                raise ValueError(f"ball radius must be > 0, got {radius}")
         mesh.locate(np.array([center for center, _ in balls], dtype=float))
     solver = solver_for(mesh, fld, None, solver)
     rng = np.random.default_rng(seed)
@@ -517,6 +523,8 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
         ratio = sup_half / rhs
         table.append((radius, ratio))
         best = max(best, ratio)
+    if not table:
+        raise UnderResolvedError(f"no ball of the {trials} trials holds data at h = {mesh.h}")
     return CheckRecord(
         name="local-boundedness",
         samples=table,
@@ -529,8 +537,8 @@ def caccioppoli_check(u, center, radius, f, g):
     """ratio = ||Du||_{L2(half ball)} / (R^{-1}||u||_{L2(ball)} +
     R^{d/2}(1+R) sup|g| + R^{d/2+1} sup|f|)."""
     mesh = u.mesh
-    if radius < 4 * mesh.h:
-        raise UnderResolvedError(f"Caccioppoli radius {radius} below 4h")
+    if not radius >= 4 * mesh.h:
+        raise UnderResolvedError(f"Caccioppoli radius {radius} is not at least 4h = {4 * mesh.h}")
     center = np.asarray(center, dtype=float)
     pts, w = quadrature_points(mesh)
     dist2 = ordered_sum((pts - center) ** 2, axis=2)

@@ -18,16 +18,21 @@ Anal. 10, 1973).  A general-purpose ordering such as minimum degree ignores
 the lattice.  CG runs on the operator itself, whose matvecs walk memory in
 order.
 
-CG is preconditioned by two levels: M^-1 r = r / diag(K) + P Kc^-1 P^T r.
-P aggregates the DOFs of one component at the nodes of one 4^3 block of the
-node lattice, Kc = P^T K P is the Galerkin coarse operator, and its sparse LU
-is formed once per solver, on the first CG solve, and serves every column.
-Diagonal scaling alone removes the dependence on contrast but not on h; the
-coarse solve carries the smooth error that Jacobi cannot, so the iteration
-count depends on the aggregate width H/h = 4, not on h (Toselli & Widlund,
-Domain Decomposition Methods, 2005; aggregation coarse spaces: Vanek, Mandel
-& Brezina, Computing 56, 1996).  The stopping rule is CG's own,
-||K x - b|| <= tolerance ||b||, on the unpreconditioned residual.
+CG is deflated by a coarse space, in the A-DEF2 form of Tang, Nabben, Vuik
+& Erlangga (J. Sci. Comput. 39, 2009; deflated CG: Saad, Yeung, Erhel &
+Guyomarc'h, SIAM J. Sci. Comput. 21, 2000).  With y = r / diag(K), its
+preconditioner is M^-1 r = y + P Kc^-1 (P^T r - (K P)^T y), and it starts
+from x0 = P Kc^-1 P^T b, which leaves P^T r0 = 0.  P aggregates the DOFs of
+one component at the nodes of one 4^3 block of the node lattice, Kc = P^T K P
+is the Galerkin coarse operator, and its sparse LU and the coupling (K P)^T
+(at most 8m entries per DOF) are formed once per solver, on the first CG
+solve, and serve every column.  Diagonal scaling alone removes the
+dependence on contrast but not on h; the coarse solve carries the smooth
+error that Jacobi cannot, so the iteration count depends on the aggregate
+width H/h = 4, not on h (Toselli & Widlund, Domain Decomposition Methods,
+2005; aggregation coarse spaces: Vanek, Mandel & Brezina, Computing 56,
+1996).  The stopping rule is CG's own, ||K x - b|| <= tolerance ||b||, on
+the unpreconditioned residual.
 
 Bounded mode realizes the zero-mean-boundary-trace normalization in closed
 form.  K annihilates constants on both sides, so the multiplier of the
@@ -124,7 +129,8 @@ class NeumannSolver:
     ``free_dofs`` is the order a solve works in: ``dofs`` for CG, the
     nested-dissection order for LU, less the grounded node 0 in bounded mode.
     The LU path cuts its factor's input, K[at][:, at] over ``free_dofs``, only
-    to factor it, and keeps only the factor.
+    to factor it, and keeps only the factor.  CG keeps its coarse space, whose
+    coupling (K P)^T is the one other sparse matrix a solver holds.
 
     The one symmetry decision is the assembly's: A[a, b, i, j] ==
     A[b, a, j, i] bit for bit at every Gauss point, so neither K's
@@ -157,7 +163,7 @@ class NeumannSolver:
             self._method = "cg"
             self.free_dofs = self.dofs
         self._factors = {}  # transposed? -> SuperLU factor of that direction
-        self._coarse = None  # CG's (agg, 1 / diag K, coarse factor), built on its first solve
+        self._coarse = None  # CG's coarse space (``_coarse_space``), built on its first solve
 
     def _prepare(self, adjoint):
         """What every solve of a direction shares, formed on first use: the LU
@@ -218,8 +224,8 @@ class NeumannSolver:
             count[0] += 1
 
         x, code = spla.cg(
-            self.operator(), r, rtol=self.config.tolerance, atol=0.0, maxiter=MAX_ITERATIONS,
-            M=self._preconditioner(), callback=cb,
+            self.operator(), r, x0=self._coarse_solve(r), rtol=self.config.tolerance, atol=0.0,
+            maxiter=MAX_ITERATIONS, M=self._preconditioner(), callback=cb,
         )
         if code != 0:
             residual = float(_relative(r - self.operator() @ x, r)[0])
@@ -230,38 +236,48 @@ class NeumannSolver:
         return x, count[0]
 
     def _preconditioner(self):
-        """Two-level preconditioner M^-1 r = r / diag(K) + P Kc^-1 P^T r of CG.
+        """A-DEF2 preconditioner of CG: M^-1 r = y + P Kc^-1 (P^T r - (K P)^T y), y = r / diag(K).
 
         P is the aggregation of the DOFs over ``dofs``: DOF (p, i) belongs to
         the coarse DOF (aggregate of p, i), where the aggregate of node p is its
         lattice index // _AGGREGATE.  Coarse ids follow the nested-dissection
         order of the aggregate lattice, Kc = P^T K P is factored once, with
-        NATURAL order, and every column reuses the factor.  In bounded mode K
-        annihilates constants, and so would Kc: the first aggregate's m coarse
-        DOFs are grounded, as node 0 is on the LU path.  A mesh whose one
-        aggregate is grounded gets diagonal scaling alone.  Bounded mode also
-        subtracts each component's mean from r first: the residuals of the
-        consistent singular system are mean-free up to roundoff, and the
-        grounded coarse inverse would amplify that roundoff along the constants.
+        NATURAL order, and every column reuses the factor and the coupling
+        (K P)^T.  The correction gives P^T K z = P^T r, so the residuals stay
+        coarse-orthogonal, P^T r = 0, once the start ``_coarse_solve(b)``
+        makes the first so (Tang, Nabben, Vuik & Erlangga, J. Sci. Comput. 39,
+        2009).  In bounded mode K annihilates constants, and so would Kc: the
+        first aggregate's m coarse DOFs are grounded, as node 0 is on the LU
+        path.  A mesh whose one aggregate is grounded gets diagonal scaling
+        alone.  Bounded mode also subtracts each component's mean from r
+        first: the residuals of the consistent singular system are mean-free
+        up to roundoff, and the grounded coarse inverse would amplify that
+        roundoff along the constants.
         """
-        agg, inv_diag, lu = self._prepare(False)
-        nc = 0 if lu is None else lu.shape[0]
+        agg, inv_diag, lu, coupling = self._prepare(False)
         m, bounded = self.m, not self.mesh.is_graph
 
         def apply(r):
             if bounded:
                 r = (r.reshape(-1, m) - r.reshape(-1, m).mean(axis=0)).reshape(-1)
-            z = r * inv_diag
-            if nc:
-                # P^T r, with the grounded DOFs summed into slot nc and dropped
-                rc = np.bincount(agg, weights=r, minlength=nc + 1)[:nc]
-                z += np.append(lu.solve(rc), 0.0)[agg]
-            return z
+            y = r * inv_diag
+            return y if lu is None else y + self._coarse_solve(r, coupling @ y)
 
         return spla.LinearOperator((len(agg),) * 2, matvec=apply, dtype=float)
 
+    def _coarse_solve(self, r, shift=0.0):
+        """P Kc^-1 (P^T r - shift): CG's start for shift 0; 0 with no coarse DOF."""
+        agg, _, lu, _ = self._prepare(False)
+        if lu is None:
+            return np.zeros(len(r))
+        nc = lu.shape[0]
+        # P^T r, with the grounded DOFs summed into slot nc and dropped
+        rc = np.bincount(agg, weights=r, minlength=nc + 1)[:nc]
+        return np.append(lu.solve(rc - shift), 0.0)[agg]
+
     def _coarse_space(self):
-        """(agg, 1 / diag K, SuperLU factor of Kc or None): each DOF's coarse id, nc if none."""
+        """(agg, 1 / diag K, SuperLU factor of Kc, (K P)^T as CSR): each DOF's
+        coarse id, nc if none; the factor and the coupling are None if nc = 0."""
         m, K = self.m, self.stiffness.matrix
         lattice = _lattice_index(self.mesh) // _AGGREGATE
         span = lattice.max(axis=0) + 1
@@ -275,16 +291,17 @@ class NeumannSolver:
         agg[agg < 0] = nc
         inv_diag = 1.0 / K.diagonal()
         if nc == 0:
-            return agg, inv_diag, None
+            return agg, inv_diag, None, None
         coarse = agg < nc
         P = sp.csr_matrix(
             (np.ones(coarse.sum()), agg[coarse], np.r_[0, np.cumsum(coarse)]), shape=(len(agg), nc)
         )
+        KP = K @ P
         try:
-            lu = spla.splu((P.T @ (K @ P)).tocsc(), permc_spec="NATURAL")
+            lu = spla.splu((P.T @ KP).tocsc(), permc_spec="NATURAL")
         except RuntimeError as e:
             raise NumericFailureError(f"coarse LU factorization failed: {e}") from e
-        return agg, inv_diag, lu
+        return agg, inv_diag, lu, KP.T.tocsr()
 
     def _finish(self, mode, u, load, adjoint, solved, flux=0.0, multiplier=None):
         """(u, info) with the residual K u + flux - load over ``dofs``, guarded.

@@ -420,6 +420,22 @@ class TestLocalBoundedness:
         with pytest.raises(OutOfDomainError):
             local_boundedness_trials(build_box_mesh((1, 1, 1), 4), identity_field, balls=balls)
 
+    @pytest.mark.parametrize("radius", [0.0, -0.3, np.nan])
+    def test_ball_radius_must_be_positive(self, identity_field, radius):
+        # 0 divided by zero, -0.3 compared a complex power, NaN gave a constant of 0
+        balls = [(CENTER, 0.4), (CENTER, radius)]
+        with pytest.raises(ValueError, match=f"radius must be > 0, got {radius}"):
+            local_boundedness_trials(
+                build_box_mesh((1, 1, 1), 4), identity_field, trials=3, balls=balls
+            )
+
+    def test_ball_without_data_is_under_resolved(self, identity_field):
+        # a ball that holds no Gauss point makes every trial degenerate
+        with pytest.raises(UnderResolvedError, match="no ball"):
+            local_boundedness_trials(
+                build_box_mesh((1, 1, 1), 4), identity_field, trials=3, balls=[(CENTER, 1e-9)]
+            )
+
 
 class TestRandomCompatibleData:
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -483,6 +499,13 @@ class TestCaccioppoli:
         u = solve_neumann_bounded(unit_cube_8, identity_field, f, None, solve_config)
         with pytest.raises(UnderResolvedError):
             caccioppoli_check(u, CENTER, 0.3, f, None)
+
+    def test_nan_radius_is_under_resolved(self, unit_cube_8, identity_field, solve_config):
+        # NaN compares false with 4h either way: it returned a constant of nan
+        f = lambda p: (np.pi**2 * np.cos(np.pi * p[:, 0]))[:, None]
+        u = solve_neumann_bounded(unit_cube_8, identity_field, f, None, solve_config)
+        with pytest.raises(UnderResolvedError, match="nan is not at least 4h"):
+            caccioppoli_check(u, CENTER, np.nan, f, None)
 
 
 def test_relative_spread():

@@ -430,6 +430,7 @@ class TestBlockSolves:
     )
     @example(seed=1, m=2, amplitude=0.5, r=3, mode="bounded", linear_solver="krylov")  # LU
     @example(seed=2, m=1, amplitude=0.0, r=4, mode="graph", linear_solver="krylov")  # CG
+    @example(seed=3, m=2, amplitude=0.0, r=3, mode="bounded", linear_solver="krylov")  # CG
     def test_block_equals_column_solves(self, seed, m, amplitude, r, mode, linear_solver):
         mesh = self.MESHES[mode]
         spec = SkewPerturbed(ScalarCheckerboard(10.0, seed=seed, m=m), amplitude, seed=seed)
@@ -463,7 +464,7 @@ def _wavy_floor(x, y):
 
 
 class TestTwoLevelCG:
-    """CG is preconditioned by diagonal scaling plus one coarse solve on 4^3-node aggregates."""
+    """CG is deflated (A-DEF2) by diagonal scaling and one coarse solve on 4^3-node aggregates."""
 
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("mode", ["bounded", "graph"])
@@ -493,8 +494,34 @@ class TestTwoLevelCG:
         direct, _ = NeumannSolver(mesh, fld).solve_bounded(load)
         solver = NeumannSolver(mesh, fld, SolveConfig(linear_solver="krylov", tolerance=1e-12))
         u, info = solver.solve_bounded(load)
-        assert info.method == "bounded-cg" and solver._coarse[2] is None
+        assert info.method == "bounded-cg" and solver._coarse[2:] == (None, None)
         assert np.linalg.norm(u - direct) <= 1e-8 * np.linalg.norm(direct)
+
+    @pytest.mark.parametrize("contrast", [1e2, 1e5])
+    @pytest.mark.parametrize("mode", ["bounded", "graph"])
+    def test_start_leaves_coarse_orthogonal_residual(self, monkeypatch, mode, contrast):
+        # A-DEF2 starts from x0 = P Kc^-1 P^T b, so P^T (b - K x0) = 0; P sums
+        # each component over every aggregate, the grounded one too, since a
+        # bounded load is balanced
+        mesh = build_box_mesh((1, 1, 1), 12) if mode == "bounded" else GRAPH_MESH
+        fld = make_coefficient(ScalarCheckerboard(contrast, seed=7))
+        solver = NeumannSolver(mesh, fld, SolveConfig(linear_solver="krylov"))
+        starts, real_cg = [], spla.cg
+
+        def cg(A, b, x0, **kwargs):
+            starts.append((b, x0))
+            return real_cg(A, b, x0, **kwargs)
+
+        monkeypatch.setattr(spla, "cg", cg)
+        solve = solver.solve_graph if mesh.is_graph else solver.solve_bounded
+        solve(np.random.default_rng(7).standard_normal(solver.n_dof))
+        ((b, x0),) = starts
+        lattice = np.rint((mesh.nodes - mesh.origin) / mesh.h).astype(np.int64) // 4
+        _, agg = np.unique(lattice[solver.dofs // solver.m], axis=0, return_inverse=True)
+        coarse = agg.ravel() * solver.m + solver.dofs % solver.m
+        PT = lambda v: np.bincount(coarse, weights=v)
+        r0 = b - solver.operator() @ x0
+        assert np.linalg.norm(PT(r0)) <= 1e-12 * np.linalg.norm(PT(b))
 
     def test_iterations_do_not_grow_with_refinement(self):
         # plain CG takes about twice the iterations at h = 1/9 as at h = 1/6
@@ -507,6 +534,7 @@ class TestTwoLevelCG:
             return int(build_kernel(mesh, fld, pole, cfg).telemetry["columns"][0]["iterations"])
 
         coarse, fine = iterations(1 / 6), iterations(1 / 9)
+        assert coarse <= 40  # 35 here; CG with Jacobi and an added coarse solve took 51
         assert fine <= 1.3 * coarse
         assert iterations(1 / 6) == coarse
 
@@ -711,7 +739,9 @@ class TestOperatorSetUp:
     )
     @pytest.mark.parametrize("mode", ["bounded", "graph"])
     def test_solver_holds_one_sparse_matrix(self, mode, linear_solver, field, method):
-        # the operator; a factor's input lives only while it is factored
+        # the operator; a factor's input lives only while it is factored.  CG
+        # also holds its coarse coupling (K P)^T: one row per coarse DOF, at
+        # most 8 aggregates per component in a row of K
         fields = {**SYMMETRY_FIELDS, "checkerboard-m3": ScalarCheckerboard(10.0, seed=5, m=3)}
         mesh = build_box_mesh((1, 1, 1), 4) if mode == "bounded" else GRAPH_MESH
         fld = make_coefficient(fields[field])
@@ -738,7 +768,14 @@ class TestOperatorSetUp:
                     walk(v)
 
         walk({k: v for k, v in vars(solver).items() if k not in ("mesh", "field")})
-        assert len(held) == 1 and held[0] is solver.operator()
+        assert held[0] is solver.operator()
+        if method == "direct":
+            assert len(held) == 1
+        else:
+            (coupling,) = held[1:]
+            assert coupling is solver._coarse[3] and coupling.format == "csr"
+            assert coupling.shape == (solver._coarse[2].shape[0], len(solver.dofs))
+            assert coupling.nnz <= 8 * solver.m * len(solver.dofs)
 
     def test_krylov_solver_builds_in_bounded_memory(self):
         # the stencil table and one cell chunk beside the CSR: about 2.5x its bytes

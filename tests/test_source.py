@@ -157,3 +157,29 @@ def test_no_einsum_reduces_to_a_scalar():
             elif _einsum_is_scalar(spec.value):
                 found.append(f"{path.name}:{node.lineno} {spec.value!r}")
     assert SOURCES and not found, found
+
+
+#: the Krylov solvers of scipy.sparse.linalg
+KRYLOV = ("bicg", "bicgstab", "cg", "cgs", "gcrotmk", "gmres", "lgmres", "lsmr", "lsqr", "minres",
+          "qmr", "tfqmr")
+
+
+def test_one_krylov_driver():
+    # perfbench's tracer wraps spla.cg to report solve.krylov_s and
+    # solve.krylov_iterations; a Krylov loop of the package's own (ROADMAP
+    # item 4) must port that trace first, or CG drops out of it
+    drivers, found = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] in KRYLOV:
+                found.append(f"{path.name} imports {node.name}")
+            elif isinstance(node, ast.Attribute) and node.attr in KRYLOV:
+                is_driver = (path.name, node.attr, getattr(node.value, "id", None)) == (
+                    "solve.py", "cg", "spla") and id(node) in called
+                (drivers if is_driver else found).append(f"{path.name}:{node.lineno} {node.attr}")
+    assert len(drivers) == 1 and not found, (
+        f"solve.py must reach scipy's Krylov code through one spla.cg call, which "
+        f"perfbench's tracer wraps; ROADMAP item 4 must port that trace first: {drivers + found}"
+    )
