@@ -1,9 +1,9 @@
 """Numerical laboratory for Neumann functions of divergence-form elliptic systems.
 
 Builds mollified Neumann kernels for rough-coefficient operators on hexahedral
-meshes of Lipschitz (box, staircase, truncated-graph) domains and verifies
-their defining identities, symmetry relation, decay estimates, weak-type
-bounds, and energy inequalities against analytic oracles.
+meshes of Lipschitz (box, truncated-graph) domains and verifies their defining
+identities, symmetry relation, decay estimates, weak-type bounds, and energy
+inequalities against analytic oracles.
 """
 
 from .coeff import (
@@ -29,7 +29,6 @@ from .kernel import (
 from .mesh import (
     Mesh,
     build_box_mesh,
-    build_staircase_mesh,
     build_truncated_graph_mesh,
     distance_to_boundary,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "build_box_mesh",
     "build_kernel",
     "build_node_kernel_set",
-    "build_staircase_mesh",
     "build_truncated_graph_mesh",
     "check_defining_identity",
     "check_symmetry_identity",

@@ -118,6 +118,9 @@ class CoefficientField:
 
 
 def make_coefficient(spec):
+    # a SkewPerturbed spec has no m of its own: its base is checked in turn
+    if getattr(spec, "m", 1) < 1:
+        raise NonEllipticSpecError(f"component count m must be >= 1, got {spec.m}")
     if isinstance(spec, Identity):
         return _identity_field(spec)
     if isinstance(spec, ScalarCheckerboard):

@@ -110,12 +110,12 @@ def annulus_norms(kernel, radii):
     each r of ``radii``: two arrays shaped like ``radii`` (scalars for a scalar).
 
     The kernel and its magnitudes are evaluated at the Gauss points once for
-    all radii.
+    all radii.  A radius that is not at least 4h raises UnderResolvedError.
     """
     mesh = kernel.mesh
     radii = np.asarray(radii, dtype=float)
-    if radii.min() < 4 * mesh.h - 1e-12:
-        raise UnderResolvedError(f"annulus radius {radii.min()} below 4h = {4 * mesh.h}")
+    if not radii.min() >= 4 * mesh.h - 1e-12:  # NaN included
+        raise UnderResolvedError(f"annulus radius {radii.min()} is not at least 4h = {4 * mesh.h}")
     y = kernel.pole
     lo = mesh.cell_origins()
     hi = lo + mesh.h
@@ -139,7 +139,8 @@ def local_lp_norm(kernel, radii, p, gradient=False):
     of ``radii``: an array shaped like ``radii`` (a scalar for a scalar).
 
     The exponent ranges [1, 3) for N and [1, 1.5) for DN are sharp; requests
-    at or beyond the endpoint raise ExponentRangeError.
+    at or beyond the endpoint raise ExponentRangeError, and a radius that is
+    not > 0 raises ValueError.
     """
     limit = P_MAX_GRADIENT if gradient else P_MAX_VALUE
     if not (1.0 <= p < limit - 1e-12):
@@ -149,6 +150,8 @@ def local_lp_norm(kernel, radii, p, gradient=False):
     mesh = kernel.mesh
     y = kernel.pole
     radii = np.asarray(radii, dtype=float)
+    if not radii.min() > 0:  # NaN included
+        raise ValueError(f"ball radius must be > 0, got {radii.min()}")
     d_y = _pole_distance(kernel)
     if radii.max() > d_y + 1e-12:
         raise InvalidGeometryError(f"radius {radii.max()} exceeds pole distance {d_y}")

@@ -1,8 +1,9 @@
-"""Hexahedral lattice meshes: boxes, staircase unions, truncated Lipschitz-graph domains.
+"""Hexahedral lattice meshes: boxes and truncated Lipschitz-graph domains.
 
 Every domain is a union of axis-aligned cubic cells of edge ``h`` on a common
-lattice, so volumes, facet areas, and outward unit normals are exact integers
-times powers of ``h``.  Graph domains are realized as staircase approximations
+lattice, so facet areas and outward unit normals are exact integers times
+powers of ``h``; a union other than these two is one ``Mesh(origin, h,
+occupancy)`` call.  Graph domains are realized as staircase approximations
 of ``{x3 > profile(x1, x2)}`` clipped to a truncation box; their boundary
 facets are split into "graph" facets (the staircase floor, where the natural
 flux condition lives) and "far" facets (the artificial truncation cut).
@@ -107,7 +108,6 @@ class Mesh:
 
         self._build_boundary(graph)
 
-        self.volume = len(self.cells) * self.h**3
         self.boundary_measure = float(self.facet_area.sum())
         for arr in (
             self.nodes,
@@ -285,51 +285,12 @@ def build_box_mesh(extents, n):
     must be a multiple of h.
     """
     extents = tuple(float(e) for e in np.atleast_1d(extents) * np.ones(3))
-    if any(e <= 0 for e in extents) or n < 1 or int(n) != n:
+    if any(e <= 0 for e in extents) or not (n >= 1 and float(n).is_integer()):
         raise InvalidGeometryError(f"invalid box spec: extents={extents}, n={n}")
     h = 1.0 / int(n)
     counts = [_lattice_count(e, h, "extent") for e in extents]
     occ = np.ones(counts, dtype=bool)
     return Mesh(np.zeros(3), h, occ)
-
-
-def build_staircase_mesh(boxes, h):
-    """Mesh the union of axis-aligned boxes, each snapped to the h-lattice.
-
-    ``boxes`` is a sequence of (lo, hi) corner pairs.  The union must have
-    connected interior (face-connected cells).
-    """
-    h = float(h)
-    if h <= 0 or not boxes:
-        raise InvalidGeometryError("staircase needs h > 0 and at least one box")
-    boxes = [(np.asarray(lo, float), np.asarray(hi, float)) for lo, hi in boxes]
-    lo_all = np.min([lo for lo, _ in boxes], axis=0)
-    hi_all = np.max([hi for _, hi in boxes], axis=0)
-    counts = [_lattice_count(hi_all[a] - lo_all[a], h, "bounding extent") for a in range(3)]
-    occ = np.zeros(counts, dtype=bool)
-    for lo, hi in boxes:
-        if np.any(hi - lo <= 0):
-            raise InvalidGeometryError("degenerate box in staircase profile")
-        i0 = [(lo[a] - lo_all[a]) / h for a in range(3)]
-        i1 = [(hi[a] - lo_all[a]) / h for a in range(3)]
-        for v in i0 + i1:
-            if abs(v - round(v)) > 1e-6:
-                raise InvalidGeometryError("staircase box corner off the h-lattice")
-        i0 = [int(round(v)) for v in i0]
-        i1 = [int(round(v)) for v in i1]
-        occ[i0[0] : i1[0], i0[1] : i1[1], i0[2] : i1[2]] = True
-    _require_connected(occ)
-    return Mesh(lo_all, h, occ)
-
-
-def _require_connected(occ):
-    # imported here, as only staircase meshes need it: at module level,
-    # scipy.ndimage added 0.12-0.15 s to each package import (2-vCPU VM)
-    from scipy import ndimage
-
-    # ndimage's default 3-D structure links the 6 face neighbours of a cell
-    if ndimage.label(occ)[1] != 1:
-        raise InvalidGeometryError("staircase union has disconnected interior")
 
 
 def build_truncated_graph_mesh(profile, lipschitz_constant, box, h):
@@ -339,13 +300,20 @@ def build_truncated_graph_mesh(profile, lipschitz_constant, box, h):
     staircase floor sits at the smallest lattice level above the max of the
     profile over each column footprint, so every node satisfies x3 >= profile
     and interior nodes are strictly above it.  Side and top facets of the box
-    are flagged as far boundary.
+    are flagged as far boundary.  A step h or a Lipschitz constant that is NaN
+    or out of range, non-finite profile samples, and a mesh with no node off
+    the far boundary (the solver would keep no unknown) raise
+    InvalidGeometryError.
     """
     h = float(h)
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
-    if np.any(hi - lo <= 0) or h <= 0:
+    if not h > 0:
+        raise InvalidGeometryError(f"lattice step h={h} is not positive")
+    if np.any(hi - lo <= 0):
         raise InvalidGeometryError("degenerate truncation box")
+    if not lipschitz_constant >= 0:
+        raise InvalidGeometryError(f"Lipschitz constant {lipschitz_constant} is not >= 0")
     counts = [_lattice_count(hi[a] - lo[a], h, "box extent") for a in range(3)]
     nx, ny, nz = counts
 
@@ -357,6 +325,8 @@ def build_truncated_graph_mesh(profile, lipschitz_constant, box, h):
         raise InvalidGeometryError(
             f"profile samples must have shape {(nx + 1, ny + 1)}, got {phi.shape}"
         )
+    if not np.isfinite(phi).all():
+        raise InvalidGeometryError("profile samples must be finite")
     _check_lipschitz(phi, h, lipschitz_constant)
     if phi.min() < lo[2] - _SNAP:
         raise InvalidGeometryError("box bottom must lie at or below the profile")
@@ -370,7 +340,10 @@ def build_truncated_graph_mesh(profile, lipschitz_constant, box, h):
     if not occ.any():
         raise InvalidGeometryError("profile leaves no cells inside the box")
 
-    return Mesh(lo, h, occ, graph=True)
+    mesh = Mesh(lo, h, occ, graph=True)
+    if len(mesh.far_nodes) == mesh.n_nodes:
+        raise InvalidGeometryError(f"every node lies on the far boundary at h={h}: no unknowns")
+    return mesh
 
 
 def _check_lipschitz(phi, h, K):

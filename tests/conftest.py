@@ -3,7 +3,8 @@ import pytest
 
 from neumannlab.coeff import Identity, ScalarCheckerboard, make_coefficient
 from neumannlab.discretize import QUADRATURE_ORDER, gradient_at_quadrature, volume_quadrature
-from neumannlab.mesh import build_box_mesh, build_staircase_mesh, build_truncated_graph_mesh
+from mesh_reference import l_shape as l_shape_mesh
+from neumannlab.mesh import build_box_mesh, build_truncated_graph_mesh
 from neumannlab.solve import SolveConfig
 
 
@@ -20,9 +21,7 @@ def unit_cube_12():
 @pytest.fixture(scope="session")
 def l_shape():
     # unit cube minus the quarter column (0.5,1) x (0.5,1) x (0,1)
-    return build_staircase_mesh(
-        [((0, 0, 0), (0.5, 1, 1)), ((0.5, 0, 0), (1, 0.5, 1))], 0.25
-    )
+    return l_shape_mesh(0.25)
 
 
 @pytest.fixture(scope="session")

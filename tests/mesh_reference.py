@@ -7,11 +7,26 @@ corners to mark the nodes, gathers the corner node ids per cell, and finds a
 cell's exposed facets by looking its 6 neighbours up in a padded occupancy.
 A graph mesh's facet is far when its centre lies on the lattice box's top
 plane or on one of its four side planes (within ``_SNAP``), else graph.
+
+``l_shape`` meshes the L-shaped domain that the unit tests use besides boxes
+and graph domains.
 """
 
 import numpy as np
 
+from neumannlab import mesh as meshmod
 from neumannlab.mesh import _SNAP, CELL_CORNERS, CELL_FACES
+
+
+def l_shape(h, origin=(0.0, 0.0, 0.0)):
+    """Mesh of the unit cube at ``origin`` less its quarter column where both
+    x1 and x2 exceed the origin's by more than 1/2; h must divide 1/2.
+    ``Mesh`` is looked up on its module at each call, so a test that patches
+    it records this call too."""
+    n = round(1 / h)
+    occ = np.ones((n, n, n), dtype=bool)
+    occ[n // 2 :, n // 2 :, :] = False
+    return meshmod.Mesh(origin, h, occ)
 
 
 def reference_arrays(origin, h, occupancy, graph=False):

@@ -427,6 +427,9 @@ class TestMain:
             "mesh.type = graph\nmesh.extents = 1 nan 1",
             "mesh.n = 0",
             "mesh.type = graph\nmesh.n = 0",
+            # every node on the far cut: no unknown left to solve for
+            "mesh.type = graph\nmesh.n = 1",
+            "mesh.type = graph\nmesh.n = 1\nsolve.linear_solver = krylov",
         ],
     )
     def test_unbuildable_mesh_is_config_error(self, tmp_path, lines, capsys):

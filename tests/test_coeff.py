@@ -91,6 +91,13 @@ class TestMakeCoefficient:
             SkewPerturbed(Identity(), 0.5, cell=np.inf),
             CellwiseRandom(np.nan, 2.0),
             CellwiseRandom(0.5, np.inf),
+            # fewer than one component
+            Identity(m=0),
+            Identity(m=-1),
+            ScalarCheckerboard(10.0, m=-2),
+            CellwiseRandom(0.5, 2.0, m=0),
+            SmoothVMO(m=0),
+            SkewPerturbed(ScalarCheckerboard(10.0, m=0), 0.5),
         ],
     )
     def test_invalid_specs_rejected(self, spec):

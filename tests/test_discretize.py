@@ -13,6 +13,7 @@ import neumannlab
 from neumannlab import discretize
 
 from adjoint_reference import adjoint_coefficients
+from mesh_reference import l_shape
 from stiffness_reference import reference_stiffness, tensors_symmetric
 from neumannlab.coeff import (
     CellwiseRandom,
@@ -38,7 +39,7 @@ from neumannlab.discretize import (
     volume_quadrature,
 )
 from neumannlab.errors import InterfaceError, NumericFailureError, UnsupportedError
-from neumannlab.mesh import build_box_mesh, build_staircase_mesh, build_truncated_graph_mesh
+from neumannlab.mesh import build_box_mesh, build_truncated_graph_mesh
 
 
 class TestStiffness:
@@ -107,9 +108,7 @@ def drop_roundoff(K):
 
 ASSEMBLY_MESHES = {
     "box": build_box_mesh((1, 1, 1), 6),
-    "staircase": build_staircase_mesh(
-        [((0, 0, 0), (0.5, 1, 1)), ((0.5, 0, 0), (1, 0.5, 1))], 1.0 / 8
-    ),
+    "staircase": l_shape(1.0 / 8),
     "graph": build_truncated_graph_mesh(
         lambda x, y: 0.2 + 0.15 * np.sin(3 * x + 2 * y), 0.6, ((0, 0, 0), (1, 1, 1)), 1.0 / 8
     ),
@@ -351,7 +350,7 @@ class TestLoads:
     def test_constant_volume_load_sums_to_volume(self, unit_cube_8):
         c = 2.5
         load = assemble_volume_load(unit_cube_8, lambda p: np.full((len(p), 1), c), 1)
-        assert_allclose(load.sum(), c * unit_cube_8.volume, rtol=1e-12)
+        assert_allclose(load.sum(), c, rtol=1e-12)  # the unit cube has volume 1
 
     def test_constant_boundary_load_sums_to_area(self, unit_cube_8):
         c = -0.75
@@ -371,7 +370,7 @@ class TestLoads:
         "mesh",
         [
             build_box_mesh((1, 1, 1), 3),
-            build_staircase_mesh([((0, 0, 0), (0.5, 1, 1)), ((0.5, 0, 0), (1, 0.5, 1))], 0.25),
+            l_shape(0.25),
             build_truncated_graph_mesh(
                 lambda x, y: 0.25 * x, 0.5, ((0, 0, 0), (1, 1, 1)), 0.25
             ),
@@ -405,9 +404,9 @@ class TestLoads:
         assert_allclose(discrete, exact, rtol=1e-12)
 
 
-#: a staircase mesh and an m = 2 field on it, for the per-cell references
-def _staircase_field(m):
-    mesh = build_staircase_mesh([((0, 0, 0), (0.5, 1, 1)), ((0.5, 0, 0), (1, 0.5, 1))], 0.125)
+#: an L-shaped mesh and an m = 2 field on it, for the per-cell references
+def _l_shape_field(m):
+    mesh = l_shape(0.125)
     values = np.random.default_rng(m).standard_normal((mesh.n_nodes, m))
     return mesh, DiscreteField(mesh, values)
 
@@ -418,7 +417,7 @@ class TestTableProducts:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_loads_match_per_cell_sums(self, m):
-        mesh, _ = _staircase_field(m)
+        mesh, _ = _l_shape_field(m)
 
         def f(p):
             both = np.stack([np.cos(3 * p[:, 0]) + p[:, 1] * p[:, 2], np.sin(p[:, 2])], axis=1)
@@ -443,7 +442,7 @@ class TestTableProducts:
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_gauss_point_values_match_per_cell_sums(self, m):
-        mesh, u = _staircase_field(m)
+        mesh, u = _l_shape_field(m)
         ref, _ = volume_quadrature(2)
         psi, grads = shape_values(ref), shape_gradients(ref) / mesh.h
         nodal = u.values[mesh.cells]  # (C, 8, m)
@@ -456,7 +455,7 @@ class TestTableProducts:
     @pytest.mark.parametrize("m", [1, 3])
     def test_gauss_point_values_ignore_cells_layout(self, m, monkeypatch):
         # Mesh keeps cells column-major for speed; a C-ordered copy gives the same bits
-        mesh, u = _staircase_field(m)
+        mesh, u = _l_shape_field(m)
         before = values_at_quadrature(u), gradient_at_quadrature(u)
         monkeypatch.setattr(mesh, "cells", np.ascontiguousarray(mesh.cells))
         after = values_at_quadrature(u), gradient_at_quadrature(u)

@@ -153,6 +153,17 @@ class TestNormMonotonicity:
         with pytest.raises(UnderResolvedError):
             annulus_norms(cb_kernel_16, 1 / 16)
 
+    @pytest.mark.parametrize("radii", [np.nan, [0.3, np.nan]], ids=["nan", "nan-entry"])
+    def test_annulus_radius_not_a_number(self, cb_kernel_16, radii):
+        with pytest.raises(UnderResolvedError, match="annulus radius nan"):
+            annulus_norms(cb_kernel_16, radii)
+
+    @pytest.mark.parametrize("radii", [np.nan, 0.0, -0.1, [0.3, np.nan]])
+    def test_local_lp_radius_not_positive(self, cb_kernel_16, radii):
+        # a negative radius would read as its absolute value through r**2
+        with pytest.raises(ValueError, match="ball radius must be > 0, got"):
+            local_lp_norm(cb_kernel_16, radii, 1.0)
+
     def test_local_lp_nondecreasing_in_r(self, cb_kernel_16):
         radii = np.linspace(4 / 16, 0.5, 5)
         vals = [local_lp_norm(cb_kernel_16, r, 1.0) for r in radii]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from adjoint_reference import adjoint_coefficients
+from mesh_reference import l_shape
 from neumannlab.coeff import (
     CellwiseRandom,
     Identity,
@@ -49,7 +50,7 @@ from neumannlab.kernel import (
     mollifier_load,
     representation_solve,
 )
-from neumannlab.mesh import build_box_mesh, build_staircase_mesh, build_truncated_graph_mesh
+from neumannlab.mesh import build_box_mesh, build_truncated_graph_mesh
 from neumannlab.oracle import cube_neumann_series_batch
 from neumannlab.solve import (
     NeumannSolver,
@@ -209,9 +210,7 @@ LOAD_MESHES = {
         [(0.5, 0.5, 0.5), (0.41, 0.53, 0.62), (0.0, 0.0, 0.0), (0.5, 0.02, 0.5), (1.05, 0.5, 0.5)],
     ),
     "staircase": (
-        build_staircase_mesh(
-            [((-0.5, -0.5, -0.5), (0.0, 0.5, 0.5)), ((0.0, -0.5, -0.5), (0.5, 0.0, 0.5))], 0.25
-        ),
+        l_shape(0.25, origin=(-0.5, -0.5, -0.5)),
         [(0.0, 0.0, 0.0), (-0.2, 0.1, -0.05), (0.1, 0.1, 0.0), (-0.5, 0.5, 0.5), (0.3, -0.6, 0.2)],
     ),
     "graph": (

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from mesh_reference import reference_arrays
+from mesh_reference import l_shape, reference_arrays
 from neumannlab import mesh as meshmod
 from neumannlab.errors import (
     InvalidGeometryError,
@@ -19,9 +20,9 @@ from neumannlab.errors import (
 from neumannlab.mesh import (
     _LOCATE_OFFSETS,
     _SNAP,
+    Mesh,
     _check_lipschitz,
     build_box_mesh,
-    build_staircase_mesh,
     build_truncated_graph_mesh,
     distance_to_boundary,
 )
@@ -60,11 +61,12 @@ class TestBoxMesh:
     def test_box_211_surface_area(self):
         m = build_box_mesh((2, 1, 1), 2)  # h = 0.5
         assert_allclose(m.boundary_measure, 10.0)
-        assert_allclose(m.volume, 2.0)
+        assert_allclose(m.n_cells * m.h**3, 2.0)
 
     @pytest.mark.parametrize(
         "bad",
-        [((0, 1, 1), 2), ((1, 1, 1), 0), ((-1, 1, 1), 2), ((1, 1, np.nan), 2), ((1, np.inf, 1), 2)],
+        [((0, 1, 1), 2), ((1, 1, 1), 0), ((-1, 1, 1), 2), ((1, 1, np.nan), 2), ((1, np.inf, 1), 2),
+         ((1, 1, 1), np.nan), ((1, 1, 1), np.inf)],
     )
     def test_invalid_geometry(self, bad):
         with pytest.raises(InvalidGeometryError):
@@ -80,21 +82,18 @@ class TestBoxMesh:
     def test_refinement_keeps_exact_geometry(self):
         coarse = build_box_mesh((1, 1, 2), 2)
         fine = build_box_mesh((1, 1, 2), 4)
-        assert_allclose(coarse.volume, fine.volume)
+        assert_allclose(coarse.n_cells * coarse.h**3, fine.n_cells * fine.h**3)
         assert_allclose(coarse.boundary_measure, fine.boundary_measure)
 
 
 class TestStaircase:
-    def test_single_box_reduces_to_box_mesh(self):
-        a = build_staircase_mesh([((0, 0, 0), (1, 1, 1))], 0.5)
-        b = build_box_mesh((1, 1, 1), 2)
-        assert_allclose(a.nodes, b.nodes)
-        assert np.array_equal(a.cells, b.cells)
+    """Unions of lattice cells other than boxes and graph domains, passed
+    straight to ``Mesh``."""
 
     def test_l_shape_cell_count(self, l_shape):
         # enumeration: 2x4x4 + 2x2x4 lattice cells at h = 0.25
         assert l_shape.n_cells == 48
-        assert_allclose(l_shape.volume, 0.75)
+        assert_allclose(l_shape.n_cells * l_shape.h**3, 0.75)
 
     def test_l_shape_surface_area(self, l_shape):
         # enumeration oracle: exposed lattice faces of the L-solid
@@ -105,42 +104,27 @@ class TestStaircase:
         total = (l_shape.facet_area[:, None] * l_shape.facet_normal).sum(axis=0)
         assert_allclose(total, 0.0, atol=1e-10)
 
-    def test_disconnected_union_rejected(self):
-        with pytest.raises(InvalidGeometryError):
-            build_staircase_mesh(
-                [((0, 0, 0), (0.5, 0.5, 0.5)), ((1, 1, 1), (1.5, 1.5, 1.5))], 0.25
-            )
-
-    def test_edge_sharing_union_rejected(self):
-        # the two boxes touch along the line x = y = 0.5 only: no shared face
-        with pytest.raises(InvalidGeometryError):
-            build_staircase_mesh([((0, 0, 0), (0.5, 0.5, 1)), ((0.5, 0.5, 0), (1, 1, 1))], 0.25)
-
     def test_facets_owned_once(self, l_shape):
         keys = {tuple(sorted(fn)) for fn in l_shape.facet_nodes}
         assert len(keys) == len(l_shape.facet_nodes)
 
     @settings(max_examples=20, deadline=None)
     @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
-                st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
-            ),
-            min_size=1,
-            max_size=3,
-        )
+        hnp.arrays(bool, hnp.array_shapes(min_dims=3, max_dims=3, max_side=4)).filter(np.any),
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
     )
-    def test_random_unions_closure(self, boxes):
-        spec = [((x, y, z), (x + a, y + b, z + c)) for x, y, z, a, b, c in boxes]
-        try:
-            mesh, call = built(build_staircase_mesh, spec, 0.5)
-        except InvalidGeometryError:
-            return  # disconnected draw
+    def test_random_unions_closure(self, occ, corner):
+        # closure and topology hold for any occupancy, disconnected ones too
+        origin = 0.5 * np.array(corner, dtype=float)
+        mesh = Mesh(origin, 0.5, occ)
         total = (mesh.facet_area[:, None] * mesh.facet_normal).sum(axis=0)
         assert_allclose(total, 0.0, atol=1e-10)
         assert_allclose(mesh.facet_area.sum(), mesh.boundary_measure)
-        assert_matches_reference(mesh, call)
+        assert_matches_reference(mesh, ((origin, 0.5, occ), {}))
+
+
+#: the unit cube as a truncation box
+UNIT = ((0, 0, 0), (1, 1, 1))
 
 
 class TestTruncatedGraph:
@@ -203,17 +187,23 @@ class TestTruncatedGraph:
             )
 
     @pytest.mark.parametrize(
-        "profile, box, message",
+        "profile, K, box, h, message",
         [
-            (lambda x, y: 0 * x, ((0, 0, 0), (1, 0, 1)), "degenerate truncation box"),
-            (lambda x, y: 0 * x[:-1], ((0, 0, 0), (1, 1, 1)), r"must have shape \(5, 5\), got \(4, 5\)"),
-            (lambda x, y: 0.8 + 0 * x, ((0, 0, 0), (1, 1, 1)), "box too short for the profile"),
+            (lambda x, y: 0 * x, 0.0, ((0, 0, 0), (1, 0, 1)), 0.25, "degenerate truncation box"),
+            (lambda x, y: 0 * x[:-1], 0.0, UNIT, 0.25, r"must have shape \(5, 5\), got \(4, 5\)"),
+            (lambda x, y: 0.8 + 0 * x, 0.0, UNIT, 0.25, "box too short for the profile"),
+            (lambda x, y: 0 * x, 0.0, UNIT, np.nan, "lattice step h=nan is not positive"),
+            (lambda x, y: np.nan * x, 0.0, UNIT, 0.25, "profile samples must be finite"),
+            (lambda x, y: 0 * x, np.nan, UNIT, 0.25, "Lipschitz constant nan is not >= 0"),
+            # one cell: each of its nodes lies on a side or the top of the box
+            (lambda x, y: 0 * x, 0.0, UNIT, 1.0, "every node lies on the far boundary"),
         ],
-        ids=["degenerate-box", "profile-shape", "box-too-short"],
+        ids=["degenerate-box", "profile-shape", "box-too-short", "nan-step", "nan-profile",
+             "nan-lipschitz", "one-cell"],
     )
-    def test_bad_input_rejected(self, profile, box, message):
+    def test_bad_input_rejected(self, profile, K, box, h, message):
         with pytest.raises(InvalidGeometryError, match=message):
-            build_truncated_graph_mesh(profile, 0.0, box, 0.25)
+            build_truncated_graph_mesh(profile, K, box, h)
 
 
 def lipschitz_reference(phi, h, max_offset=None):
@@ -289,9 +279,7 @@ LOCATE_MESHES = {
     # name: (mesh, a point outside it)
     "box": (build_box_mesh((1, 1, 1), 12), (0.5, 0.5, 1.2)),
     "staircase": (
-        build_staircase_mesh(
-            [((-0.5, -0.5, -0.5), (0.0, 0.5, 0.5)), ((0.0, -0.5, -0.5), (0.5, 0.0, 0.5))], 0.25
-        ),
+        l_shape(0.25, origin=(-0.5, -0.5, -0.5)),
         (0.3, 0.3, 0.0),  # in the notch of the bounding box
     ),
     "graph": (
@@ -441,7 +429,7 @@ class TestLatticeTopology:
         [
             (build_box_mesh, ((1, 1, 1), 1)),
             (build_box_mesh, ((1, 1.5, 0.5), 4)),
-            (build_staircase_mesh, ([((0, 0, 0), (0.5, 1, 1)), ((0.5, 0, 0), (1, 0.5, 1))], 0.25)),
+            (l_shape, (0.25,)),
             (build_truncated_graph_mesh, (lambda x, y: 0.3 * x, 0.5, ((0, 0, 0), (1, 1, 1)), 1 / 6)),
         ],
         ids=["unit-cell", "box", "l-shape", "graph"],

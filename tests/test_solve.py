@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 import neumannlab
 from neumannlab import discretize
 
+from mesh_reference import l_shape
 from stiffness_reference import tensors_symmetric
 from neumannlab.coeff import (
     CellwiseRandom,
@@ -36,7 +37,7 @@ from neumannlab.discretize import (
 )
 from neumannlab.errors import CompatibilityError, InterfaceError, NumericFailureError
 from neumannlab.kernel import build_kernel
-from neumannlab.mesh import build_box_mesh, build_staircase_mesh, build_truncated_graph_mesh
+from neumannlab.mesh import build_box_mesh, build_truncated_graph_mesh
 from neumannlab.oracle import halfspace_neumann
 from neumannlab.solve import (
     NeumannSolver,
@@ -276,9 +277,7 @@ class TestConstraintMethods:
 
 ORDERING_MESHES = {
     "box": build_box_mesh((1, 1, 1), 5),
-    "staircase": build_staircase_mesh(
-        [((0, 0, 0), (0.5, 1, 1)), ((0.5, 0, 0), (1, 0.5, 1))], 1.0 / 6
-    ),
+    "staircase": l_shape(1.0 / 6),
     "graph": build_truncated_graph_mesh(
         lambda x, y: 0.2 + 0.15 * np.sin(3 * x + 2 * y), 0.6, ((0, 0, 0), (1, 1, 1)), 1.0 / 6
     ),

@@ -21,38 +21,62 @@ def test_no_assert_statements():
 
 #: files whose references make a package name used: the package modules
 #: (re-exports in __init__ do not count), the benchmark, and the acceptance
-#: gate with its fixtures; the per-module unit tests do not count
+#: gate, which takes no fixture from conftest; the unit tests and their
+#: fixtures do not count
 CALLER_FILES = (
     [path for path in SOURCES if path.name != "__init__.py"]
     + sorted((REPO / "perfbench").glob("*.py"))
-    + [REPO / "tests" / "test_acceptance.py", REPO / "tests" / "conftest.py"]
+    + [REPO / "tests" / "test_acceptance.py"]
 )
 
 
+def _stored(targets):
+    """(name, line) of each variable that the assignment targets bind."""
+    for target in targets:
+        for node in ast.walk(target):
+            if isinstance(node, ast.Name):
+                yield node.id, node.lineno
+
+
 def _public_names(tree):
-    """Public top-level functions and classes, and the public methods of those classes."""
+    """(name, line) of the top-level functions, classes and constants, and the
+    methods, dataclass fields and instance attributes (``self.name = ...``)
+    of those classes; private names included."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.lineno
+        elif isinstance(node, ast.Assign):
+            yield from _stored(node.targets)
+        elif isinstance(node, ast.AnnAssign):
+            yield from _stored([node.target])
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef):
                     yield item.name, item.lineno
+                    yield from (
+                        (sub.attr, sub.lineno)
+                        for sub in ast.walk(item)
+                        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and getattr(sub.value, "id", None) == "self"
+                    )
+                elif isinstance(item, ast.AnnAssign):
+                    yield from _stored([item.target])
 
 
 def _referenced(tree):
+    """Names read (not assigned) as a variable or an attribute."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
     return names
 
 
 def test_public_names_have_callers():
-    # a public function, class or method that only its own unit tests call is
-    # surface to delete, not to keep
+    # a public function, class, method, constant, field or attribute that only
+    # its own unit tests use is surface to delete, not to keep
     used = set()
     for path in CALLER_FILES:
         used |= _referenced(ast.parse(path.read_text()))
@@ -61,7 +85,7 @@ def test_public_names_have_callers():
         for path in SOURCES
         if path.name != "__init__.py"
         for name, lineno in _public_names(ast.parse(path.read_text()))
-        if name not in used
+        if not name.startswith("_") and name not in used
     ]
     assert not unused, unused
 
