@@ -6,9 +6,11 @@ A kernel at pole y is the m x m matrix of columns solving
     L v = Phi_eps e_k   with  A Dv . n = 0 on the graph part (graph mode)
 
 where Phi_eps is a radial C^1 bump of mass one.  The discrete load of
-Phi_eps is rescaled to unit mass under the assembly quadrature, so the
-compatibility of the pair (Phi_eps e_k, -(1/|dOmega|) e_k) is exact at the
-matrix level and the variational identities below hold to solver precision.
+Phi_eps is rescaled to unit mass under the assembly quadrature, and a column
+solves that load alone: in bounded mode the solver's multiplier forms the
+flux b / sum b, the exact-trace -(1/|dOmega|) e_k, so the pair is compatible
+at the matrix level and the variational identities below hold to solver
+precision.
 The epsilon -> 0 limit is realized at mesh scale, eps = 2h, together with
 an eps-consistency check; nothing below the mesh scale is resolvable.
 
@@ -231,24 +233,21 @@ def _check_pole(mesh, y):
 def _pole_rhs(solver, loads):
     """Right-hand sides (n_dof, k m) of all m columns at k poles.
 
-    Column i m + c carries the pole load loads[:, i] in component c and, in
-    bounded mode, the compensating flux -(1/|dOmega|) e_c; the exact trace
-    weights make that data exactly compatible.
+    Column i m + c carries the unit-mass pole load loads[:, i] in component
+    c and nothing else.  In bounded mode the solver's multiplier then forms
+    the column's flux b / sum b e_c, the discrete -(1/|dOmega|) e_c.
     """
-    mesh, m = solver.mesh, solver.m
-    rhs = np.zeros((mesh.n_nodes, m, loads.shape[1], m))
+    m = solver.m
+    rhs = np.zeros((solver.mesh.n_nodes, m, loads.shape[1], m))
     for c in range(m):
         rhs[:, c, :, c] = loads
-        if not mesh.is_graph:
-            rhs[:, c, :, c] -= (solver.boundary_weights / mesh.boundary_measure)[:, None]
     return rhs.reshape(solver.n_dof, -1)
 
 
 def _solve_poles(solver, loads, adjoint):
     """Kernel values (k, n_nodes, m, m) at the k poles of ``loads``, from one blocked solve."""
     m = solver.m
-    solve = solver.solve_graph if solver.mesh.is_graph else solver.solve_bounded
-    u, info = solve(_pole_rhs(solver, loads), adjoint)
+    u, info = solver.solve(_pole_rhs(solver, loads), adjoint)
     return u.reshape(solver.mesh.n_nodes, m, loads.shape[1], m).transpose(2, 0, 1, 3), info
 
 

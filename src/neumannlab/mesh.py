@@ -12,6 +12,7 @@ flux condition lives) and "far" facets (the artificial truncation cut).
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidGeometryError, LipschitzViolationError, OutOfDomainError
 
@@ -69,6 +70,11 @@ class Mesh:
     No reported value depends on that layout: Gauss-point values and loads
     are products of C-contiguous copies, and reductions go through
     ``discretize.ordered_sum``.
+
+    A bounded mesh (``graph=False``) must be one part, its cells joined
+    through shared nodes: on parts that share no node the pure-Neumann
+    solution is not unique, so a split cell set raises InvalidGeometryError.
+    Graph meshes are not checked: ``build_truncated_graph_mesh`` makes one part.
     """
 
     def __init__(self, origin, h, occupancy, graph=False):
@@ -105,6 +111,14 @@ class Mesh:
 
         self._cell_id = np.full((nx, ny, nz), -1, dtype=np.int64)
         self._cell_id[occ] = np.arange(len(cells_ijk))
+        # a full box is one part, and so is every build_truncated_graph_mesh mesh
+        if not graph and not occ.all():
+            parts = _parts(self._cell_id)
+            if parts > 1:
+                raise InvalidGeometryError(
+                    f"occupied cells form {parts} parts that share no node; "
+                    "a bounded domain must be one part"
+                )
 
         self._build_boundary(graph)
 
@@ -259,6 +273,32 @@ class Mesh:
         return cell_ids, local
 
 
+#: the lattice offsets d at which two cells share a face, an edge or a
+#: corner, one of each pair +-d: the 13 of {-1, 0, 1}^3 after (0, 0, 0)
+_HALF_OFFSETS = [tuple(k - 1 for k in d) for d in np.ndindex(3, 3, 3) if d > (1, 1, 1)]
+
+
+def _parts(cell_id):
+    """Number of parts of the occupied cells of the cell-id lattice, two cells
+    joined when they share a node."""
+    # imported here: at package import it costs 2 MB of memory and 3 ms in every
+    # process, and only a bounded cell set other than a full box reaches it
+    from scipy.sparse.csgraph import connected_components
+
+    edges = []
+    for d in _HALF_OFFSETS:
+        # the cell at index v and the one at v + d, where both are in the lattice
+        lo = tuple(slice(max(-k, 0), n - max(k, 0)) for k, n in zip(d, cell_id.shape))
+        hi = tuple(slice(max(k, 0), n - max(-k, 0)) for k, n in zip(d, cell_id.shape))
+        a, b = cell_id[lo], cell_id[hi]
+        both = (a >= 0) & (b >= 0)
+        edges.append((a[both], b[both]))
+    rows, cols = (np.concatenate(e) for e in zip(*edges))
+    n = int(cell_id.max()) + 1
+    graph = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return connected_components(graph, directed=False)[0]
+
+
 _LOCATE_OFFSETS = np.array(
     [[0, 0, 0]]
     + [list(v) for v in np.ndindex(2, 2, 2) if any(v)],
@@ -300,10 +340,11 @@ def build_truncated_graph_mesh(profile, lipschitz_constant, box, h):
     staircase floor sits at the smallest lattice level above the max of the
     profile over each column footprint, so every node satisfies x3 >= profile
     and interior nodes are strictly above it.  Side and top facets of the box
-    are flagged as far boundary.  A step h or a Lipschitz constant that is NaN
-    or out of range, non-finite profile samples, and a mesh with no node off
-    the far boundary (the solver would keep no unknown) raise
-    InvalidGeometryError.
+    are flagged as far boundary.  The mesh is one part by construction: the
+    profile stays a cell below the box top, so every column of cells reaches
+    the top layer.  A step h or a Lipschitz constant that is NaN or out of
+    range, non-finite profile samples, and a mesh with no node off the far
+    boundary (the solver would keep no unknown) raise InvalidGeometryError.
     """
     h = float(h)
     lo = np.asarray(box[0], dtype=float)

@@ -34,17 +34,20 @@ width H/h = 4, not on h (Toselli & Widlund, Domain Decomposition Methods,
 1996).  The stopping rule is CG's own, ||K x - b|| <= tolerance ||b||, on
 the unpreconditioned residual.
 
-Bounded mode realizes the zero-mean-boundary-trace normalization in closed
-form.  K annihilates constants on both sides, so the multiplier of the
-constrained system K u + B^T mu = F, B u = 0 is mu_i = sum F_i / sum b per
-component; it absorbs exactly the quadrature residual of the compatibility
-condition, so the discrete variational identity holds against arbitrary test
-fields up to solver precision.  The solve projects the load, solves the
-consistent singular system (with one node grounded for LU; CG solves it as
-is, preconditions only the mean-free part of each residual, and its coarse
-operator grounds one aggregate), then shifts each
-component by a constant to zero boundary mean (Bochev &
-Lehoucq, SIAM Review 47, 2005).  Graph mode imposes homogeneous Dirichlet on
+One entry, ``NeumannSolver.solve``, takes any load in either mode; the mode
+is the mesh's.  Bounded mode realizes the zero-mean-boundary-trace
+normalization in closed form.  K annihilates constants on both sides, so the
+multiplier of the constrained system K u + B^T mu = F, B u = 0 is
+mu_i = sum F_i / sum b per component: the flux B^T mu = b mu balances the
+load, whether that is the whole Neumann flux (a unit-mass pole load gets
+b / sum b, the kernel's -(1/|dOmega|) e_k) or just the quadrature residual
+of data that already balance.  So the discrete variational identity holds
+against arbitrary test fields up to solver precision.  The solve subtracts
+the flux, solves the consistent singular system (with one node grounded for
+LU; CG solves it as is, preconditions only the mean-free part of each
+residual, and its coarse operator grounds one aggregate), then shifts each
+component by a constant to zero boundary mean (Bochev & Lehoucq, SIAM
+Review 47, 2005).  Graph mode imposes homogeneous Dirichlet on
 the far (truncation) boundary by assembling K over the other DOFs only, and
 the natural condition on the graph boundary.
 
@@ -111,7 +114,6 @@ class SolveInfo:
     method: str
     iterations: np.ndarray
     residuals: np.ndarray
-    multiplier: np.ndarray | None = None
 
     @property
     def residual(self):
@@ -199,12 +201,11 @@ class NeumannSolver:
         """Solve the operator of a direction for rhs[free_dofs]; the other DOFs come back 0.
 
         ``rhs`` is a load vector or an (n_dof, r) block: LU solves a block in one
-        call, CG one column at a time.  Returns (u, method, iterations per column).
+        call, CG one column at a time.  Returns (u, iterations per column).
         """
-        method = self._method
         r = rhs[self.free_dofs]
         cols = r.reshape(len(r), -1)
-        if method == "direct":
+        if self._method == "direct":
             x = self._prepare(adjoint).solve(r)
             iterations = np.ones(cols.shape[1], dtype=np.int64)
         else:
@@ -215,7 +216,7 @@ class NeumannSolver:
             x = x.reshape(r.shape)
         u = np.zeros(rhs.shape)
         u[self.free_dofs] = x
-        return u, method, iterations
+        return u, iterations
 
     def _cg(self, r):
         count = [0]
@@ -303,48 +304,35 @@ class NeumannSolver:
             raise NumericFailureError(f"coarse LU factorization failed: {e}") from e
         return agg, inv_diag, lu, KP.T.tocsr()
 
-    def _finish(self, mode, u, load, adjoint, solved, flux=0.0, multiplier=None):
-        """(u, info) with the residual K u + flux - load over ``dofs``, guarded.
+    def solve(self, load, adjoint=False):
+        """Forward or adjoint solution for any load vector (n_dof,) or block (n_dof, r).
 
-        ``solved`` is the (method, iterations) of ``_solve_reduced`` and
-        ``flux`` the bounded mode's B^T mu, whose DOFs are all of ``dofs``.
-        """
-        method, iterations = solved
-        rhs = load[self.dofs]
-        res = self.operator(adjoint) @ u[self.dofs] + flux - rhs
-        info = SolveInfo(f"{mode}-{method}", iterations, _relative(res, rhs), multiplier)
-        _guard(info, self.config, mode)
-        return u, info
-
-    # -- bounded mode --------------------------------------------------
-    def solve_bounded(self, load, adjoint=False):
-        """Zero-boundary-mean solution for a load vector (n_dof,) or block (n_dof, r).
-
-        ``adjoint=True`` solves the adjoint system.  Multiplier, shift and
-        residual are per column; ``info.multiplier`` has shape (m,) for a
-        vector and (m, r) for a block.
+        In bounded mode the closed-form multiplier mu = sum F / sum b, per
+        component and column, forms the compensating flux B^T mu = b mu, so a
+        load need not balance: a unit-mass pole load gets the flux b / sum b,
+        the discrete conormal data -(1/|dOmega|) e_k.  Each component is then
+        shifted to zero boundary mean.  In graph mode the far-cut DOFs are 0.
+        ``info`` holds the residual K u + B^T mu - F over ``dofs`` per column,
+        guarded.
         """
         if self.mesh.is_graph:
-            raise InterfaceError("bounded solve requested on a graph mesh")
-        b = self.boundary_weights
-        F = load.reshape(self.mesh.n_nodes, self.m, -1)
-        # pairwise sums over contiguous node runs: a column of a block gets the
-        # multiplier, and so the Krylov iterates, of its solve alone
-        mu = np.ascontiguousarray(F.transpose(2, 1, 0)).sum(axis=2).T / b.sum()
-        flux = (b[:, None, None] * mu).reshape(load.shape)  # B^T mu
-        u, *solved = self._solve_reduced(load - flux, adjoint)
-        U = u.reshape(F.shape)
-        U -= np.tensordot(b, U, axes=1) / b.sum()
-        multiplier = mu.reshape((self.m,) + load.shape[1:])
-        return self._finish("bounded", u, load, adjoint, solved, flux, multiplier)
-
-    # -- graph mode ----------------------------------------------------
-    def solve_graph(self, load, adjoint=False):
-        """Zero far-cut solution of the forward or adjoint system for a load vector or block."""
-        if not self.mesh.is_graph:
-            raise InterfaceError("graph solve requested on a bounded mesh")
-        u, *solved = self._solve_reduced(load, adjoint)
-        return self._finish("graph", u, load, adjoint, solved)
+            mode, flux = "graph", 0.0
+            u, iterations = self._solve_reduced(load, adjoint)
+        else:
+            mode, b = "bounded", self.boundary_weights
+            F = load.reshape(self.mesh.n_nodes, self.m, -1)
+            # pairwise sums over contiguous node runs: a column of a block gets the
+            # multiplier, and so the Krylov iterates, of its solve alone
+            mu = np.ascontiguousarray(F.transpose(2, 1, 0)).sum(axis=2).T / b.sum()
+            flux = (b[:, None, None] * mu).reshape(load.shape)  # B^T mu
+            u, iterations = self._solve_reduced(load - flux, adjoint)
+            U = u.reshape(F.shape)
+            U -= np.tensordot(b, U, axes=1) / b.sum()
+        rhs = load[self.dofs]
+        res = self.operator(adjoint) @ u[self.dofs] + flux - rhs
+        info = SolveInfo(f"{mode}-{self._method}", iterations, _relative(res, rhs))
+        _guard(info, self.config, mode)
+        return u, info
 
 
 def _lattice_index(mesh):
@@ -492,7 +480,7 @@ def solve_neumann_bounded(mesh, fld, f, g, config=None, solver=None):
     residual = load.reshape(-1, m).sum(axis=0)
     if np.linalg.norm(residual) > COMPATIBILITY_RTOL * max(scale, 1e-300):
         raise CompatibilityError(residual)
-    u, info = solver.solve_bounded(load)
+    u, info = solver.solve(load)
     out = DiscreteField(mesh, u.reshape(-1, m))
     out.info = info
     return out
@@ -502,7 +490,7 @@ def solve_neumann_graph(mesh, fld, f, config=None, solver=None):
     """Y^{1,2}-type solve: natural condition on the graph boundary, zero on the far cut."""
     solver = solver_for(mesh, fld, config, solver)
     m = fld.m
-    u, info = solver.solve_graph(assemble_volume_load(mesh, f, m))
+    u, info = solver.solve(assemble_volume_load(mesh, f, m))
     out = DiscreteField(mesh, u.reshape(-1, m))
     out.info = info
     return out

@@ -25,6 +25,7 @@ from neumannlab.coeff import (
 from neumannlab.discretize import (
     DiscreteField,
     boundary_mean,
+    boundary_weight_vector,
     gauss_rule_1d,
     interpolate,
     l2_norm,
@@ -269,10 +270,50 @@ class TestLoadStencil:
 
 def mollified_column(solver, eps):
     """Bounded scalar kernel at CENTER mollified at radius eps: the load's own solve."""
-    mesh = solver.mesh
-    load, _ = mollifier_load(mesh, CENTER, eps)
-    u, _ = solver.solve_bounded(load[:, 0] - solver.boundary_weights / mesh.boundary_measure)
-    return DiscreteField(mesh, u)
+    load, _ = mollifier_load(solver.mesh, CENTER, eps)
+    u, _ = solver.solve(load[:, 0])
+    return DiscreteField(solver.mesh, u)
+
+
+ONE_FLUX_FIELDS = {
+    "checkerboard-m1": ScalarCheckerboard(10.0, seed=2),
+    "skew-m3": SkewPerturbed(ScalarCheckerboard(10.0, seed=5, m=3), 0.5, seed=5),
+}
+
+
+class TestOneFlux:
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
+    @pytest.mark.parametrize("field", sorted(ONE_FLUX_FIELDS))
+    def test_bare_pole_loads_match_hand_built_flux(self, field, linear_solver, adjoint):
+        # a bounded solve of unit-mass pole loads forms each column's flux
+        # b / sum b, the discrete -(1/|dOmega|) e_c, itself: its solution is
+        # that of the loads less the hand-built flux b / |dOmega|
+        mesh = build_box_mesh((1, 1, 1), 6)
+        cfg = SolveConfig(linear_solver=linear_solver, tolerance=1e-12)
+        solver = NeumannSolver(mesh, make_coefficient(ONE_FLUX_FIELDS[field]), cfg)
+        n, m = mesh.n_nodes, solver.m
+        # a node pole, an off-lattice pole and a pole whose ball the boundary clips
+        loads, _ = mollifier_load(mesh, [CENTER, (0.41, 0.52, 0.63), (0.1, 0.5, 0.5)], 2 * mesh.h)
+        bare = np.zeros((n, m, loads.shape[1], m))
+        for c in range(m):
+            bare[:, c, :, c] = loads
+        b = boundary_weight_vector(mesh)
+        hand = bare - (b / mesh.boundary_measure)[:, None, None, None] * np.eye(m)[:, None, :]
+        bare, hand = bare.reshape(solver.n_dof, -1), hand.reshape(solver.n_dof, -1)
+
+        u, info = solver.solve(bare, adjoint)
+        ref, _ = solver.solve(hand, adjoint)
+        method = "cg" if linear_solver == "krylov" and solver.symmetric else "direct"
+        assert info.method == f"bounded-{method}"
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the multiplier, read off as the flux bare - K u fitted to b, is
+        # sum load / sum b per column: 1 / sum b in the column's own component
+        flux = (bare - solver.operator(adjoint) @ u).reshape(n, m, -1)
+        mu = np.tensordot(b, flux, axes=1) / (b @ b)
+        expected = bare.reshape(n, m, -1).sum(axis=0) / b.sum()
+        assert_allclose(expected, np.tile(np.eye(m), loads.shape[1]) / b.sum(), rtol=1e-14)
+        assert np.abs(mu - expected).max() <= 1e-12 / b.sum()
 
 
 class TestColumnBuild:
@@ -580,7 +621,7 @@ class TestNodeKernelSet:
             rhs = np.zeros((mesh.n_nodes, m, m))
             for c in range(m):
                 rhs[:, c, c] = load[:, 0] - flux
-            u, _ = solver.solve_bounded(rhs.reshape(solver.n_dof, m), adjoint=True)
+            u, _ = solver.solve(rhs.reshape(solver.n_dof, m), adjoint=True)
             own = u.reshape(mesh.n_nodes, m, m)
             scale = np.abs(own).max()
             assert np.abs(kernels.values[p] - own).max() <= 1e-12 * scale

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
+from scipy import ndimage
 
 from mesh_reference import l_shape, reference_arrays
 from neumannlab import mesh as meshmod
@@ -26,6 +27,7 @@ from neumannlab.mesh import (
     build_truncated_graph_mesh,
     distance_to_boundary,
 )
+from neumannlab.solve import SolveConfig, solve_neumann_bounded
 
 
 def brute_force_distance(mesh, point, k=60):
@@ -114,13 +116,42 @@ class TestStaircase:
         st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
     )
     def test_random_unions_closure(self, occ, corner):
-        # closure and topology hold for any occupancy, disconnected ones too
+        # closure and topology hold for any occupancy.  A bounded mesh must be
+        # one part, so a split one is refused and built as a graph mesh, which
+        # is not checked
         origin = 0.5 * np.array(corner, dtype=float)
-        mesh = Mesh(origin, 0.5, occ)
+        graph = ndimage.label(occ, structure=np.ones((3, 3, 3)))[1] > 1
+        if graph:
+            with pytest.raises(InvalidGeometryError, match="parts that share no node"):
+                Mesh(origin, 0.5, occ)
+        mesh = Mesh(origin, 0.5, occ, graph=graph)
         total = (mesh.facet_area[:, None] * mesh.facet_normal).sum(axis=0)
         assert_allclose(total, 0.0, atol=1e-10)
         assert_allclose(mesh.facet_area.sum(), mesh.boundary_measure)
-        assert_matches_reference(mesh, ((origin, 0.5, occ), {}))
+        assert_matches_reference(mesh, ((origin, 0.5, occ), {"graph": graph}))
+
+    def test_parts_sharing_no_node_refused(self):
+        # two 2 x 2 x 2 blocks one empty layer apart share no node: K keeps a
+        # constant null vector on each, so no pure-Neumann solve is unique
+        occ = np.zeros((5, 2, 2), dtype=bool)
+        occ[:2] = occ[3:] = True
+        message = "occupied cells form 2 parts that share no node"
+        with pytest.raises(InvalidGeometryError, match=message):
+            Mesh((0, 0, 0), 0.5, occ)
+        # the same cells are one part once the gap is filled
+        occ[2] = True
+        assert Mesh((0, 0, 0), 0.5, occ).n_cells == 20
+
+    @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
+    def test_cells_sharing_one_corner_build_and_solve(self, identity_field, linear_solver):
+        occ = np.zeros((2, 2, 2), dtype=bool)
+        occ[0, 0, 0] = occ[1, 1, 1] = True
+        mesh = Mesh((0, 0, 0), 0.5, occ)
+        assert mesh.n_nodes == 15
+        f = lambda p: np.where(p[:, :1] < 0.5, 1.0, -1.0)
+        cfg = SolveConfig(linear_solver=linear_solver)
+        u = solve_neumann_bounded(mesh, identity_field, f, None, cfg)
+        assert np.all(np.isfinite(u.values)) and u.info.residual <= 1e-9
 
 
 #: the unit cube as a truncation box

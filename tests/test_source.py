@@ -39,28 +39,29 @@ def _stored(targets):
 
 
 def _public_names(tree):
-    """(name, line) of the top-level functions, classes and constants, and the
-    methods, dataclass fields and instance attributes (``self.name = ...``)
-    of those classes; private names included."""
+    """(name, line, member) of the top-level functions, classes and constants
+    (member False), and of the methods, dataclass fields and instance
+    attributes (``self.name = ...``) of those classes (member True); private
+    names included."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, False
         elif isinstance(node, ast.Assign):
-            yield from _stored(node.targets)
+            yield from ((*name, False) for name in _stored(node.targets))
         elif isinstance(node, ast.AnnAssign):
-            yield from _stored([node.target])
+            yield from ((*name, False) for name in _stored([node.target]))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield item.name, item.lineno
+                    yield item.name, item.lineno, True
                     yield from (
-                        (sub.attr, sub.lineno)
+                        (sub.attr, sub.lineno, True)
                         for sub in ast.walk(item)
                         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
                         and getattr(sub.value, "id", None) == "self"
                     )
                 elif isinstance(item, ast.AnnAssign):
-                    yield from _stored([item.target])
+                    yield from ((*name, True) for name in _stored([item.target]))
 
 
 def _referenced(tree):
@@ -74,18 +75,32 @@ def _referenced(tree):
     return names
 
 
+def _member_uses(tree):
+    """Names read as an attribute or passed as a keyword: the uses of a
+    method, field or attribute.  A variable of the same name is not one."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            names.add(node.arg)
+    return names
+
+
 def test_public_names_have_callers():
     # a public function, class, method, constant, field or attribute that only
     # its own unit tests use is surface to delete, not to keep
-    used = set()
+    used, members = set(), set()
     for path in CALLER_FILES:
-        used |= _referenced(ast.parse(path.read_text()))
+        tree = ast.parse(path.read_text())
+        used |= _referenced(tree)
+        members |= _member_uses(tree)
     unused = [
         f"{path.name}:{lineno} {name}"
         for path in SOURCES
         if path.name != "__init__.py"
-        for name, lineno in _public_names(ast.parse(path.read_text()))
-        if not name.startswith("_") and name not in used
+        for name, lineno, member in _public_names(ast.parse(path.read_text()))
+        if not name.startswith("_") and name not in (members if member else used)
     ]
     assert not unused, unused
 
