@@ -24,6 +24,7 @@ from .kernel import (
     build_node_kernel_set,
     check_defining_identity,
     check_symmetry_identity,
+    kernel_at,
     representation_solve,
 )
 from .mesh import (
@@ -35,8 +36,8 @@ from .mesh import (
 from .solve import (
     NeumannSolver,
     SolveConfig,
+    solve_neumann,
     solve_neumann_bounded,
-    solve_neumann_graph,
 )
 
 __version__ = "0.1.0"
@@ -62,9 +63,10 @@ __all__ = [
     "check_defining_identity",
     "check_symmetry_identity",
     "distance_to_boundary",
+    "kernel_at",
     "make_coefficient",
     "representation_solve",
+    "solve_neumann",
     "solve_neumann_bounded",
-    "solve_neumann_graph",
     "verify_ellipticity_bounds",
 ]

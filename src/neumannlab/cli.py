@@ -46,20 +46,14 @@ from .errors import (
 from .kernel import (
     Mollifier,
     _check_pole,
-    build_kernel,
     check_defining_identity,
     check_symmetry_identity,
     integrate_mollifier,
+    kernel_at,
 )
 from .mesh import build_box_mesh, build_truncated_graph_mesh
 from .oracle import cube_neumann_series_batch
-from .solve import (
-    NeumannSolver,
-    SolveConfig,
-    _one_blas_thread,
-    solve_neumann_bounded,
-    solve_neumann_graph,
-)
+from .solve import NeumannSolver, SolveConfig, _one_blas_thread, solve_neumann
 
 KINDS = ("verify-coeff", "solve", "kernel", "estimates", "oracle-compare", "full-suite")
 #: accepted values of the choice keys; coeff.type and solve.* are checked by
@@ -349,25 +343,24 @@ def _verify_coeff(cfg, fld):
 
 
 def _solve_experiment(cfg, solver):
-    mesh, fld, scfg = solver.mesh, solver.field, solver.config
+    mesh = solver.mesh
     L = cfg.mesh_extents[0]
 
     def f(p):
-        return np.repeat((np.pi / L) ** 2 * np.cos(np.pi * p[:, 0] / L)[:, None], fld.m, axis=1)
+        return np.repeat((np.pi / L) ** 2 * np.cos(np.pi * p[:, 0] / L)[:, None], solver.m, axis=1)
 
+    u = solve_neumann(solver, f, None)
     if mesh.is_graph:
-        u = solve_neumann_graph(mesh, fld, f, scfg, solver=solver)
         far = float(np.abs(u.values[mesh.far_nodes]).max())
         rec = _rec("graph-far-boundary-zero", far, 1e-14)
     else:
-        u = solve_neumann_bounded(mesh, fld, f, None, scfg, solver=solver)
         bm = float(np.abs(boundary_mean(u)).max())
         rec = _rec("solve-boundary-mean", bm, _BOUNDARY_MEAN_TOL)
     return [rec, _rec("solve-residual", u.info.residual, _RESIDUAL_TOL)]
 
 
 def _kernel_experiment(cfg, solver):
-    mesh, fld, scfg = solver.mesh, solver.field, solver.config
+    mesh = solver.mesh
     recs = []
 
     mol = Mollifier(tuple(0.5 * (mesh.nodes.min(0) + mesh.nodes.max(0))), 2 * mesh.h)
@@ -378,11 +371,11 @@ def _kernel_experiment(cfg, solver):
     poles = _pole_list(cfg, mesh)
     kernels = []
     for pole in poles:
-        kern = build_kernel(mesh, fld, pole, scfg, solver=solver)
+        kern = kernel_at(solver, pole)
         kernels.append(kern)
         worst = 0.0
         for _ in range(cfg.trials):
-            vals = rng.standard_normal((mesh.n_nodes, fld.m))
+            vals = rng.standard_normal((mesh.n_nodes, solver.m))
             if mesh.is_graph:
                 vals[mesh.far_nodes] = 0.0
             phi = DiscreteField(mesh, vals)
@@ -396,7 +389,7 @@ def _kernel_experiment(cfg, solver):
             )
         )
     # forward kernel at the first pole against the adjoint kernel at the last
-    k_adj = build_kernel(mesh, fld, poles[-1], scfg, adjoint=True, solver=solver)
+    k_adj = kernel_at(solver, poles[-1], adjoint=True)
     defect = check_symmetry_identity(kernels[0], k_adj)
     recs.append(_rec("symmetry-identity", defect, IDENTITY_TOL))
     return recs, kernels[0]
@@ -404,10 +397,9 @@ def _kernel_experiment(cfg, solver):
 
 def _estimates_experiment(cfg, solver, kern=None):
     """Estimate fits on the forward kernel at the first pole (built here unless given)."""
-    mesh, fld, scfg = solver.mesh, solver.field, solver.config
+    mesh = solver.mesh
     if kern is None:
-        pole = _pole_list(cfg, mesh)[0]
-        kern = build_kernel(mesh, fld, pole, scfg, solver=solver)
+        kern = kernel_at(solver, _pole_list(cfg, mesh)[0])
     recs = [est.pointwise_decay_check(kern, seed=cfg.seed)]
     a6, adn = est.annulus_fit(kern)
     recs += [a6, adn]
@@ -416,9 +408,7 @@ def _estimates_experiment(cfg, solver, kern=None):
     recs.append(est.distribution_fit(kern, gradient=False))
     recs.append(est.distribution_fit(kern, gradient=True))
     if not mesh.is_graph:
-        recs.append(
-            est.test_local_boundedness(mesh, fld, trials=cfg.trials, seed=cfg.seed, solver=solver)
-        )
+        recs.append(est.test_local_boundedness(solver, trials=cfg.trials, seed=cfg.seed))
     return recs
 
 
@@ -434,7 +424,7 @@ def _oracle_experiment(cfg, solver, kern=None):
     """
     mesh = solver.mesh
     if kern is None or np.any(kern.pole != 0.5):
-        kern = build_kernel(mesh, solver.field, _CUBE_CENTER, solver.config, solver=solver)
+        kern = kernel_at(solver, _CUBE_CENTER)
     h = mesh.h
     rng = np.random.default_rng(cfg.seed)
     dirs = rng.standard_normal((16, 3))

@@ -88,8 +88,7 @@ class SmoothVMO:
 class CoefficientField:
     """Evaluable coefficient tensor with declared ellipticity bounds."""
 
-    def __init__(self, spec, m, lam, bound, eval_fn):
-        self.spec = spec
+    def __init__(self, m, lam, bound, eval_fn):
         self.m = int(m)
         self.lam = float(lam)
         self.bound = float(bound)
@@ -147,7 +146,7 @@ def _identity_field(spec):
     def ev(pts):
         return np.broadcast_to(a, (len(pts),) + a.shape).copy()
 
-    return CoefficientField(spec, spec.m, 1.0, 1.0, ev)
+    return CoefficientField(spec.m, 1.0, 1.0, ev)
 
 
 def _scalar_times_identity(vals, m):
@@ -178,7 +177,7 @@ def _checkerboard_field(spec):
         vals = np.where(parity == 0, 1.0, float(spec.contrast))
         return _scalar_times_identity(vals, spec.m)
 
-    return CoefficientField(spec, spec.m, 1.0, float(spec.contrast), ev)
+    return CoefficientField(spec.m, 1.0, float(spec.contrast), ev)
 
 
 #: SplitMix64's increment, the golden ratio in 64 bits
@@ -239,7 +238,7 @@ def _cellwise_random_field(spec):
         mats = 0.5 * (mats + mats.transpose(0, 2, 1))
         return mats[inv].reshape(len(pts), D, spec.m, D, spec.m).transpose(0, 1, 3, 2, 4)
 
-    return CoefficientField(spec, spec.m, float(spec.lam_target), float(spec.m_target), ev)
+    return CoefficientField(spec.m, float(spec.lam_target), float(spec.m_target), ev)
 
 
 def _skew_field(spec):
@@ -258,7 +257,7 @@ def _skew_field(spec):
         skew_t = skew.reshape(len(pts), D, base.m, D, base.m).transpose(0, 1, 3, 2, 4)
         return base.evaluate(pts) + skew_t
 
-    return CoefficientField(spec, base.m, base.lam, base.bound + spec.amplitude, ev)
+    return CoefficientField(base.m, base.lam, base.bound + spec.amplitude, ev)
 
 
 def _smooth_field(spec):
@@ -270,7 +269,7 @@ def _smooth_field(spec):
         return _scalar_times_identity(vals, spec.m)
 
     lam = 1.0 - abs(spec.amplitude)
-    return CoefficientField(spec, spec.m, lam, 1.0 + abs(spec.amplitude), ev)
+    return CoefficientField(spec.m, lam, 1.0 + abs(spec.amplitude), ev)
 
 
 def verify_ellipticity_bounds(fld, sample_points):

@@ -43,7 +43,6 @@ from .errors import (
     UnderResolvedError,
 )
 from .mesh import distance_to_boundary
-from .solve import solver_for
 
 D = 3
 P_MAX_VALUE = D / (D - 2)  # sharp integrability threshold for N
@@ -452,7 +451,7 @@ def _balanced(mesh, load, m, facets):
     return g, load + _boundary_load(mesh, _constant(g), m, facets)
 
 
-def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None):
+def test_local_boundedness(solver, trials=20, seed=0, balls=None):
     """Empirical C1 of the local-boundedness estimate over random data and balls.
 
     ratio = sup |u| over the half ball / (R^{-d/2} ||u||_{L2(ball)} +
@@ -477,6 +476,7 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
     the solver's residual guard, and a trial's residual norm is at most
     sum |c| times the largest basis residual norm.
     """
+    mesh, m = solver.mesh, solver.m
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if balls is not None:
@@ -486,9 +486,7 @@ def test_local_boundedness(mesh, fld, trials=20, seed=0, solver=None, balls=None
             if not radius > 0:
                 raise ValueError(f"ball radius must be > 0, got {radius}")
         mesh.locate(np.array([center for center, _ in balls], dtype=float))
-    solver = solver_for(mesh, fld, None, solver)
     rng = np.random.default_rng(seed)
-    m = fld.m
     diam = np.linalg.norm(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0))
     pts, w = quadrature_points(mesh)
     k = np.arange(1, 4)

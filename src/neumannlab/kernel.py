@@ -15,7 +15,9 @@ The epsilon -> 0 limit is realized at mesh scale, eps = 2h, together with
 an eps-consistency check; nothing below the mesh scale is resolvable.
 
 The adjoint stiffness is K^T, so one operator, the forward solver's, serves
-kernels of both directions (the Krylov path, CG, takes symmetric K only).
+kernels of both directions (the Krylov path, CG, takes symmetric K only):
+``kernel_at(solver, y, adjoint)`` builds either on the solver a run holds,
+and ``build_kernel`` is the forward kernel on a solver of its own.
 
 A node kernel set holds the adjoint kernels at every node as one array with
 their pole loads, so the representation formula and the mollified readout
@@ -42,7 +44,7 @@ from .discretize import (
 )
 from .errors import CoverageError, InterfaceError, InvalidGeometryError
 from .mesh import distance_to_boundary
-from .solve import NeumannSolver, _one_blas_thread, solver_for
+from .solve import NeumannSolver, _one_blas_thread
 
 #: normalization of the quartic bump (1 - |z|^2)^2 on the unit ball in d = 3:
 #: 4 pi int_0^1 (1 - r^2)^2 r^2 dr = 32 pi / 105
@@ -267,21 +269,26 @@ def _telemetry(raw_mass, info, m):
     }
 
 
-def build_kernel(mesh, fld, y, config=None, adjoint=False, solver=None):
+def kernel_at(solver, y, adjoint=False):
     """All m columns at pole y; adjoint=True builds the kernel of the adjoint operator.
 
     ``solver`` is the forward solver in both directions.  The mollifier
     radius is 2h, the finest resolvable scale, and the pole must lie at depth
     4h or more, so its mollifier is never clipped by the boundary.
     """
+    mesh = solver.mesh
     y = np.asarray(y, dtype=float)
     _check_pole(mesh, y)
-    solver = solver_for(mesh, fld, config, solver)
     loads, raw = mollifier_load(mesh, y, 2 * mesh.h)
     values, info = _solve_poles(solver, loads, adjoint)
-    telemetry = _telemetry(raw[0], info, fld.m)
+    telemetry = _telemetry(raw[0], info, solver.m)
     values = np.ascontiguousarray(values[0])
     return NeumannKernel(mesh, y, values, loads[:, 0], adjoint, solver, telemetry)
+
+
+def build_kernel(mesh, fld, y, config=None):
+    """The forward ``kernel_at`` y of a new NeumannSolver for (mesh, fld, config)."""
+    return kernel_at(NeumannSolver(mesh, fld, config), y)
 
 
 def check_defining_identity(kernel, phi):
@@ -294,10 +301,11 @@ def check_defining_identity(kernel, phi):
     DOFs the solver keeps.  In graph mode the column and phi both vanish on
     the far cut, so that is the whole functional.
     """
-    mesh = kernel.mesh
+    mesh, m = kernel.mesh, kernel.m
     if phi.mesh is not mesh:
         raise InterfaceError("test field lives on a different mesh")
-    m = kernel.m
+    if phi.values.shape[1] != m:
+        raise InterfaceError(f"test field has {phi.values.shape[1]} components, the kernel {m}")
     K = kernel.solver.operator(kernel.adjoint)
     dofs = kernel.solver.dofs
     if mesh.is_graph:

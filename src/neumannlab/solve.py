@@ -35,21 +35,26 @@ width H/h = 4, not on h (Toselli & Widlund, Domain Decomposition Methods,
 the unpreconditioned residual.
 
 One entry, ``NeumannSolver.solve``, takes any load in either mode; the mode
-is the mesh's.  Bounded mode realizes the zero-mean-boundary-trace
-normalization in closed form.  K annihilates constants on both sides, so the
-multiplier of the constrained system K u + B^T mu = F, B u = 0 is
-mu_i = sum F_i / sum b per component: the flux B^T mu = b mu balances the
-load, whether that is the whole Neumann flux (a unit-mass pole load gets
-b / sum b, the kernel's -(1/|dOmega|) e_k) or just the quadrature residual
-of data that already balance.  So the discrete variational identity holds
-against arbitrary test fields up to solver precision.  The solve subtracts
-the flux, solves the consistent singular system (with one node grounded for
-LU; CG solves it as is, preconditions only the mean-free part of each
-residual, and its coarse operator grounds one aggregate), then shifts each
-component by a constant to zero boundary mean (Bochev & Lehoucq, SIAM
-Review 47, 2005).  Graph mode imposes homogeneous Dirichlet on
-the far (truncation) boundary by assembling K over the other DOFs only, and
-the natural condition on the graph boundary.
+is the mesh's.  ``solve_neumann(solver, f, g)`` assembles the load of data
+(f, g) and solves it on a solver the caller holds, so a run's solves,
+kernels and estimates share its one operator.  Bounded mode realizes the
+zero-mean-boundary-trace normalization in closed form.  K annihilates
+constants on both sides, so the multiplier of the constrained system
+K u + B^T mu = F, B u = 0 is mu_i = sum F_i / sum b per component: the flux
+B^T mu = b mu balances the load, whether that is the whole Neumann flux (a
+unit-mass pole load gets b / sum b, the kernel's -(1/|dOmega|) e_k) or just
+the quadrature residual of data that already balance.  So the discrete
+variational identity holds against arbitrary test fields up to solver
+precision.  The solve subtracts the flux, solves the consistent singular
+system (with one node grounded for LU; CG solves it as is, and its coarse
+operator grounds one aggregate), then shifts each component by a constant to
+zero boundary mean (Bochev & Lehoucq, SIAM Review 47, 2005).  CG's
+preconditioner C is projected onto mean-free vectors on both sides, Pi C Pi,
+and so is its start: CG wants a symmetric preconditioner, and C Pi alone is
+not (on singular consistent systems see Kaasschieter, J. Comput. Appl. Math.
+24, 1988); with C Pi, CG stalled at contrast 1e6.  Graph mode imposes
+homogeneous Dirichlet on the far (truncation) boundary by assembling K over
+the other DOFs only, and the natural condition on the graph boundary.
 
 SuperLU's supernode kernels and numpy's dense products run in OpenBLAS, whose
 blocking and summation order follow its thread count.  The runs whose results
@@ -83,7 +88,7 @@ from .discretize import (
     gauss_rule_1d,
     volume_quadrature,
 )
-from .errors import CompatibilityError, InterfaceError, NumericFailureError
+from .errors import CompatibilityError, NumericFailureError
 
 
 #: Krylov iteration cap per right-hand side
@@ -141,7 +146,6 @@ class NeumannSolver:
 
     def __init__(self, mesh, fld, config=None):
         self.mesh = mesh
-        self.field = fld
         self.config = config or SolveConfig()
         self.m = fld.m
         self.n_dof = mesh.n_nodes * self.m
@@ -225,8 +229,9 @@ class NeumannSolver:
             count[0] += 1
 
         x, code = spla.cg(
-            self.operator(), r, x0=self._coarse_solve(r), rtol=self.config.tolerance, atol=0.0,
-            maxiter=MAX_ITERATIONS, M=self._preconditioner(), callback=cb,
+            self.operator(), r, x0=self._mean_free(self._coarse_solve(r)),
+            rtol=self.config.tolerance, atol=0.0, maxiter=MAX_ITERATIONS,
+            M=self._preconditioner(), callback=cb,
         )
         if code != 0:
             residual = float(_relative(r - self.operator() @ x, r)[0])
@@ -251,23 +256,30 @@ class NeumannSolver:
         first aggregate's m coarse DOFs are grounded, as node 0 is on the LU
         path.  A mesh whose one aggregate is grounded gets diagonal scaling
         alone.  Bounded mode also subtracts each component's mean from r
-        first: the residuals of the consistent singular system are mean-free
-        up to roundoff, and the grounded coarse inverse would amplify that
-        roundoff along the constants.
+        before and from M^-1 r after: the residuals of the consistent singular
+        system are mean-free up to roundoff, the grounded coarse inverse would
+        amplify that roundoff along the constants, and the projection on both
+        sides keeps M^-1 symmetric.
         """
         agg, inv_diag, lu, coupling = self._prepare(False)
-        m, bounded = self.m, not self.mesh.is_graph
 
         def apply(r):
-            if bounded:
-                r = (r.reshape(-1, m) - r.reshape(-1, m).mean(axis=0)).reshape(-1)
+            r = self._mean_free(r)
             y = r * inv_diag
-            return y if lu is None else y + self._coarse_solve(r, coupling @ y)
+            return self._mean_free(y if lu is None else y + self._coarse_solve(r, coupling @ y))
 
         return spla.LinearOperator((len(agg),) * 2, matvec=apply, dtype=float)
 
+    def _mean_free(self, v):
+        """v less each component's mean in bounded mode, where K annihilates
+        constants; v itself in graph mode."""
+        if self.mesh.is_graph:
+            return v
+        return (v.reshape(-1, self.m) - v.reshape(-1, self.m).mean(axis=0)).reshape(-1)
+
     def _coarse_solve(self, r, shift=0.0):
-        """P Kc^-1 (P^T r - shift): CG's start for shift 0; 0 with no coarse DOF."""
+        """P Kc^-1 (P^T r - shift), CG's start for shift 0 (made mean-free in
+        bounded mode); 0 with no coarse DOF."""
         agg, _, lu, _ = self._prepare(False)
         if lu is None:
             return np.zeros(len(r))
@@ -412,24 +424,6 @@ def _one_blas_thread():
             lib.openblas_set_num_threads_local(count)
 
 
-def solver_for(mesh, fld, config, solver=None):
-    """``solver`` when it was built for (mesh, fld, config), else a new NeumannSolver.
-
-    A solver assembled on another mesh, for another coefficient field or with
-    a config other than a given ``config`` raises InterfaceError;
-    ``config=None`` takes the solver's own.  One solver serves both directions.
-    """
-    if solver is None:
-        return NeumannSolver(mesh, fld, config)
-    if config is not None and config != solver.config:
-        raise InterfaceError(f"solver was built with {solver.config}, not {config}")
-    if solver.mesh is not mesh:
-        raise InterfaceError("solver was built for a different mesh")
-    if solver.field is not fld and solver.field.spec != fld.spec:
-        raise InterfaceError("solver was built for a different coefficient field")
-    return solver
-
-
 def _relative(res, rhs):
     """Relative residual norm of each column."""
     rhs_norm = np.linalg.norm(rhs.reshape(len(rhs), -1), axis=0)
@@ -468,17 +462,19 @@ def _load(mesh, f, g, m):
     return load, float(sum(l1))
 
 
-def solve_neumann_bounded(mesh, fld, f, g, config=None, solver=None):
-    """Unique zero-boundary-mean solution of L u = f, A Du . n = g.
+def solve_neumann(solver, f, g):
+    """The solver's solution of L u = f in the domain, A Du . n = g on its boundary.
 
-    Raises CompatibilityError when int f + int g deviates from zero by more
-    than COMPATIBILITY_RTOL relative to the L1 size of the data.
+    Bounded mode: the unique zero-boundary-mean solution; raises
+    CompatibilityError when int f + int g deviates from zero by more than
+    COMPATIBILITY_RTOL relative to the L1 size of the data.  Graph mode: g is
+    the conormal data on the graph part, and the far cut is held at zero, so
+    the data need not balance.
     """
-    solver = solver_for(mesh, fld, config, solver)
-    m = fld.m
+    mesh, m = solver.mesh, solver.m
     load, scale = _load(mesh, f, g, m)
     residual = load.reshape(-1, m).sum(axis=0)
-    if np.linalg.norm(residual) > COMPATIBILITY_RTOL * max(scale, 1e-300):
+    if not mesh.is_graph and np.linalg.norm(residual) > COMPATIBILITY_RTOL * max(scale, 1e-300):
         raise CompatibilityError(residual)
     u, info = solver.solve(load)
     out = DiscreteField(mesh, u.reshape(-1, m))
@@ -486,11 +482,6 @@ def solve_neumann_bounded(mesh, fld, f, g, config=None, solver=None):
     return out
 
 
-def solve_neumann_graph(mesh, fld, f, config=None, solver=None):
-    """Y^{1,2}-type solve: natural condition on the graph boundary, zero on the far cut."""
-    solver = solver_for(mesh, fld, config, solver)
-    m = fld.m
-    u, info = solver.solve(assemble_volume_load(mesh, f, m))
-    out = DiscreteField(mesh, u.reshape(-1, m))
-    out.info = info
-    return out
+def solve_neumann_bounded(mesh, fld, f, g, config=None):
+    """``solve_neumann`` on a new NeumannSolver for (mesh, fld, config)."""
+    return solve_neumann(NeumannSolver(mesh, fld, config), f, g)

@@ -18,6 +18,6 @@ def adjoint_coefficients(fld):
     def ev(pts):
         return fld.evaluate(pts).transpose(0, 2, 1, 4, 3)
 
-    adj = CoefficientField(fld.spec, fld.m, fld.lam, fld.bound, ev)
+    adj = CoefficientField(fld.m, fld.lam, fld.bound, ev)
     adj.adjoint_of = fld
     return adj

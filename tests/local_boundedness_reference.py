@@ -16,7 +16,6 @@ from neumannlab.discretize import (
     values_at_quadrature,
 )
 from neumannlab.estimates import random_compatible_data
-from neumannlab.solve import solver_for
 
 D = 3
 
@@ -37,11 +36,10 @@ def ball_data(u, f, g, center, radius, pts, w):
     return l2, sup_f, sup_g
 
 
-def local_boundedness_trials(mesh, fld, trials, seed, solver=None, balls=None):
+def local_boundedness_trials(solver, trials, seed, balls=None):
     """(samples, constant) of ``estimates.test_local_boundedness``, trial by trial."""
-    solver = solver_for(mesh, fld, None, solver)
+    mesh, m = solver.mesh, solver.m
     rng = np.random.default_rng(seed)
-    m = fld.m
     diam = np.linalg.norm(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0))
     pts, w = quadrature_points(mesh)
     drawn = []

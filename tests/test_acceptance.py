@@ -37,12 +37,13 @@ from neumannlab.kernel import (
     check_defining_identity,
     check_symmetry_identity,
     integrate_mollifier,
+    kernel_at,
     mollified_readout,
     representation_solve,
 )
 from neumannlab.mesh import build_box_mesh, build_truncated_graph_mesh
 from neumannlab.oracle import halfspace_neumann
-from neumannlab.solve import NeumannSolver, SolveConfig, solve_neumann_bounded
+from neumannlab.solve import NeumannSolver, SolveConfig, solve_neumann, solve_neumann_bounded
 
 CENTER = np.array([0.5, 0.5, 0.5])
 CFG = SolveConfig()
@@ -121,8 +122,8 @@ def test_c03_symmetry_identity_nonvacuous():
         np.array([2 / 3, 0.5, 0.5]),
         np.array([5 / 12, 5 / 12, 5 / 12]),
     ]
-    kerns = [build_kernel(mesh, fld, p, CFG, solver=solver) for p in poles]
-    adj = build_kernel(mesh, fld, poles[1], CFG, adjoint=True, solver=solver)
+    kerns = [kernel_at(solver, p) for p in poles]
+    adj = kernel_at(solver, poles[1], adjoint=True)
     defect = check_symmetry_identity(kerns[0], adj)
     asym = max(
         abs(kerns[j].value_at(poles[i])[0, 0] - kerns[i].value_at(poles[j])[0, 0])
@@ -302,14 +303,14 @@ def test_c13_condition_constants_stability(checkerboard_24_kernel):
         kern = (
             checkerboard_24_kernel
             if n == 24
-            else build_kernel(mesh, fld, CENTER, CFG, solver=solver)
+            else kernel_at(solver, CENTER)
         )
         c2.append(0.25 * kern.magnitude_at(probes).max())
         _, ih_ratio = holder_seminorm(kern.column(0), (0.25, 0.25, 0.75), 0.25, 0.5)
         c0.append(ih_ratio)
-        lb = local_boundedness_trials(mesh, fld, trials=12, seed=0, solver=solver, balls=balls)
+        lb = local_boundedness_trials(solver, trials=12, seed=0, balls=balls)
         c1.append(lb.empirical_constant)
-        u = solve_neumann_bounded(mesh, fld, f_cos, None, CFG, solver=solver)
+        u = solve_neumann(solver, f_cos, None)
         cacc.append(caccioppoli_check(u, CENTER, 0.5, f_cos, None).empirical_constant)
 
     spreads = {name: relative_spread(seq) for name, seq in

@@ -76,7 +76,7 @@ class TestRunExperiment:
         def incompatible(*args, **kwargs):
             raise CompatibilityError(np.array([0.25, -0.5]))
 
-        monkeypatch.setattr(cli, "solve_neumann_bounded", incompatible)
+        monkeypatch.setattr(cli, "solve_neumann", incompatible)
         rep = run_experiment(RunConfig(kind="solve", mesh_n=4))
         assert not rep.passed
         assert rep.failures == [
@@ -164,13 +164,13 @@ class TestRunExperiment:
         import neumannlab.cli as climod
 
         poles = []
-        build = climod.build_kernel
+        build = climod.kernel_at
 
-        def counting(mesh, fld, pole, *args, **kwargs):
+        def counting(solver, pole, *args, **kwargs):
             poles.append((tuple(pole), kwargs.get("adjoint", False)))
-            return build(mesh, fld, pole, *args, **kwargs)
+            return build(solver, pole, *args, **kwargs)
 
-        monkeypatch.setattr(climod, "build_kernel", counting)
+        monkeypatch.setattr(climod, "kernel_at", counting)
         rep = run_experiment(
             RunConfig(kind="full-suite", mesh_n=8, coeff_type="checkerboard", trials=2)
         )
@@ -184,14 +184,14 @@ class TestRunExperiment:
         import neumannlab.cli as climod
 
         calls = []
-        build = climod.build_kernel
+        build = climod.kernel_at
 
         def counting(*args, **kwargs):
             calls.append(1)
             return build(*args, **kwargs)
 
         cfg = RunConfig(kind="full-suite", mesh_n=mesh_n, poles=poles, trials=2)
-        monkeypatch.setattr(climod, "build_kernel", counting)
+        monkeypatch.setattr(climod, "kernel_at", counting)
         rep = run_experiment(cfg)
         assert not rep.failures
         builds = len(calls)
@@ -360,6 +360,14 @@ class TestMain:
         report = json.loads((tmp_path / "o/report.json").read_text())
         (rec,) = [r for r in report["records"] if r["name"] == "solve-residual"]
         assert rec["empirical_constant"] <= 100 * RunConfig().solve_tolerance
+
+    def test_bounded_krylov_converges_at_contrast_1e6(self, tmp_path):
+        # CG's preconditioner is projected mean-free on both sides; projected on
+        # its input only, CG ran 20000 iterations and exited 3
+        cfg = tmp_path / "contrast.cfg"
+        cfg.write_text("kind = solve\nmesh.n = 24\ncoeff.type = checkerboard\n"
+                       "coeff.contrast = 1e6\ncoeff.cell = 0.25\nsolve.linear_solver = krylov\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_loose_tolerance_does_not_loosen_solve_gates(self, tmp_path):
         # CG stops at a relative residual near 0.9; the residual gate stays 1e-8
@@ -652,17 +660,13 @@ class TestGraphMode:
         pts = np.random.default_rng(0).uniform(size=(50, 3))
         densities = {}
 
-        def capture(name, solve):
-            def wrapped(mesh, fld, f, *args, **kwargs):
-                densities[name] = f(pts)
-                return solve(mesh, fld, f, *args, **kwargs)
+        solve = cli.solve_neumann
 
-            return wrapped
+        def capture(solver, f, g):
+            densities["graph" if solver.mesh.is_graph else "box"] = f(pts)
+            return solve(solver, f, g)
 
-        monkeypatch.setattr(cli, "solve_neumann_graph", capture("graph", cli.solve_neumann_graph))
-        monkeypatch.setattr(
-            cli, "solve_neumann_bounded", capture("box", cli.solve_neumann_bounded)
-        )
+        monkeypatch.setattr(cli, "solve_neumann", capture)
         for mesh_type in ("box", "graph"):
             assert run_experiment(RunConfig(kind="solve", mesh_type=mesh_type, mesh_n=8)).passed
         np.testing.assert_array_equal(densities["graph"], densities["box"])

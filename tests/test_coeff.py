@@ -253,7 +253,7 @@ def test_verify_rejects_non_elliptic():
 def test_verify_names_the_violated_hypothesis(scale, lam, bound, message):
     # the exact eigenvalue and spectral-norm checks are the whole verification
     fld = CoefficientField(
-        Identity(), 1, lam, bound,
+        1, lam, bound,
         lambda pts: np.broadcast_to(scale * _identity_tensor(1), (len(pts), 3, 3, 1, 1)),
     )
     with pytest.raises(NonEllipticFieldError) as err:
@@ -262,13 +262,13 @@ def test_verify_names_the_violated_hypothesis(scale, lam, bound, message):
 
 
 def test_evaluate_rejects_wrong_output_shape():
-    fld = CoefficientField(Identity(), 1, 1.0, 1.0, lambda pts: np.zeros((len(pts), 3, 3)))
+    fld = CoefficientField(1, 1.0, 1.0, lambda pts: np.zeros((len(pts), 3, 3)))
     with pytest.raises(InterfaceError):
         fld.evaluate(POINTS[:4])
 
 
 def test_evaluate_rejects_non_finite_output():
-    fld = CoefficientField(Identity(), 1, 1.0, 1.0, lambda pts: np.full((len(pts), 3, 3, 1, 1), np.inf))
+    fld = CoefficientField(1, 1.0, 1.0, lambda pts: np.full((len(pts), 3, 3, 1, 1), np.inf))
     with pytest.raises(NumericFailureError, match="non-finite"):
         fld.evaluate(POINTS[:4])
 

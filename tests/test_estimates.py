@@ -43,7 +43,7 @@ from neumannlab.estimates import (
 )
 from neumannlab.kernel import build_kernel
 from neumannlab.mesh import build_box_mesh
-from neumannlab.solve import SolveConfig, solve_neumann_bounded, solver_for
+from neumannlab.solve import NeumannSolver, SolveConfig, solve_neumann_bounded
 
 CENTER = (0.5, 0.5, 0.5)
 
@@ -356,6 +356,11 @@ LOCAL_BOUNDEDNESS_CASES = {
 LOCAL_BOUNDEDNESS_RTOL = {"direct": 1e-12, "krylov": 1e-9}
 
 
+def _cube_4(fld):
+    """A solver for fld on the 4^3 unit cube."""
+    return NeumannSolver(build_box_mesh((1, 1, 1), 4), fld)
+
+
 class TestLocalBoundedness:
     @pytest.mark.parametrize("name", sorted(LOCAL_BOUNDEDNESS_CASES))
     def test_matches_trial_by_trial_reference(self, name):
@@ -366,13 +371,12 @@ class TestLocalBoundedness:
         rtol = LOCAL_BOUNDEDNESS_RTOL[linear_solver]
         mesh = build_box_mesh((1, 1, 1), n)
         fld = make_coefficient(spec)
-        solver = solver_for(mesh, fld, SolveConfig(linear_solver=linear_solver), None)
+        solver = NeumannSolver(mesh, fld, SolveConfig(linear_solver=linear_solver))
         balls = [(CENTER, 0.4), ((0.3, 0.6, 0.45), 0.25), ((0.0, 0.0, 1.0), 0.6)]
         for seed, balls in [(0, None), (7, None), (3, balls)]:
-            rec = local_boundedness_trials(mesh, fld, trials=6, seed=seed, solver=solver,
-                                           balls=balls)
+            rec = local_boundedness_trials(solver, trials=6, seed=seed, balls=balls)
             samples, constant = local_boundedness_reference.local_boundedness_trials(
-                mesh, fld, 6, seed, solver=solver, balls=balls
+                solver, 6, seed, balls=balls
             )
             assert len(samples) > 0
             radii, ratios = zip(*rec.samples)
@@ -381,8 +385,10 @@ class TestLocalBoundedness:
             assert_allclose(rec.empirical_constant, constant, rtol=rtol)
 
     def test_constants_finite_and_reproducible(self, unit_cube_8, checkerboard_field, solve_config):
-        a = local_boundedness_trials(unit_cube_8, checkerboard_field, trials=5, seed=9)
-        b = local_boundedness_trials(unit_cube_8, checkerboard_field, trials=5, seed=9)
+        a, b = (
+            local_boundedness_trials(NeumannSolver(unit_cube_8, checkerboard_field), trials=5, seed=9)
+            for _ in range(2)
+        )
         assert a.empirical_constant > 0
         assert a.empirical_constant == b.empirical_constant
         assert len(a.samples) <= 5
@@ -392,22 +398,20 @@ class TestLocalBoundedness:
         # 3m basis loads serve every trial; 5 trials tell the counts apart
         calls = _count_calls(monkeypatch, [estimates, solve], "assemble_volume_load")
         fld = make_coefficient(ScalarCheckerboard(10.0, m=m))
-        local_boundedness_trials(unit_cube_8, fld, trials=5, seed=1)
+        local_boundedness_trials(NeumannSolver(unit_cube_8, fld), trials=5, seed=1)
         assert calls[0] == 3 * m
 
     def test_memory_does_not_grow_with_trials(self, unit_cube_8, checkerboard_field):
         # the pass holds the basis solutions and one trial at a time; a pass
         # that kept each trial's data would hold about 74 KB a trial here
-        solver = solver_for(unit_cube_8, checkerboard_field, None, None)
+        solver = NeumannSolver(unit_cube_8, checkerboard_field)
         # the first pass factors K, which both measured passes then share
-        local_boundedness_trials(unit_cube_8, checkerboard_field, trials=1, solver=solver)
+        local_boundedness_trials(solver, trials=1)
         peaks = []
         for trials in (2, 200):
             tracemalloc.start()
             try:
-                local_boundedness_trials(
-                    unit_cube_8, checkerboard_field, trials=trials, solver=solver
-                )
+                local_boundedness_trials(solver, trials=trials)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -417,34 +421,30 @@ class TestLocalBoundedness:
     def test_no_trials_refused(self, unit_cube_8, identity_field, trials):
         # zero trials would return a record with no samples and constant 0.0
         with pytest.raises(ValueError, match="trials"):
-            local_boundedness_trials(unit_cube_8, identity_field, trials=trials)
+            local_boundedness_trials(NeumannSolver(unit_cube_8, identity_field), trials=trials)
 
     def test_no_balls_refused(self, identity_field):
         # an empty list would divide by zero picking a trial's ball
         with pytest.raises(ValueError, match="balls"):
-            local_boundedness_trials(build_box_mesh((1, 1, 1), 4), identity_field, balls=[])
+            local_boundedness_trials(_cube_4(identity_field), balls=[])
 
     def test_ball_centred_outside_refused(self, identity_field):
         # every trial of such a ball is degenerate: no sample and a constant of 0
         balls = [(CENTER, 0.4), ((9.0, 9.0, 9.0), 0.5)]
         with pytest.raises(OutOfDomainError):
-            local_boundedness_trials(build_box_mesh((1, 1, 1), 4), identity_field, balls=balls)
+            local_boundedness_trials(_cube_4(identity_field), balls=balls)
 
     @pytest.mark.parametrize("radius", [0.0, -0.3, np.nan])
     def test_ball_radius_must_be_positive(self, identity_field, radius):
         # 0 divided by zero, -0.3 compared a complex power, NaN gave a constant of 0
         balls = [(CENTER, 0.4), (CENTER, radius)]
         with pytest.raises(ValueError, match=f"radius must be > 0, got {radius}"):
-            local_boundedness_trials(
-                build_box_mesh((1, 1, 1), 4), identity_field, trials=3, balls=balls
-            )
+            local_boundedness_trials(_cube_4(identity_field), trials=3, balls=balls)
 
     def test_ball_without_data_is_under_resolved(self, identity_field):
         # a ball that holds no Gauss point makes every trial degenerate
         with pytest.raises(UnderResolvedError, match="no ball"):
-            local_boundedness_trials(
-                build_box_mesh((1, 1, 1), 4), identity_field, trials=3, balls=[(CENTER, 1e-9)]
-            )
+            local_boundedness_trials(_cube_4(identity_field), trials=3, balls=[(CENTER, 1e-9)])
 
 
 class TestRandomCompatibleData:

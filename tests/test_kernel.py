@@ -47,18 +47,14 @@ from neumannlab.kernel import (
     check_defining_identity,
     check_symmetry_identity,
     integrate_mollifier,
+    kernel_at,
     mollified_readout,
     mollifier_load,
     representation_solve,
 )
 from neumannlab.mesh import build_box_mesh, build_truncated_graph_mesh
 from neumannlab.oracle import cube_neumann_series_batch
-from neumannlab.solve import (
-    NeumannSolver,
-    SolveConfig,
-    solve_neumann_bounded,
-    solve_neumann_graph,
-)
+from neumannlab.solve import NeumannSolver, SolveConfig, solve_neumann, solve_neumann_bounded
 
 CENTER = (0.5, 0.5, 0.5)
 
@@ -443,6 +439,16 @@ class TestDefiningIdentity:
         with pytest.raises(InterfaceError):
             check_defining_identity(kern, phi)
 
+    @pytest.mark.parametrize("kernel_m,field_m", [(1, 2), (2, 1)])
+    def test_component_count_mismatch(self, unit_cube_8, solve_config, kernel_m, field_m):
+        # an m = 1 kernel against an m = 2 field returned a number, the other
+        # way round raised a raw IndexError
+        fld = make_coefficient(Identity(m=kernel_m))
+        kern = build_kernel(unit_cube_8, fld, CENTER, solve_config)
+        phi = DiscreteField(unit_cube_8, np.ones((unit_cube_8.n_nodes, field_m)))
+        with pytest.raises(InterfaceError, match=f"{field_m} components, the kernel {kernel_m}"):
+            check_defining_identity(kern, phi)
+
     def test_mesh_mismatch(self, unit_cube_12, unit_cube_8, identity_field, solve_config):
         kern = build_kernel(unit_cube_12, identity_field, CENTER, solve_config)
         phi = DiscreteField(unit_cube_8, np.zeros((unit_cube_8.n_nodes, 1)))
@@ -454,11 +460,12 @@ class TestSymmetryIdentity:
     def test_self_adjoint_scalar(self, unit_cube_12, identity_field, solve_config):
         y = np.array([0.5, 0.5, 1 / 3])
         x = np.array([0.5, 0.5, 2 / 3])
-        kf = build_kernel(unit_cube_12, identity_field, y, solve_config)
-        ka = build_kernel(unit_cube_12, identity_field, x, solve_config, adjoint=True)
+        solver = NeumannSolver(unit_cube_12, identity_field, solve_config)
+        kf = kernel_at(solver, y)
+        ka = kernel_at(solver, x, adjoint=True)
         assert check_symmetry_identity(kf, ka) < 1e-8
         # pointwise symmetry for the self-adjoint operator
-        kx = build_kernel(unit_cube_12, identity_field, x, solve_config)
+        kx = kernel_at(solver, x)
         assert abs(kf.value_at(x)[0, 0] - kx.value_at(y)[0, 0]) < 1e-6
 
     def test_skew_defect_small_but_kernel_asymmetric(self, unit_cube_12, solve_config):
@@ -470,8 +477,8 @@ class TestSymmetryIdentity:
             np.array([5 / 12, 5 / 12, 5 / 12]),
         ]
         solver = NeumannSolver(unit_cube_12, fld, solve_config)
-        kerns = [build_kernel(unit_cube_12, fld, p, solve_config, solver=solver) for p in poles]
-        ka = build_kernel(unit_cube_12, fld, poles[1], solve_config, adjoint=True)
+        kerns = [kernel_at(solver, p) for p in poles]
+        ka = kernel_at(solver, poles[1], adjoint=True)
         assert check_symmetry_identity(kerns[0], ka) < 1e-8
         asym = max(
             abs(kerns[j].value_at(poles[i])[0, 0] - kerns[i].value_at(poles[j])[0, 0])
@@ -482,32 +489,30 @@ class TestSymmetryIdentity:
 
     def test_same_pole_pairing(self, unit_cube_12, checkerboard_field, solve_config):
         y = np.array([0.5, 0.5, 0.5])
-        kf = build_kernel(unit_cube_12, checkerboard_field, y, solve_config)
-        ka = build_kernel(unit_cube_12, checkerboard_field, y, solve_config, adjoint=True)
+        solver = NeumannSolver(unit_cube_12, checkerboard_field, solve_config)
+        kf = kernel_at(solver, y)
+        ka = kernel_at(solver, y, adjoint=True)
         assert check_symmetry_identity(kf, ka) < 1e-8
 
     def test_vector_system(self, unit_cube_12, solve_config):
         fld = make_coefficient(SkewPerturbed(Identity(m=2), 0.4))
         y = np.array([5 / 12, 0.5, 0.5])
         x = np.array([7 / 12, 0.5, 0.5])
-        kf = build_kernel(unit_cube_12, fld, y, solve_config)
-        ka = build_kernel(unit_cube_12, fld, x, solve_config, adjoint=True)
+        solver = NeumannSolver(unit_cube_12, fld, solve_config)
+        kf = kernel_at(solver, y)
+        ka = kernel_at(solver, x, adjoint=True)
         assert check_symmetry_identity(kf, ka) < 1e-8
 
     def test_forward_solver_serves_both_directions(self, unit_cube_8, solve_config):
-        # the forward field's solver builds the adjoint kernel too; a solver of
-        # another field is still refused
+        # the forward field's solver builds the adjoint kernel too
         fld = make_coefficient(SkewPerturbed(ScalarCheckerboard(10.0), 0.5))
         solver = NeumannSolver(unit_cube_8, fld, solve_config)
-        fwd = build_kernel(unit_cube_8, fld, CENTER, solve_config, solver=solver)
-        adj = build_kernel(unit_cube_8, fld, CENTER, solve_config, adjoint=True, solver=solver)
+        fwd = kernel_at(solver, CENTER)
+        adj = kernel_at(solver, CENTER, adjoint=True)
         assert fwd.solver is adj.solver is solver
         assert not np.array_equal(fwd.values, adj.values)
-        own = build_kernel(unit_cube_8, fld, CENTER, solve_config, adjoint=True)
+        own = kernel_at(NeumannSolver(unit_cube_8, fld, solve_config), CENTER, adjoint=True)
         assert np.array_equal(adj.values, own.values)
-        other = NeumannSolver(unit_cube_8, make_coefficient(ScalarCheckerboard(10.0)), solve_config)
-        with pytest.raises(InterfaceError):
-            build_kernel(unit_cube_8, fld, CENTER, solve_config, adjoint=True, solver=other)
 
 
 class TestAdjointFromForwardSolver:
@@ -519,7 +524,7 @@ class TestAdjointFromForwardSolver:
     @staticmethod
     def reference(mesh, fld, y, cfg):
         adj = adjoint_coefficients(fld)
-        return build_kernel(mesh, adj, y, cfg, solver=NeumannSolver(mesh, adj, cfg))
+        return build_kernel(mesh, adj, y, cfg)
 
     @pytest.mark.parametrize(
         "spec",
@@ -535,7 +540,7 @@ class TestAdjointFromForwardSolver:
         fld = make_coefficient(spec)
         solver = NeumannSolver(unit_cube_12, fld, solve_config)
         assert solver.symmetric
-        ka = build_kernel(unit_cube_12, fld, self.Y, solve_config, adjoint=True, solver=solver)
+        ka = kernel_at(solver, self.Y, adjoint=True)
         ref = self.reference(unit_cube_12, fld, self.Y, solve_config)
         assert np.array_equal(ka.values, ref.values)
 
@@ -544,7 +549,7 @@ class TestAdjointFromForwardSolver:
         fld = make_coefficient(SkewPerturbed(ScalarCheckerboard(10.0, seed=2, m=m), 0.5, seed=2))
         solver = NeumannSolver(unit_cube_12, fld, solve_config)
         assert not solver.symmetric
-        ka = build_kernel(unit_cube_12, fld, self.Y, solve_config, adjoint=True, solver=solver)
+        ka = kernel_at(solver, self.Y, adjoint=True)
         ref = self.reference(unit_cube_12, fld, self.Y, solve_config)
         assert np.abs(ka.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
         K = solver.stiffness.matrix
@@ -560,8 +565,8 @@ class TestAdjointFromForwardSolver:
         fld = make_coefficient(SkewPerturbed(ScalarCheckerboard(10.0, seed=2, m=m), 0.5, seed=2))
         cfg = SolveConfig(linear_solver=linear_solver)
         solver = NeumannSolver(unit_cube_12, fld, cfg)
-        kf = build_kernel(unit_cube_12, fld, self.Y, cfg, solver=solver)
-        ka = build_kernel(unit_cube_12, fld, self.X, cfg, adjoint=True, solver=solver)
+        kf = kernel_at(solver, self.Y)
+        ka = kernel_at(solver, self.X, adjoint=True)
         assert kf.telemetry["columns"][0]["method"] == "bounded-direct"
         assert check_symmetry_identity(kf, ka) <= 1e-8
 
@@ -801,7 +806,7 @@ class TestRepresentation:
         def f(p):
             return (np.cos(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]) + p[:, 2])[:, None]
 
-        direct = solve_neumann_graph(mesh, checkerboard_field, f, solve_config)
+        direct = solve_neumann(NeumannSolver(mesh, checkerboard_field, solve_config), f, None)
         rep = representation_solve(kernels, f, None)
         readout = mollified_readout(kernels, direct)
         assert l2_norm(rep - readout) <= 1e-12 * l2_norm(readout)

@@ -105,6 +105,24 @@ def test_public_names_have_callers():
     assert not unused, unused
 
 
+#: parameters that describe an operator, which a NeumannSolver already fixes
+_OPERATOR_SPEC = ("mesh", "fld", "config")
+
+
+def test_solver_or_its_spec_never_both():
+    # a function given both a solver and what it was built from would have to
+    # check that they agree; a run's solver is its operator
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if "solver" in names and names & set(_OPERATOR_SPEC):
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert SOURCES and not found, found
+
+
 def _defaulted_params(tree):
     """(function, parameter, position or None) of each defaulted parameter of a
     public module-level function; keyword-only parameters have no position."""
