@@ -81,6 +81,9 @@ _CUBE_CENTER = (0.5, 0.5, 0.5)
 #: stiffness row holds up to 27 m entries, so an m-component field gets 1/m
 #: of the budget.  LU's fill grows faster than the DOFs and has its own budget
 _MAX_DOFS = 2_500_000
+#: largest box lattice, in nodes, whose runs take LU; a larger symmetric one takes CG.
+#: Full suite, LU vs CG: 50 vs 55 ms at 13^3 (2744 nodes), 66 vs 66 at 14^3 (3375)
+_LU_NODES = 3000
 #: largest predicted LU fill, in factor entries, of a run on the LU path.
 #: SuperLU's fill in the nested-dissection order is 1.00-1.044 times
 #: 1.2 m^2 N^(4/3) log2 N for N lattice nodes (scalar checkerboards from 8^3
@@ -108,7 +111,6 @@ class RunConfig:
     coeff_bound: float = 2.0
     coeff_frequency: float = 1.0
     solve_tolerance: float = 1e-10
-    solve_linear_solver: str = "direct"
     poles: str = "center"  # center | near-boundary | lattice
     trials: int = 8
 
@@ -174,15 +176,16 @@ def _checked(cfg):
             f"of {_MAX_DOFS // cfg.coeff_m} for coeff.m = {cfg.coeff_m}"
         )
     fill = 1.25 * cfg.coeff_m**2 * nodes ** (4 / 3) * np.log2(nodes)
-    # a skew field of amplitude 0 has symmetric tensors, so krylov runs CG on it
+    # a skew field of amplitude 0 has symmetric tensors, so it takes CG
     skew = cfg.coeff_type == "skew" and cfg.coeff_amplitude != 0
-    on_lu = cfg.solve_linear_solver == "direct" or skew
-    if cfg.kind != "verify-coeff" and on_lu and fill > _MAX_LU_FILL:
+    if cfg.kind != "verify-coeff" and skew and fill > _MAX_LU_FILL:
         raise ValueError(
             f"problem too large: {fill:.3g} predicted LU fill entries exceed the budget "
-            f"of {_MAX_LU_FILL:.3g}; solve.linear_solver = krylov takes CG for symmetric fields"
+            f"of {_MAX_LU_FILL:.3g} of the LU path"
         )
-    return _build_spec(cfg), _solve_config(cfg)
+    # a symmetric field whose LU fill would pass the budget takes CG at any size
+    lu = nodes <= _LU_NODES and fill <= _MAX_LU_FILL
+    return _build_spec(cfg), SolveConfig(cfg.solve_tolerance, "direct" if lu else "krylov")
 
 
 def _oracle_applies(cfg):
@@ -227,10 +230,6 @@ def _build_spec(cfg):
     if t == "smooth":
         return coeffmod.SmoothVMO(cfg.coeff_frequency, cfg.coeff_amplitude, m=cfg.coeff_m)
     raise ValueError(f"unknown coefficient type {t!r}")
-
-
-def _solve_config(cfg):
-    return SolveConfig(tolerance=cfg.solve_tolerance, linear_solver=cfg.solve_linear_solver)
 
 
 def _pole_list(cfg, mesh):

@@ -9,7 +9,13 @@ import pytest
 
 import neumannlab
 from neumannlab import cli
+from neumannlab import solve as solvemod
 from neumannlab.cli import RunConfig, emit_report, main, parse_config, run_experiment
+
+
+#: a mesh.n whose run takes LU, and one whose symmetric run takes CG (its
+#: SolveConfig's linear_solver): 14^3 cells have 3375 lattice nodes, past _LU_NODES
+PATH_MESH_N = {"direct": 12, "krylov": 14}
 
 
 @pytest.fixture()
@@ -117,7 +123,6 @@ class TestRunExperiment:
     def count_operator_builds(monkeypatch, cfg):
         """Mesh builds, stiffness assemblies and LU factorizations of one clean run."""
         import neumannlab.cli as climod
-        import neumannlab.solve as solvemod
 
         calls = {"mesh": 0, "assemble": 0, "splu": 0}
 
@@ -355,7 +360,7 @@ class TestMain:
         # the Krylov bounded solve must meet its own residual guard at 20^3
         cfg = tmp_path / "krylov.cfg"
         cfg.write_text("kind = solve\nmesh.n = 20\ncoeff.type = checkerboard\n"
-                       "coeff.contrast = 10\nsolve.linear_solver = krylov\n")
+                       "coeff.contrast = 10\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         report = json.loads((tmp_path / "o/report.json").read_text())
         (rec,) = [r for r in report["records"] if r["name"] == "solve-residual"]
@@ -366,14 +371,23 @@ class TestMain:
         # its input only, CG ran 20000 iterations and exited 3
         cfg = tmp_path / "contrast.cfg"
         cfg.write_text("kind = solve\nmesh.n = 24\ncoeff.type = checkerboard\n"
-                       "coeff.contrast = 1e6\ncoeff.cell = 0.25\nsolve.linear_solver = krylov\n")
+                       "coeff.contrast = 1e6\ncoeff.cell = 0.25\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("contrast", ["1e6", "1e8"])
+    def test_small_high_contrast_suite_passes_on_lu(self, tmp_path, contrast):
+        # 8^3 takes LU, whose bounded solves refine above the residual gate;
+        # without refinement the run exited 3
+        cfg = tmp_path / "contrast.cfg"
+        cfg.write_text(f"kind = full-suite\nmesh.n = 8\ncoeff.type = checkerboard\n"
+                       f"coeff.contrast = {contrast}\ncoeff.cell = 0.25\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_loose_tolerance_does_not_loosen_solve_gates(self, tmp_path):
         # CG stops at a relative residual near 0.9; the residual gate stays 1e-8
         cfg = tmp_path / "loose.cfg"
-        cfg.write_text("kind = solve\nmesh.n = 8\ncoeff.type = checkerboard\n"
-                       "solve.linear_solver = krylov\nsolve.tolerance = 0.9\n")
+        cfg.write_text("kind = solve\nmesh.n = 14\ncoeff.type = checkerboard\n"
+                       "solve.tolerance = 0.9\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         report = json.loads((tmp_path / "o/report.json").read_text())
         gates = {r["name"]: r["params"]["tolerance"] for r in report["records"]}
@@ -389,6 +403,7 @@ class TestMain:
             "oracle.cutoff = 10",
             "kernel.eps_factor = 3",
             "mesh.graph_k = 1",
+            "solve.linear_solver = direct",
         ],
     )
     def test_removed_keys_rejected(self, tmp_path, line, capsys):
@@ -413,7 +428,6 @@ class TestMain:
                 ("mesh.type = sphere", "unknown mesh_type 'sphere'"),
                 ("coeff.type = foo", "unknown coefficient type 'foo'"),
                 ("poles = nowhere", "unknown poles 'nowhere'"),
-                ("solve.linear_solver = magic", "unknown linear solver magic"),
                 ("solve.tolerance = 2", "tolerance must lie in (0, 1)"),
                 ("trials = 0", "trials must be >= 1, got 0"),
                 ("mesh.extents = 1 1", "mesh.extents needs 3 lengths, got 2"),
@@ -437,7 +451,6 @@ class TestMain:
             "mesh.type = graph\nmesh.n = 0",
             # every node on the far cut: no unknown left to solve for
             "mesh.type = graph\nmesh.n = 1",
-            "mesh.type = graph\nmesh.n = 1\nsolve.linear_solver = krylov",
         ],
     )
     def test_unbuildable_mesh_is_config_error(self, tmp_path, lines, capsys):
@@ -482,8 +495,7 @@ class TestMain:
             "mesh.n = 1000000",
             "mesh.extents = 1 1 inf",
             "mesh.n = 4\ncoeff.m = 2000",
-            "mesh.n = 64",
-            "mesh.n = 64\ncoeff.type = skew\nsolve.linear_solver = krylov",
+            "mesh.n = 64\ncoeff.type = skew",
         ],
     )
     def test_oversized_problem_is_refused_before_building(
@@ -499,31 +511,44 @@ class TestMain:
         assert "config error: problem too large" in capsys.readouterr().err
 
     def test_budget_admits_128_cubed(self):
-        # the refusals are predictions from the config: nothing is allocated here
-        spec, _ = cli._checked(RunConfig(mesh_n=128, solve_linear_solver="krylov"))
-        assert spec.m == 1
-        cli._checked(RunConfig(mesh_n=48))
+        # the refusals are predictions from the config: nothing is allocated here;
+        # a symmetric field takes CG, which has no fill budget
+        spec, scfg = cli._checked(RunConfig(mesh_n=128))
+        assert spec.m == 1 and scfg.linear_solver == "krylov"
+        cli._checked(RunConfig(mesh_n=48, coeff_type="skew"))
 
-        with pytest.raises(ValueError, match="predicted LU fill .* krylov"):
-            cli._checked(RunConfig(mesh_n=128))
+        with pytest.raises(ValueError, match="predicted LU fill .* of the LU path"):
+            cli._checked(RunConfig(mesh_n=128, coeff_type="skew"))
 
     @pytest.mark.parametrize(
-        "kind, linear_solver, coeff",
-        [("verify-coeff", "direct", {}), ("solve", "krylov", {}),
-         ("solve", "krylov", {"coeff_type": "skew", "coeff_amplitude": 0.0})],
+        "n, m, linear_solver",
+        # 13^3 lattice cells have 2744 nodes and 14^3 have 3375, either side of
+        # _LU_NODES; an m = 20 field would fill 2.2e8 LU entries at 13^3, and a
+        # scalar field at 64^3, past the LU fill budget, is admitted on CG
+        [(13, 1, "direct"), (14, 1, "krylov"), (13, 3, "direct"), (14, 3, "krylov"),
+         (13, 20, "krylov"), (64, 1, "krylov")],
+    )
+    def test_lattice_size_picks_the_solver(self, n, m, linear_solver):
+        _, scfg = cli._checked(RunConfig(mesh_n=n, coeff_m=m, solve_tolerance=1e-9))
+        assert scfg == cli.SolveConfig(1e-9, linear_solver)
+
+    @pytest.mark.parametrize(
+        "kind, coeff",
+        [("verify-coeff", {"coeff_type": "skew"}), ("solve", {}),
+         ("solve", {"coeff_type": "skew", "coeff_amplitude": 0.0})],
         ids=["verify-coeff-direct", "solve-krylov", "solve-krylov-skew-amplitude-0"],
     )
-    def test_fill_budget_spares_runs_without_lu(self, kind, linear_solver, coeff):
-        # verify-coeff factors nothing, and CG takes a symmetric field, as a
-        # skew field of amplitude 0 is
-        cli._checked(RunConfig(kind=kind, mesh_n=64, solve_linear_solver=linear_solver, **coeff))
+    def test_fill_budget_spares_runs_without_lu(self, kind, coeff):
+        # verify-coeff factors nothing, not even a skew field's LU, and CG takes
+        # a symmetric field, as a skew field of amplitude 0 is
+        cli._checked(RunConfig(kind=kind, mesh_n=64, **coeff))
 
     @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
     def test_non_finite_coefficients_exit_three(self, tmp_path, capsys, linear_solver):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text(
-            f"kind = solve\nmesh.n = 4\ncoeff.type = smooth\ncoeff.frequency = nan\n"
-            f"solve.linear_solver = {linear_solver}\n"
+            f"kind = solve\nmesh.n = {PATH_MESH_N[linear_solver]}\ncoeff.type = smooth\n"
+            f"coeff.frequency = nan\n"
         )
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "non-finite" in capsys.readouterr().out
@@ -540,9 +565,7 @@ class TestMain:
 
     def test_exit_three_on_numeric_failure(self, tmp_path, monkeypatch):
         cfg = tmp_path / "numfail.cfg"
-        cfg.write_text("kind = solve\nmesh.n = 6\nsolve.linear_solver = krylov\n"
-                       "solve.tolerance = 1e-13\n")
-        import neumannlab.solve as solvemod
+        cfg.write_text("kind = solve\nmesh.n = 14\nsolve.tolerance = 1e-13\n")
 
         # force non-convergence by capping iterations
         monkeypatch.setattr(solvemod, "MAX_ITERATIONS", 2)
@@ -555,11 +578,13 @@ class TestMain:
 
 @pytest.mark.parametrize("linear_solver", ["direct", "krylov"])
 def test_report_independent_of_blas_threads(tmp_path, linear_solver):
-    # the shipped 24^3 config, whose LU supernodes and dense products are
-    # large enough for OpenBLAS's thread count to reach the bits unpinned
+    # the shipped 24^3 config, whose dense products are large enough for
+    # OpenBLAS's thread count to reach the bits unpinned; it runs CG, and its
+    # skew variant runs LU, whose supernodes are large at 24^3 too
     repo = Path(__file__).resolve().parents[1]
     config = (repo / "configs" / "checkerboard_estimates_24.cfg").read_text()
-    config += f"solve.linear_solver = {linear_solver}\n"
+    if linear_solver == "direct":
+        config += "coeff.type = skew\n"
     src = str(Path(neumannlab.__file__).resolve().parents[1])
     reports = []
     for threads in ("1", "2"):
@@ -574,6 +599,20 @@ def test_report_independent_of_blas_threads(tmp_path, linear_solver):
             cwd=run, env=env, capture_output=True, check=True,
         )
         reports.append((run / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_shipped_configs_never_refine(monkeypatch):
+    # the 24^3 estimates config runs CG, which never refines; the 12^3 suite
+    # runs LU, and its report is the same with refinement switched off
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    estimates = parse_config(configs / "checkerboard_estimates_24.cfg")
+    assert cli._checked(estimates)[1].linear_solver == "krylov"
+    suite = parse_config(configs / "full_suite_12.cfg")
+    assert cli._checked(suite)[1].linear_solver == "direct"
+    reports = [run_experiment(suite).to_json()]
+    monkeypatch.setattr(solvemod, "_REFINE_STEPS", 0)
+    reports.append(run_experiment(suite).to_json())
     assert reports[0] == reports[1]
 
 
@@ -640,8 +679,8 @@ class TestGraphMode:
     ):
         cfg = tmp_path / "graph.cfg"
         cfg.write_text(
-            f"kind = {kind}\nmesh.type = graph\nmesh.n = 12\ncoeff.type = {coeff_type}\n"
-            f"trials = 2\nsolve.linear_solver = {linear_solver}\n"
+            f"kind = {kind}\nmesh.type = graph\nmesh.n = {PATH_MESH_N[linear_solver]}\n"
+            f"coeff.type = {coeff_type}\ntrials = 2\n"
         )
         argv = ["--config", str(cfg), "--out", str(tmp_path / "o")]
         reports = []

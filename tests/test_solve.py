@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from numpy.testing import assert_allclose
 
 import neumannlab
 from neumannlab import discretize
+from neumannlab import solve as solvemod
 
 from mesh_reference import l_shape
 from stiffness_reference import tensors_symmetric
@@ -420,6 +422,59 @@ def test_guard_refuses_residual_above_its_limit(tolerance, limit):
     with pytest.raises(NumericFailureError, match="bounded solve residual .* above tolerance") as err:
         _guard(info, cfg, "bounded")
     assert err.value.diagnostics == {"method": "bounded-cg", "iterations": 12}
+
+
+def mean_free_load(solver):
+    load = np.random.default_rng(0).standard_normal(solver.n_dof)
+    return load - load.mean()
+
+
+class TestBoundedRefinement:
+    """A bounded LU solve above the residual gate refines, re-projecting each residual."""
+
+    @pytest.mark.parametrize(
+        "n, contrast, refined",
+        # the residual before refinement: 1.5e-9, 1.4e-7, 1.9e-8, 6.9e-7 and 7.6e-8
+        [(8, 1e6, False), (8, 1e8, True), (12, 1e6, True), (12, 1e8, True), (24, 1e6, True)],
+    )
+    def test_lu_meets_the_gate_at_high_contrast(self, monkeypatch, n, contrast, refined):
+        fld = make_coefficient(ScalarCheckerboard(contrast, cell=0.25))
+        solver = NeumannSolver(build_box_mesh((1, 1, 1), n), fld)
+        load = mean_free_load(solver)
+        _, info = solver.solve(load)  # the guard passes at its default gate, 1e-8
+        assert info.method == "bounded-direct"
+        monkeypatch.setattr(solvemod, "_REFINE_STEPS", 0)
+        if refined:
+            with pytest.raises(NumericFailureError, match="bounded solve residual"):
+                solver.solve(load)
+        else:
+            assert solver.solve(load)[1].residual == info.residual
+
+    @pytest.mark.parametrize("linear_solver, passes", [("direct", True), ("krylov", False)])
+    def test_contrast_1e8_passes_on_lu_and_raises_on_cg(self, linear_solver, passes):
+        # LU passes after one step (3.5e-10).  CG gets to about 1.2e-9, under
+        # the gate but not its own 1e-10 target, and raises after
+        # MAX_ITERATIONS, about 2 s on one core
+        start = time.perf_counter()
+        fld = make_coefficient(ScalarCheckerboard(1e8, cell=0.25))
+        solver = NeumannSolver(build_box_mesh((1, 1, 1), 8), fld, SolveConfig(1e-10, linear_solver))
+        if passes:
+            assert solver.solve(mean_free_load(solver))[1].residual <= 1e-8
+        else:
+            with pytest.raises(NumericFailureError, match="cg failed to converge"):
+                solver.solve(mean_free_load(solver))
+        assert time.perf_counter() - start < 30
+
+    def test_passing_solves_keep_their_bits(self, monkeypatch, unit_cube_12, checkerboard_field):
+        # contrast 10: no column reaches the gate, so no step runs
+        solver = NeumannSolver(unit_cube_12, checkerboard_field)
+        load = mean_free_load(solver)
+        block = np.stack([load, np.roll(load, 7), np.ones(solver.n_dof)], axis=1)
+        refined = [solver.solve(rhs, adjoint) for rhs in (load, block) for adjoint in (False, True)]
+        monkeypatch.setattr(solvemod, "_REFINE_STEPS", 0)
+        plain = [solver.solve(rhs, adjoint) for rhs in (load, block) for adjoint in (False, True)]
+        for (u, info), (u0, info0) in zip(refined, plain):
+            assert np.array_equal(u, u0) and np.array_equal(info.residuals, info0.residuals)
 
 
 class TestBlockSolves:
